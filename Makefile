@@ -10,9 +10,9 @@ BENCH_N ?= 1
 # The four paper artefacts (Table I, Figure 3, Figure 4, Table II); each
 # uses a fixed experiment seed so runs are comparable across machines.
 ARTEFACTS = BenchmarkTable1$$|BenchmarkFigure3$$|BenchmarkFigure4$$|BenchmarkTable2$$
-# Serving-layer throughput (records/sec): alias-table engine, its
-# categorical-draw baseline, the fairserved HTTP round trip, the
-# calibrated blind (s-unlabelled) engine, and the batched QDA posterior
+# Serving-layer throughput (records/sec): the alias-table engine
+# (parallel and serial), the fairserved HTTP round trip, the engine bound
+# to a blind (s-unlabelled) calibration, and the batched QDA posterior
 # kernel under the blind path.
 THROUGHPUT = BenchmarkRepairThroughput|BenchmarkServeRepairHTTP$$|BenchmarkBlindRepairThroughput|BenchmarkBlindPosteriorBatch$$
 # Joint (multivariate) design and repair: the separable-vs-dense pair at
@@ -22,7 +22,7 @@ JOINT = BenchmarkJointDesign$$|BenchmarkJointDesignDense$$|BenchmarkJointRepair$
 BASELINE ?=
 BASEFLAG = $(if $(BASELINE),-baseline $(BASELINE),)
 
-.PHONY: build verify verify-ci test vet lint race soak drift-scenario feed-scenario bench bench-micro serve-smoke
+.PHONY: build verify verify-ci test vet lint race soak drift-scenario feed-scenario bench bench-micro bench-check serve-smoke
 
 build:
 	$(GO) build ./...
@@ -60,7 +60,7 @@ verify-ci: verify lint
 race:
 	$(GO) test -race ./internal/ot/ ./internal/core/ ./internal/vec/ \
 		./internal/fairmetrics/ ./internal/planstore/ ./internal/repairsvc/ \
-		./internal/blindsvc/ ./internal/shardrun/ ./internal/joint/
+		./internal/shardrun/ ./internal/joint/
 
 # Boot fairserved against synthetic data, repair through the full HTTP
 # round trip, and check byte-equivalence with the library path plus the E
@@ -115,6 +115,19 @@ bench:
 	$(GO) test -run '^$$' -bench '$(JOINT)' -benchtime 3x -count 1 . > "$$J"; \
 	cat "$$A" "$$T" "$$J" | $(GO) run ./cmd/benchjson $(BASEFLAG) > BENCH_$(BENCH_N).json
 	@cat BENCH_$(BENCH_N).json
+
+# Compile and briefly run the repository benchmark (perfbench/, declared
+# by BENCHMARK.json) on each of its four workloads. perfbench is a nested
+# module built against this one through a replace directive, so
+# `go build ./...` never compiles it and an engine API change could break
+# it unnoticed. Fails when perfbench exits non-zero — e.g. on a result
+# that reports "correct": false. About 50 s including the build.
+BENCH_WORKLOADS = repair_csv repair_blind_ndjson design_fresh design_repeat
+bench-check:
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		echo "bench-check: $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2; \
+	done
 
 # Stage-level micro-benchmarks (design, repair, solvers, metric, kernels).
 bench-micro:

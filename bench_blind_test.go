@@ -14,7 +14,7 @@ import (
 	"otfair"
 )
 
-func benchBlindRepair(b *testing.B, method otfair.BlindMethod, opts otfair.BlindBatchOptions) {
+func benchBlindRepair(b *testing.B, method otfair.BlindMethod, opts otfair.BatchOptions) {
 	research, archive := benchSimData(b, 500, 20000)
 	plan, err := otfair.Design(research, otfair.DesignOptions{NQ: 100, Solver: otfair.SolverSinkhorn})
 	if err != nil {
@@ -24,7 +24,11 @@ func benchBlindRepair(b *testing.B, method otfair.BlindMethod, opts otfair.Blind
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine, err := otfair.NewBlindBatchRepairer(plan, cal, opts)
+	labelled, err := otfair.NewBatchRepairer(plan, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine, err := labelled.WithCalibration(cal)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,20 +45,20 @@ func benchBlindRepair(b *testing.B, method otfair.BlindMethod, opts otfair.Blind
 // BenchmarkBlindRepairThroughputDraw is the blind serving configuration:
 // posterior-mixed draws, parallel shards.
 func BenchmarkBlindRepairThroughputDraw(b *testing.B) {
-	benchBlindRepair(b, otfair.BlindDraw, otfair.BlindBatchOptions{})
+	benchBlindRepair(b, otfair.BlindDraw, otfair.BatchOptions{})
 }
 
 // BenchmarkBlindRepairThroughputDrawSerial isolates the per-record blind
 // cost (posterior + label draw + repair draws) from the shard fan-out.
 func BenchmarkBlindRepairThroughputDrawSerial(b *testing.B) {
-	benchBlindRepair(b, otfair.BlindDraw, otfair.BlindBatchOptions{Workers: 1})
+	benchBlindRepair(b, otfair.BlindDraw, otfair.BatchOptions{Workers: 1})
 }
 
 // BenchmarkBlindRepairThroughputPooledSerial measures the group-blind
 // pooled transport, which needs no posterior at all — the per-record cost
 // floor of the blind path.
 func BenchmarkBlindRepairThroughputPooledSerial(b *testing.B) {
-	benchBlindRepair(b, otfair.BlindPooled, otfair.BlindBatchOptions{Workers: 1})
+	benchBlindRepair(b, otfair.BlindPooled, otfair.BatchOptions{Workers: 1})
 }
 
 // BenchmarkBlindPosteriorBatch isolates the batched QDA posterior — the

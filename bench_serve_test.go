@@ -45,7 +45,7 @@ func benchBatchRepair(b *testing.B, opts otfair.BatchOptions) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.RepairTable(otfair.NewRNG(uint64(i)+1), archive); err != nil {
+		if _, _, _, err := engine.RepairTable(otfair.NewRNG(uint64(i)+1), otfair.BlindHard, archive); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,13 +62,6 @@ func BenchmarkRepairThroughputAlias(b *testing.B) {
 // shard fan-out.
 func BenchmarkRepairThroughputAliasSerial(b *testing.B) {
 	benchBatchRepair(b, otfair.BatchOptions{Workers: 1})
-}
-
-// BenchmarkRepairThroughputCategorical is the measured baseline the alias
-// tables replaced: the same engine with O(row-nnz) inversion draws,
-// single-worker to match AliasSerial.
-func BenchmarkRepairThroughputCategorical(b *testing.B) {
-	benchBatchRepair(b, otfair.BatchOptions{Workers: 1, Repair: otfair.RepairOptions{CategoricalDraws: true}})
 }
 
 // BenchmarkServeRepairHTTP measures the full service round trip: CSV

@@ -81,16 +81,7 @@ func runSmoke() error {
 	if err := archive.WriteCSV(&archiveCSV); err != nil {
 		return err
 	}
-	resp, err = http.Post(srv.URL+"/v1/repair?plan="+designed.ID+"&seed=1&workers=1", "text/csv", &archiveCSV)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("repair: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	served, err := io.ReadAll(resp.Body)
+	served, err := postRepair(srv.URL+"/v1/repair?plan="+designed.ID+"&seed=1&workers=1", "text/csv", &archiveCSV)
 	if err != nil {
 		return err
 	}
@@ -233,50 +224,36 @@ func blindSmoke(srv *httptest.Server, store *planstore.Store, planID string, res
 	fmt.Printf("fitted calibration %s (research confidence %.3f)\n", fitted.ID, fitted.ResearchConfidence)
 
 	// Blind-repair the unlabelled archive over NDJSON, single worker for
-	// byte-equivalence.
-	unlabelled := archive.DropS()
-	var in bytes.Buffer
-	enc := json.NewEncoder(&in)
+	// byte-equivalence. The wire shape is the server's: a null s marks an
+	// unknown protected attribute, both directions.
 	type wire struct {
 		X []float64 `json:"x"`
-		S *int      `json:"s,omitempty"`
+		S *int      `json:"s"`
 		U int       `json:"u"`
 	}
-	for i := 0; i < unlabelled.Len(); i++ {
-		rec := unlabelled.At(i)
-		if err := enc.Encode(wire{X: rec.X, U: rec.U}); err != nil {
-			return err
+	writeNDJSON := func(t *dataset.Table) (*bytes.Buffer, error) {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for _, rec := range t.Records() {
+			wr := wire{X: rec.X, U: rec.U}
+			if rec.S != dataset.SUnknown {
+				wr.S = &rec.S
+			}
+			if err := enc.Encode(wr); err != nil {
+				return nil, err
+			}
 		}
+		return &buf, nil
 	}
-	resp, err = http.Post(srv.URL+"/v1/repair?calibration="+fitted.ID+"&method=draw&seed=2&workers=1&format=ndjson",
-		"application/x-ndjson", &in)
+	unlabelled := archive.DropS()
+	in, err := writeNDJSON(unlabelled)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("blind repair: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	served, err := dataset.NewTable(unlabelled.Dim(), nil)
+	served, err := postRepair(srv.URL+"/v1/repair?calibration="+fitted.ID+"&method=draw&seed=2&workers=1&format=ndjson",
+		"application/x-ndjson", in)
 	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var wr wire
-		if err := dec.Decode(&wr); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-		rec := dataset.Record{X: wr.X, U: wr.U, S: dataset.SUnknown}
-		if wr.S != nil {
-			rec.S = *wr.S
-		}
-		if err := served.Append(rec); err != nil {
-			return err
-		}
+		return fmt.Errorf("blind %w", err)
 	}
 
 	// In-process reference: same plan (reloaded from the store), same
@@ -293,25 +270,18 @@ func blindSmoke(srv *httptest.Server, store *planstore.Store, planID string, res
 	if err != nil {
 		return err
 	}
-	if served.Len() != reference.Len() {
-		return fmt.Errorf("blind serve path returned %d records, want %d", served.Len(), reference.Len())
+	want, err := writeNDJSON(reference)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < served.Len(); i++ {
-		sr, rr := served.At(i), reference.At(i)
-		if sr.S != rr.S || sr.U != rr.U {
-			return fmt.Errorf("blind serve path record %d labels diverged", i)
-		}
-		for k := range sr.X {
-			if sr.X[k] != rr.X[k] {
-				return fmt.Errorf("blind serve path diverged at record %d feature %d: %v != %v", i, k, sr.X[k], rr.X[k])
-			}
-		}
+	if !bytes.Equal(served, want.Bytes()) {
+		return fmt.Errorf("blind serve path diverged from in-process blind repair (%d vs %d bytes)", len(served), want.Len())
 	}
-	fmt.Printf("blind serve path byte-identical to in-process blind repair (%d records)\n", served.Len())
+	fmt.Printf("blind serve path byte-identical to in-process blind repair (%d records)\n", reference.Len())
 
 	// The blind repair must still quench most of the measured unfairness,
 	// judged against the ground-truth labels the server never saw.
-	relabelled := served.Clone()
+	relabelled := reference.Clone()
 	for i := range relabelled.Records() {
 		relabelled.Records()[i].S = archive.At(i).S
 	}
@@ -355,6 +325,21 @@ func blindSmoke(srv *httptest.Server, store *planstore.Store, planID string, res
 	}
 	fmt.Printf("blind metrics: %d records imputed at mean confidence %.3f\n", bm.Imputed, bm.MeanConfidence)
 	return nil
+}
+
+// postRepair posts a repair request and returns the response body, or an
+// error carrying the status and server message on a non-200.
+func postRepair(url, contentType string, body io.Reader) ([]byte, error) {
+	resp, err := http.Post(url, contentType, body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		return nil, fmt.Errorf("repair: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+	}
+	return io.ReadAll(resp.Body)
 }
 
 func decodeJSON(resp *http.Response, v any) error {

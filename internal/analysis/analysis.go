@@ -83,7 +83,6 @@ var DeterminismCritical = map[string]bool{
 	"otfair/internal/vec":       true,
 	"otfair/internal/shardrun":  true,
 	"otfair/internal/repairsvc": true,
-	"otfair/internal/blindsvc":  true,
 	"otfair/internal/planstore": true,
 }
 

@@ -26,6 +26,7 @@
 package blind
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -151,10 +152,11 @@ type Repairer struct {
 	dim       int
 	// bp is the batched evaluator over the default QDA posterior, set only
 	// when the posterior was NOT overridden through Options.Posterior. When
-	// present, RepairTable and RepairStream evaluate posteriors in spans
-	// through the vec-batched fast path (bit-identical to the scalar
-	// posterior, so outputs are byte-identical); a custom posterior may be
-	// stateful, so it always runs record by record.
+	// present, every posterior runs through the vec-batched fast path —
+	// whole blocks in RepairSpan, single records in RepairRecord — which
+	// is bit-identical to the scalar posterior, so outputs are
+	// byte-identical; a custom posterior may be stateful, so it always
+	// runs record by record.
 	bp *BatchPosterior
 }
 
@@ -169,38 +171,32 @@ func New(plan *core.Plan, research *dataset.Table, r *rng.RNG, opts Options) (*R
 	if r == nil {
 		return nil, errors.New("blind: nil rng")
 	}
-	rp := &Repairer{method: opts.Method, r: r, dim: plan.Dim}
+	var (
+		smp Samplers
+		bp  *BatchPosterior
+		err error
+	)
 	switch opts.Method {
 	case MethodHard, MethodDraw, MethodMix:
-		post := opts.Posterior
-		if post == nil {
+		if opts.Posterior == nil {
 			qda, err := NewQDA(research)
 			if err != nil {
 				return nil, err
 			}
-			post = qda.Posterior
-			rp.bp = qda.Batch()
+			opts.Posterior, bp = qda.Posterior, qda.Batch()
 		}
-		rp.posterior = post
-		inner, err := core.NewRepairer(plan, r, opts.Repair)
-		if err != nil {
-			return nil, err
-		}
-		rp.inner = inner
+		smp.Labelled, err = core.NewPlanSampler(plan)
 	case MethodPooled:
-		pooled, err := PooledPlan(plan, research)
-		if err != nil {
-			return nil, err
+		pooled, perr := PooledPlan(plan, research)
+		if perr != nil {
+			return nil, perr
 		}
-		inner, err := core.NewRepairer(pooled, r, opts.Repair)
-		if err != nil {
-			return nil, err
-		}
-		rp.inner = inner
-	default:
-		return nil, fmt.Errorf("blind: unknown method %v", opts.Method)
+		smp.Pooled, err = core.NewPlanSampler(pooled)
 	}
-	return rp, nil
+	if err != nil {
+		return nil, err
+	}
+	return newRepairer(plan.Dim, smp, bp, r, opts)
 }
 
 // Samplers bundles the precomputed draw state a calibrated blind repairer
@@ -212,6 +208,11 @@ type Samplers struct {
 	Pooled   *core.PlanSampler
 }
 
+// ErrNoPosterior marks an unlabelled record reaching a repairer that has
+// no posterior to impute its s label with — a labelled-serving repairer
+// built by NewCalibrated without a calibration.
+var ErrNoPosterior = errors.New("blind: record has no s label and no posterior is bound (repair it with a calibration)")
+
 // NewCalibrated builds a blind repairer from a fitted calibration and
 // precomputed samplers instead of the research table — the serving-layer
 // constructor. The RNG consumption per record is identical to New's, so a
@@ -219,48 +220,55 @@ type Samplers struct {
 // same seed when the calibration was fitted on the same research table.
 // Options.Posterior still overrides the calibration's QDA when set; the
 // method's sampler must be present in smp.
+//
+// A nil calibration is labelled serving: records carrying an observed s
+// are repaired by the labelled sampler with exactly the draws
+// core.Repairer.RepairRecord makes, while an unlabelled record (absent an
+// Options.Posterior) fails with ErrNoPosterior.
 func NewCalibrated(cal *Calibration, smp Samplers, r *rng.RNG, opts Options) (*Repairer, error) {
-	if cal == nil {
-		return nil, errors.New("blind: nil calibration")
-	}
 	if r == nil {
 		return nil, errors.New("blind: nil rng")
 	}
-	rp := &Repairer{method: opts.Method, r: r, dim: cal.dim}
+	if cal == nil {
+		if smp.Labelled == nil {
+			return nil, errors.New("blind: nil calibration and labelled sampler")
+		}
+		return newRepairer(smp.Labelled.Plan().Dim, smp, nil, r, opts)
+	}
+	var bp *BatchPosterior
+	if opts.Posterior == nil {
+		opts.Posterior, bp = cal.Posterior, cal.QDA().Batch()
+	}
+	return newRepairer(cal.dim, smp, bp, r, opts)
+}
+
+// newRepairer binds the method's sampler from smp — which must match dim —
+// to r. bp, when non-nil, is the batched evaluator of opts.Posterior.
+func newRepairer(dim int, smp Samplers, bp *BatchPosterior, r *rng.RNG, opts Options) (*Repairer, error) {
+	rp := &Repairer{method: opts.Method, r: r, dim: dim}
+	var sampler *core.PlanSampler
 	switch opts.Method {
 	case MethodHard, MethodDraw, MethodMix:
 		if smp.Labelled == nil {
 			return nil, errors.New("blind: method needs the labelled sampler")
 		}
-		if smp.Labelled.Plan().Dim != cal.dim {
-			return nil, fmt.Errorf("blind: labelled sampler dimension %d does not match calibration %d", smp.Labelled.Plan().Dim, cal.dim)
-		}
-		post := opts.Posterior
-		if post == nil {
-			post = cal.Posterior
-			rp.bp = cal.QDA().Batch()
-		}
-		rp.posterior = post
-		inner, err := core.NewRepairerShared(smp.Labelled, r, opts.Repair)
-		if err != nil {
-			return nil, err
-		}
-		rp.inner = inner
+		sampler, rp.posterior, rp.bp = smp.Labelled, opts.Posterior, bp
 	case MethodPooled:
 		if smp.Pooled == nil {
 			return nil, errors.New("blind: pooled method needs the pooled sampler")
 		}
-		if smp.Pooled.Plan().Dim != cal.dim {
-			return nil, fmt.Errorf("blind: pooled sampler dimension %d does not match calibration %d", smp.Pooled.Plan().Dim, cal.dim)
-		}
-		inner, err := core.NewRepairerShared(smp.Pooled, r, opts.Repair)
-		if err != nil {
-			return nil, err
-		}
-		rp.inner = inner
+		sampler = smp.Pooled
 	default:
 		return nil, fmt.Errorf("blind: unknown method %v", opts.Method)
 	}
+	if sampler.Plan().Dim != dim {
+		return nil, fmt.Errorf("blind: sampler dimension %d does not match calibration %d", sampler.Plan().Dim, dim)
+	}
+	inner, err := core.NewRepairerShared(sampler, r, opts.Repair)
+	if err != nil {
+		return nil, err
+	}
+	rp.inner = inner
 	return rp, nil
 }
 
@@ -278,11 +286,21 @@ func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 	if done || err != nil {
 		return out, err
 	}
-	gamma, err := rp.posterior(rec)
+	var gamma [1]float64
+	switch {
+	case rp.bp != nil:
+		// A length-1 batch is bit-identical to the scalar QDA posterior
+		// and skips its per-record prior logs.
+		err = rp.bp.Posteriors([]dataset.Record{rec}, gamma[:])
+	case rp.posterior != nil:
+		gamma[0], err = rp.posterior(rec)
+	default:
+		return dataset.Record{}, ErrNoPosterior
+	}
 	if err != nil {
 		return dataset.Record{}, fmt.Errorf("blind: posterior: %w", err)
 	}
-	return rp.repairImputed(rec, out, gamma)
+	return rp.repairImputed(rec, out, gamma[0])
 }
 
 // RepairRecordPosterior is RepairRecord with the posterior γ = Pr[s=1|x,u]
@@ -348,33 +366,34 @@ func (rp *Repairer) repairKnown(rec dataset.Record, x []float64) (out dataset.Re
 	}
 	out = dataset.Record{X: x, S: rec.S, U: rec.U}
 	rp.stats.Records++
-
-	if rp.method == MethodPooled {
+	switch {
+	case rp.method == MethodPooled:
 		// The pooled plan is identical in both s slots; apply as s = 0.
-		for k, x := range rec.X {
-			v, err := rp.inner.RepairValue(rec.U, 0, k, x)
-			if err != nil {
-				return dataset.Record{}, true, err
-			}
-			out.X[k] = v
-		}
-		return out, true, nil
-	}
-
-	// Hard / draw / mix: a record that arrives with an observed label needs
-	// no imputation under any posterior method.
-	if rec.S != dataset.SUnknown {
+		err = rp.transport(rec, 0, out)
+	case rec.S != dataset.SUnknown:
+		// Hard / draw / mix: a record that arrives with an observed label
+		// needs no imputation under any posterior method.
 		rp.stats.LabelsUsed++
-		for k, x := range rec.X {
-			v, err := rp.inner.RepairValue(rec.U, rec.S, k, x)
-			if err != nil {
-				return dataset.Record{}, true, err
-			}
-			out.X[k] = v
-		}
-		return out, true, nil
+		err = rp.transport(rec, rec.S, out)
+	default:
+		return out, false, nil
 	}
-	return out, false, nil
+	if err != nil {
+		return dataset.Record{}, true, err
+	}
+	return out, true, nil
+}
+
+// transport repairs every feature of rec under label s into out.X.
+func (rp *Repairer) transport(rec dataset.Record, s int, out dataset.Record) error {
+	for k, x := range rec.X {
+		v, err := rp.inner.RepairValue(rec.U, s, k, x)
+		if err != nil {
+			return err
+		}
+		out.X[k] = v
+	}
+	return nil
 }
 
 // repairImputed finishes an unlabelled record under posterior gamma,
@@ -399,32 +418,8 @@ func (rp *Repairer) repairImputed(rec, out dataset.Record, gamma float64) (datas
 	}
 	rp.stats.AmbiguityBins[bin]++
 
-	switch rp.method {
-	case MethodHard:
-		s := 0
-		if gamma >= 0.5 {
-			s = 1
-		}
-		for k, x := range rec.X {
-			v, err := rp.inner.RepairValue(rec.U, s, k, x)
-			if err != nil {
-				return dataset.Record{}, err
-			}
-			out.X[k] = v
-		}
-	case MethodDraw:
-		s := 0
-		if rp.r.Bernoulli(gamma) {
-			s = 1
-		}
-		for k, x := range rec.X {
-			v, err := rp.inner.RepairValue(rec.U, s, k, x)
-			if err != nil {
-				return dataset.Record{}, err
-			}
-			out.X[k] = v
-		}
-	case MethodMix:
+	if rp.method == MethodMix {
+		// One independent label draw per feature.
 		for k, x := range rec.X {
 			s := 0
 			if rp.r.Bernoulli(gamma) {
@@ -436,89 +431,117 @@ func (rp *Repairer) repairImputed(rec, out dataset.Record, gamma float64) (datas
 			}
 			out.X[k] = v
 		}
+		return out, nil
+	}
+	// Hard takes the MAP label; draw draws one label for the record.
+	s := 0
+	if (rp.method == MethodHard && gamma >= 0.5) || (rp.method == MethodDraw && rp.r.Bernoulli(gamma)) {
+		s = 1
+	}
+	if err := rp.transport(rec, s, out); err != nil {
+		return dataset.Record{}, err
 	}
 	return out, nil
 }
 
-// blindSpan is the span size of the batched table/stream paths — the same
-// block the serving engines and BatchPosterior use, so the gathered
-// right-hand sides stay cache-resident.
+// blindSpan is the block size of RepairSpan — the same block
+// BatchPosterior uses, so the gathered right-hand sides stay
+// cache-resident.
 const blindSpan = 1024
 
-// batchable reports whether whole spans may run through the batched
-// posterior path: the pooled method never consults a posterior at all, and
-// the posterior methods qualify exactly when the default QDA is in use
-// (BatchPosterior is bit-identical to it; a caller-supplied PosteriorFunc
-// may be stateful and keeps the per-record order).
-func (rp *Repairer) batchable() bool {
-	return rp.method == MethodPooled || rp.bp != nil
-}
-
-// spanValid reports whether every record of a span would pass the
-// per-record validation (u label and dimension — the checks both
-// BatchPosterior and repairKnown apply up front). Spans containing an
-// invalid record fall back to the scalar loop so error positions and the
-// partial-progress semantics match the per-record path exactly.
-func (rp *Repairer) spanValid(recs []dataset.Record) bool {
-	for _, rec := range recs {
-		if (rec.U != 0 && rec.U != 1) || len(rec.X) != rp.dim {
-			return false
+// RepairSpan repairs recs into out (equal lengths), writing record i's
+// repair to out[i] — the span body of RepairTable and of the serving
+// engine's shards. It works in blocks of blindSpan records, polling ctx
+// between blocks. A block runs through BatchPosterior + RepairBatch when
+// it can: every record valid, and the block's unlabelled records (if any)
+// covered by the default QDA posterior. That path is byte-identical to
+// the per-record sequence (identical RNG consumption and stats order).
+// Any other block — a custom posterior, no posterior at all, or an
+// invalid record — takes the scalar loop, so error positions and partial
+// progress match RepairRecord exactly. base offsets the record indices in
+// error messages, so a caller feeding spans of a larger input reports
+// absolute positions.
+func (rp *Repairer) RepairSpan(ctx context.Context, base int, recs, out []dataset.Record) error {
+	if len(out) != len(recs) {
+		return errors.New("blind: span length mismatch")
+	}
+	var gammas [blindSpan]float64
+	for lo := 0; lo < len(recs); lo += blindSpan {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		hi := min(lo+blindSpan, len(recs))
+		block, g := recs[lo:hi], gammas[:hi-lo]
+		batched, err := rp.blockPosteriors(block, g)
+		if err != nil {
+			return fmt.Errorf("blind: posterior (span at %d): %w", base+lo, err)
+		}
+		if batched {
+			if err := rp.RepairBatch(base+lo, block, g, out[lo:hi]); err != nil {
+				return err
+			}
+			continue
+		}
+		for i, rec := range block {
+			o, err := rp.RepairRecord(rec)
+			if err != nil {
+				return fmt.Errorf("blind: record %d: %w", base+lo+i, err)
+			}
+			out[lo+i] = o
 		}
 	}
-	return true
+	return nil
 }
 
-// spanPosteriors fills gammas[i] for every unlabelled record of a valid
-// span through the batched QDA evaluator. Labelled slots (and every slot,
-// for posterior-free methods) are not written — the reused buffer may
-// carry stale values from earlier spans there — and are ignored
-// downstream: RepairBatch never consults gamma for a record that arrives
-// with a label.
-func (rp *Repairer) spanPosteriors(recs []dataset.Record, gammas []float64) error {
-	if rp.bp == nil || rp.method == MethodPooled {
-		return nil
-	}
+// blockPosteriors fills gammas[i] for every unlabelled record of a block
+// through the batched QDA evaluator and reports whether the block may run
+// through RepairBatch. Labelled slots (and every slot, for the pooled
+// method) are not written — the reused buffer may carry stale values
+// there — and are ignored downstream: RepairBatch never consults gamma for
+// a record that needs no posterior.
+func (rp *Repairer) blockPosteriors(recs []dataset.Record, gammas []float64) (bool, error) {
 	// Like the scalar path, only unlabelled records consult the posterior:
 	// a mostly-labelled archive must not pay for discarded soft labels.
-	// All-unlabelled spans (the common blind case) batch directly; mixed
-	// spans gather the unlabelled subset and scatter the results back.
 	unl := 0
 	for _, rec := range recs {
+		if (rec.U != 0 && rec.U != 1) || len(rec.X) != rp.dim {
+			return false, nil
+		}
 		if rec.S == dataset.SUnknown {
 			unl++
 		}
 	}
 	switch {
-	case unl == 0:
-		return nil
+	case unl == 0 || rp.method == MethodPooled:
+		return true, nil
+	case rp.bp == nil:
+		return false, nil
 	case unl == len(recs):
-		return rp.bp.Posteriors(recs, gammas[:len(recs)])
-	default:
-		sub := make([]dataset.Record, 0, unl)
-		idx := make([]int, 0, unl)
-		for i, rec := range recs {
-			if rec.S == dataset.SUnknown {
-				sub = append(sub, rec)
-				idx = append(idx, i)
-			}
-		}
-		sg := make([]float64, unl)
-		if err := rp.bp.Posteriors(sub, sg); err != nil {
-			return err
-		}
-		for j, i := range idx {
-			gammas[i] = sg[j]
-		}
-		return nil
+		return true, rp.bp.Posteriors(recs, gammas)
 	}
+	// Mixed blocks gather the unlabelled subset and scatter the results.
+	sub := make([]dataset.Record, 0, unl)
+	idx := make([]int, 0, unl)
+	for i, rec := range recs {
+		if rec.S == dataset.SUnknown {
+			sub = append(sub, rec)
+			idx = append(idx, i)
+		}
+	}
+	sg := make([]float64, unl)
+	if err := rp.bp.Posteriors(sub, sg); err != nil {
+		return false, err
+	}
+	for j, i := range idx {
+		gammas[i] = sg[j]
+	}
+	return true, nil
 }
 
 // RepairTable repairs every record of a table in order; records may be
-// unlabelled. Cardinality and the (known) labels are preserved. Under the
-// default QDA posterior the table runs in spans through BatchPosterior +
-// RepairBatch — the same vec-batched fast path the serving engines use,
-// byte-identical to the per-record sequence (identical RNG consumption and
-// stats accumulation).
+// unlabelled. Cardinality and the (known) labels are preserved. The table
+// runs through RepairSpan, the same span body the serving engine's shards
+// use.
 func (rp *Repairer) RepairTable(t *dataset.Table) (*dataset.Table, error) {
 	if t == nil {
 		return nil, errors.New("blind: nil table")
@@ -530,43 +553,12 @@ func (rp *Repairer) RepairTable(t *dataset.Table) (*dataset.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs := t.Records()
-	var gammas []float64
-	var span []dataset.Record
-	if rp.batchable() {
-		gammas = make([]float64, blindSpan)
-		span = make([]dataset.Record, blindSpan)
+	repaired := make([]dataset.Record, t.Len())
+	if err := rp.RepairSpan(context.Background(), 0, t.Records(), repaired); err != nil {
+		return nil, err
 	}
-	for lo := 0; lo < len(recs); lo += blindSpan {
-		hi := lo + blindSpan
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		if rp.batchable() && rp.spanValid(recs[lo:hi]) {
-			if err := rp.spanPosteriors(recs[lo:hi], gammas); err != nil {
-				return nil, fmt.Errorf("blind: posterior (span at %d): %w", lo, err)
-			}
-			if err := rp.RepairBatch(lo, recs[lo:hi], gammas[:hi-lo], span[:hi-lo]); err != nil {
-				return nil, err
-			}
-			for i, rec := range span[:hi-lo] {
-				if err := out.Append(rec); err != nil {
-					return nil, fmt.Errorf("blind: record %d: %w", lo+i, err)
-				}
-			}
-			continue
-		}
-		// Scalar fallback: custom posterior, or a span carrying a record
-		// that must fail with the per-record error position.
-		for i := lo; i < hi; i++ {
-			rec, err := rp.RepairRecord(recs[i])
-			if err != nil {
-				return nil, fmt.Errorf("blind: record %d: %w", i, err)
-			}
-			if err := out.Append(rec); err != nil {
-				return nil, fmt.Errorf("blind: record %d: %w", i, err)
-			}
-		}
+	if err := out.AppendAll(repaired); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -576,17 +568,11 @@ func (rp *Repairer) RepairTable(t *dataset.Table) (*dataset.Table, error) {
 // core.Repairer.RepairStream for the torrent deployment mode. Each record
 // is repaired and sunk as soon as it arrives — the stream path never
 // buffers, because a live torrent's downstream must not wait on a span
-// filling up. Under the default QDA posterior, each unlabelled record's
-// soft label still runs through the batched evaluator (a length-1 batch is
-// bit-identical to the scalar posterior and skips its per-record prior
-// logs), so the output is byte-identical to the per-record reference
-// either way; whole-span batching is RepairTable's job.
+// filling up; whole-span batching is RepairTable's job.
 func (rp *Repairer) RepairStream(in dataset.Stream, sink func(dataset.Record) error) (int, error) {
 	if in.Dim() != rp.dim {
 		return 0, fmt.Errorf("blind: stream dimension %d does not match plan %d", in.Dim(), rp.dim)
 	}
-	var one [1]dataset.Record
-	var gamma [1]float64
 	n := 0
 	for {
 		rec, err := in.Next()
@@ -596,20 +582,7 @@ func (rp *Repairer) RepairStream(in dataset.Stream, sink func(dataset.Record) er
 		if err != nil {
 			return n, err
 		}
-		var repaired dataset.Record
-		if rp.bp != nil && rp.method != MethodPooled && rec.S == dataset.SUnknown &&
-			(rec.U == 0 || rec.U == 1) && len(rec.X) == rp.dim {
-			one[0] = rec
-			if err := rp.bp.Posteriors(one[:], gamma[:]); err != nil {
-				return n, fmt.Errorf("blind: stream record %d: posterior: %w", n, err)
-			}
-			repaired, err = rp.RepairRecordPosterior(rec, gamma[0])
-		} else {
-			// Labelled or posterior-free records never consult a posterior;
-			// invalid records take this path too so the error position and
-			// text match the per-record reference exactly.
-			repaired, err = rp.RepairRecord(rec)
-		}
+		repaired, err := rp.RepairRecord(rec)
 		if err != nil {
 			return n, fmt.Errorf("blind: stream record %d: %w", n, err)
 		}

@@ -26,43 +26,20 @@ func RepairTableParallel(plan *Plan, r *rng.RNG, opts RepairOptions, t *dataset.
 	if plan == nil {
 		return nil, diag, errors.New("core: nil plan")
 	}
-	// One immutable sampler serves every shard: the alias tables are built
-	// once per plan, not once per worker.
-	sampler, err := NewPlanSampler(plan)
-	if err != nil {
-		return nil, diag, err
-	}
-	return RepairTableParallelShared(sampler, r, opts, t, workers)
-}
-
-// RepairTableParallelShared is RepairTableParallel over a caller-held
-// sampler, so serving layers binding many repair calls to one plan build
-// the draw tables exactly once. The sharding and per-shard Split streams
-// are shardrun.Table's — including the clamp to a single Split(0) shard on
-// tables smaller than the worker count, the rule this function
-// established — so the two are byte-identical for the same inputs.
-func RepairTableParallelShared(sampler *PlanSampler, r *rng.RNG, opts RepairOptions, t *dataset.Table, workers int) (*dataset.Table, Diagnostics, error) {
-	return RepairTableParallelSharedObs(sampler, r, opts, t, workers, nil)
-}
-
-// RepairTableParallelSharedObs is RepairTableParallelShared with per-shard
-// wall timings recorded on ob via shardrun.TableObs (nil ob =
-// uninstrumented). Instrumentation never influences sharding or the split
-// streams, so the repaired table is byte-identical either way — which is
-// why the serving layer can leave it permanently enabled.
-func RepairTableParallelSharedObs(sampler *PlanSampler, r *rng.RNG, opts RepairOptions, t *dataset.Table, workers int, ob *shardrun.Obs) (*dataset.Table, Diagnostics, error) {
-	var diag Diagnostics
-	if sampler == nil {
-		return nil, diag, errors.New("core: nil sampler")
-	}
 	if r == nil {
 		return nil, diag, errors.New("core: nil rng")
 	}
 	if t == nil {
 		return nil, diag, errors.New("core: nil table")
 	}
-	if t.Dim() != sampler.plan.Dim {
-		return nil, diag, fmt.Errorf("core: table dimension %d does not match plan %d", t.Dim(), sampler.plan.Dim)
+	if t.Dim() != plan.Dim {
+		return nil, diag, fmt.Errorf("core: table dimension %d does not match plan %d", t.Dim(), plan.Dim)
+	}
+	// One immutable sampler serves every shard: the alias tables are built
+	// once per plan, not once per worker.
+	sampler, err := NewPlanSampler(plan)
+	if err != nil {
+		return nil, diag, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -72,7 +49,7 @@ func RepairTableParallelSharedObs(sampler *PlanSampler, r *rng.RNG, opts RepairO
 	// Per-shard slots are bounded by the table, not the requested fan-out,
 	// so an absurd worker count cannot balloon the allocation.
 	diags := make([]Diagnostics, shardrun.Slots(workers, n))
-	err := shardrun.TableObs(context.Background(), r, workers, n, ob, func(w int, rr *rng.RNG, lo, hi int) error {
+	err = shardrun.Table(context.Background(), r, workers, n, func(w int, rr *rng.RNG, lo, hi int) error {
 		rp, err := NewRepairerShared(sampler, rr, opts)
 		if err != nil {
 			return err

@@ -27,13 +27,6 @@ type RepairOptions struct {
 	// features to future work (Section VI); this is the repository's
 	// answer, off by default to keep Algorithm 2 faithful.
 	KernelDither bool
-	// CategoricalDraws replaces the O(1) alias-table draw of line 9 with
-	// the O(row-nnz) inversion draw. The repaired distribution is identical
-	// (both sample the same multinomial) but the variate stream differs, so
-	// outputs are not byte-comparable across the two modes. This is the
-	// measured baseline for the alias-table throughput benchmarks; leave it
-	// off in production.
-	CategoricalDraws bool
 }
 
 // Diagnostics counts the boundary conditions Algorithm 2 encounters.
@@ -174,9 +167,6 @@ func (rp *Repairer) drawTarget(u, s, k, q int) int {
 	row := rp.sampler.row(u, s, k, q)
 	if row.fallback {
 		rp.diag.EmptyRowFallbacks++
-	}
-	if rp.opts.CategoricalDraws {
-		return row.targets[rp.rng.Categorical(row.probs)]
 	}
 	return row.targets[row.table.Draw(rp.rng)]
 }

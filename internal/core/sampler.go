@@ -31,9 +31,8 @@ type cellSampler struct {
 // rowDraw is the resolved multinomial M(·) of Eq. (15) for one plan row.
 type rowDraw struct {
 	// targets are the target-state indices carrying mass in the resolved
-	// row; probs are the matching normalized masses.
+	// row; table draws an index into them by the matching normalized mass.
 	targets []int
-	probs   []float64
 	table   *rng.Alias
 	// fallback marks rows with no mass of their own, resolved to the
 	// nearest massive row; draws through them count as EmptyRowFallbacks.
@@ -71,7 +70,7 @@ func NewPlanSampler(plan *Plan) (*PlanSampler, error) {
 							// Design and ReadPlan both reject.
 							return nil, errors.New("core: plan has no mass in any row")
 						}
-						rd = rowDraw{targets: targets, probs: probs, table: rng.NewAlias(probs)}
+						rd = rowDraw{targets: targets, table: rng.NewAlias(probs)}
 						built[row] = rd
 					}
 					rd.fallback = row != q

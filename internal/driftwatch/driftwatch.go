@@ -1,6 +1,7 @@
 // Package driftwatch turns drift telemetry into action. The serving stack
 // already measures drift — monitor raises KS/PSI alarms per (u,s,feature)
-// cell and blindsvc tracks posterior-confidence drift per calibration — but
+// cell and the calibrated repairsvc engines track posterior-confidence
+// drift per calibration — but
 // until this package nothing acted on any of it. A Watcher folds those
 // signals into a per-artefact state machine
 //

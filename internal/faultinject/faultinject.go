@@ -37,10 +37,10 @@ const (
 	// catch and quarantine (planstore).
 	StoreTornWrite = "store.torn-write"
 	// ShardSlow delays a shard worker before it starts repairing
-	// (repairsvc/blindsvc engines).
+	// (repairsvc engine).
 	ShardSlow = "shard.slow"
 	// ShardPanic panics a shard worker, exercising shardrun's panic
-	// isolation (repairsvc/blindsvc engines).
+	// isolation (repairsvc engine).
 	ShardPanic = "shard.panic"
 	// RecordPoison fails record validation mid-stream, exercising the
 	// serving layer's malformed-input path (repairsvc server).

@@ -1,6 +1,12 @@
-package blindsvc
+package repairsvc
+
+// The calibrated (s-unlabelled) half of the engine's differential pins:
+// per-method byte identity with blind.Repairer, the shared labelled
+// sampler, the parallel modes, mixed-label accounting and bind-time
+// calibration checks.
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -9,13 +15,24 @@ import (
 	"otfair/internal/dataset"
 	"otfair/internal/fairmetrics"
 	"otfair/internal/rng"
+	"otfair/internal/shardrun"
 	"otfair/internal/simulate"
 )
 
-// testData draws research/archive tables from the paper's simulation
+// newBlindEngine binds a plan and derives the calibrated engine from it —
+// the serving layer's bind path.
+func newBlindEngine(plan *core.Plan, cal *blind.Calibration, opts Options) (*Engine, error) {
+	labelled, err := NewEngine(plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	return labelled.WithCalibration(cal)
+}
+
+// blindTestData draws research/archive tables from the paper's simulation
 // scenario, designs the labelled plan, fits a calibration, and strips the
 // archive's s labels — the blind serving setup.
-func testData(t testing.TB, seed uint64, nR, nA, nq int) (*core.Plan, *blind.Calibration, *dataset.Table, *dataset.Table) {
+func blindTestData(t testing.TB, seed uint64, nR, nA, nq int) (*core.Plan, *blind.Calibration, *dataset.Table, *dataset.Table) {
 	t.Helper()
 	sampler, err := simulate.NewSampler(simulate.Paper())
 	if err != nil {
@@ -36,37 +53,19 @@ func testData(t testing.TB, seed uint64, nR, nA, nq int) (*core.Plan, *blind.Cal
 	return plan, cal, research, archive.DropS()
 }
 
-func tablesEqual(t *testing.T, a, b *dataset.Table) {
-	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("length mismatch: %d vs %d", a.Len(), b.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		ra, rb := a.At(i), b.At(i)
-		if ra.S != rb.S || ra.U != rb.U {
-			t.Fatalf("record %d labels differ", i)
-		}
-		for k := range ra.X {
-			if ra.X[k] != rb.X[k] {
-				t.Fatalf("record %d feature %d: %v != %v", i, k, ra.X[k], rb.X[k])
-			}
-		}
-	}
-}
+var blindMethods = []blind.Method{blind.MethodHard, blind.MethodDraw, blind.MethodMix, blind.MethodPooled}
 
-var allMethods = []blind.Method{blind.MethodHard, blind.MethodDraw, blind.MethodMix, blind.MethodPooled}
-
-// TestEngineSerialByteIdentical is the blind differential pin: with
+// TestBlindEngineSerialByteIdentical is the blind differential pin: with
 // workers=1 the engine reproduces blind.Repairer.RepairTable byte for byte
 // at the same seed, for every blind method, in both table and streaming
 // mode. This is the contract the blind serve path rests on.
-func TestEngineSerialByteIdentical(t *testing.T) {
-	plan, cal, research, unlabelled := testData(t, 1, 300, 1200, 40)
-	engine, err := NewEngine(plan, cal, Options{Workers: 1})
+func TestBlindEngineSerialByteIdentical(t *testing.T) {
+	plan, cal, research, unlabelled := blindTestData(t, 1, 300, 1200, 40)
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, method := range allMethods {
+	for _, method := range blindMethods {
 		ref, err := blind.New(plan, research, rng.New(11), blind.Options{Method: method})
 		if err != nil {
 			t.Fatal(err)
@@ -103,24 +102,27 @@ func TestEngineSerialByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineSharedSamplerByteIdentical pins NewEngineShared — the serving
-// layer's constructor reusing the labelled engine's sampler — to the
-// self-built path.
-func TestEngineSharedSamplerByteIdentical(t *testing.T) {
-	plan, cal, _, unlabelled := testData(t, 2, 250, 600, 30)
-	labelled, err := core.NewPlanSampler(plan)
+// TestBlindEngineSharedSamplerByteIdentical pins WithCalibration on a
+// labelled engine that is already bound — the serving layer's path, which
+// reuses that engine's sampler — to a freshly bound engine.
+func TestBlindEngineSharedSamplerByteIdentical(t *testing.T) {
+	plan, cal, _, unlabelled := blindTestData(t, 2, 250, 600, 30)
+	labelled, err := NewEngine(plan, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := NewEngine(plan, cal, Options{Workers: 1})
+	own, err := newBlindEngine(plan, cal, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := NewEngineShared(plan, cal, labelled, Options{Workers: 1})
+	shared, err := labelled.WithCalibration(cal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, method := range allMethods {
+	if shared.smp.Labelled != labelled.smp.Labelled {
+		t.Error("calibrated engine rebuilt the labelled sampler")
+	}
+	for _, method := range blindMethods {
 		a, _, _, err := own.RepairTable(rng.New(3), method, unlabelled)
 		if err != nil {
 			t.Fatal(err)
@@ -133,13 +135,13 @@ func TestEngineSharedSamplerByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineParallelDeterministicAndEffective pins the workers=N modes:
+// TestBlindEngineParallelDeterministicAndEffective pins the workers=N modes:
 // repeatable for a fixed (seed, workers, chunk) in both table and stream
 // form, clamped correctly on tiny tables, and actually repairing — the
 // posterior-mixed repair must quench most of the measured unfairness.
-func TestEngineParallelDeterministicAndEffective(t *testing.T) {
-	plan, cal, _, unlabelled := testData(t, 3, 400, 3000, 50)
-	engine, err := NewEngine(plan, cal, Options{Workers: 4, ChunkSize: 512})
+func TestBlindEngineParallelDeterministicAndEffective(t *testing.T) {
+	plan, cal, _, unlabelled := blindTestData(t, 3, 400, 3000, 50)
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 4, ChunkSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestEngineParallelDeterministicAndEffective(t *testing.T) {
 	if err := tiny.Append(unlabelled.At(0)); err != nil {
 		t.Fatal(err)
 	}
-	for _, method := range allMethods {
+	for _, method := range blindMethods {
 		runTable := func(tbl *dataset.Table) *dataset.Table {
 			out, _, _, err := engine.RepairTable(rng.New(5), method, tbl)
 			if err != nil {
@@ -208,11 +210,11 @@ func TestEngineParallelDeterministicAndEffective(t *testing.T) {
 	}
 }
 
-// TestEngineMixedLabels checks that records arriving with an observed s
+// TestBlindEngineMixedLabels checks that records arriving with an observed s
 // keep the labelled fast path (LabelsUsed) while unlabelled ones are
 // imputed, and that the totals ledger adds up.
-func TestEngineMixedLabels(t *testing.T) {
-	plan, cal, _, unlabelled := testData(t, 4, 250, 400, 30)
+func TestBlindEngineMixedLabels(t *testing.T) {
+	plan, cal, _, unlabelled := blindTestData(t, 4, 250, 400, 30)
 	sampler, err := simulate.NewSampler(simulate.Paper())
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +236,7 @@ func TestEngineMixedLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	engine, err := NewEngine(plan, cal, Options{Workers: 1})
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,22 +256,22 @@ func TestEngineMixedLabels(t *testing.T) {
 	}
 }
 
-// TestEngineCalibrationMismatch ensures a calibration fitted for another
+// TestBlindEngineCalibrationMismatch ensures a calibration fitted for another
 // plan is rejected at bind time.
-func TestEngineCalibrationMismatch(t *testing.T) {
-	plan, _, _, _ := testData(t, 5, 250, 10, 30)
-	_, otherCal, _, _ := testData(t, 6, 250, 10, 30)
-	if _, err := NewEngine(plan, otherCal, Options{}); err == nil {
+func TestBlindEngineCalibrationMismatch(t *testing.T) {
+	plan, _, _, _ := blindTestData(t, 5, 250, 10, 30)
+	_, otherCal, _, _ := blindTestData(t, 6, 250, 10, 30)
+	if _, err := newBlindEngine(plan, otherCal, Options{}); err == nil {
 		t.Fatal("calibration for a different plan bound without error")
 	}
 }
 
-// TestEngineConcurrentRequests hammers one engine from several goroutines
+// TestBlindEngineConcurrentRequests hammers one engine from several goroutines
 // with different methods; under -race this certifies the shared-sampler
 // blind path.
-func TestEngineConcurrentRequests(t *testing.T) {
-	plan, cal, _, unlabelled := testData(t, 7, 250, 800, 30)
-	engine, err := NewEngine(plan, cal, Options{Workers: 2, ChunkSize: 256})
+func TestBlindEngineConcurrentRequests(t *testing.T) {
+	plan, cal, _, unlabelled := blindTestData(t, 7, 250, 800, 30)
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 2, ChunkSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestEngineConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			method := allMethods[g%len(allMethods)]
+			method := blindMethods[g%len(blindMethods)]
 			out, _, _, err := engine.RepairTable(rng.New(99), method, unlabelled)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", g, err)
@@ -290,10 +292,61 @@ func TestEngineConcurrentRequests(t *testing.T) {
 	}
 	wg.Wait()
 	// Same (seed, method, workers) pairs must agree even under contention.
-	for g := len(allMethods); g < len(outs); g++ {
-		tablesEqual(t, outs[g-len(allMethods)], outs[g])
+	for g := len(blindMethods); g < len(outs); g++ {
+		tablesEqual(t, outs[g-len(blindMethods)], outs[g])
 	}
 	if got := engine.Totals().Records; got != int64(6*unlabelled.Len()) {
 		t.Errorf("totals records = %d, want %d", got, 6*unlabelled.Len())
 	}
+}
+
+// TestBlindEngineRejectsNegativeOptions: the calibrated engine shares the
+// labelled one's shardrun.Options validation, so nonsensical values fail
+// with the same typed error on the blind bind path and on a per-request
+// WithWorkers override of a calibrated engine.
+func TestBlindEngineRejectsNegativeOptions(t *testing.T) {
+	plan, cal, _, _ := blindTestData(t, 40, 250, 10, 20)
+	for _, opts := range []Options{{Workers: -1}, {ChunkSize: -1}, {Workers: -3, ChunkSize: -4096}} {
+		_, err := newBlindEngine(plan, cal, opts)
+		var oe *shardrun.OptionError
+		if !errors.As(err, &oe) {
+			t.Errorf("newBlindEngine(%+v) = %v, want *shardrun.OptionError", opts, err)
+		}
+	}
+	if _, err := newBlindEngine(plan, cal, Options{}); err != nil {
+		t.Errorf("zero options rejected: %v", err)
+	}
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.WithWorkers(-2); err == nil {
+		t.Error("WithWorkers(-2) accepted")
+	}
+}
+
+// TestBlindEngineAbsurdFanOutStaysCheap mirrors repairsvc's: per-shard state is
+// sized by the data (shardrun.Slots), so a billion-worker request cannot
+// balloon memory; repair still completes and stays deterministic.
+func TestBlindEngineAbsurdFanOutStaysCheap(t *testing.T) {
+	plan, cal, _, unlabelled := blindTestData(t, 41, 250, 64, 20)
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 1 << 30, ChunkSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *dataset.Table {
+		out, _, _, err := engine.RepairTable(rng.New(2), blind.MethodDraw, unlabelled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := dataset.NewTable(unlabelled.Dim(), unlabelled.Names())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := engine.RepairStream(rng.New(2), blind.MethodDraw, dataset.NewSliceStream(unlabelled), streamed.Append); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	tablesEqual(t, run(), run())
 }

@@ -9,19 +9,21 @@ package repairsvc
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 
 	"otfair/internal/blind"
-	"otfair/internal/blindsvc"
 	"otfair/internal/dataset"
 )
 
 // blindState resolves the serving state for a (plan, calibration) pair:
-// the plan's labelled state (binding it if needed) plus the blind engine
-// for the calibration, built once per (plan, calibration) and sharing the
-// labelled engine's alias tables. planID may be empty — the calibration
-// knows the plan it was fitted against; when given, it must match.
-func (s *Server) blindState(planID, calID string) (*planState, *blindsvc.Engine, error) {
+// the plan's labelled state (binding it if needed) plus the calibrated
+// engine derived from its labelled engine, built once per (plan,
+// calibration) and sharing the labelled alias tables. planID may be
+// empty — the calibration knows the plan it was fitted against; when
+// given, it must match.
+func (s *Server) blindState(planID, calID string) (*planState, *Engine, error) {
 	cal, err := s.cals.Get(calID)
 	if err != nil {
 		return nil, nil, err
@@ -47,7 +49,7 @@ func (s *Server) blindState(planID, calID string) (*planState, *blindsvc.Engine,
 	// Bind outside the lock: the pooled plan's alias tables are the
 	// expensive part and two racing requests at worst build them twice,
 	// with one winner.
-	eng, err := blindsvc.NewEngineShared(ps.engine.Plan(), cal, ps.engine.Sampler(), blindsvc.Options{Workers: s.opts.Workers, Fault: s.opts.Fault, Obs: s.om.shard})
+	eng, err := ps.engine.WithCalibration(cal)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -59,29 +61,26 @@ func (s *Server) blindState(planID, calID string) (*planState, *blindsvc.Engine,
 		// Bound the blind tier like the labelled one: each engine pins a
 		// pooled-plan sampler, so memory must scale with the hot
 		// calibration set, not with every calibration ever touched.
-		for len(ps.blind) > s.opts.MaxBoundCalibrations {
-			var coldID string
-			var coldUsed uint64
-			first := true
-			// Full-scan min with a total tie-break (lastUsed, then ID), so
-			// the victim is a pure function of the cache contents.
-			//otfair:nondet-ok order-independent min: tie on lastUsed breaks on calibration ID
-			for cid, entry := range ps.blind {
-				if cid != calID && (first || entry.lastUsed < coldUsed ||
-					(entry.lastUsed == coldUsed && cid < coldID)) {
-					coldID, coldUsed, first = cid, entry.lastUsed, false
-				}
-			}
-			if first {
-				break
-			}
-			delete(ps.blind, coldID)
-		}
+		evictLRU(ps.blind, calID, s.opts.MaxBoundCalibrations, func(e *blindEntry) uint64 { return e.lastUsed })
 	}
 	ps.blindClock++
 	ps.blind[calID].lastUsed = ps.blindClock
 	ps.mu.Unlock()
 	return ps, eng, nil
+}
+
+// calibrated snapshots the plan's calibrated engines and their calibration
+// IDs, in ID order, so every fold over them is order-stable. Engine
+// counters carry their own lock and are read after ps.mu is released.
+func (ps *planState) calibrated() (ids []string, engines []*Engine) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ids = slices.Sorted(maps.Keys(ps.blind))
+	engines = make([]*Engine, len(ids))
+	for i, id := range ids {
+		engines[i] = ps.blind[id].engine
+	}
+	return ids, engines
 }
 
 // handleCalibrationsPost fits a calibration from a research CSV body
@@ -180,16 +179,9 @@ func (s *Server) handleCalibrationGet(w http.ResponseWriter, r *http.Request) {
 // with its drift from the research-time baseline, and the ambiguity
 // histogram.
 func blindMetrics(ps *planState) map[string]any {
-	ps.mu.Lock()
-	engines := make(map[string]*blindsvc.Engine, len(ps.blind))
-	//otfair:nondet-ok map-to-map copy; key set is order-free and JSON marshaling sorts keys
-	for id, entry := range ps.blind {
-		engines[id] = entry.engine
-	}
-	ps.mu.Unlock()
-	out := make(map[string]any, len(engines))
-	//otfair:nondet-ok map-to-map copy; the response map is serialized with sorted keys
-	for id, eng := range engines {
+	ids, engines := ps.calibrated()
+	out := make(map[string]any, len(ids))
+	for i, eng := range engines {
 		totals := eng.Totals()
 		cal := eng.Calibration()
 		entry := map[string]any{
@@ -210,7 +202,27 @@ func blindMetrics(ps *planState) map[string]any {
 			// more ambiguous than the data the calibration was fitted on.
 			entry["confidence_drift"] = totals.MeanConfidence() - cal.ResearchConfidence()
 		}
-		out[id] = entry
+		out[ids[i]] = entry
 	}
 	return out
+}
+
+// evictLRU deletes least-recently-used entries of m, never keep, until m
+// holds at most limit. The victim is a full-scan minimum with a total
+// tie-break (lastUsed, then key), so it is a pure function of the map's
+// contents, not of its iteration order.
+func evictLRU[V any](m map[string]V, keep string, limit int, lastUsed func(V) uint64) {
+	for len(m) > limit {
+		coldID, coldUsed, first := "", uint64(0), true
+		//otfair:nondet-ok order-independent min: tie on lastUsed breaks on key
+		for id, v := range m {
+			if u := lastUsed(v); id != keep && (first || u < coldUsed || (u == coldUsed && id < coldID)) {
+				coldID, coldUsed, first = id, u, false
+			}
+		}
+		if first {
+			return
+		}
+		delete(m, coldID)
+	}
 }

@@ -4,7 +4,7 @@ package repairsvc
 // driftCheck runs once per repair request (off the per-record path) and —
 // when DriftCheckEvery is set — on every tick of the drift timer, so an
 // idle-but-drifted artefact still recalibrates. It feeds the watcher the
-// monitor's KS/PSI ratios and the blind engines' posterior-confidence
+// monitor's KS/PSI ratios and the calibrated engines' posterior-confidence
 // drift; when the watcher reaches alarmed, the run is claimed and handed
 // to the shared refit pool (bounded workers + queue across all lineages),
 // which executes
@@ -52,21 +52,22 @@ import (
 func (s *Server) driftCheck(ps *planState) {
 	ps.mu.Lock()
 	snap := ps.mon.Snapshot()
-	worst, haveConf := 0.0, false
+	ps.mu.Unlock()
 	// Tied |drift| magnitudes of opposite sign would make `worst` depend on
-	// map order; walking calibrations in sorted ID order pins the fold.
-	for _, cid := range slices.Sorted(maps.Keys(ps.blind)) {
-		entry := ps.blind[cid]
-		t := entry.engine.Totals()
+	// the walk order; calibrated() walks in sorted ID order, pinning the
+	// fold.
+	worst, haveConf := 0.0, false
+	_, engines := ps.calibrated()
+	for _, eng := range engines {
+		t := eng.Totals()
 		if t.Imputed == 0 {
 			continue
 		}
-		d := t.MeanConfidence() - entry.engine.Calibration().ResearchConfidence()
+		d := t.MeanConfidence() - eng.Calibration().ResearchConfidence()
 		if !haveConf || math.Abs(d) > math.Abs(worst) {
-			worst = d
+			worst, haveConf = d, true
 		}
 	}
-	ps.mu.Unlock()
 
 	ps.watch.SetScores(snap.MaxKSRatio, snap.MaxPSIRatio)
 	if haveConf {

@@ -395,7 +395,7 @@ func TestDriftSeriesCardinalityBound(t *testing.T) {
 	for _, bad := range []string{
 		"ffffffffffffffffffffffffffffffff", // well-formed, absent
 		"not-a-fingerprint",                // malformed
-		"<script>alert(1)</script>",       // hostile
+		"<script>alert(1)</script>",        // hostile
 	} {
 		r := postCSV(t, srv.URL+"/v1/repair?plan="+bad, archive)
 		io.Copy(io.Discard, r.Body)
@@ -473,5 +473,80 @@ func TestScrapeFreshnessAndBlindSeries(t *testing.T) {
 	}
 	if _, ok := m[`otfair_blind_ambiguity_total{bin="0"}`]; !ok {
 		t.Error("ambiguity histogram series missing")
+	}
+}
+
+// TestDriftConfidenceScoreFoldsWorstCalibration: imputed traffic through
+// two calibrations of one plan must reach the drift watcher, and the
+// watcher's confidence score must be the worst calibration's
+// |mean − research confidence| / ConfidenceAlarm.
+func TestDriftConfidenceScoreFoldsWorstCalibration(t *testing.T) {
+	plan, research, archive := testData(t, 33, 300, 600, 25)
+	store, err := planstore.Open(t.TempDir(), planstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planID, _, err := store.Put(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A large ConfidenceAlarm and AlarmAfter keep the watcher out of the
+	// refit loop: the test reads the score, not the reaction to it.
+	const alarm = 4.0
+	handler, err := NewServer(store, ServerOptions{DriftWatch: &driftwatch.Config{AlarmAfter: 1000, ConfidenceAlarm: alarm}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+
+	// Two calibrations: the full research set and its second half, whose
+	// research-time confidence baselines differ.
+	half, err := dataset.NewTable(research.Dim(), research.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := half.AppendAll(research.Records()[research.Len()/2:]); err != nil {
+		t.Fatal(err)
+	}
+	unlabelled := archive.DropS()
+	calIDs := []string{fitOverHTTP(t, srv, planID, research), fitOverHTTP(t, srv, planID, half)}
+	for _, calID := range calIDs {
+		resp := postCSV(t, srv.URL+"/v1/repair?calibration="+calID+"&method=draw&seed=1&workers=1", unlabelled)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("repair with %s: %s", calID, resp.Status)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/metrics?plan=" + planID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Blind map[string]struct {
+			Imputed         int64   `json:"imputed"`
+			ConfidenceDrift float64 `json:"confidence_drift"`
+		} `json:"blind"`
+		DriftWatch driftwatch.Snapshot `json:"driftwatch"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for _, calID := range calIDs {
+		bm, ok := m.Blind[calID]
+		if !ok || bm.Imputed != int64(unlabelled.Len()) {
+			t.Fatalf("calibration %s: blind metrics %+v (present %v)", calID, bm, ok)
+		}
+		want = math.Max(want, math.Abs(bm.ConfidenceDrift)/alarm)
+	}
+	if want == 0 {
+		t.Fatal("no confidence drift to fold; the scenario is degenerate")
+	}
+	if got := m.DriftWatch.ConfidenceScore; math.Abs(got-want) > 1e-12 {
+		t.Errorf("confidence_score = %v, want the worst calibration's %v", got, want)
 	}
 }

@@ -4,31 +4,38 @@
 // long-running archival-repair service — the deployment mode the paper's
 // design/apply split exists for.
 //
-// The Engine owns one immutable core.PlanSampler — every (u, s, feature,
-// support-row) multinomial of the plan resolved into an alias table once,
-// at bind time — and fans incoming records across worker goroutines, each
-// holding its own core.Repairer over the shared sampler with a
-// deterministic rng.Split stream. Determinism contract:
+// One Engine type serves both deployment modes. NewEngine binds a plan for
+// labelled traffic, resolving every (u, s, feature, support-row)
+// multinomial of the plan into an alias table once (core.PlanSampler).
+// WithCalibration derives an engine for s-unlabelled archives (the paper's
+// Section VI case) that shares those tables and adds the calibration's
+// posterior Pr[s|x,u] and the pooled plan's sampler. Every shard runs a
+// blind.Repairer on its own rng.Split stream; a record carrying an
+// observed s consumes that stream exactly as core.Repairer.RepairRecord
+// does, and on a labelled engine an unlabelled record fails with
+// blind.ErrNoPosterior. Determinism contract:
 //
 //   - Workers == 1 consumes the caller's RNG stream directly, so output is
-//     byte-identical to core.Repairer.RepairTable / RepairStream with the
-//     same seed — the property the serve-path equivalence tests pin.
+//     byte-identical to core.Repairer (labelled) or blind.Repairer
+//     (calibrated) RepairTable / RepairStream with the same seed and
+//     method — the property the serve-path equivalence tests pin.
 //   - Workers > 1 shards a table contiguously with per-shard streams
-//     r.Split(w), byte-identical to core.RepairTableParallel; streams are
-//     repaired in chunks with per-(chunk, shard) streams, reproducible for
-//     a fixed (seed, workers, chunk size) regardless of scheduling.
+//     r.Split(w), byte-identical to core.RepairTableParallel on labelled
+//     tables; streams are repaired in chunks with per-(chunk, shard)
+//     streams, reproducible for a fixed (seed, workers, chunk size)
+//     regardless of scheduling.
 //
-// The shard/chunk machinery itself — the split formulas, the clamp rule,
-// the serial drain — lives in internal/shardrun, shared with the blind
-// engine (blindsvc), so the determinism contract has exactly one owner.
+// The shard/chunk machinery — the split formulas, the clamp rule, the
+// serial drain — lives in internal/shardrun, its one owner.
 package repairsvc
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 
+	"otfair/internal/blind"
 	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/faultinject"
@@ -65,8 +72,7 @@ type Options struct {
 }
 
 // withDefaults validates and defaults the sharding knobs through
-// shardrun.Options — one shared path for both serving engines, so the two
-// can no longer drift in how they treat nonsensical values.
+// shardrun.Options.
 func (o Options) withDefaults() (Options, error) {
 	so, err := shardrun.Options{Workers: o.Workers, ChunkSize: o.ChunkSize}.WithDefaults()
 	if err != nil {
@@ -74,11 +80,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	o.Workers, o.ChunkSize = so.Workers, so.ChunkSize
 	return o, nil
-}
-
-// shard returns the (validated) shardrun view of the options.
-func (o Options) shard() shardrun.Options {
-	return shardrun.Options{Workers: o.Workers, ChunkSize: o.ChunkSize, Obs: o.Obs}
 }
 
 // Totals are the engine's cumulative serving counters, aggregated across
@@ -91,24 +92,49 @@ type Totals struct {
 	Records, Values int64
 	// Clamped and EmptyRowFallbacks aggregate core.Diagnostics.
 	Clamped, EmptyRowFallbacks int64
+	// LabelsUsed counts records that arrived with an observed s label
+	// (every record, on a labelled engine); Imputed counts records
+	// repaired under the posterior.
+	LabelsUsed, Imputed int64
+	// ConfidenceSum accumulates max(γ, 1−γ) over imputed records.
+	ConfidenceSum float64
+	// AmbiguityBins is the aggregated blind.Stats histogram.
+	AmbiguityBins [blind.AmbiguityBinCount]int64
 }
 
-// Engine is a batched repairer bound to one plan. It is safe for
-// concurrent use: all mutable state is atomic, and the sampler is
-// immutable.
+// MeanConfidence is the average MAP-posterior confidence over imputed
+// records, zero when nothing was imputed.
+func (t Totals) MeanConfidence() float64 {
+	if t.Imputed == 0 {
+		return 0
+	}
+	return t.ConfidenceSum / float64(t.Imputed)
+}
+
+// ledger is the lock-guarded Totals an engine and the engines derived from
+// it by WithWorkers account into.
+type ledger struct {
+	mu sync.Mutex
+	t  Totals
+}
+
+// Engine is a batched repairer bound to one plan and, optionally, one
+// calibration. It is safe for concurrent use: the samplers are immutable
+// and the counters are guarded.
 type Engine struct {
-	plan    *core.Plan
-	sampler *core.PlanSampler
-	opts    Options
-
-	records   atomic.Int64
-	values    atomic.Int64
-	clamped   atomic.Int64
-	fallbacks atomic.Int64
+	plan   *core.Plan
+	cal    *blind.Calibration // nil = labelled serving
+	smp    blind.Samplers
+	opts   Options
+	totals *ledger
 }
 
-// NewEngine precomputes the plan's alias tables and returns an engine.
+// NewEngine precomputes the plan's alias tables and returns a labelled
+// engine.
 func NewEngine(plan *core.Plan, opts Options) (*Engine, error) {
+	if plan == nil {
+		return nil, errors.New("repairsvc: nil plan")
+	}
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -117,195 +143,251 @@ func NewEngine(plan *core.Plan, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{plan: plan, sampler: sampler, opts: opts}, nil
+	return &Engine{plan: plan, smp: blind.Samplers{Labelled: sampler}, opts: opts, totals: new(ledger)}, nil
 }
 
-// Plan returns the bound plan.
-func (e *Engine) Plan() *core.Plan { return e.plan }
+// WithCalibration derives an engine that repairs s-unlabelled records of
+// the same plan under a calibration. It shares the labelled alias tables
+// and builds only the pooled plan's. The calibration must have been fitted
+// against exactly this plan (fingerprints are compared), so a store mix-up
+// fails at bind time instead of soft-labelling with a posterior from
+// another design. The derived engine keeps its own counters.
+func (e *Engine) WithCalibration(cal *blind.Calibration) (*Engine, error) {
+	if cal == nil {
+		return nil, errors.New("repairsvc: nil calibration")
+	}
+	planID, err := e.plan.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	if cal.PlanID() != planID {
+		return nil, fmt.Errorf("repairsvc: calibration was fitted for plan %s, not %s", cal.PlanID(), planID)
+	}
+	pooledPlan, err := cal.PooledPlan(e.plan)
+	if err != nil {
+		return nil, err
+	}
+	pooled, err := core.NewPlanSampler(pooledPlan)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{
+		plan:   e.plan,
+		cal:    cal,
+		smp:    blind.Samplers{Labelled: e.smp.Labelled, Pooled: pooled},
+		opts:   e.opts,
+		totals: new(ledger),
+	}, nil
+}
 
-// Sampler returns the precomputed (immutable) alias-table state, so other
-// engines over the same plan — the blind serving layer binds one per
-// calibration — can share it instead of rebuilding.
-func (e *Engine) Sampler() *core.PlanSampler { return e.sampler }
-
-// withWorkers derives an engine with a different fan-out over the same
-// plan and precomputed sampler — the per-request ?workers= override path,
-// which must not rebuild the alias tables. Counters start at zero; the
-// caller folds them back into the primary engine via account.
-func (e *Engine) withWorkers(workers int) (*Engine, error) {
+// WithWorkers derives an engine with a different fan-out over the same
+// plan, calibration and precomputed samplers — the per-request ?workers=
+// override path, which must not rebuild any alias table. The derived
+// engine accounts into this engine's counters.
+func (e *Engine) WithWorkers(workers int) (*Engine, error) {
 	opts := e.opts
 	opts.Workers = workers
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{plan: e.plan, sampler: e.sampler, opts: opts}, nil
+	d := *e
+	d.opts = opts
+	return &d, nil
 }
+
+// Plan returns the bound plan.
+func (e *Engine) Plan() *core.Plan { return e.plan }
+
+// Calibration returns the bound calibration (nil for a labelled engine).
+func (e *Engine) Calibration() *blind.Calibration { return e.cal }
 
 // Totals returns a snapshot of the cumulative counters.
 func (e *Engine) Totals() Totals {
-	return Totals{
-		Records:           e.records.Load(),
-		Values:            e.values.Load(),
-		Clamped:           e.clamped.Load(),
-		EmptyRowFallbacks: e.fallbacks.Load(),
+	e.totals.mu.Lock()
+	defer e.totals.mu.Unlock()
+	return e.totals.t
+}
+
+// account folds a finished request's traffic into the cumulative counters.
+func (e *Engine) account(n int, st blind.Stats, d core.Diagnostics) {
+	l := e.totals
+	l.mu.Lock()
+	l.t.Records += int64(n)
+	l.t.Values += d.Repaired
+	l.t.Clamped += d.Clamped
+	l.t.EmptyRowFallbacks += d.EmptyRowFallbacks
+	l.t.LabelsUsed += st.LabelsUsed
+	l.t.Imputed += st.Imputed
+	l.t.ConfidenceSum += st.ConfidenceSum
+	for i := range l.t.AmbiguityBins {
+		l.t.AmbiguityBins[i] += st.AmbiguityBins[i]
 	}
+	l.mu.Unlock()
 }
 
-func (e *Engine) account(n int, d core.Diagnostics) {
-	e.records.Add(int64(n))
-	e.values.Add(d.Repaired)
-	e.clamped.Add(d.Clamped)
-	e.fallbacks.Add(d.EmptyRowFallbacks)
+// repairer builds one shard's repairer over the shared samplers, after
+// consulting the fault points every shard passes.
+func (e *Engine) repairer(r *rng.RNG, method blind.Method) (*blind.Repairer, error) {
+	e.opts.Fault.Delay(faultinject.ShardSlow)
+	e.opts.Fault.Panic(faultinject.ShardPanic)
+	return blind.NewCalibrated(e.cal, e.smp, r, blind.Options{Method: method, Repair: e.opts.Repair})
 }
 
-// RepairTable repairs a table. With Workers == 1 it is byte-identical to
-// core.Repairer.RepairTable on the same RNG; with Workers == w > 1 it is
-// byte-identical to core.RepairTableParallel with w workers, including its
-// clamp to a single Split(0) shard on tables smaller than w.
-func (e *Engine) RepairTable(r *rng.RNG, t *dataset.Table) (*dataset.Table, core.Diagnostics, error) {
-	return e.RepairTableContext(context.Background(), r, t)
-}
-
-// RepairTableContext is RepairTable under a context: a ctx already
-// cancelled at entry fails before any repair with ctx.Err(). Table repair
-// is all-or-nothing (the output table is returned whole or not at all),
-// so unlike the streaming path there is no truncation contract to honour
-// mid-table; the entry check is what a serving layer needs to drop work
-// for an abandoned request before paying for it.
-func (e *Engine) RepairTableContext(ctx context.Context, r *rng.RNG, t *dataset.Table) (*dataset.Table, core.Diagnostics, error) {
-	var diag core.Diagnostics
+// check validates a request's common arguments.
+func (e *Engine) check(r *rng.RNG, dim int) error {
 	if r == nil {
-		return nil, diag, errors.New("repairsvc: nil rng")
+		return errors.New("repairsvc: nil rng")
 	}
+	if dim != e.plan.Dim {
+		return fmt.Errorf("repairsvc: input dimension %d does not match plan %d", dim, e.plan.Dim)
+	}
+	return nil
+}
+
+// RepairTable repairs a table. The method picks how unlabelled records are
+// repaired (MethodPooled also transports labelled ones); labelled serving
+// passes blind.MethodHard, the zero value. With Workers == 1 it is
+// byte-identical to the reference repairer's RepairTable on the same RNG;
+// with Workers == w > 1 it shards contiguously on Split(w) streams via
+// shardrun.Table — byte-identical to core.RepairTableParallel with w
+// workers on labelled tables, including its clamp to a single Split(0)
+// shard on tables smaller than w.
+func (e *Engine) RepairTable(r *rng.RNG, method blind.Method, t *dataset.Table) (*dataset.Table, blind.Stats, core.Diagnostics, error) {
+	return e.RepairTableContext(context.Background(), r, method, t)
+}
+
+// RepairTableContext is RepairTable under a context: cancellation aborts
+// the repair with ctx.Err() at the next span-block boundary and the output
+// table is discarded whole — table repair is all-or-nothing, so
+// cancellation never surfaces a partially repaired table.
+func (e *Engine) RepairTableContext(ctx context.Context, r *rng.RNG, method blind.Method, t *dataset.Table) (*dataset.Table, blind.Stats, core.Diagnostics, error) {
+	var (
+		stats blind.Stats
+		diag  core.Diagnostics
+	)
 	if t == nil {
-		return nil, diag, errors.New("repairsvc: nil table")
+		return nil, stats, diag, errors.New("repairsvc: nil table")
 	}
-	if t.Dim() != e.plan.Dim {
-		return nil, diag, fmt.Errorf("repairsvc: table dimension %d does not match plan %d", t.Dim(), e.plan.Dim)
+	if err := e.check(r, t.Dim()); err != nil {
+		return nil, stats, diag, err
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, diag, err
+	n := t.Len()
+	records := t.Records()
+	repaired := make([]dataset.Record, n)
+	// Sized by the table, not the requested fan-out (see shardrun.Slots).
+	slots := shardrun.Slots(e.opts.Workers, n)
+	allStats := make([]blind.Stats, slots)
+	diags := make([]core.Diagnostics, slots)
+	span := func(w int, rr *rng.RNG, lo, hi int) error {
+		rp, err := e.repairer(rr, method)
+		if err != nil {
+			return err
 		}
+		if err := rp.RepairSpan(ctx, lo, records[lo:hi], repaired[lo:hi]); err != nil {
+			return err
+		}
+		allStats[w], diags[w] = rp.Stats(), rp.Diagnostics()
+		return nil
 	}
+	var err error
 	if e.opts.Workers == 1 {
-		rp, err := core.NewRepairerShared(e.sampler, r, e.opts.Repair)
-		if err != nil {
-			return nil, diag, err
-		}
-		var out *dataset.Table
-		// Serial table repair runs in the calling goroutine; isolate it the
-		// way the fan-out isolates its workers, so a panicking repair fails
-		// this request with a typed error instead of the process.
-		err = shardrun.IsolatedObs(e.opts.Obs, func() error {
-			e.opts.Fault.Delay(faultinject.ShardSlow)
-			e.opts.Fault.Panic(faultinject.ShardPanic)
-			var rerr error
-			out, rerr = rp.RepairTable(t)
-			return rerr
-		})
-		if err != nil {
-			return nil, diag, err
-		}
-		diag = rp.Diagnostics()
-		e.account(t.Len(), diag)
-		return out, diag, nil
+		// Serial mode consumes the caller's stream directly (no Split);
+		// isolate it the way the fan-out isolates its workers, so a
+		// panicking repair fails this request with a typed error instead
+		// of the process.
+		err = shardrun.IsolatedObs(e.opts.Obs, func() error { return span(0, r, 0, n) })
+	} else {
+		err = shardrun.TableObs(ctx, r, e.opts.Workers, n, e.opts.Obs, span)
 	}
-	out, diag, err := core.RepairTableParallelSharedObs(e.sampler, r, e.opts.Repair, t, e.opts.Workers, e.opts.Obs)
 	if err != nil {
-		return nil, diag, err
+		return nil, stats, diag, err
 	}
-	e.account(t.Len(), diag)
-	return out, diag, nil
+	for w := range slots {
+		stats.Merge(allStats[w])
+		diag.Merge(diags[w])
+	}
+	out, err := dataset.NewTable(t.Dim(), t.Names())
+	if err != nil {
+		return nil, stats, diag, err
+	}
+	if err := out.AppendAll(repaired); err != nil {
+		return nil, stats, diag, err
+	}
+	e.account(n, stats, diag)
+	return out, stats, diag, nil
 }
 
 // RepairStream consumes a record stream and emits repaired records to sink
 // in input order. With one worker it holds a single repairer over the
-// caller's stream (byte-identical to core.Repairer.RepairStream); with more
+// caller's stream (byte-identical to the reference repairer's
+// RepairStream) and sinks each record before reading the next; with more
 // it repairs chunks of ChunkSize across per-(chunk, shard) split streams,
 // holding at most one chunk in memory. The sink always runs serially, in
 // order, from the calling goroutine.
-func (e *Engine) RepairStream(r *rng.RNG, in dataset.Stream, sink func(dataset.Record) error) (int, core.Diagnostics, error) {
-	return e.RepairStreamContext(context.Background(), r, in, sink)
+func (e *Engine) RepairStream(r *rng.RNG, method blind.Method, in dataset.Stream, sink func(dataset.Record) error) (int, blind.Stats, core.Diagnostics, error) {
+	return e.RepairStreamContext(context.Background(), r, method, in, sink)
 }
 
 // RepairStreamContext is RepairStream under a context — the serving
 // layer's per-request deadline and client-disconnect path. Cancellation
-// surfaces as ctx.Err() within ctxCheckEvery records (serial mode) or at
+// surfaces as ctx.Err() within ctxCheckEvery records (serial mode) or by
 // the next chunk boundary (chunked mode), and only ever truncates the
 // sink's output: every record delivered before the cancellation is
 // byte-identical to the uncancelled run at the same seed, because the
 // contiguous-shard RNG split formula depends on positions and chunk
-// indices, never on where the stream stops.
-func (e *Engine) RepairStreamContext(ctx context.Context, r *rng.RNG, in dataset.Stream, sink func(dataset.Record) error) (int, core.Diagnostics, error) {
-	var diag core.Diagnostics
-	if r == nil {
-		return 0, diag, errors.New("repairsvc: nil rng")
-	}
+// indices, never on where the stream stops. Emitted traffic is accounted
+// on every exit path.
+func (e *Engine) RepairStreamContext(ctx context.Context, r *rng.RNG, method blind.Method, in dataset.Stream, sink func(dataset.Record) error) (total int, stats blind.Stats, diag core.Diagnostics, err error) {
 	if in == nil {
-		return 0, diag, errors.New("repairsvc: nil stream")
+		return 0, stats, diag, errors.New("repairsvc: nil stream")
 	}
-	if in.Dim() != e.plan.Dim {
-		return 0, diag, fmt.Errorf("repairsvc: stream dimension %d does not match plan %d", in.Dim(), e.plan.Dim)
+	if err := e.check(r, in.Dim()); err != nil {
+		return 0, stats, diag, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	defer func() { e.account(total, stats, diag) }()
 	if e.opts.Workers <= 1 {
-		rp, err := core.NewRepairerShared(e.sampler, r, e.opts.Repair)
-		if err != nil {
-			return 0, diag, err
-		}
-		var n int
 		err = shardrun.IsolatedObs(e.opts.Obs, func() error {
-			e.opts.Fault.Delay(faultinject.ShardSlow)
-			e.opts.Fault.Panic(faultinject.ShardPanic)
-			var serr error
-			n, serr = rp.RepairStream(dataset.WithContext(ctx, in, ctxCheckEvery), sink)
-			return serr
-		})
-		diag = rp.Diagnostics()
-		e.account(n, diag)
-		return n, diag, err
-	}
-	return e.repairStreamChunked(ctx, r, in, sink)
-}
-
-// repairStreamChunked is the parallel streaming body, delegated to
-// shardrun.Stream (per-(chunk, shard) split streams, bounded memory, serial
-// sink); emitted traffic is accounted on every exit path, matching the
-// serial mode.
-func (e *Engine) repairStreamChunked(ctx context.Context, r *rng.RNG, in dataset.Stream, sink func(dataset.Record) error) (total int, diag core.Diagnostics, err error) {
-	defer func() { e.account(total, diag) }()
-	// A chunk never uses more shards than it has records, so per-shard
-	// state is sized by min(Workers, ChunkSize) — a request-supplied
-	// fan-out of a billion must not balloon the allocation.
-	diags := make([]core.Diagnostics, shardrun.Slots(e.opts.Workers, e.opts.ChunkSize))
-	err = shardrun.Stream(ctx, r, e.opts.shard(), in.Next,
-		func(_ uint64, w int, rr *rng.RNG, chunk, out []dataset.Record, lo, hi int) error {
-			e.opts.Fault.Delay(faultinject.ShardSlow)
-			e.opts.Fault.Panic(faultinject.ShardPanic)
-			rp, err := core.NewRepairerShared(e.sampler, rr, e.opts.Repair)
+			rp, err := e.repairer(r, method)
 			if err != nil {
 				return err
 			}
-			for i := lo; i < hi; i++ {
-				rec, err := rp.RepairRecord(chunk[i])
-				if err != nil {
-					return err
-				}
-				out[i] = rec
+			// Per-record sinking: each repaired record reaches the sink
+			// before the next is read, so a mid-stream failure leaves
+			// every earlier record delivered.
+			total, err = rp.RepairStream(dataset.WithContext(ctx, in, ctxCheckEvery), sink)
+			stats, diag = rp.Stats(), rp.Diagnostics()
+			return err
+		})
+		return total, stats, diag, err
+	}
+	// A chunk never uses more shards than it has records, so per-shard
+	// state is sized by min(Workers, ChunkSize) — a request-supplied
+	// fan-out of a billion must not balloon the allocation.
+	slots := shardrun.Slots(e.opts.Workers, e.opts.ChunkSize)
+	allStats := make([]blind.Stats, slots)
+	diags := make([]core.Diagnostics, slots)
+	so := shardrun.Options{Workers: e.opts.Workers, ChunkSize: e.opts.ChunkSize, Obs: e.opts.Obs}
+	err = shardrun.Stream(ctx, r, so, in.Next,
+		func(_ uint64, w int, rr *rng.RNG, chunk, out []dataset.Record, lo, hi int) error {
+			rp, err := e.repairer(rr, method)
+			if err != nil {
+				return err
 			}
-			diags[w] = rp.Diagnostics()
+			if err := rp.RepairSpan(ctx, lo, chunk[lo:hi], out[lo:hi]); err != nil {
+				return err
+			}
+			allStats[w], diags[w] = rp.Stats(), rp.Diagnostics()
 			return nil
 		},
 		func(out []dataset.Record) error {
-			// Merge the chunk's per-shard diagnostics in shard-index order
-			// (bit-stable aggregation), then sink serially in input order.
+			// Merge the chunk's per-shard counters in shard-index order so
+			// the floating-point confidence sums stay bit-stable, then sink
+			// serially in input order.
 			for w := range diags {
+				stats.Merge(allStats[w])
 				diag.Merge(diags[w])
-				diags[w] = core.Diagnostics{}
+				allStats[w], diags[w] = blind.Stats{}, core.Diagnostics{}
 			}
 			for _, rec := range out {
 				if err := sink(rec); err != nil {
@@ -315,5 +397,5 @@ func (e *Engine) repairStreamChunked(ctx context.Context, r *rng.RNG, in dataset
 			}
 			return nil
 		})
-	return total, diag, err
+	return total, stats, diag, err
 }

@@ -1,10 +1,10 @@
 package repairsvc
 
 import (
-	"math"
 	"sync"
 	"testing"
 
+	"otfair/internal/blind"
 	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/fairmetrics"
@@ -58,7 +58,7 @@ func TestEngineSerialByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, diag, err := engine.RepairTable(rng.New(11), archive)
+	got, _, diag, err := engine.RepairTable(rng.New(11), blind.MethodHard, archive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestEngineSerialByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := engine.RepairStream(rng.New(11), dataset.NewSliceStream(archive), streamed.Append)
+	n, _, _, err := engine.RepairStream(rng.New(11), blind.MethodHard, dataset.NewSliceStream(archive), streamed.Append)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEngineParallelMatchesCoreParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := engine.RepairTable(rng.New(3), tbl)
+			got, _, _, err := engine.RepairTable(rng.New(3), blind.MethodHard, tbl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestEngineStreamDeterministicAndEffective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := engine.RepairStream(rng.New(5), dataset.NewSliceStream(archive), out.Append); err != nil {
+		if _, _, _, err := engine.RepairStream(rng.New(5), blind.MethodHard, dataset.NewSliceStream(archive), out.Append); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -172,7 +172,7 @@ func TestEngineConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out, _, err := engine.RepairTable(rng.New(99), archive)
+			out, _, _, err := engine.RepairTable(rng.New(99), blind.MethodHard, archive)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", g, err)
 				return
@@ -187,53 +187,4 @@ func TestEngineConcurrentRequests(t *testing.T) {
 	if got := engine.Totals().Records; got != int64(6*archive.Len()) {
 		t.Errorf("totals records = %d, want %d", got, 6*archive.Len())
 	}
-}
-
-// TestCategoricalBaselineDistribution checks that the alias path and the
-// O(n) categorical baseline sample the same repaired distribution: group
-// means and variances agree within Monte-Carlo tolerance on a large
-// archive. (Byte equality is impossible — the variate streams differ.)
-func TestCategoricalBaselineDistribution(t *testing.T) {
-	plan, _, archive := testData(t, 5, 400, 8000, 50)
-	alias, err := NewEngine(plan, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	categorical, err := NewEngine(plan, Options{Workers: 1, Repair: core.RepairOptions{CategoricalDraws: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _, err := alias.RepairTable(rng.New(6), archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _, err := categorical.RepairTable(rng.New(6), archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 2; u++ {
-		for s := 0; s < 2; s++ {
-			for k := 0; k < archive.Dim(); k++ {
-				g := dataset.Group{U: u, S: s}
-				ma, sa := meanStd(a.GroupColumn(g, k))
-				mc, sc := meanStd(c.GroupColumn(g, k))
-				if math.Abs(ma-mc) > 0.1 || math.Abs(sa-sc) > 0.1 {
-					t.Errorf("group %v feature %d: alias (%.3f±%.3f) vs categorical (%.3f±%.3f)",
-						g, k, ma, sa, mc, sc)
-				}
-			}
-		}
-	}
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	return mean, math.Sqrt(std / float64(len(xs)))
 }

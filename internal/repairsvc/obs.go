@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"otfair/internal/blind"
-	"otfair/internal/blindsvc"
 	"otfair/internal/core"
 	"otfair/internal/obs"
 	"otfair/internal/planstore"
@@ -212,12 +211,12 @@ func newServerObs(s *Server) *serverObs {
 			}, "kind", ns.kind)
 	}
 
-	// Blind telemetry, aggregated across every bound blind engine at scrape
-	// time. Aggregation is what bounds the cardinality: the series carry no
-	// calibration label, so an unbounded calibration population cannot mint
-	// series. Evicting a cold blind engine drops its contribution (the
-	// serving state is not the durable tier); rate() users should treat
-	// resets like restarts.
+	// Blind telemetry, aggregated across every bound calibrated engine at
+	// scrape time. Aggregation is what bounds the cardinality: the series
+	// carry no calibration label, so an unbounded calibration population
+	// cannot mint series. Evicting a cold calibrated engine drops its
+	// contribution (the serving state is not the durable tier); rate()
+	// users should treat resets like restarts.
 	reg.GaugeFunc("otfair_blind_mean_confidence",
 		"Mean MAP-posterior confidence over imputed records, all bound calibrations (NaN before any imputation).",
 		func() float64 {
@@ -286,7 +285,8 @@ func newServerObs(s *Server) *serverObs {
 	return om
 }
 
-// blindAgg is the scrape-time fold of every bound blind engine's counters.
+// blindAgg is the scrape-time fold of every bound calibrated engine's
+// counters.
 type blindAgg struct {
 	LabelsUsed, Imputed int64
 	// ConfidenceSum accumulates max(γ, 1−γ) over imputed records; BaseSum
@@ -309,13 +309,7 @@ func (s *Server) blindAggregate() blindAgg {
 	}
 	s.mu.Unlock()
 	for _, ps := range states {
-		ps.mu.Lock()
-		engines := make([]*blindsvc.Engine, 0, len(ps.blind))
-		//otfair:nondet-ok scrape-time commutative fold: every engine's counters are summed
-		for _, entry := range ps.blind {
-			engines = append(engines, entry.engine)
-		}
-		ps.mu.Unlock()
+		_, engines := ps.calibrated()
 		for _, eng := range engines {
 			t := eng.Totals()
 			a.LabelsUsed += t.LabelsUsed

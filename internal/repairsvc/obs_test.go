@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"otfair/internal/blind"
 	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/obs"
@@ -314,7 +315,7 @@ func TestEngineObsAllocDelta(t *testing.T) {
 		sink := func(dataset.Record) error { return nil }
 		return testing.AllocsPerRun(3, func() {
 			in := dataset.NewSliceStream(archive)
-			if _, _, err := engine.RepairStreamContext(context.Background(), r, in, sink); err != nil {
+			if _, _, _, err := engine.RepairStreamContext(context.Background(), r, blind.MethodHard, in, sink); err != nil {
 				t.Fatal(err)
 			}
 		})

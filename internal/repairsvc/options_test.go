@@ -4,15 +4,16 @@ import (
 	"errors"
 	"testing"
 
+	"otfair/internal/blind"
 	"otfair/internal/dataset"
 	"otfair/internal/rng"
 	"otfair/internal/shardrun"
 )
 
-// TestEngineRejectsNegativeOptions: option validation now lives in
-// shardrun.Options.withDefaults — nonsensical values return a typed error
-// instead of being clamped silently (and the two serving engines can no
-// longer drift in how they treat them).
+// TestEngineRejectsNegativeOptions: option validation lives in
+// shardrun.Options.WithDefaults — nonsensical values return a typed error
+// instead of being clamped silently, at bind time and on the per-request
+// WithWorkers override alike.
 func TestEngineRejectsNegativeOptions(t *testing.T) {
 	plan, _, _ := testData(t, 40, 250, 10, 20)
 	for _, opts := range []Options{{Workers: -1}, {ChunkSize: -1}, {Workers: -3, ChunkSize: -4096}} {
@@ -25,6 +26,13 @@ func TestEngineRejectsNegativeOptions(t *testing.T) {
 	// Zero still means "defaults".
 	if _, err := NewEngine(plan, Options{}); err != nil {
 		t.Errorf("zero options rejected: %v", err)
+	}
+	engine, err := NewEngine(plan, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.WithWorkers(-2); err == nil {
+		t.Error("WithWorkers(-2) accepted")
 	}
 }
 
@@ -40,7 +48,7 @@ func TestEngineAbsurdFanOutStaysCheap(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *dataset.Table {
-		out, _, err := engine.RepairTable(rng.New(2), archive)
+		out, _, _, err := engine.RepairTable(rng.New(2), blind.MethodHard, archive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +56,7 @@ func TestEngineAbsurdFanOutStaysCheap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := engine.RepairStream(rng.New(2), dataset.NewSliceStream(archive), streamed.Append); err != nil {
+		if _, _, _, err := engine.RepairStream(rng.New(2), blind.MethodHard, dataset.NewSliceStream(archive), streamed.Append); err != nil {
 			t.Fatal(err)
 		}
 		return out

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"otfair/internal/blind"
-	"otfair/internal/blindsvc"
 	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/driftwatch"
@@ -59,7 +58,7 @@ type ServerOptions struct {
 	// (default: the planstore default). cmd/fairserved wires -cache here
 	// so both artefact tiers size together.
 	CalibrationCacheSize int
-	// MaxBoundCalibrations bounds the blind engines bound per plan
+	// MaxBoundCalibrations bounds the calibrated engines bound per plan
 	// (default 8). Each holds the pooled plan's alias tables, so without a
 	// cap a stream of novel calibrations against one hot plan would grow
 	// memory without limit; the least-recently-used engine is evicted and
@@ -105,7 +104,7 @@ type ServerOptions struct {
 	Logger *slog.Logger
 	// DriftWatch, when non-nil, arms the drift-observability control loop:
 	// every bound plan gets a driftwatch.Watcher fed by the monitor's KS/PSI
-	// ratios and the blind engines' confidence drift, and an alarmed plan
+	// ratios and the calibrated engines' confidence drift, and an alarmed plan
 	// triggers the recalibration loop (refit from RecalibrateFrom, canary on
 	// a reservoir of recent traffic, atomic ref swap on pass). The loop runs
 	// in its own goroutine off the serve path, and repairs keep pinning
@@ -287,10 +286,10 @@ type Server struct {
 	clock  uint64 // monotone LRU clock for states, guarded by mu
 }
 
-// planState is the per-plan serving state: the bound engine plus the
-// observability side (drift monitor and rolling metric windows, both fed
-// serially from the repair sink path under mu) and the blind engines bound
-// per calibration, all sharing the labelled engine's sampler.
+// planState is the per-plan serving state: the bound labelled engine plus
+// the observability side (drift monitor and rolling metric windows, both
+// fed serially from the repair sink path under mu) and the engines derived
+// from it per calibration, all sharing the labelled engine's sampler.
 type planState struct {
 	// id is the fingerprint this state was bound under — the lineage the
 	// drift loop records its ref swaps against.
@@ -314,18 +313,18 @@ type planState struct {
 	// candidate and the same verdict. Transient failures do not record
 	// it, so a refit_failed alarm retries on the next check.
 	lastResearchFP string
-	mon         *monitor.Monitor
-	alarms      []monitor.Alarm // ring of the most recent MaxAlarms
-	alarmsTotal int64
-	original    *recordWindow
-	repaired    *recordWindow
-	blind       map[string]*blindEntry // calibration id -> bound engine
-	blindClock  uint64                 // monotone LRU clock for blind, guarded by mu
+	mon            *monitor.Monitor
+	alarms         []monitor.Alarm // ring of the most recent MaxAlarms
+	alarmsTotal    int64
+	original       *recordWindow
+	repaired       *recordWindow
+	blind          map[string]*blindEntry // calibration id -> bound engine
+	blindClock     uint64                 // monotone LRU clock for blind, guarded by mu
 }
 
-// blindEntry tracks one bound blind engine with its LRU recency.
+// blindEntry tracks one bound calibrated engine with its LRU recency.
 type blindEntry struct {
-	engine   *blindsvc.Engine
+	engine   *Engine
 	lastUsed uint64
 }
 
@@ -612,24 +611,7 @@ func (s *Server) state(id string) (*planState, error) {
 		// Bound the serving tier: evict the least-recently-used states so
 		// memory scales with the hot set, not with every plan ever touched.
 		// The store below remains the durable tier.
-		for len(s.states) > s.opts.MaxBoundPlans {
-			var coldID string
-			var coldUsed uint64
-			first := true
-			// Full-scan min with a total tie-break (lastUsed, then ID), so
-			// the victim is a pure function of the bound set.
-			//otfair:nondet-ok order-independent min: tie on lastUsed breaks on plan ID
-			for sid, st := range s.states {
-				if sid != id && (first || st.lastUsed < coldUsed ||
-					(st.lastUsed == coldUsed && sid < coldID)) {
-					coldID, coldUsed, first = sid, st.lastUsed, false
-				}
-			}
-			if first {
-				break
-			}
-			delete(s.states, coldID)
-		}
+		evictLRU(s.states, id, s.opts.MaxBoundPlans, func(st *planState) uint64 { return st.lastUsed })
 	}
 	s.clock++
 	ps.lastUsed = s.clock
@@ -868,75 +850,45 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	planID = q.Get("plan")
 	calID = q.Get("calibration")
-	id := planID
-	if id == "" && calID == "" {
+	if planID == "" && calID == "" {
 		httpError(w, http.StatusBadRequest, "missing plan parameter")
 		return
 	}
 
-	workers := 0
+	// Choose the engine: the plan's labelled engine, or the one bound to
+	// the calibration, which repairs unlabelled records under its
+	// posterior. A ?workers= override derives an engine that accounts into
+	// the chosen one's counters.
+	var (
+		ps     *planState
+		engine *Engine
+		method blind.Method
+		err    error
+	)
+	if calID == "" {
+		if ps, err = s.state(planID); err == nil {
+			engine = ps.engine
+		}
+	} else {
+		if method, err = blind.ParseMethod(q.Get("method")); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		ps, engine, err = s.blindState(planID, calID)
+	}
+	if err != nil {
+		httpError(w, errStatus(err), "%v", err)
+		return
+	}
 	if v := q.Get("workers"); v != "" {
 		n, werr := strconv.Atoi(v)
 		if werr != nil || n < 1 {
 			httpError(w, http.StatusBadRequest, "bad workers %q", v)
 			return
 		}
-		workers = n
-	}
-
-	// run abstracts over the labelled and blind engines: it repairs the
-	// stream and folds any derived-engine traffic back into the plan's
-	// primary counters.
-	var (
-		ps  *planState
-		run func(context.Context, *rng.RNG, dataset.Stream, func(dataset.Record) error) (int, error)
-		err error
-	)
-	if calID == "" {
-		ps, err = s.state(id)
-		if err != nil {
-			httpError(w, errStatus(err), "%v", err)
+		if engine, err = engine.WithWorkers(n); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
 			return
-		}
-		engine := ps.engine
-		if workers > 0 {
-			if engine, err = ps.engine.withWorkers(workers); err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-		run = func(rctx context.Context, rg *rng.RNG, in dataset.Stream, sink func(dataset.Record) error) (int, error) {
-			n, diag, err := engine.RepairStreamContext(rctx, rg, in, sink)
-			if engine != ps.engine {
-				ps.engine.account(n, diag)
-			}
-			return n, err
-		}
-	} else {
-		method, merr := blind.ParseMethod(q.Get("method"))
-		if merr != nil {
-			httpError(w, http.StatusBadRequest, "%v", merr)
-			return
-		}
-		var primary *blindsvc.Engine
-		ps, primary, err = s.blindState(id, calID)
-		if err != nil {
-			httpError(w, errStatus(err), "%v", err)
-			return
-		}
-		engine := primary
-		if workers > 0 {
-			if engine, err = primary.WithWorkers(workers); err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-		run = func(rctx context.Context, rg *rng.RNG, in dataset.Stream, sink func(dataset.Record) error) (int, error) {
-			n, st, diag, err := engine.RepairStreamContext(rctx, rg, method, in, sink)
-			if engine != primary {
-				primary.Account(n, st, diag)
-			}
-			return n, err
 		}
 	}
 
@@ -1002,9 +954,9 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	)
 	switch format {
 	case "csv":
-		in, sink, finish, openErr = s.csvPipe(tw, spool, ps.engine.Plan())
+		in, sink, finish, openErr = s.csvPipe(tw, spool, engine.Plan())
 	case "ndjson":
-		in, sink, finish, openErr = s.ndjsonPipe(tw, spool, ps.engine.Plan())
+		in, sink, finish, openErr = s.ndjsonPipe(tw, spool, engine.Plan())
 	default:
 		httpError(w, http.StatusBadRequest, "unknown format %q", format)
 		return
@@ -1017,7 +969,6 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// Wrap the sink to feed the observability state. The engine calls the
 	// sink serially from this goroutine, so one lock acquisition per record
 	// is uncontended in the common single-request case.
-	observed := in
 	tap := func(orig dataset.Record) {
 		ps.mu.Lock()
 		ps.original.add(orig)
@@ -1037,7 +988,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			ps.watch.Observe(orig)
 		}
 	}
-	tapped := &tapStream{inner: observed, tap: tap, tr: tr}
+	tapped := &tapStream{inner: in, tap: tap, tr: tr}
 	repairedSink := func(rec dataset.Record) error {
 		ps.mu.Lock()
 		ps.repaired.add(rec)
@@ -1058,7 +1009,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// sampled decode/encode accumulators are backed out so shard_execute
 	// reports engine time. Unsampled requests report the whole wall there.
 	runStart := time.Now() //otfair:nondet-ok trace stage wall-clock accounting; trace spans never reach repaired records
-	n, err := run(ctx, rng.New(seed), tapped, repairedSink)
+	n, _, _, err := engine.RepairStreamContext(ctx, rng.New(seed), method, tapped, repairedSink)
 	records = n
 	//otfair:nondet-ok trace stage wall-clock accounting; trace spans never reach repaired records
 	tr.Set(obs.StageShardExecute, time.Since(runStart)-tr.Get(obs.StageDecode)-tr.Get(obs.StageEncode))

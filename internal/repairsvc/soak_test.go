@@ -3,13 +3,13 @@ package repairsvc
 // The deterministic fault-injection soak (tentpole part of the
 // resilience work, run under -race by `make soak`). A seeded injector
 // schedules shard delays, shard panics and store read faults while a
-// concurrent client mix — both engines, both wire formats, varying
-// worker counts, some requests with hopeless deadlines, some clients
-// that vanish mid-stream — hammers one server behind a small admission
-// gate. The contract under test is the whole PR in one sentence: every
-// request that succeeds returns bytes identical to an unfaulted serve,
-// every request that fails fails with a typed status, and the process
-// sheds and recovers instead of leaking or corrupting.
+// concurrent client mix — labelled and calibrated repairs, both wire
+// formats, varying worker counts, some requests with hopeless deadlines,
+// some clients that vanish mid-stream — hammers one server behind a small
+// admission gate. The contract under test is the whole PR in one
+// sentence: every request that succeeds returns bytes identical to an
+// unfaulted serve, every request that fails fails with a typed status,
+// and the process sheds and recovers instead of leaking or corrupting.
 
 import (
 	"bytes"

@@ -1,14 +1,12 @@
-// Package shardrun is the deterministic chunked-shard runner shared by the
-// serving engines. Both repairsvc.Engine (labelled streams) and
-// blindsvc.Engine (s-unlabelled streams) batch Algorithm-2 traffic the same
-// way — records repaired independently, fanned across contiguous shards on
-// split RNG streams — because the paper's Algorithm 2 treats every archival
-// record independently. Neither engine can import the other, so the
-// machinery they used to duplicate (including the determinism-critical
-// per-(chunk, shard) split formula) lives here; shardrun depends only on
-// internal/rng.
+// Package shardrun is the deterministic chunked-shard runner under every
+// batched repair path: the serving engine (repairsvc.Engine, labelled and
+// s-unlabelled streams alike) and core.RepairTableParallel. Algorithm 2
+// treats every archival record independently, so all of them batch the
+// same way — records fanned across contiguous shards on split RNG
+// streams — and the determinism-critical split formulas live here, in
+// one place; shardrun depends only on internal/rng.
 //
-// Determinism contract, pinned by the engines' differential tests:
+// Determinism contract, pinned by the engine's differential tests:
 //
 //   - Table mode fans [0, n) across contiguous shards; shard w covers
 //     [w·n/W, (w+1)·n/W) and draws from r.Split(w), where W is the worker
@@ -177,16 +175,11 @@ func callShard(o *Obs, chunk uint64, stream bool, w, lo, hi int, f func() error)
 	return f()
 }
 
-// Isolated runs f under the same panic isolation the shard runners apply,
-// for the engines' serial (workers == 1) paths that bypass the fan-out:
-// a panic inside f returns as a *ShardPanicError for shard 0 instead of
-// unwinding into the caller.
-func Isolated(f func() error) error {
-	return IsolatedObs(nil, f)
-}
-
-// IsolatedObs is Isolated with the shard's wall time and outcome recorded
-// on o (nil o = plain Isolated).
+// IsolatedObs runs f under the same panic isolation the shard runners
+// apply, for the engine's serial (workers == 1) paths that bypass the
+// fan-out: a panic inside f returns as a *ShardPanicError for shard 0
+// instead of unwinding into the caller. The shard's wall time and outcome
+// are recorded on o (nil o = uninstrumented).
 func IsolatedObs(o *Obs, f func() error) error {
 	return callShard(o, 0, false, 0, 0, 0, f)
 }

@@ -12,7 +12,7 @@ import (
 	"otfair/internal/rng"
 )
 
-// TestOptionsDefaults pins the defaulting rules both engines rely on.
+// TestOptionsDefaults pins the defaulting rules the serving engine relies on.
 func TestOptionsDefaults(t *testing.T) {
 	o, err := Options{}.WithDefaults()
 	if err != nil {

@@ -31,7 +31,6 @@ import (
 	"io"
 
 	"otfair/internal/blind"
-	"otfair/internal/blindsvc"
 	"otfair/internal/contu"
 	"otfair/internal/core"
 	"otfair/internal/dataset"
@@ -288,9 +287,11 @@ func NewQDA(research *Table) (*QDA, error) { return blind.NewQDA(research) }
 
 // Blind serving: the calibrated s-unlabelled half of the serving layer.
 // A Calibration — the fitted QDA posterior plus the pooled marginals on
-// the plan's grids — is a persisted artefact like the plan itself, and a
-// BlindBatchRepairer applies it at alias-table speed: both s-rows of every
-// plan cell precomputed, each draw mixed by the record's posterior.
+// the plan's grids — is a persisted artefact like the plan itself, and
+// BatchRepairer.WithCalibration applies it at alias-table speed: both
+// s-rows of every plan cell precomputed, each draw mixed by the record's
+// posterior. With one worker its output is byte-identical to
+// NewBlindRepairer at the same seed and method.
 type (
 	// Calibration is the serializable fitted blind model, content-addressed
 	// next to its plan.
@@ -298,13 +299,6 @@ type (
 	// BlindStats counts blind deployment traffic (labels used, imputations,
 	// posterior confidence, the ambiguity histogram).
 	BlindStats = blind.Stats
-	// BlindBatchRepairer is the sharded batch/streaming engine for
-	// s-unlabelled archives, bound to one (plan, calibration) pair.
-	BlindBatchRepairer = blindsvc.Engine
-	// BlindBatchOptions configures a BlindBatchRepairer.
-	BlindBatchOptions = blindsvc.Options
-	// BlindBatchTotals are a blind engine's cumulative serving counters.
-	BlindBatchTotals = blindsvc.Totals
 	// CalibrationStore is the disk-backed calibration namespace of an
 	// artefact store, keyed by content fingerprint.
 	CalibrationStore = planstore.CalibrationStore
@@ -320,13 +314,6 @@ func NewCalibration(plan *Plan, research *Table) (*Calibration, error) {
 // ReadCalibration deserializes a calibration previously saved with
 // Calibration.WriteJSON, re-validating every component.
 func ReadCalibration(r io.Reader) (*Calibration, error) { return blind.ReadCalibration(r) }
-
-// NewBlindBatchRepairer binds a (plan, calibration) pair to a batched,
-// sharded blind repair engine. With one worker its output is byte-identical
-// to NewBlindRepairer at the same seed and method.
-func NewBlindBatchRepairer(plan *Plan, cal *Calibration, opts BlindBatchOptions) (*BlindBatchRepairer, error) {
-	return blindsvc.NewEngine(plan, cal, opts)
-}
 
 // OpenCalibrationStore opens (creating if needed) the calibration namespace
 // under an artefact store root — typically the same directory as the plan
@@ -448,7 +435,8 @@ type (
 	PlanStoreOptions = planstore.Options
 	// PlanStoreStats are the store's cumulative traffic counters.
 	PlanStoreStats = planstore.Stats
-	// BatchRepairer is the sharded batch/streaming engine of Algorithm 2.
+	// BatchRepairer is the sharded batch/streaming engine of Algorithm 2,
+	// labelled or — bound to a Calibration — s-unlabelled.
 	BatchRepairer = repairsvc.Engine
 	// BatchOptions configures a BatchRepairer.
 	BatchOptions = repairsvc.Options

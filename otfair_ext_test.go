@@ -313,7 +313,7 @@ func TestPublicAPIServingLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := engine.RepairTable(otfair.NewRNG(9), archive)
+	c, _, _, err := engine.RepairTable(otfair.NewRNG(9), otfair.BlindHard, archive)
 	if err != nil {
 		t.Fatal(err)
 	}
