@@ -7,6 +7,9 @@
 
 GO      ?= go
 BENCH_N ?= 1
+# Repeats per benchmark; cmd/benchjson folds them into a median with
+# min/max, so every BENCH_*.json entry carries its spread.
+BENCH_COUNT ?= 5
 # The four paper artefacts (Table I, Figure 3, Figure 4, Table II); each
 # uses a fixed experiment seed so runs are comparable across machines.
 ARTEFACTS = BenchmarkTable1$$|BenchmarkFigure3$$|BenchmarkFigure4$$|BenchmarkTable2$$
@@ -15,10 +18,11 @@ ARTEFACTS = BenchmarkTable1$$|BenchmarkFigure3$$|BenchmarkFigure4$$|BenchmarkTab
 # to a blind (s-unlabelled) calibration, and the batched QDA posterior
 # kernel under the blind path.
 THROUGHPUT = BenchmarkRepairThroughput|BenchmarkServeRepairHTTP$$|BenchmarkBlindRepairThroughput|BenchmarkBlindPosteriorBatch$$
-# Joint (multivariate) design and repair: the separable-vs-dense pair at
-# NQ=16, d=2 reads as the Kronecker-factorization speedup, and the NQ=20,
-# d=3 (8 000-state) pair certifies the scale the dense path cannot touch.
-JOINT = BenchmarkJointDesign$$|BenchmarkJointDesignDense$$|BenchmarkJointRepair$$|BenchmarkJointDesign3D$$|BenchmarkJointRepair3D$$
+# Joint (multivariate) design and repair at NQ=16, d=2, and the NQ=20,
+# d=3 (8 000-state) pair that certifies the scale a dense kernel cannot
+# touch. The dense oracle's own bench lives with its tests in
+# internal/joint and is not part of the trajectory.
+JOINT = BenchmarkJointDesign$$|BenchmarkJointRepair$$|BenchmarkJointDesign3D$$|BenchmarkJointRepair3D$$
 BASELINE ?=
 BASEFLAG = $(if $(BASELINE),-baseline $(BASELINE),)
 
@@ -54,7 +58,7 @@ verify-ci: verify lint
 		echo "govulncheck not installed; skipping vulnerability scan"; \
 	fi
 
-# Race-certify the concurrent paths (parallel Sinkhorn sweeps, design cache,
+# Race-certify the concurrent paths (concurrent Sinkhorn solves, design cache,
 # parallel repair, metric fan-out, plan store, serving layer, and the shared
 # chunked-shard runner with its slow adversarial sink).
 race:
@@ -110,9 +114,9 @@ feed-scenario:
 # benchjson then parses the concatenation.
 bench:
 	@set -e; A=$$(mktemp); T=$$(mktemp); J=$$(mktemp); trap 'rm -f "$$A" "$$T" "$$J"' EXIT; \
-	$(GO) test -run '^$$' -bench '$(ARTEFACTS)' -benchtime 2x -count 1 . > "$$A"; \
-	$(GO) test -run '^$$' -bench '$(THROUGHPUT)' -benchtime 20x -count 1 . > "$$T"; \
-	$(GO) test -run '^$$' -bench '$(JOINT)' -benchtime 3x -count 1 . > "$$J"; \
+	$(GO) test -run '^$$' -bench '$(ARTEFACTS)' -benchtime 2x -count $(BENCH_COUNT) . > "$$A"; \
+	$(GO) test -run '^$$' -bench '$(THROUGHPUT)' -benchtime 20x -count $(BENCH_COUNT) . > "$$T"; \
+	$(GO) test -run '^$$' -bench '$(JOINT)' -benchtime 3x -count $(BENCH_COUNT) . > "$$J"; \
 	cat "$$A" "$$T" "$$J" | $(GO) run ./cmd/benchjson $(BASEFLAG) > BENCH_$(BENCH_N).json
 	@cat BENCH_$(BENCH_N).json
 

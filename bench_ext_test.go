@@ -62,27 +62,14 @@ func BenchmarkQDAPosterior(b *testing.B) {
 }
 
 // BenchmarkJointDesign measures the multivariate Algorithm-1 analogue — the
-// curse-of-dimensionality cost the paper's feature split avoids (X8). The
-// default design runs the Kronecker-factored (separable) Gibbs path;
-// BenchmarkJointDesignDense measures the dense oracle it replaced, so the
-// pair reads as the separable speedup in BENCH_*.json.
+// curse-of-dimensionality cost the paper's feature split avoids (X8), on
+// the Kronecker-factored (separable) Gibbs path. The dense oracle it
+// replaced is timed by BenchmarkJointDesignDense in internal/joint.
 func BenchmarkJointDesign(b *testing.B) {
 	research, _ := benchSimData(b, 500, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := joint.Design(research, joint.Options{NQ: 16}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJointDesignDense measures the materialized-kernel oracle path at
-// the same NQ=16, d=2 setting — the pre-separable price.
-func BenchmarkJointDesignDense(b *testing.B) {
-	research, _ := benchSimData(b, 500, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := joint.Design(research, joint.Options{NQ: 16, Dense: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -608,6 +609,29 @@ func TestSolverVariantsAgree(t *testing.T) {
 		if e > before/3 {
 			t.Errorf("solver %d: E %v vs unrepaired %v", i, e, before)
 		}
+	}
+}
+
+// TestDesignRejectsNonConvergedSinkhorn: an entropic plan whose iteration
+// runs out before its marginal error meets the tolerance must fail the
+// design with a typed *ConvergenceError, not ship as a valid plan. At
+// ε = 1e-3 on this 100-state cell (about 3e-5·(1 + max c)) the log-domain
+// reference solver of package ot also stops at MaxIter, with the same
+// 1.2e-3 L1 error on the first cell, so the failure is the problem's, not
+// the solver's.
+func TestDesignRejectsNonConvergedSinkhorn(t *testing.T) {
+	research, _ := paperData(t, 1, 500, 0)
+	_, err := Design(research, Options{NQ: 100, Solver: SolverSinkhorn, SinkhornEpsilon: 1e-3})
+	var ce *ConvergenceError
+	if !errors.As(err, &ce) {
+		t.Fatalf("design returned %v, want a *ConvergenceError", err)
+	}
+	if ce.Iterations != 10000 || !(ce.MarginalErr > ce.Tol) || ce.Tol != 1e-9 {
+		t.Fatalf("convergence error %+v, want 10000 iterations and an error above the 1e-9 tolerance", *ce)
+	}
+	// The default ε on the same cells converges and designs.
+	if _, err := Design(research, Options{NQ: 100, Solver: SolverSinkhorn}); err != nil {
+		t.Fatalf("default-epsilon Sinkhorn design failed: %v", err)
 	}
 }
 

@@ -298,6 +298,24 @@ func partialTarget(q, pmf, bary []float64, amount float64) ([]float64, error) {
 	return ot.ProjectOntoGrid(mid, q)
 }
 
+// ConvergenceError reports a Sinkhorn plan whose iteration ran out before
+// its marginal error fell below the tolerance. Such a plan is rounded onto
+// the transport polytope but is not the entropic optimum, so the design
+// fails instead of shipping it.
+type ConvergenceError struct {
+	// Iterations is the number of Sinkhorn sweeps performed.
+	Iterations int
+	// MarginalErr is the L1 marginal error at the last sweep.
+	MarginalErr float64
+	// Tol is the stopping tolerance the solve was held to.
+	Tol float64
+}
+
+func (e *ConvergenceError) Error() string {
+	return fmt.Sprintf("core: Sinkhorn did not converge: marginal error %.3g after %d iterations (tolerance %.3g); raise the epsilon",
+		e.MarginalErr, e.Iterations, e.Tol)
+}
+
 // solvePlan runs the configured solver; cost is the cell's shared
 // squared-Euclidean matrix over q (nil for the monotone solver, which
 // needs none).
@@ -319,6 +337,9 @@ func solvePlan(q, source, target []float64, cost *ot.CostMatrix, opts Options) (
 		res, err := ot.Sinkhorn(source, target, cost, ot.SinkhornOptions{Epsilon: opts.SinkhornEpsilon})
 		if err != nil {
 			return nil, err
+		}
+		if !res.Converged {
+			return nil, &ConvergenceError{Iterations: res.Iterations, MarginalErr: res.MarginalErr, Tol: res.Tol}
 		}
 		return res.Plan, nil
 	default:

@@ -3,6 +3,7 @@ package joint
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"otfair/internal/dataset"
@@ -10,8 +11,8 @@ import (
 	"otfair/internal/rng"
 )
 
-// TestSeparableDesignMatchesDenseOracle pins the default Kronecker-factored
-// design against the Dense oracle path on randomized research draws: same
+// TestSeparableDesignMatchesDenseOracle pins the Kronecker-factored design
+// against the dense oracle (oracle_test.go) on randomized research draws: same
 // grids and pmfs by construction, barycenters within 1e-9, and the plans'
 // row conditionals — the multinomials Algorithm 2 actually samples — in
 // close agreement. The plan-level tolerance is looser than the ot-level
@@ -24,7 +25,7 @@ func TestSeparableDesignMatchesDenseOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		den, err := Design(research, Options{NQ: 9, Dense: true})
+		den, err := designDense(research, Options{NQ: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func TestSeparableRepairDistributionMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	den, err := Design(research, Options{NQ: 12, Dense: true})
+	den, err := designDense(research, Options{NQ: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +152,12 @@ func TestDesignRejectsNaNOptions(t *testing.T) {
 	}
 }
 
-// TestDenseOracleCap: the Dense oracle path is capped at denseMaxStates no
+// TestDenseOracleCap: the dense oracle is capped at denseMaxStates no
 // matter what MaxStates allows — beyond it the n² objects it materializes
 // stop fitting in memory.
 func TestDenseOracleCap(t *testing.T) {
 	research, _ := paperTables(t, 35, 300, 0)
-	if _, err := Design(research, Options{NQ: 100, Dense: true, MaxStates: 65536}); err == nil {
+	if _, err := designDense(research, Options{NQ: 100, MaxStates: 65536}); err == nil {
 		t.Error("dense design above denseMaxStates accepted")
 	}
 	// The separable path handles the same size fine.
@@ -165,11 +166,14 @@ func TestDenseOracleCap(t *testing.T) {
 	}
 }
 
-// TestDenseSerializationRoundTrip keeps the dense oracle's entry-list
-// serialization path exercised now that the default writes scaling form.
+// TestDenseSerializationRoundTrip keeps the entry-list serialization path
+// exercised now that designs write scaling form: a dense-oracle plan must
+// round-trip as entry lists, and the same document in the version-1 layout
+// with the "dense" option set (as dense designs once wrote it) must still
+// load and repair identically.
 func TestDenseSerializationRoundTrip(t *testing.T) {
 	research, archive := paperTables(t, 36, 300, 100)
-	plan, err := Design(research, Options{NQ: 8, Dense: true})
+	plan, err := designDense(research, Options{NQ: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,18 +181,12 @@ func TestDenseSerializationRoundTrip(t *testing.T) {
 	if err := plan.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPlan(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := got.Cells[0].Plans[0].(*ot.Plan); !ok {
-		t.Fatalf("dense plan round-tripped as %T", got.Cells[0].Plans[0])
+	doc := buf.String()
+	v1 := strings.Replace(strings.Replace(doc, `"version":2`, `"version":1`, 1), `"options":{`, `"options":{"dense":true,`, 1)
+	if v1 == doc || !strings.Contains(v1, `"dense":true`) {
+		t.Fatalf("could not rewrite the document into the version-1 layout: %.120s", doc)
 	}
 	a, err := NewRepairer(plan, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRepairer(got, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +194,26 @@ func TestDenseSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outB, err := b.RepairTable(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < outA.Len(); i++ {
-		if outA.At(i).X[0] != outB.At(i).X[0] || outA.At(i).X[1] != outB.At(i).X[1] {
-			t.Fatalf("record %d differs after dense round-trip", i)
+	for name, text := range map[string]string{"v2": doc, "v1 dense": v1} {
+		got, err := ReadPlan(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, ok := got.Cells[0].Plans[0].(*ot.Plan); !ok {
+			t.Fatalf("%s: dense plan round-tripped as %T", name, got.Cells[0].Plans[0])
+		}
+		b, err := NewRepairer(got, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outB, err := b.RepairTable(archive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < outA.Len(); i++ {
+			if outA.At(i).X[0] != outB.At(i).X[0] || outA.At(i).X[1] != outB.At(i).X[1] {
+				t.Fatalf("%s: record %d differs after dense round-trip", name, i)
+			}
 		}
 	}
 }

@@ -52,24 +52,11 @@ type Options struct {
 	Epsilon float64
 	// MaxStates caps the product-support size per u (default 65536).
 	// Designs that would exceed it fail fast with a sizing error instead of
-	// exhausting memory. The default separable design stores only the
-	// Kronecker factors (Σ_k n_k² kernel entries) and O(n) vectors per
-	// cell, so the cap guards vector memory, not the n²-entry dense objects
-	// the pre-factorized design paid for; the Dense oracle path is
-	// additionally capped at denseMaxStates regardless.
+	// exhausting memory. The separable design stores only the Kronecker
+	// factors (Σ_k n_k² kernel entries) and O(n) vectors per cell, so the
+	// cap guards vector memory, not n²-entry dense objects.
 	MaxStates int
-	// Dense forces the materialized-kernel design: an explicit n×n cost
-	// matrix, the dense Bregman barycenter and log-domain Sinkhorn plans.
-	// It is the differential oracle the separable path is pinned against
-	// (within 1e-9) and is quadratic in the state count, hence the separate
-	// denseMaxStates cap.
-	Dense bool
 }
-
-// denseMaxStates caps the Dense oracle path: beyond it the n² cost matrix,
-// Gibbs kernel and plans (512 MB of kernel alone at 8192 states) stop being
-// an oracle and start being a memory incident.
-const denseMaxStates = 8192
 
 func (o Options) withDefaults() Options {
 	if o.NQ == 0 {
@@ -111,8 +98,8 @@ type Cell struct {
 	// Bary is the entropic W2 barycenter on Points — the fair target ν_u.
 	Bary []float64
 	// Plans[s] is the Sinkhorn plan from PMF[s] to Bary: a lazily-rowed
-	// *ot.FactoredPlan for the default separable design, a materialized
-	// *ot.Plan for the Dense oracle.
+	// *ot.FactoredPlan as designed, or a materialized *ot.Plan when read
+	// from an entry-list document.
 	Plans [2]ot.RowPlan
 }
 
@@ -136,6 +123,12 @@ type Plan struct {
 // joint pmfs, computes the entropic barycenter and solves the two Sinkhorn
 // plans. All four (u,s) research groups must be non-empty.
 func Design(research *dataset.Table, opts Options) (*Plan, error) {
+	return design(research, opts, separableCell)
+}
+
+// design runs Design with finish completing each cell's barycenter and
+// plans from its support and pmfs.
+func design(research *dataset.Table, opts Options, finish func(*Cell, Options) (*Cell, error)) (*Plan, error) {
 	if research == nil || research.Len() == 0 {
 		return nil, errors.New("joint: empty research table")
 	}
@@ -155,7 +148,10 @@ func Design(research *dataset.Table, opts Options) (*Plan, error) {
 		Opts:  opts,
 	}
 	for u := 0; u < 2; u++ {
-		cell, err := designCell(research, u, opts)
+		cell, err := supportCell(research, u, opts)
+		if err == nil {
+			cell, err = finish(cell, opts)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("joint: designing u=%d: %w", u, err)
 		}
@@ -164,7 +160,9 @@ func Design(research *dataset.Table, opts Options) (*Plan, error) {
 	return plan, nil
 }
 
-func designCell(research *dataset.Table, u int, opts Options) (*Cell, error) {
+// supportCell builds a cell's product support and both s-conditional
+// joint pmfs on it.
+func supportCell(research *dataset.Table, u int, opts Options) (*Cell, error) {
 	d := research.Dim()
 	cell := &Cell{Grids: make([][]float64, d)}
 	states := 1
@@ -186,10 +184,6 @@ func designCell(research *dataset.Table, u int, opts Options) (*Cell, error) {
 		return nil, fmt.Errorf("joint: product support has %d states (> MaxStates %d); lower NQ or use the per-feature repair",
 			states, opts.MaxStates)
 	}
-	if opts.Dense && states > denseMaxStates {
-		return nil, fmt.Errorf("joint: product support has %d states (> %d, the dense-oracle cap); drop Dense for the separable design",
-			states, denseMaxStates)
-	}
 	cell.Points = productPoints(cell.Grids)
 
 	for s := 0; s < 2; s++ {
@@ -210,19 +204,16 @@ func designCell(research *dataset.Table, u int, opts Options) (*Cell, error) {
 		cell.PMF[s] = pmf
 	}
 
-	if opts.Dense {
-		return denseCell(cell, opts)
-	}
-	return separableCell(cell, opts)
+	return cell, nil
 }
 
-// separableCell finishes a cell on the default Kronecker-factored path: on
-// the product grid the squared-Euclidean Gibbs kernel is K₁ ⊗ … ⊗ K_d, so
-// the barycenter and both plans run through axis contractions costing
+// separableCell finishes a cell on the Kronecker-factored path: on the
+// product grid the squared-Euclidean Gibbs kernel is K₁ ⊗ … ⊗ K_d, so the
+// barycenter and both plans run through axis contractions costing
 // O(n·Σ_k n_k) per application — never materializing a cost matrix, a
 // dense kernel, or a dense plan. The scale-aware ε default uses the exact
-// maximum product cost Σ_k (hi_k − lo_k)², which is the corner-to-corner
-// value the dense cost matrix's Max() reports.
+// maximum product cost Σ_k (hi_k − lo_k)², the corner-to-corner value of
+// the dense cost matrix.
 func separableCell(cell *Cell, opts Options) (*Cell, error) {
 	maxC := 0.0
 	for _, g := range cell.Grids {
@@ -249,38 +240,6 @@ func separableCell(cell *Cell, opts Options) (*Cell, error) {
 
 	for s := 0; s < 2; s++ {
 		res, err := ot.SinkhornOp(cell.PMF[s], bary, op, ot.SinkhornOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("s=%d plan: %w", s, err)
-		}
-		cell.Plans[s] = res.Plan
-	}
-	return cell, nil
-}
-
-// denseCell finishes a cell on the materialized-kernel oracle path — the
-// pre-factorization design kept verbatim so the separable path has a dense
-// reference to be differentially pinned against.
-func denseCell(cell *Cell, opts Options) (*Cell, error) {
-	cost, err := ot.NewCostMatrixPoints(cell.Points, cell.Points, ot.SquaredEuclideanPoints)
-	if err != nil {
-		return nil, err
-	}
-	eps := opts.Epsilon
-	if eps <= 0 {
-		eps = 5e-3 * (1 + cost.Max())
-	}
-
-	bary, err := ot.BregmanBarycenterCost(cost,
-		[][]float64{cell.PMF[0], cell.PMF[1]},
-		[]float64{1 - opts.T, opts.T},
-		ot.BregmanOptions{Epsilon: eps})
-	if err != nil {
-		return nil, fmt.Errorf("barycenter: %w", err)
-	}
-	cell.Bary = bary
-
-	for s := 0; s < 2; s++ {
-		res, err := ot.Sinkhorn(cell.PMF[s], bary, cost, ot.SinkhornOptions{Epsilon: eps})
 		if err != nil {
 			return nil, fmt.Errorf("s=%d plan: %w", s, err)
 		}

@@ -15,7 +15,7 @@ import (
 
 // paperTables draws research/archive data from the paper's simulation
 // scenario.
-func paperTables(t *testing.T, seed uint64, nR, nA int) (*dataset.Table, *dataset.Table) {
+func paperTables(t testing.TB, seed uint64, nR, nA int) (*dataset.Table, *dataset.Table) {
 	t.Helper()
 	sampler, err := simulate.NewSampler(simulate.Paper())
 	if err != nil {

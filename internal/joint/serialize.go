@@ -40,15 +40,17 @@ type optionsJSON struct {
 	Bandwidth string  `json:"bandwidth"`
 	Epsilon   float64 `json:"epsilon,omitempty"`
 	MaxStates int     `json:"max_states"`
-	Dense     bool    `json:"dense,omitempty"`
+	// Documents from designs that could materialize the n² kernel may
+	// also carry "dense"; it is ignored on read, since each cell's plans
+	// say which representation they use.
 }
 
 type cellJSON struct {
 	Grids [][]float64  `json:"grids"`
 	PMF   [2][]float64 `json:"pmf"`
 	Bary  []float64    `json:"bary"`
-	// Plans holds dense entry lists (the Dense oracle path and all
-	// version-1 documents).
+	// Plans holds entry lists (all version-1 documents, and version-2
+	// documents written from entry-list plans).
 	Plans [2][]ot.Entry `json:"plans,omitempty"`
 	// Scaled holds the cell's scaling-form plans (the separable path,
 	// version ≥ 2).
@@ -78,7 +80,6 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 			Bandwidth: p.Opts.Bandwidth.String(),
 			Epsilon:   p.Opts.Epsilon,
 			MaxStates: p.Opts.MaxStates,
-			Dense:     p.Opts.Dense,
 		},
 	}
 	for u := 0; u < 2; u++ {
@@ -150,7 +151,6 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 			Bandwidth: bandwidth,
 			Epsilon:   in.Opts.Epsilon,
 			MaxStates: in.Opts.MaxStates,
-			Dense:     in.Opts.Dense,
 		},
 	}
 	for u := 0; u < 2; u++ {

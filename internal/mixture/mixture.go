@@ -14,6 +14,7 @@ import (
 	"otfair/internal/dataset"
 	"otfair/internal/rng"
 	"otfair/internal/stat"
+	"otfair/internal/vec"
 )
 
 // Component is one diagonal-covariance Gaussian mixture component.
@@ -192,7 +193,7 @@ func eStep(rows [][]float64, m *Model, resp [][]float64) float64 {
 		for j := range m.Components {
 			buf[j] = logW[j] + m.Components[j].logPDF(row)
 		}
-		lse := logSumExp(buf)
+		lse := vec.LogSumExp(buf)
 		ll += lse
 		for j := range buf {
 			resp[i][j] = math.Exp(buf[j] - lse)
@@ -247,7 +248,7 @@ func (m *Model) Posterior(x []float64) []float64 {
 	for j, c := range m.Components {
 		buf[j] = math.Log(math.Max(c.Weight, 1e-300)) + c.logPDF(x)
 	}
-	lse := logSumExp(buf)
+	lse := vec.LogSumExp(buf)
 	out := make([]float64, k)
 	for j := range buf {
 		out[j] = math.Exp(buf[j] - lse)
@@ -265,23 +266,6 @@ func (m *Model) Classify(x []float64) int {
 		}
 	}
 	return bi
-}
-
-func logSumExp(xs []float64) float64 {
-	max := math.Inf(-1)
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	if math.IsInf(max, -1) {
-		return math.Inf(-1)
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Exp(x - max)
-	}
-	return max + math.Log(s)
 }
 
 // BIC returns the Bayesian information criterion of a fitted model on the

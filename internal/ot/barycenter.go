@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 
 	"otfair/internal/vec"
 )
@@ -290,20 +291,9 @@ func BregmanBarycenterOp(op KernelOp, pmfs [][]float64, lambdas []float64, opts 
 	// entropic barycenter has full support anyway).
 	p := make([][]float64, k)
 	for s := range pmfs {
-		p[s] = make([]float64, n)
-		total := 0.0
-		for j, v := range pmfs[s] {
-			if v < 0 || math.IsNaN(v) {
-				return nil, fmt.Errorf("ot: pmf %d has invalid mass at state %d", s, j)
-			}
-			p[s][j] = v
-			total += v
-		}
-		if total <= 0 {
-			return nil, fmt.Errorf("ot: pmf %d has zero mass", s)
-		}
-		for j := range p[s] {
-			p[s][j] /= total
+		var err error
+		if p[s], _, err = normalizePMF(pmfs[s]); err != nil {
+			return nil, fmt.Errorf("ot: pmf %d: %w", s, err)
 		}
 	}
 
@@ -373,4 +363,23 @@ func BregmanBarycenterOp(op KernelOp, pmfs [][]float64, lambdas []float64, opts 
 	}
 	vec.Scale(1/total, bary)
 	return bary, nil
+}
+
+// parallelRanges splits [0, n) into workers contiguous chunks and runs fn
+// on each concurrently, blocking until all return.
+func parallelRanges(workers, n int, fn func(w, lo, hi int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := w * n / workers
+		hi := (w + 1) * n / workers
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			fn(w, lo, hi)
+		}(w, lo, hi)
+	}
+	wg.Wait()
 }

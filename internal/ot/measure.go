@@ -1,9 +1,9 @@
 // Package ot implements the optimal-transport machinery of the paper from
 // scratch: discrete measures, transport plans, an exact 1-D monotone solver,
-// a transportation network-simplex solver for general costs, log-domain
-// Sinkhorn for entropic regularization, Wasserstein-p distances, and the
-// W2 barycenters (quantile-based and iterative-Bregman) that define the
-// paper's fair repair target ν (Eq. 7).
+// a transportation network-simplex solver for general costs, log-stabilised
+// scaling Sinkhorn for entropic regularization, Wasserstein-p distances,
+// and the W2 barycenters (quantile-based and iterative-Bregman) that define
+// the paper's fair repair target ν (Eq. 7).
 package ot
 
 import (

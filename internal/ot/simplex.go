@@ -23,57 +23,17 @@ func Simplex(a, b []float64, cost *CostMatrix) (*Plan, error) {
 	if len(a) != n || len(b) != m {
 		return nil, fmt.Errorf("ot: marginals %d/%d do not match cost %d×%d", len(a), len(b), n, m)
 	}
-	sa, sb := 0.0, 0.0
-	for _, v := range a {
-		if v < 0 || math.IsNaN(v) {
-			return nil, errors.New("ot: negative or NaN source mass")
-		}
-		sa += v
+	aw, bw, err := normalizeMarginals(a, b)
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range b {
-		if v < 0 || math.IsNaN(v) {
-			return nil, errors.New("ot: negative or NaN target mass")
-		}
-		sb += v
-	}
-	if sa <= 0 || sb <= 0 {
-		return nil, errors.New("ot: zero total mass")
-	}
-	if math.Abs(sa-sb) > 1e-6*(sa+sb) {
-		return nil, fmt.Errorf("ot: unbalanced problem (source mass %v, target mass %v)", sa, sb)
-	}
-
-	// Work on strictly positive sub-problem: drop zero-mass states, then
-	// map plan atoms back to original indices.
-	rowIdx := make([]int, 0, n)
-	colIdx := make([]int, 0, m)
-	for i, v := range a {
-		if v > 0 {
-			rowIdx = append(rowIdx, i)
-		}
-	}
-	for j, v := range b {
-		if v > 0 {
-			colIdx = append(colIdx, j)
-		}
-	}
+	// Work on the strictly positive sub-problem: drop zero-mass states, then
+	// map plan atoms back to original indices. The compacted copies are
+	// perturbed in place below.
+	rowIdx, aw := compactPositive(aw)
+	colIdx, bw := compactPositive(bw)
 	nn, mm := len(rowIdx), len(colIdx)
-	if nn == 0 || mm == 0 {
-		return nil, errors.New("ot: no positive-mass states")
-	}
 
-	// Perturbed copies, rescaled so both sides sum identically.
-	scale := sa
-	aw := make([]float64, nn)
-	bw := make([]float64, mm)
-	for i, ri := range rowIdx {
-		aw[i] = a[ri] / scale
-	}
-	total := 0.0
-	for j, cj := range colIdx {
-		bw[j] = b[cj] / sb
-		total += bw[j]
-	}
 	// Lexicographic perturbation: distinct increments per row, balanced on
 	// the last column, prevents ties in every min-ratio comparison.
 	const delta = 1e-12

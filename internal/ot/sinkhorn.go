@@ -4,42 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"otfair/internal/vec"
 )
 
-// SinkhornOptions configures the entropically regularized solver.
+// SinkhornOptions configures the entropically regularized solvers.
 type SinkhornOptions struct {
 	// Epsilon is the entropic regularization strength. If zero, it defaults
 	// to 1e-2 times the maximum cost, a scale-free choice that keeps the
-	// Gibbs kernel well conditioned.
+	// Gibbs kernel well conditioned. SinkhornOp ignores it: its kernel
+	// already encodes ε.
 	Epsilon float64
 	// MaxIter bounds the number of Sinkhorn sweeps (default 10000).
 	MaxIter int
 	// Tol is the L1 marginal-error stopping threshold (default 1e-9).
 	Tol float64
-	// CheckEvery runs the convergence check every k-th sweep (default 1).
-	// The check reuses the shifted exponentials the g-update computes
-	// anyway — one multiply-add per matrix element instead of the full
-	// Gibbs-plan re-materialization the pre-vec solver paid — so checking
-	// every sweep is already cheap; raising k trades marginal-error
-	// freshness for skipping even that.
-	CheckEvery int
-	// Workers caps the row/column sweep parallelism (0 = GOMAXPROCS).
-	// Sweeps only fan out on problems with at least sinkhornParallelMin
-	// matrix elements; small cells stay single-threaded to avoid
-	// goroutine overhead.
-	Workers int
-	// KeepSubUlp retains the sub-ulp atoms of the materialized plan instead
-	// of folding them into each row's dominant atom (see TruncateSubUlp).
-	// Entropic plans are dense — every (i,j) pair carries mass, most of it
-	// many orders of magnitude below resolvable probability — so truncation
-	// is on by default to keep the draw tables Algorithm 2 samples from
-	// proportional to the *effective* support. This knob exists for the
-	// differential tests that pin the truncated path against the full plan.
-	KeepSubUlp bool
 }
 
 // validate rejects option values the `<= 0 means default` convention would
@@ -56,8 +35,10 @@ func (o SinkhornOptions) validate() error {
 	return nil
 }
 
+// withDefaults fills the iteration defaults and, given a cost matrix, the
+// scale-aware ε default.
 func (o SinkhornOptions) withDefaults(cost *CostMatrix) SinkhornOptions {
-	if o.Epsilon <= 0 {
+	if o.Epsilon <= 0 && cost != nil {
 		o.Epsilon = 1e-2 * (1 + cost.Max())
 	}
 	if o.MaxIter <= 0 {
@@ -66,19 +47,8 @@ func (o SinkhornOptions) withDefaults(cost *CostMatrix) SinkhornOptions {
 	if o.Tol <= 0 {
 		o.Tol = 1e-9
 	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
-
-// sinkhornParallelMin is the compacted-matrix size (nn·mm) above which the
-// potential sweeps are split across workers. Below it a sweep is a few tens
-// of microseconds and the fan-out overhead would dominate.
-const sinkhornParallelMin = 1 << 14
 
 // SinkhornResult reports the solver outcome alongside the plan.
 type SinkhornResult struct {
@@ -87,6 +57,8 @@ type SinkhornResult struct {
 	Iterations int
 	// MarginalErr is the final L1 deviation of the plan's source marginal.
 	MarginalErr float64
+	// Tol is the stopping tolerance the solve ran with, after defaulting.
+	Tol float64
 	// Converged records whether MarginalErr fell below Tol before MaxIter.
 	Converged bool
 }
@@ -95,20 +67,16 @@ type SinkhornResult struct {
 //
 //	min_π Σ c_ij π_ij + ε Σ π_ij (log π_ij − 1)
 //
-// with log-domain (stabilized) Sinkhorn–Knopp iterations, the
-// O(n_Q²/ε²)-complexity alternative discussed in Section IV-A1 of the
-// paper. Zero-mass marginal states are dropped and restored, matching the
-// exact solvers' convention.
+// over an explicit cost matrix — the O(n_Q²/ε²)-complexity alternative
+// discussed in Section IV-A1 of the paper. Zero-mass marginal states are
+// dropped and restored, matching the exact solvers' convention.
 //
-// Implementation notes (see PERFORMANCE.md): the cost matrix is compacted
-// once into contiguous positive-mass rows pre-scaled by −1/ε, in both
-// row-major and column-major layouts, so the sweeps touch memory linearly
-// with no per-element indirection; potentials are kept in ε-scaled form
-// (φ = f/ε, γ = g/ε) to keep divisions out of the inner loops; the
-// f-update runs through the fused two-pass log-sum-exp kernel; the
-// g-update's shifted exponentials double as the convergence check's
-// row-mass accumulators; and both sweeps fan out across Workers for large
-// problems.
+// It is the dense front end of the one scaling loop SinkhornOp also runs:
+// the Gibbs kernel is tabulated once over the compacted cost in
+// log-stabilised form, the shared loop iterates u ← a./(K v), v ← b./(Kᵀ u)
+// on it, and the plan u_i·K_ij·v_j is materialized in the kernel's own
+// storage, rounded onto the transport polytope and stripped of its sub-ulp
+// atoms (TruncateSubUlp).
 //
 // The returned plan is dense over the positive-mass states, so it has up to
 // n·m atoms, unlike the sparse exact plans.
@@ -121,177 +89,34 @@ func Sinkhorn(a, b []float64, cost *CostMatrix, opts SinkhornOptions) (*Sinkhorn
 		return nil, err
 	}
 	opts = opts.withDefaults(cost)
+	aw, bw, err := normalizeMarginals(a, b)
+	if err != nil {
+		return nil, err
+	}
+	rowIdx, awc := compactPositive(aw)
+	colIdx, bwc := compactPositive(bw)
 
-	rowIdx := make([]int, 0, n)
-	colIdx := make([]int, 0, m)
-	sa, sb := 0.0, 0.0
-	for i, v := range a {
-		if v < 0 || math.IsNaN(v) {
-			return nil, errors.New("ot: negative or NaN source mass")
-		}
-		if v > 0 {
-			rowIdx = append(rowIdx, i)
-			sa += v
-		}
-	}
-	for j, v := range b {
-		if v < 0 || math.IsNaN(v) {
-			return nil, errors.New("ot: negative or NaN target mass")
-		}
-		if v > 0 {
-			colIdx = append(colIdx, j)
-			sb += v
-		}
-	}
-	if sa <= 0 || sb <= 0 {
-		return nil, errors.New("ot: zero total mass")
-	}
-	if math.Abs(sa-sb) > 1e-6*(sa+sb) {
-		return nil, fmt.Errorf("ot: unbalanced problem (source mass %v, target mass %v)", sa, sb)
-	}
+	k := newStabilizedKernel(cost, rowIdx, colIdx, opts.Epsilon)
+	u, v, _, iter, errL1 := sinkhornScaling(awc, bwc, k, k.absorb, opts)
+
+	// Materialize the plan over the kernel's storage and round it onto the
+	// feasible polytope (Altschuler, Niles-Weed & Rigollet 2017). Without
+	// the rounding an unconverged plan can report a transport cost below
+	// the true optimum because it is not a coupling at all.
 	nn, mm := len(rowIdx), len(colIdx)
-
-	logA := make([]float64, nn)
-	logB := make([]float64, mm)
-	aw := make([]float64, nn)
-	bw := make([]float64, mm)
-	for i, ri := range rowIdx {
-		aw[i] = a[ri] / sa
-		logA[i] = math.Log(aw[i])
-	}
-	for j, cj := range colIdx {
-		bw[j] = b[cj] / sb
-		logB[j] = math.Log(bw[j])
-	}
-
-	eps := opts.Epsilon
-	invEps := 1 / eps
-
-	// Compact pre-scaled cost, row-major and column-major (raw buffers:
-	// the loop below writes every element).
-	ncRow := vec.GetBufRaw(nn * mm)
-	ncCol := vec.GetBufRaw(nn * mm)
-	defer vec.PutBuf(ncRow)
-	defer vec.PutBuf(ncCol)
-	for i, ri := range rowIdx {
-		src := cost.Row(ri)
-		dst := ncRow[i*mm : (i+1)*mm]
-		for j, cj := range colIdx {
-			v := -src[cj] * invEps
-			dst[j] = v
-			ncCol[j*nn+i] = v
-		}
-	}
-
-	// ε-scaled potentials φ = f/ε, γ = g/ε.
-	phi := make([]float64, nn)
-	gam := make([]float64, mm)
-	rowAcc := make([]float64, nn)
-
-	workers := opts.Workers
-	if nn*mm < sinkhornParallelMin {
-		workers = 1
-	}
-	if workers > nn {
-		workers = nn
-	}
-	if workers > mm {
-		workers = mm
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Per-worker scratch: one exp row plus one row-mass partial each
-	// (exp rows are fully written by ShiftedExpSum; the accumulator
-	// partials are zeroed per check sweep).
-	expBufs := make([][]float64, workers)
-	accParts := make([][]float64, workers)
-	for w := range expBufs {
-		expBufs[w] = vec.GetBufRaw(nn)
-		defer vec.PutBuf(expBufs[w])
-		if w > 0 {
-			accParts[w] = vec.GetBuf(nn)
-			defer vec.PutBuf(accParts[w])
-		}
-	}
-	accParts[0] = rowAcc
-
-	fSweep := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			phi[i] = logA[i] - vec.LogSumExp2(gam, ncRow[i*mm:(i+1)*mm])
-		}
-	}
-	gSweep := func(w, lo, hi int, check bool) {
-		expBuf := expBufs[w]
-		acc := accParts[w]
-		if check {
-			for i := range acc {
-				acc[i] = 0
-			}
-		}
-		for j := lo; j < hi; j++ {
-			max, sum := vec.ShiftedExpSum(expBuf, phi, ncCol[j*nn:(j+1)*nn])
-			gam[j] = logB[j] - (max + math.Log(sum))
-			if check {
-				// The plan's row masses: π_ij = exp(φ_i+γ_j+nc_ij)
-				//                             = expBuf_i · b_j / sum.
-				vec.Axpy(bw[j]/sum, expBuf, acc)
-			}
-		}
-	}
-
-	iter := 0
-	errL1 := math.Inf(1)
-	for ; iter < opts.MaxIter; iter++ {
-		check := (iter+1)%opts.CheckEvery == 0 || iter == opts.MaxIter-1
-		if workers == 1 {
-			fSweep(0, nn)
-			gSweep(0, 0, mm, check)
-		} else {
-			parallelRanges(workers, nn, func(w, lo, hi int) { fSweep(lo, hi) })
-			parallelRanges(workers, mm, func(w, lo, hi int) { gSweep(w, lo, hi, check) })
-			if check {
-				for w := 1; w < workers; w++ {
-					vec.Axpy(1, accParts[w], rowAcc)
-				}
-			}
-		}
-		if check {
-			// After a g-update the column marginals are exact; the row
-			// deviation accumulated above is the plan's true L1 error.
-			errL1 = vec.SumAbsDiff(rowAcc, aw)
-			if errL1 < opts.Tol {
-				iter++
-				break
-			}
-		}
-	}
-
-	// Materialize the Gibbs plan and round it onto the feasible polytope
-	// (Altschuler, Niles-Weed & Rigollet 2017): scale rows then columns down
-	// to their targets, and distribute the residual as a rank-one patch.
-	// Without this step an unconverged plan can report a transport cost
-	// below the true optimum because it is not a coupling at all.
-	backing := make([]float64, nn*mm)
 	pi := make([][]float64, nn)
 	for i := range pi {
-		pi[i] = backing[i*mm : (i+1)*mm]
-		row := ncRow[i*mm : (i+1)*mm]
-		for j := 0; j < mm; j++ {
-			pi[i][j] = math.Exp(phi[i] + gam[j] + row[j])
+		pi[i] = k.k[i*mm : (i+1)*mm]
+		for j, vj := range v {
+			pi[i][j] *= u[i] * vj
 		}
 	}
-	roundToFeasible(pi, aw, bw)
-	if !opts.KeepSubUlp {
-		for i := range pi {
-			TruncateSubUlp(pi[i])
-		}
-	}
-
+	roundToFeasible(pi, awc, bwc)
 	entries := make([]Entry, 0, nn*mm)
-	for i := 0; i < nn; i++ {
-		for j := 0; j < mm; j++ {
-			if mass := pi[i][j]; mass > 0 {
+	for i, row := range pi {
+		TruncateSubUlp(row)
+		for j, mass := range row {
+			if mass > 0 {
 				entries = append(entries, Entry{I: rowIdx[i], J: colIdx[j], Mass: mass})
 			}
 		}
@@ -304,27 +129,193 @@ func Sinkhorn(a, b []float64, cost *CostMatrix, opts SinkhornOptions) (*Sinkhorn
 		Plan:        plan,
 		Iterations:  iter,
 		MarginalErr: errL1,
+		Tol:         opts.Tol,
 		Converged:   errL1 < opts.Tol,
 	}, nil
 }
 
-// parallelRanges splits [0, n) into workers contiguous chunks and runs fn
-// on each concurrently, blocking until all return.
-func parallelRanges(workers, n int, fn func(w, lo, hi int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+// normalizeMarginals validates two marginals (see normalizePMF) and their
+// balance, and returns them normalized.
+func normalizeMarginals(a, b []float64) (aw, bw []float64, err error) {
+	aw, sa, err := normalizePMF(a)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ot: source marginal: %w", err)
 	}
-	wg.Wait()
+	bw, sb, err := normalizePMF(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ot: target marginal: %w", err)
+	}
+	if math.Abs(sa-sb) > 1e-6*(sa+sb) {
+		return nil, nil, fmt.Errorf("ot: unbalanced problem (source mass %v, target mass %v)", sa, sb)
+	}
+	return aw, bw, nil
+}
+
+// normalizePMF rejects negative or non-finite masses and a zero total, and
+// returns p divided by its total alongside the total.
+func normalizePMF(p []float64) (w []float64, total float64, err error) {
+	for i, x := range p {
+		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, 0, fmt.Errorf("invalid mass %v at state %d", x, i)
+		}
+		total += x
+	}
+	if total <= 0 {
+		return nil, 0, errors.New("zero total mass")
+	}
+	w = make([]float64, len(p))
+	for i, x := range p {
+		w[i] = x / total
+	}
+	return w, total, nil
+}
+
+// compactPositive compacts p in place to its positive entries, in order,
+// and returns their original indices alongside the compacted prefix of p.
+func compactPositive(p []float64) (idx []int, vals []float64) {
+	idx = make([]int, 0, len(p))
+	vals = p[:0]
+	for i, x := range p {
+		if x > 0 {
+			idx = append(idx, i)
+			vals = append(vals, x)
+		}
+	}
+	return idx, vals
+}
+
+// absorbBound is the scaling range of the log-stabilised loop (Schmitzer
+// 2019, arXiv 1610.06519): once an entry of u or v leaves
+// [1/absorbBound, absorbBound], the loop folds both scalings into the
+// kernel's log-potentials and restarts them at 1. Within the range no
+// product u_i·K̃_ij·v_j can overflow, and at the default ε the potentials
+// stay well inside it, so the default path never re-tabulates.
+const absorbBound = 1e50
+
+// sinkhornScaling is the one Sinkhorn iteration of the package:
+//
+//	u ← a ./ (K v),   v ← b ./ (Kᵀ u),
+//
+// on pmfs a and b. After the v-update the column marginals are exact and
+// the next u-sweep's K v doubles as the row-marginal check, so the L1 error
+// ‖u ⊙ (K v) − a‖₁ costs one fused sweep and no kernel application. A tiny
+// floor on the kernel applications keeps the ratios finite. A non-nil
+// absorb stabilises small ε: whenever a scaling leaves the absorbBound
+// range it is called to fold u and v into op (K̃_ij ← u_i·K̃_ij·v_j) and
+// reset both to ones. Only the kernel Sinkhorn builds for itself absorbs;
+// caller-owned operators are never mutated. It returns the scalings of the
+// last iterate (column marginals exact), the K v that checked it, the
+// iteration count and the final error.
+func sinkhornScaling(a, b []float64, op KernelOp, absorb func(u, v []float64), opts SinkhornOptions) (u, v, kv []float64, iter int, errL1 float64) {
+	const tiny = 1e-300
+	n, m := op.Dims()
+	u = make([]float64, n)
+	v = make([]float64, m)
+	for j := range v {
+		v[j] = 1
+	}
+	kv = make([]float64, n)
+	ktu := make([]float64, m)
+	stabilise := func(x []float64) {
+		if absorb != nil && !inScalingRange(x) {
+			absorb(u, v)
+		}
+	}
+
+	op.Apply(kv, v)
+	vec.Floor(kv, tiny)
+	errL1 = math.Inf(1)
+	for ; iter < opts.MaxIter; iter++ {
+		vec.DivTo(u, a, kv)
+		stabilise(u)
+		op.ApplyT(ktu, u)
+		vec.Floor(ktu, tiny)
+		vec.DivTo(v, b, ktu)
+		stabilise(v)
+		op.Apply(kv, v)
+		vec.Floor(kv, tiny)
+		errL1 = 0
+		for i, ui := range u {
+			errL1 += math.Abs(ui*kv[i] - a[i])
+		}
+		if errL1 < opts.Tol {
+			iter++
+			break
+		}
+	}
+	return u, v, kv, iter, errL1
+}
+
+func inScalingRange(x []float64) bool {
+	for _, s := range x {
+		if s > absorbBound || s < 1/absorbBound {
+			return false
+		}
+	}
+	return true
+}
+
+// stabilizedKernel is the dense Gibbs kernel Sinkhorn iterates on, kept in
+// log-stabilised form over the compacted positive-mass states:
+//
+//	K̃_ij = exp(α_i + β_j − c_ij/ε),
+//
+// with ε-scaled log-potentials α, β. α starts at the row minima of c/ε,
+// so every row of the first tabulation holds a unit entry however small ε
+// is; β starts at zero, so the first iterate equals the plain scaling
+// loop's. Absorbing re-tabulates from the cost, never from the previous
+// kernel, so rounding does not accumulate across absorptions.
+type stabilizedKernel struct {
+	DenseKernel
+	cost           *CostMatrix
+	rowIdx, colIdx []int
+	invEps         float64
+	alpha, beta    []float64
+}
+
+func newStabilizedKernel(cost *CostMatrix, rowIdx, colIdx []int, eps float64) *stabilizedKernel {
+	nn, mm := len(rowIdx), len(colIdx)
+	k := &stabilizedKernel{
+		DenseKernel: DenseKernel{n: nn, m: mm, k: make([]float64, nn*mm)},
+		cost:        cost,
+		rowIdx:      rowIdx,
+		colIdx:      colIdx,
+		invEps:      1 / eps,
+		alpha:       make([]float64, nn),
+		beta:        make([]float64, mm),
+	}
+	for i, ri := range rowIdx {
+		src := cost.Row(ri)
+		minC := math.Inf(1)
+		for _, cj := range colIdx {
+			minC = math.Min(minC, src[cj])
+		}
+		k.alpha[i] = minC * k.invEps
+	}
+	k.tabulate()
+	return k
+}
+
+func (k *stabilizedKernel) tabulate() {
+	for i, ri := range k.rowIdx {
+		src := k.cost.Row(ri)
+		dst := k.k[i*k.m : (i+1)*k.m]
+		for j, cj := range k.colIdx {
+			dst[j] = math.Exp(k.alpha[i] + k.beta[j] - src[cj]*k.invEps)
+		}
+	}
+}
+
+func (k *stabilizedKernel) absorb(u, v []float64) {
+	for i, ui := range u {
+		k.alpha[i] += math.Log(ui)
+		u[i] = 1
+	}
+	for j, vj := range v {
+		k.beta[j] += math.Log(vj)
+		v[j] = 1
+	}
+	k.tabulate()
 }
 
 // roundToFeasible projects an approximate plan onto the transport polytope
@@ -333,55 +324,42 @@ func parallelRanges(workers, n int, fn func(w, lo, hi int)) {
 // with the rank-one matrix err_a·err_bᵀ/‖err_a‖₁, which is non-negative and
 // restores both marginals exactly.
 func roundToFeasible(pi [][]float64, a, b []float64) {
-	nn, mm := len(pi), len(b)
-	for i := 0; i < nn; i++ {
-		rowMass := vec.Sum(pi[i])
-		if rowMass > a[i] && rowMass > 0 {
-			vec.Scale(a[i]/rowMass, pi[i])
+	for i, row := range pi {
+		if mass := vec.Sum(row); mass > a[i] {
+			vec.Scale(a[i]/mass, row)
 		}
 	}
-	colMass := make([]float64, mm)
-	for i := 0; i < nn; i++ {
-		vec.Axpy(1, pi[i], colMass)
-	}
-	for j := 0; j < mm; j++ {
-		if colMass[j] > b[j] && colMass[j] > 0 {
-			scale := b[j] / colMass[j]
-			for i := 0; i < nn; i++ {
-				pi[i][j] *= scale
+	for j, mass := range columnMass(pi, len(b)) {
+		if mass > b[j] {
+			for _, row := range pi {
+				row[j] *= b[j] / mass
 			}
 		}
 	}
-	errA := make([]float64, nn)
-	errB := make([]float64, mm)
+	errA := make([]float64, len(a))
 	deficit := 0.0
-	for i := 0; i < nn; i++ {
-		errA[i] = a[i] - vec.Sum(pi[i])
-		if errA[i] < 0 {
-			errA[i] = 0
-		}
+	for i, row := range pi {
+		errA[i] = math.Max(a[i]-vec.Sum(row), 0)
 		deficit += errA[i]
 	}
-	for j := 0; j < mm; j++ {
-		colMass := 0.0
-		for i := 0; i < nn; i++ {
-			colMass += pi[i][j]
-		}
-		errB[j] = b[j] - colMass
-		if errB[j] < 0 {
-			errB[j] = 0
-		}
+	errB := columnMass(pi, len(b))
+	for j, mass := range errB {
+		errB[j] = math.Max(b[j]-mass, 0)
 	}
 	if deficit > 0 {
-		for i := 0; i < nn; i++ {
-			if errA[i] == 0 {
-				continue
+		for i, row := range pi {
+			if errA[i] > 0 {
+				vec.Axpy(errA[i]/deficit, errB, row)
 			}
-			vec.Axpy(errA[i]/deficit, errB, pi[i])
 		}
 	}
 }
 
-// logSumExp computes log Σ exp(x_i) stably. Kept as a thin wrapper over the
-// shared vec kernel for the package's other callers.
-func logSumExp(xs []float64) float64 { return vec.LogSumExp(xs) }
+// columnMass returns the column sums of pi, accumulated in row order.
+func columnMass(pi [][]float64, m int) []float64 {
+	mass := make([]float64, m)
+	for _, row := range pi {
+		vec.Axpy(1, row, mass)
+	}
+	return mass
+}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"otfair/internal/vec"
 )
 
 // sinkhornReference is a verbatim copy of the seed (pre-vec) solver: dense
@@ -51,13 +53,13 @@ func sinkhornReference(a, b []float64, cost *CostMatrix, opts SinkhornOptions) (
 			for j := 0; j < mm; j++ {
 				buf[j] = (g[j] - costAt(i, j)) / eps
 			}
-			f[i] = eps * (logA[i] - logSumExp(buf))
+			f[i] = eps * (logA[i] - vec.LogSumExp(buf))
 		}
 		for j := 0; j < mm; j++ {
 			for i := 0; i < nn; i++ {
 				bufN[i] = (f[i] - costAt(i, j)) / eps
 			}
-			g[j] = eps * (logB[j] - logSumExp(bufN))
+			g[j] = eps * (logB[j] - vec.LogSumExp(bufN))
 		}
 		errL1 = 0
 		for i := 0; i < nn; i++ {
@@ -190,14 +192,14 @@ func TestSinkhornDifferential(t *testing.T) {
 	}
 }
 
-// TestSinkhornParallelDifferential forces the parallel sweep path (problem
-// above sinkhornParallelMin) and pins it to the reference.
+// TestSinkhornParallelDifferential pins a 160-state problem, well above
+// the randomized differential's 5–44 states, to the reference.
 func TestSinkhornParallelDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large problem")
 	}
 	r := rand.New(rand.NewSource(12))
-	n := 160 // 160² > sinkhornParallelMin
+	n := 160
 	a, b, cost := randomSinkhornProblem(r, n)
 	opts := SinkhornOptions{Tol: 1e-10, Epsilon: 0.3}
 	got, err := Sinkhorn(a, b, cost, opts)
@@ -212,39 +214,13 @@ func TestSinkhornParallelDifferential(t *testing.T) {
 		t.Errorf("iterations %d vs reference %d", got.Iterations, want.Iterations)
 	}
 	if d := plansMaxDiff(got.Plan, want.Plan); d > 1e-9 {
-		t.Fatalf("parallel plan deviates from reference by %v", d)
+		t.Fatalf("plan deviates from reference by %v", d)
 	}
 }
 
-// TestSinkhornCheckEvery verifies that spacing the convergence check still
-// converges to the same coupling within tolerance.
-func TestSinkhornCheckEvery(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	a, b, cost := randomSinkhornProblem(r, 30)
-	every1, err := Sinkhorn(a, b, cost, SinkhornOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	every10, err := Sinkhorn(a, b, cost, SinkhornOptions{Tol: 1e-12, CheckEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !every10.Converged {
-		t.Fatal("CheckEvery=10 did not converge")
-	}
-	if every10.Iterations < every1.Iterations {
-		t.Fatalf("CheckEvery=10 stopped earlier (%d) than every-sweep checking (%d)", every10.Iterations, every1.Iterations)
-	}
-	if d := plansMaxDiff(every1.Plan, every10.Plan); d > 1e-9 {
-		t.Fatalf("CheckEvery plans differ by %v", d)
-	}
-	if err := every10.Plan.CheckMarginals(a, b, 1e-9); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSinkhornParallelRace hammers the parallel sweep path from many
-// concurrent solves; run with -race to certify the worker fan-out.
+// TestSinkhornParallelRace runs many solves of one problem concurrently
+// over a shared cost matrix; run with -race to certify that the solver
+// keeps all mutable state (the stabilised kernel included) per call.
 func TestSinkhornParallelRace(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	n := 140
@@ -255,7 +231,7 @@ func TestSinkhornParallelRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res, err := Sinkhorn(a, b, cost, SinkhornOptions{Tol: 1e-8, Epsilon: 0.3, Workers: 4})
+			res, err := Sinkhorn(a, b, cost, SinkhornOptions{Tol: 1e-8, Epsilon: 0.3})
 			if err != nil {
 				t.Error(err)
 				return
@@ -270,6 +246,76 @@ func TestSinkhornParallelRace(t *testing.T) {
 		}
 		if d := plansMaxDiff(results[0].Plan, results[w].Plan); d > 1e-12 {
 			t.Fatalf("concurrent solve %d diverged by %v", w, d)
+		}
+	}
+}
+
+// TestSinkhornSmallEpsilonStabilised pins the log-stabilised loop at ε far
+// below the default, where the plain Gibbs kernel underflows: on a
+// 100-state grid at 2e-4·(1 + max c) (c/ε up to 5000), and between
+// disjoint supports at 1e-4·(1 + max c), where every kernel entry between
+// a positive-mass source and a positive-mass target underflows to zero.
+// Sinkhorn must converge and match the log-domain reference within 1e-9.
+// The same scaling loop over the unabsorbed kernel must fail on both: it
+// stalls on the first, and on the second the 1e-300 floor hides the zero
+// kernel, so it reports convergence for a plan that carries no mass.
+func TestSinkhornSmallEpsilonStabilised(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow reference solve")
+	}
+	grid := func(n int, lo, hi float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = lo + (hi-lo)*float64(i)/float64(n-1)
+		}
+		return xs
+	}
+	disjointA := make([]float64, 60)
+	disjointB := make([]float64, 60)
+	copy(disjointA, gaussPMF(20, 9, 5))
+	copy(disjointB[40:], gaussPMF(20, 11, 4))
+	for _, tc := range []struct {
+		name  string
+		xs    []float64
+		a, b  []float64
+		scale float64
+	}{
+		{"overlapping", grid(100, -2, 4), gaussPMF(100, 30, 12), gaussPMF(100, 60, 15), 2e-4},
+		{"disjoint", grid(60, 0, 1), disjointA, disjointB, 1e-4},
+	} {
+		cost, err := SquaredCostMatrix(tc.xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := SinkhornOptions{Epsilon: tc.scale * (1 + cost.Max())}
+		got, err := Sinkhorn(tc.a, tc.b, cost, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Converged {
+			t.Fatalf("%s: stabilised Sinkhorn did not converge: %d iterations, error %v", tc.name, got.Iterations, got.MarginalErr)
+		}
+		want, err := sinkhornReference(tc.a, tc.b, cost, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := got.Iterations - want.Iterations; d < -1 || d > 1 {
+			t.Errorf("%s: iterations %d vs reference %d", tc.name, got.Iterations, want.Iterations)
+		}
+		if d := plansMaxDiff(got.Plan, want.Plan); d > 1e-9 {
+			t.Fatalf("%s: plan deviates from reference by %v", tc.name, d)
+		}
+
+		plain, err := NewDenseGibbs(cost, opts.Epsilon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := SinkhornOp(tc.a, tc.b, plain, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Converged && res.Plan.CheckMarginals(tc.a, tc.b, 1e-6) == nil {
+			t.Errorf("%s: unabsorbed loop solved the problem in %d iterations; the stabilisation is untested", tc.name, res.Iterations)
 		}
 	}
 }

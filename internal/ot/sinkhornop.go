@@ -189,28 +189,21 @@ type SinkhornOpResult struct {
 }
 
 // SinkhornOp solves the entropically regularized OT problem over a prebuilt
-// Gibbs kernel operator with scaling-domain Sinkhorn–Knopp iterations:
+// Gibbs kernel operator with the package's scaling loop,
 //
-//	u ← a ./ (K v),   v ← b ./ (Kᵀ u).
+//	u ← a ./ (K v),   v ← b ./ (Kᵀ u),
 //
-// It is the cost-free counterpart of Sinkhorn: no cost matrix, no dense
-// Gibbs kernel, no materialized plan — each half-iteration is two operator
-// applications plus O(n) sweeps, so a separable kernel on a product grid
-// solves in O(n·Σ_k n_k) per iteration where the dense path pays O(n²).
-// The regularization ε is encoded in the operator; opts.Epsilon is ignored.
+// the same iteration Sinkhorn runs on its dense kernel. No cost matrix and
+// no materialized plan: each iteration is two operator applications plus
+// O(n) sweeps, so a separable kernel on a product grid solves in
+// O(n·Σ_k n_k) per iteration where a dense kernel pays O(n²). The
+// regularization ε is encoded in the operator; opts.Epsilon is ignored.
 //
 // Zero-mass marginal states simply pin their scaling to zero (no compaction
-// is needed — the operator is never indexed by mass), and a tiny floor on
-// the kernel applications keeps the ratios finite. The kernels here are far
-// from the underflow regime (ε defaults scale with the maximum cost, so
-// exponents stay within a few hundred), which is why the log-domain
-// stabilization of the dense solver is not needed; the differential tests
-// pin this solver against it within 1e-9.
-//
-// The convergence check is free: after the v-update, the next u-sweep's
-// K v application doubles as the row-marginal evaluation, so the L1 error
-// ‖u ⊙ (K v) − a‖₁ costs one extra sweep per checked iteration and no
-// kernel application at all.
+// is needed — the operator is never indexed by mass). The operator is never
+// mutated, so there is no log-stabilisation here: callers keep ε on the
+// scale of the cost (the joint design's default is 5e-3·(1 + max c)), where
+// the scalings stay far from the float range.
 func SinkhornOp(a, b []float64, op KernelOp, opts SinkhornOptions) (*SinkhornOpResult, error) {
 	if op == nil {
 		return nil, errors.New("ot: nil kernel operator")
@@ -222,79 +215,12 @@ func SinkhornOp(a, b []float64, op KernelOp, opts SinkhornOptions) (*SinkhornOpR
 	if len(a) != n || len(b) != m {
 		return nil, fmt.Errorf("ot: marginals %d/%d do not match kernel %d×%d", len(a), len(b), n, m)
 	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 10000
+	opts = opts.withDefaults(nil)
+	aw, bw, err := normalizeMarginals(a, b)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-9
-	}
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = 1
-	}
-
-	sa, sb := 0.0, 0.0
-	for _, x := range a {
-		if x < 0 || math.IsNaN(x) {
-			return nil, errors.New("ot: negative or NaN source mass")
-		}
-		sa += x
-	}
-	for _, x := range b {
-		if x < 0 || math.IsNaN(x) {
-			return nil, errors.New("ot: negative or NaN target mass")
-		}
-		sb += x
-	}
-	if sa <= 0 || sb <= 0 {
-		return nil, errors.New("ot: zero total mass")
-	}
-	if math.Abs(sa-sb) > 1e-6*(sa+sb) {
-		return nil, fmt.Errorf("ot: unbalanced problem (source mass %v, target mass %v)", sa, sb)
-	}
-	aw := make([]float64, n)
-	bw := make([]float64, m)
-	for i, x := range a {
-		aw[i] = x / sa
-	}
-	for j, x := range b {
-		bw[j] = x / sb
-	}
-
-	const tiny = 1e-300
-	u := make([]float64, n)
-	v := make([]float64, m)
-	for j := range v {
-		v[j] = 1
-	}
-	kv := make([]float64, n)
-	ktu := make([]float64, m)
-
-	op.Apply(kv, v)
-	vec.Floor(kv, tiny)
-
-	iter := 0
-	errL1 := math.Inf(1)
-	for ; iter < opts.MaxIter; iter++ {
-		vec.DivTo(u, aw, kv)
-		op.ApplyT(ktu, u)
-		vec.Floor(ktu, tiny)
-		vec.DivTo(v, bw, ktu)
-		// The next u-sweep needs K v anyway; with it in hand the current
-		// plan's row marginal is u ⊙ K v, giving the convergence check for
-		// one fused sweep.
-		op.Apply(kv, v)
-		vec.Floor(kv, tiny)
-		if check := (iter+1)%opts.CheckEvery == 0 || iter == opts.MaxIter-1; check {
-			errL1 = 0
-			for i, ui := range u {
-				errL1 += math.Abs(ui*kv[i] - aw[i])
-			}
-			if errL1 < opts.Tol {
-				iter++
-				break
-			}
-		}
-	}
+	u, v, kv, iter, errL1 := sinkhornScaling(aw, bw, op, nil, opts)
 	// Fold the final row rebalance into the scalings: u ← a ./ (K v) makes
 	// the source marginal exact by construction, leaving the residual error
 	// entirely on the target side (bounded by errL1).

@@ -63,11 +63,11 @@ func TestTruncateSubUlpEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSinkhornTruncationDifferential solves the same entropic problem with
-// and without sub-ulp truncation and pins the truncated plan to the full
-// one: every row conditional must agree within float64 tolerance (the
-// repaired output *distribution* of Algorithm 2 is a mixture of exactly
-// these conditionals, so agreement here bounds the repair-distribution
+// TestSinkhornTruncationDifferential pins the truncated Sinkhorn plan to
+// the untruncated plan of the reference solver on the same problem: every
+// row conditional must agree within float64 tolerance (the repaired output
+// *distribution* of Algorithm 2 is a mixture of exactly these
+// conditionals, so agreement here bounds the repair-distribution
 // perturbation), the marginals must stay feasible, and the truncated plan
 // must actually be sparser — the point of the exercise.
 func TestSinkhornTruncationDifferential(t *testing.T) {
@@ -83,7 +83,7 @@ func TestSinkhornTruncationDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := Sinkhorn(a, b, cost, SinkhornOptions{KeepSubUlp: true})
+	full, err := sinkhornReference(a, b, cost, SinkhornOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,36 +37,19 @@ func (s *Server) blindState(planID, calID string) (*planState, *Engine, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ps.mu.Lock()
-	if entry, ok := ps.blind[calID]; ok {
-		ps.blindClock++
-		entry.lastUsed = ps.blindClock
-		eng := entry.engine
-		ps.mu.Unlock()
-		return ps, eng, nil
-	}
-	ps.mu.Unlock()
-	// Bind outside the lock: the pooled plan's alias tables are the
-	// expensive part and two racing requests at worst build them twice,
-	// with one winner.
-	eng, err := ps.engine.WithCalibration(cal)
+	// Bound the blind tier like the labelled one: each engine pins a
+	// pooled-plan sampler, so memory must scale with the hot calibration
+	// set, not with every calibration ever touched.
+	entry, err := getOrBind(&ps.mu, ps.blind, &ps.blindClock, calID, s.opts.MaxBoundCalibrations,
+		func(e *blindEntry) *uint64 { return &e.lastUsed },
+		func() (*blindEntry, error) {
+			eng, err := ps.engine.WithCalibration(cal)
+			return &blindEntry{engine: eng}, err
+		})
 	if err != nil {
 		return nil, nil, err
 	}
-	ps.mu.Lock()
-	if prior, ok := ps.blind[calID]; ok {
-		eng = prior.engine
-	} else {
-		ps.blind[calID] = &blindEntry{engine: eng}
-		// Bound the blind tier like the labelled one: each engine pins a
-		// pooled-plan sampler, so memory must scale with the hot
-		// calibration set, not with every calibration ever touched.
-		evictLRU(ps.blind, calID, s.opts.MaxBoundCalibrations, func(e *blindEntry) uint64 { return e.lastUsed })
-	}
-	ps.blindClock++
-	ps.blind[calID].lastUsed = ps.blindClock
-	ps.mu.Unlock()
-	return ps, eng, nil
+	return ps, entry.engine, nil
 }
 
 // calibrated snapshots the plan's calibrated engines and their calibration
@@ -205,24 +188,4 @@ func blindMetrics(ps *planState) map[string]any {
 		out[ids[i]] = entry
 	}
 	return out
-}
-
-// evictLRU deletes least-recently-used entries of m, never keep, until m
-// holds at most limit. The victim is a full-scan minimum with a total
-// tie-break (lastUsed, then key), so it is a pure function of the map's
-// contents, not of its iteration order.
-func evictLRU[V any](m map[string]V, keep string, limit int, lastUsed func(V) uint64) {
-	for len(m) > limit {
-		coldID, coldUsed, first := "", uint64(0), true
-		//otfair:nondet-ok order-independent min: tie on lastUsed breaks on key
-		for id, v := range m {
-			if u := lastUsed(v); id != keep && (first || u < coldUsed || (u == coldUsed && id < coldID)) {
-				coldID, coldUsed, first = id, u, false
-			}
-		}
-		if first {
-			return
-		}
-		delete(m, coldID)
-	}
 }

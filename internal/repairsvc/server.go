@@ -561,18 +561,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // state returns (building if needed) the serving state for a stored plan.
+// The bound states are LRU-bounded at MaxBoundPlans, so memory scales with
+// the hot set, not with every plan ever touched; the store remains the
+// durable tier.
 func (s *Server) state(id string) (*planState, error) {
-	s.mu.Lock()
-	if ps, ok := s.states[id]; ok {
-		s.clock++
-		ps.lastUsed = s.clock
-		s.mu.Unlock()
-		return ps, nil
-	}
-	s.mu.Unlock()
-	// Resolve and bind outside the map lock: sampler construction is the
-	// expensive part and two racing requests at worst build it twice, with
-	// one winner.
+	return getOrBind(&s.mu, s.states, &s.clock, id, s.opts.MaxBoundPlans,
+		func(ps *planState) *uint64 { return &ps.lastUsed },
+		func() (*planState, error) { return s.bindState(id) })
+}
+
+// bindState resolves a stored plan and builds its serving state.
+func (s *Server) bindState(id string) (*planState, error) {
 	plan, err := s.store.Get(id)
 	if err != nil {
 		return nil, err
@@ -603,20 +602,59 @@ func (s *Server) state(id string) (*planState, error) {
 		}
 		ps.watch = driftwatch.New(id, cfg, s.om.reg)
 	}
-	s.mu.Lock()
-	if prior, ok := s.states[id]; ok {
-		ps = prior
-	} else {
-		s.states[id] = ps
-		// Bound the serving tier: evict the least-recently-used states so
-		// memory scales with the hot set, not with every plan ever touched.
-		// The store below remains the durable tier.
-		evictLRU(s.states, id, s.opts.MaxBoundPlans, func(st *planState) uint64 { return st.lastUsed })
-	}
-	s.clock++
-	ps.lastUsed = s.clock
-	s.mu.Unlock()
 	return ps, nil
+}
+
+// getOrBind returns m[key], binding it with bind on a miss. Lookup, insert
+// and eviction run under mu; bind runs outside it, because binding is the
+// expensive part — two racing misses at worst bind twice, and the first
+// insert wins. Every successful return touches the entry: *clock advances
+// and is stored as the entry's recency through stamp, and an insert evicts
+// least-recently-used entries down to limit.
+func getOrBind[V any](mu *sync.Mutex, m map[string]V, clock *uint64, key string, limit int, stamp func(V) *uint64, bind func() (V, error)) (V, error) {
+	mu.Lock()
+	if v, ok := m[key]; ok {
+		*clock++
+		*stamp(v) = *clock
+		mu.Unlock()
+		return v, nil
+	}
+	mu.Unlock()
+	v, err := bind()
+	if err != nil {
+		return v, err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if prior, ok := m[key]; ok {
+		v = prior
+	} else {
+		m[key] = v
+		evictLRU(m, key, limit, stamp)
+	}
+	*clock++
+	*stamp(v) = *clock
+	return v, nil
+}
+
+// evictLRU deletes least-recently-used entries of m, never keep, until m
+// holds at most limit. The victim is a full-scan minimum with a total
+// tie-break (recency, then key), so it is a pure function of the map's
+// contents, not of its iteration order.
+func evictLRU[V any](m map[string]V, keep string, limit int, stamp func(V) *uint64) {
+	for len(m) > limit {
+		coldID, coldUsed, first := "", uint64(0), true
+		//otfair:nondet-ok order-independent min: tie on recency breaks on key
+		for id, v := range m {
+			if u := *stamp(v); id != keep && (first || u < coldUsed || (u == coldUsed && id < coldID)) {
+				coldID, coldUsed, first = id, u, false
+			}
+		}
+		if first {
+			return
+		}
+		delete(m, coldID)
+	}
 }
 
 // mediaType extracts the request's media type, dropping parameters like
@@ -651,6 +689,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "bound_plans": bound, "draining": s.draining.Load()})
 }
 
+// maxQueryNQ caps the support size a design request may ask for. The
+// simplex and Sinkhorn solvers build an nq×nq cost matrix, so an unbounded
+// nq lets one request allocate without limit; 4096 states (a 128 MiB cost
+// matrix) is 16× the largest support any in-tree caller designs.
+const maxQueryNQ = 4096
+
 // designOptionsFromQuery assembles core design options from request query
 // parameters (nq, t, amount, solver, kernel, bandwidth, target, barycenter,
 // epsilon), leaving absent ones at their library defaults.
@@ -661,6 +705,9 @@ func designOptionsFromQuery(r *http.Request) (core.Options, error) {
 	if v := q.Get("nq"); v != "" {
 		if opts.NQ, err = strconv.Atoi(v); err != nil {
 			return opts, fmt.Errorf("bad nq %q", v)
+		}
+		if opts.NQ > maxQueryNQ {
+			return opts, fmt.Errorf("nq %d exceeds the limit of %d", opts.NQ, maxQueryNQ)
 		}
 	}
 	if v := q.Get("t"); v != "" {

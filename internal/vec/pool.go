@@ -3,9 +3,9 @@ package vec
 import "sync"
 
 // bufPool recycles float64 scratch slices across hot-loop iterations. The
-// Sinkhorn solver and the KDE batch evaluators borrow O(n_Q)–O(n_Q²)
-// buffers thousands of times per experiment; pooling them removes that
-// allocation traffic from the inner loops entirely.
+// separable kernel's axis contractions and the factored plans' row
+// expansion borrow O(n) buffers on every application; pooling them removes
+// that allocation traffic from the inner loops entirely.
 var bufPool = sync.Pool{
 	New: func() any {
 		s := make([]float64, 0, 256)
@@ -25,9 +25,9 @@ func GetBuf(n int) []float64 {
 }
 
 // GetBufRaw is GetBuf without the zeroing pass: the contents are
-// unspecified. Use it when every element is about to be overwritten (cost
-// compaction, exp rows) — at n_Q² sizes the clear is a measurable fraction
-// of a solve.
+// unspecified. Use it when every element is about to be overwritten (axis
+// contractions, plan rows) — at large sizes the clear is a measurable
+// fraction of the work.
 func GetBufRaw(n int) []float64 {
 	p := bufPool.Get().(*[]float64)
 	s := *p

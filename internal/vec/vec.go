@@ -1,6 +1,7 @@
 // Package vec is the shared flat-[]float64 vector-kernel layer under the
-// repair pipeline's hot loops: KDE grid evaluation, the log-domain Sinkhorn
-// sweeps, and the reduction-heavy statistics and divergence estimators.
+// repair pipeline's hot loops: KDE grid evaluation, the Gibbs-kernel
+// applications and scaling sweeps of the entropic OT solvers, and the
+// reduction-heavy statistics and divergence estimators.
 //
 // Every kernel operates on contiguous slices with no per-element function
 // indirection, so the compiler can keep the loops branch-light and
@@ -126,60 +127,6 @@ func LogSumExp(xs []float64) float64 {
 		s += math.Exp(x - max)
 	}
 	return max + math.Log(s)
-}
-
-// LogSumExp2 computes log Σ exp(x_i + y_i) without materializing the sum
-// vector — the fused kernel of the Sinkhorn f-update, where x is a scaled
-// potential row and y a compacted cost row.
-func LogSumExp2(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("vec: LogSumExp2 length mismatch")
-	}
-	max := math.Inf(-1)
-	for i, v := range x {
-		if t := v + y[i]; t > max {
-			max = t
-		}
-	}
-	if math.IsInf(max, -1) {
-		return math.Inf(-1)
-	}
-	s := 0.0
-	for i, v := range x {
-		s += math.Exp(v + y[i] - max)
-	}
-	return max + math.Log(s)
-}
-
-// ShiftedExpSum fills dst[i] = exp(x_i + y_i − max(x+y)) and returns the
-// maximum and the sum of dst. It is the fused exp-accumulate row kernel of
-// the Sinkhorn g-update: the shifted exponentials are exactly the terms the
-// potential update, the convergence check and the final plan all need, so
-// computing them once here removes the per-iteration re-materialization of
-// the full Gibbs plan.
-func ShiftedExpSum(dst, x, y []float64) (max, sum float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("vec: ShiftedExpSum length mismatch")
-	}
-	max = math.Inf(-1)
-	for i, v := range x {
-		if t := v + y[i]; t > max {
-			max = t
-		}
-	}
-	if math.IsInf(max, -1) {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return max, 0
-	}
-	sum = 0.0
-	for i, v := range x {
-		e := math.Exp(v + y[i] - max)
-		dst[i] = e
-		sum += e
-	}
-	return max, sum
 }
 
 // MatVec fills dst[i] = Σ_j a[i·m+j]·x[j] for the row-major n×m matrix a,
