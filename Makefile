@@ -26,7 +26,7 @@ JOINT = BenchmarkJointDesign$$|BenchmarkJointRepair$$|BenchmarkJointDesign3D$$|B
 BASELINE ?=
 BASEFLAG = $(if $(BASELINE),-baseline $(BASELINE),)
 
-.PHONY: build verify verify-ci test vet lint race soak drift-scenario feed-scenario bench bench-micro bench-check serve-smoke
+.PHONY: build verify verify-ci test vet lint race fuzz soak drift-scenario feed-scenario bench bench-micro bench-check serve-smoke
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,20 @@ race:
 	$(GO) test -race ./internal/ot/ ./internal/core/ ./internal/vec/ \
 		./internal/fairmetrics/ ./internal/planstore/ ./internal/repairsvc/ \
 		./internal/shardrun/ ./internal/joint/
+
+# Fuzz every Fuzz* target in the module for FUZZTIME each (go test runs
+# one fuzz target per invocation, so the targets are found by name). Plain
+# `go test` already replays each target's seeds under testdata/fuzz/; this
+# adds FUZZTIME of new inputs per target and fails on the first finding,
+# which go test writes back under testdata/fuzz/ as a new seed.
+FUZZTIME ?= 10s
+fuzz:
+	@set -e; for d in $$(grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for f in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$d/*_test.go | cut -c6-); do \
+			echo "fuzz: $$d $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$d; \
+		done; \
+	done
 
 # Boot fairserved against synthetic data, repair through the full HTTP
 # round trip, and check byte-equivalence with the library path plus the E

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -13,28 +14,44 @@ import (
 
 // WriteCSV writes the table with a header row.
 func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"s", "u"}, t.names...)
-	if err := cw.Write(header); err != nil {
+	bw := bufio.NewWriter(w)
+	if err := WriteCSVHeader(bw, t.names); err != nil {
 		return fmt.Errorf("dataset: writing header: %w", err)
 	}
-	row := make([]string, 2+t.dim)
+	var line []byte
 	for i, r := range t.records {
-		if r.S == SUnknown {
-			row[0] = ""
-		} else {
-			row[0] = strconv.Itoa(r.S)
-		}
-		row[1] = strconv.Itoa(r.U)
-		for k, v := range r.X {
-			row[2+k] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
+		line = AppendCSVRecord(line[:0], r)
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("dataset: writing record %d: %w", i, err)
 		}
 	}
+	return bw.Flush()
+}
+
+// WriteCSVHeader writes the "s,u,<names...>" header row, quoting names the
+// way encoding/csv does.
+func WriteCSVHeader(w io.Writer, names []string) error {
+	cw := csv.NewWriter(w)
+	cw.Write(append([]string{"s", "u"}, names...))
 	cw.Flush()
 	return cw.Error()
+}
+
+// AppendCSVRecord appends one record as a data row in the WriteCSV layout,
+// newline included: the bytes encoding/csv writes for the fields
+// Itoa(s) (empty when unknown), Itoa(u) and FormatFloat(x, 'g', -1, 64).
+// None of those fields ever needs quoting, so no csv.Writer is involved.
+func AppendCSVRecord(b []byte, r Record) []byte {
+	if r.S != SUnknown {
+		b = strconv.AppendInt(b, int64(r.S), 10)
+	}
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(r.U), 10)
+	for _, v := range r.X {
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	return append(b, '\n')
 }
 
 // ReadCSV parses a table from the WriteCSV layout.

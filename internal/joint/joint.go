@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 
+	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/kde"
 	"otfair/internal/ot"
@@ -242,6 +243,9 @@ func separableCell(cell *Cell, opts Options) (*Cell, error) {
 		res, err := ot.SinkhornOp(cell.PMF[s], bary, op, ot.SinkhornOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("s=%d plan: %w", s, err)
+		}
+		if !res.Converged {
+			return nil, fmt.Errorf("s=%d plan: %w", s, &core.ConvergenceError{Iterations: res.Iterations, MarginalErr: res.MarginalErr, Tol: res.Tol})
 		}
 		cell.Plans[s] = res.Plan
 	}

@@ -2,6 +2,7 @@ package joint
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -568,5 +569,22 @@ func TestJointThreeDimensional(t *testing.T) {
 		if after >= before {
 			t.Errorf("k=%d: mean gap %v → %v", k, before, after)
 		}
+	}
+}
+
+// TestDesignRejectsNonConvergedSinkhorn pins the joint design's numerical
+// contract: at an ε far below the scale-aware default the separable
+// Sinkhorn plans exhaust their iterations, and the design must fail with
+// the typed *core.ConvergenceError instead of shipping the unconverged
+// plans.
+func TestDesignRejectsNonConvergedSinkhorn(t *testing.T) {
+	research, _ := paperTables(t, 99, 500, 0)
+	plan, err := Design(research, Options{NQ: 8, Epsilon: 1e-3})
+	var ce *core.ConvergenceError
+	if !errors.As(err, &ce) {
+		t.Fatalf("design returned (%v, %v), want a *core.ConvergenceError", plan, err)
+	}
+	if ce.MarginalErr < ce.Tol || ce.Iterations == 0 {
+		t.Errorf("convergence error %+v does not describe a non-converged solve", ce)
 	}
 }

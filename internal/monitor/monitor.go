@@ -13,6 +13,8 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 
 	"otfair/internal/core"
 	"otfair/internal/dataset"
@@ -113,14 +115,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// cellState is one (u,s,k) rolling window.
+// cellState is one (u,s,k) rolling window, held as counts on the cell's
+// grid Q so a check reads prefix sums instead of sorting the window:
+// counts[2i] holds the values in (Q[i−1], Q[i]) — below Q[0] for i = 0,
+// NaN included, which is where sorting puts it — counts[2i+1] the values
+// equal to Q[i], and counts[2n] the values above Q[n−1]. Q is strictly
+// ascending (a plan invariant), so these cells partition the line.
 type cellState struct {
-	ring     []float64
-	n        int   // filled length (≤ cap)
-	next     int   // ring write position
-	sinceChk int   // observations since last check
-	cooldown int   // observations to skip alarming for
-	observed int64 // lifetime observations
+	ring     []int32 // grid cell of each windowed value
+	counts   []int   // windowed values per grid cell
+	n        int     // filled length (≤ cap)
+	next     int     // ring write position
+	sinceChk int     // observations since last check
+	cooldown int     // observations to skip alarming for
+	observed int64   // lifetime observations
 	// ksRatio and psiRatio are the statistic/threshold ratios of the most
 	// recent check — a continuous drift score (≥ 1 means alarming), kept
 	// even when no alarm fires so dashboards and the drift-watch loop can
@@ -133,9 +141,9 @@ type cellState struct {
 // index stable at rolling-window sample sizes (fine 50-state bins put ~5
 // observations in each and the index never settles).
 type psiRef struct {
-	// edges are right-closed upper bounds in feature units; the last bin is
-	// unbounded.
-	edges    []float64
+	// edges are grid indices: bin b is right-closed at Q[edges[b]]; the
+	// last bin is unbounded.
+	edges    []int
 	expected []float64
 }
 
@@ -236,22 +244,26 @@ func (m *Monitor) Observe(rec dataset.Record) ([]Alarm, error) {
 	var alarms []Alarm
 	for k, x := range rec.X {
 		key := [3]int{rec.U, rec.S, k}
+		cell := m.plan.Cell(rec.U, k)
 		cs := m.cells[key]
 		if cs == nil {
-			cs = &cellState{ring: make([]float64, m.opts.Window)}
+			cs = &cellState{ring: make([]int32, m.opts.Window), counts: make([]int, 2*len(cell.Q)+1)}
 			m.cells[key] = cs
 		}
 		if m.rng != nil {
-			cell := m.plan.Cell(rec.U, k)
 			if h := cell.H[rec.S]; h > 0 && !cell.Degenerate {
 				x += h * kde.Sample(m.plan.Opts.Kernel, m.rng)
 			}
 		}
-		cs.ring[cs.next] = x
-		cs.next = (cs.next + 1) % len(cs.ring)
-		if cs.n < len(cs.ring) {
+		if cs.n == len(cs.ring) {
+			cs.counts[cs.ring[cs.next]]--
+		} else {
 			cs.n++
 		}
+		c := gridCell(cell.Q, x)
+		cs.ring[cs.next] = int32(c)
+		cs.counts[c]++
+		cs.next = (cs.next + 1) % len(cs.ring)
 		cs.observed++
 		cs.sinceChk++
 		if cs.cooldown > 0 {
@@ -281,14 +293,14 @@ func (m *Monitor) check(u, s, k int, cs *cellState) ([]Alarm, error) {
 	if cell.Degenerate {
 		return nil, nil
 	}
-	window := make([]float64, cs.n)
-	copy(window, cs.ring[:cs.n])
+	ref := m.psiRef(u, s, k, cell)
+	return m.judge(u, s, k, cs, ksFromCounts(cs.counts, cell.PMF[s], cs.n), binCounts(cs.counts, ref.edges, cs.n), ref)
+}
 
+// judge turns one window's KS statistic and PSI bin masses into drift
+// scores and alarms.
+func (m *Monitor) judge(u, s, k int, cs *cellState, ks float64, observed []float64, ref *psiRef) ([]Alarm, error) {
 	var alarms []Alarm
-	ks, err := KSAgainstPMF(window, cell.Q, cell.PMF[s])
-	if err != nil {
-		return nil, err
-	}
 	// The reference marginal was estimated from n_{R,u,s} research points,
 	// so it carries sampling error of its own: the threshold is the
 	// two-sample critical value with the research group as the second
@@ -304,8 +316,6 @@ func (m *Monitor) check(u, s, k int, cs *cellState) ([]Alarm, error) {
 	if ks > crit {
 		alarms = append(alarms, Alarm{U: u, S: s, K: k, Kind: AlarmKS, Stat: ks, Threshold: crit, Window: cs.n, Seen: m.seen})
 	}
-	ref := m.psiRef(u, s, k, cell)
-	observed := binByEdges(window, ref.edges)
 	psi, err := PSI(ref.expected, observed)
 	if err != nil {
 		return nil, err
@@ -346,7 +356,7 @@ func (m *Monitor) psiRef(u, s, k int, cell *core.Cell) *psiRef {
 		cum += p
 		binMass += p
 		if cum >= float64(bin)/psiBinCount && bin < psiBinCount && i < len(cell.Q)-1 {
-			ref.edges = append(ref.edges, cell.Q[i])
+			ref.edges = append(ref.edges, i)
 			ref.expected = append(ref.expected, binMass)
 			binMass = 0
 			bin++
@@ -357,19 +367,55 @@ func (m *Monitor) psiRef(u, s, k int, cell *core.Cell) *psiRef {
 	return ref
 }
 
-// binByEdges histograms a sample into the right-closed bins bounded by
-// edges (last bin unbounded) and normalizes to a pmf.
-func binByEdges(sample, edges []float64) []float64 {
-	counts := make([]float64, len(edges)+1)
-	for _, x := range sample {
-		b := 0
-		for b < len(edges) && x > edges[b] {
-			b++
+// gridCell locates x among the grid cells cellState.counts indexes.
+func gridCell(q []float64, x float64) int {
+	if math.IsNaN(x) {
+		return 0
+	}
+	i := sort.SearchFloat64s(q, x)
+	if i < len(q) && q[i] == x {
+		return 2*i + 1
+	}
+	return 2 * i
+}
+
+// ksFromCounts is KSAgainstPMF over a window of n values held as grid-cell
+// counts: the empirical CDF just before and at each grid point is a
+// prefix sum, divided by n exactly as the sorted-sample search divides its
+// index, so the statistic is bit-identical.
+func ksFromCounts(counts []int, pmf []float64, n int) float64 {
+	d, cum := 0.0, 0.0
+	below := 0 // window values below the current grid point
+	for i, p := range pmf {
+		below += counts[2*i]
+		if diff := math.Abs(float64(below)/float64(n) - cum); diff > d {
+			d = diff
 		}
-		counts[b]++
+		cum += p
+		below += counts[2*i+1]
+		if diff := math.Abs(float64(below)/float64(n) - cum); diff > d {
+			d = diff
+		}
 	}
-	for i := range counts {
-		counts[i] /= float64(len(sample))
+	return d
+}
+
+// binCounts histograms a window of n values held as grid-cell counts into
+// the right-closed bins ending at Q[edges[b]] (last bin unbounded) and
+// normalizes to a pmf.
+func binCounts(counts []int, edges []int, n int) []float64 {
+	out := make([]float64, len(edges)+1)
+	c := 0
+	for b, e := range edges {
+		for ; c <= 2*e+1; c++ {
+			out[b] += float64(counts[c])
+		}
 	}
-	return counts
+	for ; c < len(counts); c++ {
+		out[len(edges)] += float64(counts[c])
+	}
+	for b := range out {
+		out[b] /= float64(n)
+	}
+	return out
 }

@@ -184,6 +184,8 @@ type SinkhornOpResult struct {
 	// check. The returned plan folds one final source rebalance into its
 	// scalings, so this bounds the plan's residual target-side deviation.
 	MarginalErr float64
+	// Tol is the stopping tolerance the solve ran with, after defaulting.
+	Tol float64
 	// Converged records whether MarginalErr fell below Tol before MaxIter.
 	Converged bool
 }
@@ -234,6 +236,7 @@ func SinkhornOp(a, b []float64, op KernelOp, opts SinkhornOptions) (*SinkhornOpR
 		Plan:        plan,
 		Iterations:  iter,
 		MarginalErr: errL1,
+		Tol:         opts.Tol,
 		Converged:   errL1 < opts.Tol,
 	}, nil
 }

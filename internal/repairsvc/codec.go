@@ -2,10 +2,11 @@ package repairsvc
 
 import (
 	"bufio"
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -19,6 +20,56 @@ import (
 // written lazily on the first repaired record, so validation errors that
 // precede any output (unknown plan, dimension mismatch) still produce clean
 // JSON errors.
+//
+// Both sinks append a whole record into one reused line buffer and hand it
+// to a bufio.Writer, so the bytes are exactly what encoding/csv and
+// encoding/json would write without either package running per record.
+
+// lineSink lazily starts the response and writes one encoded record per
+// call.
+type lineSink struct {
+	w      http.ResponseWriter
+	ctype  string
+	header func(io.Writer) error // writes any preamble once; may be nil
+	encode func([]byte, dataset.Record) ([]byte, error)
+	bw     *bufio.Writer
+	line   []byte
+}
+
+func (ls *lineSink) start() error {
+	if ls.bw != nil {
+		return nil
+	}
+	ls.w.Header().Set("Content-Type", ls.ctype)
+	ls.w.WriteHeader(http.StatusOK)
+	ls.bw = bufio.NewWriter(ls.w)
+	if ls.header != nil {
+		return ls.header(ls.bw)
+	}
+	return nil
+}
+
+// write encodes the record into the reused line buffer and sends it.
+func (ls *lineSink) write(rec dataset.Record) error {
+	if err := ls.start(); err != nil {
+		return err
+	}
+	line, err := ls.encode(ls.line[:0], rec)
+	if err != nil {
+		return err
+	}
+	ls.line = line
+	_, err = ls.bw.Write(line)
+	return err
+}
+
+// finish starts an empty response if no record was written and flushes.
+func (ls *lineSink) finish() error {
+	if err := ls.start(); err != nil {
+		return err
+	}
+	return ls.bw.Flush()
+}
 
 // csvPipe adapts the dataset CSV layout ("s,u,<features...>").
 func (s *Server) csvPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, func(dataset.Record) error, func() error, error) {
@@ -26,36 +77,17 @@ func (s *Server) csvPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var cw *csv.Writer
-	row := make([]string, 2+plan.Dim)
-	ensure := func() {
-		if cw != nil {
-			return
-		}
-		w.Header().Set("Content-Type", "text/csv")
-		w.WriteHeader(http.StatusOK)
-		cw = csv.NewWriter(w)
-		cw.Write(append([]string{"s", "u"}, plan.Names...))
+	out := &lineSink{
+		w:     w,
+		ctype: "text/csv",
+		header: func(w io.Writer) error {
+			return dataset.WriteCSVHeader(w, plan.Names)
+		},
+		encode: func(b []byte, rec dataset.Record) ([]byte, error) {
+			return dataset.AppendCSVRecord(b, rec), nil
+		},
 	}
-	sink := func(rec dataset.Record) error {
-		ensure()
-		if rec.S == dataset.SUnknown {
-			row[0] = ""
-		} else {
-			row[0] = strconv.Itoa(rec.S)
-		}
-		row[1] = strconv.Itoa(rec.U)
-		for k, v := range rec.X {
-			row[2+k] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		return cw.Write(row)
-	}
-	finish := func() error {
-		ensure() // header-only response for an empty stream
-		cw.Flush()
-		return cw.Error()
-	}
-	return in, sink, finish, nil
+	return in, out.write, out.finish, nil
 }
 
 // wireRecord is the NDJSON record shape, identical both directions. A
@@ -72,7 +104,15 @@ type ndjsonStream struct {
 	sc   *bufio.Scanner
 	dim  int
 	line int
+	// slab is the unused tail of the current feature chunk. Each record's
+	// X is carved from it and handed out exactly once: records outlive
+	// Next (the labelled observability window keeps them), so a chunk is
+	// never rewound or reused.
+	slab []float64
 }
+
+// slabRecords is the number of records' features one chunk holds.
+const slabRecords = 64
 
 func (n *ndjsonStream) Dim() int { return n.dim }
 
@@ -83,16 +123,25 @@ func (n *ndjsonStream) Next() (dataset.Record, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var wr wireRecord
-		if err := json.Unmarshal(raw, &wr); err != nil {
-			return dataset.Record{}, fmt.Errorf("repairsvc: ndjson line %d: %w", n.line, err)
+		if len(n.slab) < n.dim {
+			n.slab = make([]float64, n.dim*slabRecords)
 		}
-		if len(wr.X) != n.dim {
-			return dataset.Record{}, fmt.Errorf("repairsvc: ndjson line %d: %d features, want %d", n.line, len(wr.X), n.dim)
+		rec, count, ok := scanWireRecord(raw, n.slab[:n.dim:n.dim])
+		if !ok {
+			var wr wireRecord
+			if err := json.Unmarshal(raw, &wr); err != nil {
+				return dataset.Record{}, fmt.Errorf("repairsvc: ndjson line %d: %w", n.line, err)
+			}
+			rec = dataset.Record{X: wr.X, U: wr.U, S: dataset.SUnknown}
+			if wr.S != nil {
+				rec.S = *wr.S
+			}
+			count = len(wr.X)
+		} else if count == n.dim {
+			n.slab = n.slab[n.dim:]
 		}
-		rec := dataset.Record{X: wr.X, U: wr.U, S: dataset.SUnknown}
-		if wr.S != nil {
-			rec.S = *wr.S
+		if count != n.dim {
+			return dataset.Record{}, fmt.Errorf("repairsvc: ndjson line %d: %d features, want %d", n.line, count, n.dim)
 		}
 		return rec, nil
 	}
@@ -102,34 +151,182 @@ func (n *ndjsonStream) Next() (dataset.Record, error) {
 	return dataset.Record{}, io.EOF
 }
 
+// scanWireRecord decodes the exact shapes encoding/json emits for a
+// wireRecord — {"x":[n,…],"s":<int>|null,"u":<int>}, and the same with "s"
+// omitted — writing the first len(x) features into x and returning the
+// record (X is x), the number of features on the line, and ok. Any other
+// line, and any number encoding/json would reject or decode differently
+// (out of range, an int given as 1.0), reports !ok so the caller falls
+// back to json.Unmarshal; the set of accepted lines, their values and the
+// error text therefore never depend on this fast path.
+func scanWireRecord(b []byte, x []float64) (rec dataset.Record, count int, ok bool) {
+	const head = `{"x":[`
+	if !hasPrefix(b, head) {
+		return rec, 0, false
+	}
+	i := len(head)
+	for {
+		end := scanNumber(b, i)
+		if end < 0 {
+			return rec, 0, false
+		}
+		// Features past len(x) are parsed too: one encoding/json rejects
+		// must fail the line as its error, not as a feature count.
+		v, err := strconv.ParseFloat(string(b[i:end]), 64)
+		if err != nil {
+			return rec, 0, false
+		}
+		if count < len(x) {
+			x[count] = v
+		}
+		count++
+		if end >= len(b) {
+			return rec, 0, false
+		}
+		i = end + 1
+		if b[end] == ']' {
+			break
+		}
+		if b[end] != ',' {
+			return rec, 0, false
+		}
+	}
+	rec = dataset.Record{X: x, S: dataset.SUnknown}
+	rest := b[i:]
+	if hasPrefix(rest, `,"s":`) {
+		rest = rest[len(`,"s":`):]
+		if hasPrefix(rest, "null") {
+			rest = rest[len("null"):]
+		} else if rec.S, rest, ok = scanInt(rest); !ok {
+			return rec, 0, false
+		}
+	}
+	if !hasPrefix(rest, `,"u":`) {
+		return rec, 0, false
+	}
+	if rec.U, rest, ok = scanInt(rest[len(`,"u":`):]); !ok {
+		return rec, 0, false
+	}
+	if string(rest) != "}" {
+		return rec, 0, false
+	}
+	return rec, count, true
+}
+
+func hasPrefix(b []byte, p string) bool {
+	return len(b) >= len(p) && string(b[:len(p)]) == p
+}
+
+// scanInt decodes a JSON integer (no fraction or exponent) that fits an
+// int from the front of b.
+func scanInt(b []byte) (int, []byte, bool) {
+	end := scanNumber(b, 0)
+	if end < 0 || bytes.ContainsAny(b[:end], ".eE") {
+		return 0, nil, false
+	}
+	v, err := strconv.Atoi(string(b[:end]))
+	if err != nil {
+		return 0, nil, false
+	}
+	return v, b[end:], true
+}
+
+// scanNumber returns the end of the JSON number starting at b[i], or -1
+// when b[i:] does not start with one. The grammar is RFC 8259's
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, stricter than
+// strconv.ParseFloat: no '+', leading zeros, bare '.', hex, inf or nan.
+func scanNumber(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return -1
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// appendNDJSON appends rec as the line json.Encoder writes for its
+// wireRecord, newline included. Like encoding/json it rejects non-finite
+// features, appending nothing.
+func appendNDJSON(b []byte, rec dataset.Record) ([]byte, error) {
+	for _, v := range rec.X {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
+		}
+	}
+	b = append(b, `{"x":[`...)
+	for k, v := range rec.X {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, v)
+	}
+	b = append(b, `],"s":`...)
+	if rec.S == dataset.SUnknown {
+		b = append(b, "null"...)
+	} else {
+		b = strconv.AppendInt(b, int64(rec.S), 10)
+	}
+	b = append(b, `,"u":`...)
+	b = strconv.AppendInt(b, int64(rec.U), 10)
+	return append(b, "}\n"...), nil
+}
+
+// appendJSONFloat formats a finite float64 the way encoding/json does: the
+// shortest round-tripping 'f' form, switching to 'e' for magnitudes below
+// 1e-6 or from 1e21 up, with a two-digit negative exponent shortened
+// (e-07 → e-7).
+func appendJSONFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
 // ndjsonPipe adapts newline-delimited JSON records.
 func (s *Server) ndjsonPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, func(dataset.Record) error, func() error, error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
 	in := &ndjsonStream{sc: sc, dim: plan.Dim}
-	var bw *bufio.Writer
-	enc := (*json.Encoder)(nil)
-	ensure := func() {
-		if bw != nil {
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		bw = bufio.NewWriter(w)
-		enc = json.NewEncoder(bw)
-	}
-	sink := func(rec dataset.Record) error {
-		ensure()
-		wr := wireRecord{X: rec.X, U: rec.U}
-		if rec.S != dataset.SUnknown {
-			s := rec.S
-			wr.S = &s
-		}
-		return enc.Encode(wr)
-	}
-	finish := func() error {
-		ensure()
-		return bw.Flush()
-	}
-	return in, sink, finish, nil
+	out := &lineSink{w: w, ctype: "application/x-ndjson", encode: appendNDJSON}
+	return in, out.write, out.finish, nil
 }

@@ -1,12 +1,19 @@
 package repairsvc
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
+
+	"otfair/internal/dataset"
 )
 
 // The NDJSON error-path contract: a request that fails after the response
@@ -123,4 +130,243 @@ func TestNDJSONMissingColumnAborts(t *testing.T) {
 	if status == http.StatusOK {
 		t.Fatalf("missing-column first record accepted: %s", read)
 	}
+}
+
+// referenceDecode is the json.Unmarshal decoder the NDJSON scanner must
+// reproduce: the same record for a line both accept, the same error text
+// for a line either rejects.
+func referenceDecode(raw []byte, dim int) (dataset.Record, error) {
+	var wr wireRecord
+	if err := json.Unmarshal(raw, &wr); err != nil {
+		return dataset.Record{}, fmt.Errorf("repairsvc: ndjson line 1: %w", err)
+	}
+	if len(wr.X) != dim {
+		return dataset.Record{}, fmt.Errorf("repairsvc: ndjson line 1: %d features, want %d", len(wr.X), dim)
+	}
+	rec := dataset.Record{X: wr.X, U: wr.U, S: dataset.SUnknown}
+	if wr.S != nil {
+		rec.S = *wr.S
+	}
+	return rec, nil
+}
+
+// checkDecode decodes one line through ndjsonStream and compares it with
+// referenceDecode: equal feature bits and labels, or equal error text.
+func checkDecode(t *testing.T, line []byte, dim int) {
+	t.Helper()
+	in := &ndjsonStream{sc: bufio.NewScanner(bytes.NewReader(line)), dim: dim}
+	in.sc.Buffer(nil, len(line)+1)
+	got, gerr := in.Next()
+	want, werr := referenceDecode(line, dim)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("line %q: error %v, want %v", line, gerr, werr)
+	}
+	if gerr != nil {
+		return
+	}
+	if got.S != want.S || got.U != want.U || len(got.X) != len(want.X) {
+		t.Fatalf("line %q: got %+v, want %+v", line, got, want)
+	}
+	for k := range got.X {
+		if math.Float64bits(got.X[k]) != math.Float64bits(want.X[k]) {
+			t.Fatalf("line %q: feature %d = %v, want %v", line, k, got.X[k], want.X[k])
+		}
+	}
+}
+
+// decodeCases covers both fast-path shapes and every shape the scanner
+// must hand to encoding/json: whitespace, reordered, unknown, escaped,
+// duplicated or differently cased keys, non-JSON number spellings, ints
+// given as floats, out-of-range values and wrong feature counts.
+var decodeCases = []string{
+	`{"x":[1.5,-2],"s":1,"u":0}`,
+	`{"x":[0,-0],"s":null,"u":1}`,
+	`{"x":[1e-7,2.5E+21],"u":0}`,
+	`{"x":[123456789.125,-0.000001],"s":0,"u":1}`,
+	`{"x":[1,2],"s":-1,"u":0}`,
+	`{"x":[1,2],"s":2,"u":7}`,
+	`{"x":[1],"s":1,"u":0}`,
+	`{"x":[1,2,3],"s":1,"u":0}`,
+	`{"x":[1,2,1e400],"s":1,"u":0}`,
+	`{"x":[],"s":1,"u":0}`,
+	`{"x":null,"u":0}`,
+	`{"x": [1,2], "s": 1, "u": 0}`,
+	`{"u":0,"s":1,"x":[1,2]}`,
+	`{"x":[1,2],"s":1,"u":0,"z":3}`,
+	`{"X":[1,2],"S":1,"U":0}`,
+	`{"x":[1,2],"u":0}`,
+	`{"x":[1,2],"x":[3,4],"u":0}`,
+	`{"x":[1,2],"u":0,"u":1}`,
+	`{"x":[01,2],"u":0}`,
+	`{"x":[+1,2],"u":0}`,
+	`{"x":[.5,2],"u":0}`,
+	`{"x":[1.,2],"u":0}`,
+	`{"x":[0x10,2],"u":0}`,
+	`{"x":[inf,2],"u":0}`,
+	`{"x":[NaN,2],"u":0}`,
+	`{"x":[1e400,2],"u":0}`,
+	`{"x":[1,2],"u":1.0}`,
+	`{"x":[1,2],"u":1e0}`,
+	`{"x":[1,2],"s":99999999999999999999,"u":0}`,
+	`{"x":[1,2],"s":true,"u":0}`,
+	`{"x":[1,2],"u":0} `,
+	`{"x":[1,2],"u":0}x`,
+	`{"x":[1,2],"u":0`,
+	`{"x":[1,2`,
+	`{"x":[1,,2],"u":0}`,
+	`{"x":[1,2],"s":nul,"u":0}`,
+	`[1,2]`,
+}
+
+func TestScanWireRecordMatchesJSON(t *testing.T) {
+	for _, line := range decodeCases {
+		checkDecode(t, []byte(line), 2)
+	}
+}
+
+// TestScanWireRecordTakesEncoderShapes checks the fast path, not the
+// fallback, decodes what encoding/json emits for a wireRecord (with and
+// without omitempty on s) and what appendNDJSON writes, bit-exactly.
+func TestScanWireRecordTakesEncoderShapes(t *testing.T) {
+	type omitS struct {
+		X []float64 `json:"x"`
+		S *int      `json:"s,omitempty"`
+		U int       `json:"u"`
+	}
+	one := 1
+	for _, v := range encodeCases {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			continue
+		}
+		x := []float64{v, -v}
+		lines := [][]byte{}
+		for _, wr := range []any{wireRecord{X: x, S: &one, U: 1}, wireRecord{X: x}, omitS{X: x, U: 1}} {
+			raw, err := json.Marshal(wr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, raw)
+		}
+		line, _ := appendNDJSON(nil, dataset.Record{X: x, S: 0, U: 1})
+		lines = append(lines, bytes.TrimSuffix(line, []byte("\n")))
+		for _, line := range lines {
+			rec, count, ok := scanWireRecord(line, make([]float64, 2))
+			if !ok || count != 2 || math.Float64bits(rec.X[0]) != math.Float64bits(v) || math.Float64bits(rec.X[1]) != math.Float64bits(-v) {
+				t.Fatalf("fast path on %q: %+v, count %d, ok %v", line, rec, count, ok)
+			}
+		}
+	}
+}
+
+// TestNDJSONDecodeKeepsRecords pins the slab contract: every decoded X
+// stays intact after later records are decoded, as the labelled
+// observability window requires.
+func TestNDJSONDecodeKeepsRecords(t *testing.T) {
+	const n = 3*slabRecords + 5
+	var body bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&body, `{"x":[%d,%d.5],"s":%d,"u":%d}`+"\n", i, i, i%2, (i/2)%2)
+	}
+	in := &ndjsonStream{sc: bufio.NewScanner(&body), dim: 2}
+	var recs []dataset.Record
+	for {
+		rec, err := in.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	if len(recs) != n {
+		t.Fatalf("decoded %d records, want %d", len(recs), n)
+	}
+	for i, rec := range recs {
+		if rec.X[0] != float64(i) || rec.X[1] != float64(i)+0.5 || cap(rec.X) != 2 {
+			t.Fatalf("record %d = %v (cap %d) after decoding the stream", i, rec.X, cap(rec.X))
+		}
+	}
+}
+
+// encodeCases are float64 values at every formatting boundary the wire
+// encoders reproduce: signed zeros, subnormals, the 1e-6 and 1e21 'f'/'e'
+// switch, negative exponents with and without a leading zero, extremes
+// and non-finite values.
+var encodeCases = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3,
+	5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+	1e-6, math.Nextafter(1e-6, 0), -1e-6, 1e-7, 1.5e-10, 1e-100,
+	1e21, math.Nextafter(1e21, 0), -1e21, 1e20, 1.2345e22, 1e300,
+	math.MaxFloat64, -math.MaxFloat64, 123456789012345678,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// checkEncode compares the append-based encoders with json.Encoder on a
+// wireRecord and csv.Writer on the FormatFloat/Itoa row.
+func checkEncode(t *testing.T, rec dataset.Record) {
+	t.Helper()
+	var want bytes.Buffer
+	wr := wireRecord{X: rec.X, U: rec.U}
+	if rec.S != dataset.SUnknown {
+		s := rec.S
+		wr.S = &s
+	}
+	werr := json.NewEncoder(&want).Encode(wr)
+	got, gerr := appendNDJSON([]byte("prefix"), rec)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("%+v: ndjson error %v, want %v", rec, gerr, werr)
+	}
+	if string(got) != "prefix"+want.String() {
+		t.Fatalf("%+v: ndjson %q, want %q", rec, got, "prefix"+want.String())
+	}
+
+	want.Reset()
+	cw := csv.NewWriter(&want)
+	row := []string{"", strconv.Itoa(rec.U)}
+	if rec.S != dataset.SUnknown {
+		row[0] = strconv.Itoa(rec.S)
+	}
+	for _, v := range rec.X {
+		row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	cw.Write(row)
+	cw.Flush()
+	if got := dataset.AppendCSVRecord(nil, rec); string(got) != want.String() {
+		t.Fatalf("%+v: csv %q, want %q", rec, got, want.String())
+	}
+}
+
+func TestWireEncodeMatchesStdlib(t *testing.T) {
+	for _, v := range encodeCases {
+		for _, s := range []int{dataset.SUnknown, 0, 1} {
+			checkEncode(t, dataset.Record{X: []float64{v, -v, 0.5}, S: s, U: 1})
+		}
+	}
+	checkEncode(t, dataset.Record{X: []float64{}, S: math.MinInt, U: math.MaxInt})
+}
+
+// FuzzNDJSONDecode runs the NDJSON scanner differentially against
+// json.Unmarshal: the same record, or the same error, and never a panic.
+func FuzzNDJSONDecode(f *testing.F) {
+	for _, line := range decodeCases {
+		f.Add([]byte(line), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, line []byte, dim uint8) {
+		if len(line) == 0 || bytes.ContainsAny(line, "\r\n") {
+			return // one non-empty scanner line per input
+		}
+		checkDecode(t, line, 1+int(dim%4))
+	})
+}
+
+// FuzzWireEncode compares both append-based encoders with encoding/json
+// and encoding/csv for arbitrary float64 bit patterns and labels.
+func FuzzWireEncode(f *testing.F) {
+	for _, v := range encodeCases {
+		f.Add(math.Float64bits(v), math.Float64bits(-v), 1, 0)
+	}
+	f.Fuzz(func(t *testing.T, a, b uint64, s, u int) {
+		checkEncode(t, dataset.Record{X: []float64{math.Float64frombits(a), math.Float64frombits(b)}, S: s, U: u})
+	})
 }
