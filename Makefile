@@ -26,7 +26,7 @@ JOINT = BenchmarkJointDesign$$|BenchmarkJointRepair$$|BenchmarkJointDesign3D$$|B
 BASELINE ?=
 BASEFLAG = $(if $(BASELINE),-baseline $(BASELINE),)
 
-.PHONY: build verify verify-ci test vet lint race fuzz soak drift-scenario feed-scenario bench bench-micro bench-check serve-smoke
+.PHONY: build verify verify-ci test vet lint race fuzz soak drift-scenario feed-scenario bench bench-micro bench-check serve-smoke loc
 
 build:
 	$(GO) build ./...
@@ -146,6 +146,12 @@ bench-check:
 		echo "bench-check: $$w"; \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2; \
 	done
+
+# Non-test Go lines tracked outside perfbench/: the size number each change
+# reports next to its bench deltas (ROADMAP.md). Counts committed or staged
+# files only.
+loc:
+	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 # Stage-level micro-benchmarks (design, repair, solvers, metric, kernels).
 bench-micro:

@@ -114,13 +114,15 @@ func TestSynthesizeGroupProportions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.PrU(); math.Abs(got-0.25) > 0.01 {
+	c := tbl.Counts()
+	n := func(u, s int) float64 { return float64(c[dataset.Group{U: u, S: s}]) }
+	if got := (n(1, 0) + n(1, 1)) / float64(tbl.Len()); math.Abs(got-0.25) > 0.01 {
 		t.Errorf("Pr[u=1] = %v, want ~0.25", got)
 	}
-	if got := tbl.PrSGivenU(0); math.Abs(got-0.65) > 0.02 {
+	if got := n(0, 1) / (n(0, 0) + n(0, 1)); math.Abs(got-0.65) > 0.02 {
 		t.Errorf("Pr[male|non-college] = %v", got)
 	}
-	if got := tbl.PrSGivenU(1); math.Abs(got-0.72) > 0.02 {
+	if got := n(1, 1) / (n(1, 0) + n(1, 1)); math.Abs(got-0.72) > 0.02 {
 		t.Errorf("Pr[male|college] = %v", got)
 	}
 }

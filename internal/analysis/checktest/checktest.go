@@ -42,6 +42,8 @@ import (
 // Run type-checks the fixture directory under pkgPath and asserts the
 // analyzer's diagnostics (after directive suppression) match the // want
 // comments.
+//
+//otfair:testonly-ok the fixture harness every analyzer package's tests share
 func Run(t *testing.T, a *analysis.Analyzer, dir, pkgPath string) {
 	t.Helper()
 	fset := token.NewFileSet()

@@ -38,6 +38,10 @@ const (
 	// pointer-receiver methods nil-receiver safe, opting the type into
 	// hookrecv enforcement. The reason documents why nil receivers occur.
 	DirNilSafe = "nilsafe"
+	// DirTestOnlyOK keeps an exported internal/ function or method that
+	// only tests call — a helper other packages' tests share — past the
+	// module-wide TestNoTestOnlyExports guard.
+	DirTestOnlyOK = "testonly-ok"
 )
 
 // KnownDirectives is the closed set of valid directive names.
@@ -47,6 +51,7 @@ var KnownDirectives = map[string]bool{
 	DirNilRecvOK:     true,
 	DirNaNInputOK:    true,
 	DirNilSafe:       true,
+	DirTestOnlyOK:    true,
 }
 
 // A Directive is one parsed //otfair:* comment.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/rng"
 	"otfair/internal/simulate"
@@ -107,72 +106,5 @@ func TestBatchPosteriorValidation(t *testing.T) {
 	short.X = short.X[:1]
 	if err := bp.Posteriors([]dataset.Record{short}, make([]float64, 1)); err == nil {
 		t.Error("wrong dimension accepted")
-	}
-}
-
-// TestRepairRecordPosteriorByteIdentical pins the fast-path entry point:
-// feeding RepairRecordPosterior the gamma the repairer's own posterior
-// produces must consume the RNG stream identically to RepairRecord, for
-// every method, including labelled records (which ignore gamma).
-func TestRepairRecordPosteriorByteIdentical(t *testing.T) {
-	sampler, err := simulate.NewSampler(simulate.Paper())
-	if err != nil {
-		t.Fatal(err)
-	}
-	research, archive, err := sampler.ResearchArchive(rng.New(5), 300, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := core.Design(research, core.Options{NQ: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qda, err := NewQDA(research)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := archive.Clone()
-	for i := range mixed.Records() {
-		if i%2 == 0 {
-			mixed.Records()[i].S = dataset.SUnknown
-		}
-	}
-	for _, method := range []Method{MethodHard, MethodDraw, MethodMix, MethodPooled} {
-		ref, err := New(plan, research, rng.New(21), Options{Method: method})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := New(plan, research, rng.New(21), Options{Method: method})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < mixed.Len(); i++ {
-			rec := mixed.At(i)
-			want, err := ref.RepairRecord(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gamma := math.NaN()
-			if method != MethodPooled && rec.S == dataset.SUnknown {
-				if gamma, err = qda.Posterior(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := fast.RepairRecordPosterior(rec, gamma)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.S != want.S || got.U != want.U {
-				t.Fatalf("method %v record %d: labels differ", method, i)
-			}
-			for k := range want.X {
-				if got.X[k] != want.X[k] {
-					t.Fatalf("method %v record %d feature %d: %v != %v", method, i, k, got.X[k], want.X[k])
-				}
-			}
-		}
-		if ref.Stats() != fast.Stats() {
-			t.Errorf("method %v: stats differ: %+v vs %+v", method, ref.Stats(), fast.Stats())
-		}
 	}
 }

@@ -20,8 +20,7 @@
 //     in the sense of [37]. Needs no posterior model at all.
 //
 // The posterior for the first three methods defaults to a QDA fitted on the
-// labelled research set (supervised, streaming-friendly); any other source —
-// e.g. the unsupervised archive-fitted mixture.LabelEstimator.SPosterior —
+// labelled research set (supervised, streaming-friendly); any other source
 // can be plugged in through Options.Posterior.
 package blind
 
@@ -303,28 +302,13 @@ func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 	return rp.repairImputed(rec, out, gamma[0])
 }
 
-// RepairRecordPosterior is RepairRecord with the posterior γ = Pr[s=1|x,u]
-// supplied by the caller instead of evaluated here — the serving fast path,
-// where BatchPosterior computes whole chunks of posteriors in one pass. It
-// consumes the repairer's RNG stream exactly like RepairRecord, so when
-// gamma equals what the repairer's own posterior would return the two are
-// byte-identical. Records that never consult a posterior — an observed s,
-// or the pooled method — ignore gamma entirely and behave exactly like
-// RepairRecord.
-func (rp *Repairer) RepairRecordPosterior(rec dataset.Record, gamma float64) (dataset.Record, error) {
-	out, done, err := rp.repairKnown(rec, nil)
-	if done || err != nil {
-		return out, err
-	}
-	return rp.repairImputed(rec, out, gamma)
-}
-
 // RepairBatch repairs a span of records under precomputed posteriors
 // (gammas[i] pairs with recs[i] and is ignored by records that never
 // consult a posterior), writing record i's repair to out[i]. It applies
-// RepairRecordPosterior's exact per-record sequence — same RNG
-// consumption, same stats accumulation order, so outputs are
-// byte-identical — but carves every output feature vector from one backing
+// RepairRecord's exact per-record sequence with the posterior supplied
+// instead of evaluated — same RNG consumption, same stats accumulation
+// order, so when gammas[i] is what the repairer's own posterior returns the
+// outputs are byte-identical — but carves every output feature vector from one backing
 // allocation, which is what keeps the serving engines' span loop off the
 // per-record allocator. base offsets the record indices in error messages,
 // so a caller feeding spans of a larger stream reports absolute positions.

@@ -229,47 +229,3 @@ func (r *GroupRates) DisparateImpact(u int) float64 {
 	}
 	return num / den
 }
-
-// StatisticalParityDiff returns P(g=1|s=0,u) − P(g=1|s=1,u).
-func (r *GroupRates) StatisticalParityDiff(u int) float64 {
-	return r.Rate[u][0] - r.Rate[u][1]
-}
-
-// FairnessThreshold is the four-fifths rule threshold the EEOC guidance
-// (and the paper, Section II-B) treats as the fair/unfair boundary.
-const FairnessThreshold = 0.8
-
-// IsFair applies the four-fifths rule symmetrically: min(DI, 1/DI) ≥ 0.8.
-func (r *GroupRates) IsFair(u int) bool {
-	di := r.DisparateImpact(u)
-	if math.IsNaN(di) || math.IsInf(di, 0) || di == 0 {
-		return false
-	}
-	if di > 1 {
-		di = 1 / di
-	}
-	return di >= FairnessThreshold
-}
-
-// EqualOpportunityDiff returns TPR(s=0,u) − TPR(s=1,u) for a rule given
-// ground-truth outcomes y (aligned with the table's records). Records with
-// unknown S or y != 1 are skipped.
-func EqualOpportunityDiff(t *dataset.Table, y []int, g Rule, u int) (float64, error) {
-	if t == nil || len(y) != t.Len() {
-		return 0, errors.New("classify: outcomes misaligned with table")
-	}
-	var pos, tp [2]int
-	for i, rec := range t.Records() {
-		if rec.S == dataset.SUnknown || rec.U != u || y[i] != 1 {
-			continue
-		}
-		pos[rec.S]++
-		if g(rec.X) == 1 {
-			tp[rec.S]++
-		}
-	}
-	if pos[0] == 0 || pos[1] == 0 {
-		return math.NaN(), nil
-	}
-	return float64(tp[0])/float64(pos[0]) - float64(tp[1])/float64(pos[1]), nil
-}

@@ -119,12 +119,6 @@ func TestRatesAndDisparateImpact(t *testing.T) {
 		if math.IsNaN(di) || di > 0.5 {
 			t.Errorf("u=%d DI = %v, expected strong disparity (<0.5)", u, di)
 		}
-		if rates.IsFair(u) {
-			t.Errorf("u=%d flagged fair despite disparity", u)
-		}
-		if spd := rates.StatisticalParityDiff(u); spd >= 0 {
-			t.Errorf("u=%d SPD = %v, expected negative", u, spd)
-		}
 	}
 }
 
@@ -143,9 +137,6 @@ func TestFairRuleHasUnitDI(t *testing.T) {
 		di := rates.DisparateImpact(u)
 		if math.Abs(di-1) > 0.15 {
 			t.Errorf("u=%d DI of random rule = %v", u, di)
-		}
-		if !rates.IsFair(u) {
-			t.Errorf("u=%d random rule flagged unfair (DI %v)", u, di)
 		}
 	}
 }
@@ -166,9 +157,6 @@ func TestDisparateImpactEdgeCases(t *testing.T) {
 	if di := r.DisparateImpact(1); !math.IsNaN(di) {
 		t.Errorf("empty-group DI = %v", di)
 	}
-	if r.IsFair(1) {
-		t.Error("NaN DI flagged fair")
-	}
 }
 
 func TestRatesSkipsUnlabelled(t *testing.T) {
@@ -185,44 +173,6 @@ func TestRatesSkipsUnlabelled(t *testing.T) {
 	}
 	if _, err := Rates(nil, func([]float64) int { return 0 }); err == nil {
 		t.Error("nil table accepted")
-	}
-}
-
-func TestEqualOpportunityDiff(t *testing.T) {
-	tbl := dataset.MustTable(1, nil)
-	// 4 positives per s-class in u=0; rule catches all s=1, half of s=0.
-	y := []int{}
-	for i := 0; i < 8; i++ {
-		s := i % 2
-		x := float64(i)
-		tbl.Append(dataset.Record{X: []float64{x}, S: s, U: 0})
-		y = append(y, 1)
-	}
-	rule := func(x []float64) int {
-		if int(x[0])%2 == 1 { // all s=1 (odd indices)
-			return 1
-		}
-		if x[0] >= 4 { // half of s=0
-			return 1
-		}
-		return 0
-	}
-	d, err := EqualOpportunityDiff(tbl, y, rule, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-(-0.5)) > 1e-12 {
-		t.Errorf("EO diff = %v, want -0.5", d)
-	}
-	if _, err := EqualOpportunityDiff(tbl, y[:2], rule, 0); err == nil {
-		t.Error("misaligned outcomes accepted")
-	}
-	empty, err := EqualOpportunityDiff(tbl, y, rule, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(empty) {
-		t.Errorf("empty-u EO = %v, want NaN", empty)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"otfair/internal/rng"
 	"otfair/internal/simulate"
 	"otfair/internal/stat"
+	"otfair/internal/vec"
 )
 
 // paperData draws the paper's simulation scenario.
@@ -45,15 +46,15 @@ func TestDesignShapes(t *testing.T) {
 				t.Errorf("(u=%d,k=%d) |Q| = %d", u, k, len(cell.Q))
 			}
 			for s := 0; s < 2; s++ {
-				if math.Abs(stat.Sum(cell.PMF[s])-1) > 1e-9 {
-					t.Errorf("(u=%d,k=%d,s=%d) pmf mass = %v", u, k, s, stat.Sum(cell.PMF[s]))
+				if math.Abs(vec.Sum(cell.PMF[s])-1) > 1e-9 {
+					t.Errorf("(u=%d,k=%d,s=%d) pmf mass = %v", u, k, s, vec.Sum(cell.PMF[s]))
 				}
-				if err := cell.Plans[s].CheckMarginals(cell.PMF[s], cell.Target[s], 1e-6); err != nil {
+				if err := checkMarginals(cell.Plans[s], cell.PMF[s], cell.Target[s], 1e-6); err != nil {
 					t.Errorf("(u=%d,k=%d,s=%d): %v", u, k, s, err)
 				}
 			}
-			if math.Abs(stat.Sum(cell.Bary)-1) > 1e-9 {
-				t.Errorf("(u=%d,k=%d) barycenter mass = %v", u, k, stat.Sum(cell.Bary))
+			if math.Abs(vec.Sum(cell.Bary)-1) > 1e-9 {
+				t.Errorf("(u=%d,k=%d) barycenter mass = %v", u, k, vec.Sum(cell.Bary))
 			}
 			// Support spans the pooled research range.
 			pooled := research.UColumn(u, k)
@@ -196,7 +197,7 @@ func TestRepairDistributionMatchesTarget(t *testing.T) {
 				continue
 			}
 			cell := plan.Cell(u, 0)
-			emp, err := ot.Empirical(col)
+			emp, err := empirical(col)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +205,7 @@ func TestRepairDistributionMatchesTarget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := ot.Wasserstein1(emp, target)
+			d, err := w1(emp, target)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -458,27 +459,6 @@ func TestGeometricRepairValidation(t *testing.T) {
 	}
 	if _, err := GeometricRepair(oneClass, 0.5); err == nil {
 		t.Error("single-class u population accepted")
-	}
-}
-
-func TestGeometricMultivariateMatchesPerFeatureOnProduct(t *testing.T) {
-	// With independent features the multivariate coupling should achieve a
-	// similar E reduction to the per-feature variant.
-	research, _ := paperData(t, 17, 160, 0)
-	perFeature, err := GeometricRepair(research, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := GeometricRepairMultivariate(research, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fairmetrics.Config{}
-	ePF, _ := fairmetrics.E(perFeature, cfg)
-	eMV, _ := fairmetrics.E(multi, cfg)
-	before, _ := fairmetrics.E(research, cfg)
-	if ePF > before/3 || eMV > before/3 {
-		t.Errorf("repairs too weak: before %v, per-feature %v, multivariate %v", before, ePF, eMV)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"otfair/internal/dataset"
-	"otfair/internal/ot"
 )
 
 // GeometricRepair implements the on-sample baseline of Del Barrio,
@@ -98,109 +97,4 @@ func geometricRepairColumn(in, out *dataset.Table, idx0, idx1 []int, k int, t fl
 		out.Records()[rec].X[k] = (1-t)*cond1[rank] + t*x
 	}
 	return nil
-}
-
-// GeometricRepairMultivariate is the full d-dimensional variant of the
-// baseline: one OT plan per u-population over feature vectors with squared
-// Euclidean cost, solved by network simplex. Complexity grows with
-// n₀·n₁ per group, so this is practical for research sets up to a few
-// hundred points per group — the regime of the paper's simulation; the
-// per-feature variant above is what its tables evaluate.
-func GeometricRepairMultivariate(research *dataset.Table, t float64) (*dataset.Table, error) {
-	if research == nil || research.Len() == 0 {
-		return nil, errors.New("core: empty research table")
-	}
-	if t < 0 || t > 1 {
-		return nil, fmt.Errorf("core: geometric repair t = %v outside [0,1]", t)
-	}
-	d := research.Dim()
-	out := research.Clone()
-	labelled, _ := research.Partition()
-	for u := 0; u < 2; u++ {
-		idx0 := labelled[dataset.Group{U: u, S: 0}]
-		idx1 := labelled[dataset.Group{U: u, S: 1}]
-		if len(idx0) == 0 && len(idx1) == 0 {
-			continue
-		}
-		if len(idx0) == 0 || len(idx1) == 0 {
-			return nil, fmt.Errorf("core: u=%d population lacks an s-class", u)
-		}
-		n0, n1 := len(idx0), len(idx1)
-		// Cost over the index sets: squared Euclidean in R^d. CostMatrix is
-		// 1-D-valued, so tabulate through synthetic supports 0..n-1 and a
-		// closure capturing the vectors.
-		costFn := func(a, b int) float64 {
-			xa, xb := research.At(idx0[a]).X, research.At(idx1[b]).X
-			s := 0.0
-			for k := 0; k < d; k++ {
-				diff := xa[k] - xb[k]
-				s += diff * diff
-			}
-			return s
-		}
-		cost, err := tabulate(n0, n1, costFn)
-		if err != nil {
-			return nil, err
-		}
-		a := uniformMass(n0)
-		b := uniformMass(n1)
-		plan, err := ot.Simplex(a, b, cost)
-		if err != nil {
-			return nil, fmt.Errorf("core: multivariate geometric (u=%d): %w", u, err)
-		}
-		// Conditional means per side.
-		cond0 := make([][]float64, n0)
-		cond1 := make([][]float64, n1)
-		for i := range cond0 {
-			cond0[i] = make([]float64, d)
-		}
-		for j := range cond1 {
-			cond1[j] = make([]float64, d)
-		}
-		for _, e := range plan.Entries() {
-			x0 := research.At(idx0[e.I]).X
-			x1 := research.At(idx1[e.J]).X
-			for k := 0; k < d; k++ {
-				cond0[e.I][k] += e.Mass * float64(n0) * x1[k]
-				cond1[e.J][k] += e.Mass * float64(n1) * x0[k]
-			}
-		}
-		for i, rec := range idx0 {
-			x := research.At(rec).X
-			for k := 0; k < d; k++ {
-				out.Records()[rec].X[k] = (1-t)*x[k] + t*cond0[i][k]
-			}
-		}
-		for j, rec := range idx1 {
-			x := research.At(rec).X
-			for k := 0; k < d; k++ {
-				out.Records()[rec].X[k] = (1-t)*cond1[j][k] + t*x[k]
-			}
-		}
-	}
-	return out, nil
-}
-
-// tabulate builds an n×m CostMatrix from an index-pair cost function by
-// materializing it on synthetic integer supports.
-func tabulate(n, m int, f func(i, j int) float64) (*ot.CostMatrix, error) {
-	xs := make([]float64, n)
-	ys := make([]float64, m)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	for j := range ys {
-		ys[j] = float64(j)
-	}
-	return ot.NewCostMatrix(xs, ys, func(x, y float64) float64 {
-		return f(int(x), int(y))
-	})
-}
-
-func uniformMass(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1.0 / float64(n)
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"otfair/internal/dataset"
@@ -9,9 +11,51 @@ import (
 	"otfair/internal/rng"
 )
 
-func otEmp(xs []float64) (*ot.Measure, error) { return ot.Empirical(xs) }
+// empirical is the uniform empirical measure (1/n) Σ δ_{x_i} of a sample.
+func empirical(xs []float64) (*ot.Measure, error) {
+	w := make([]float64, len(xs))
+	for i := range w {
+		w[i] = 1
+	}
+	return ot.NewMeasure(xs, w)
+}
 
-func otW1(a, b *ot.Measure) (float64, error) { return ot.Wasserstein1(a, b) }
+// w1 is W₁(µ, ν): the L1 cost of the exact monotone plan between them.
+func w1(mu, nu *ot.Measure) (float64, error) {
+	plan, err := ot.Monotone(mu, nu)
+	if err != nil {
+		return 0, err
+	}
+	x, y := mu.Points(), nu.Points()
+	return plan.Cost(func(i, j int) float64 { return math.Abs(x[i] - y[j]) }), nil
+}
+
+// checkMarginals reports the first marginal of p that is off source or
+// target by more than tol (L∞). It reads the plan through the rows a
+// repairer samples: row masses, and each row's conditional scaled back up.
+func checkMarginals(p ot.RowPlan, source, target []float64, tol float64) error {
+	n, m := p.Dims()
+	rows, cols := make([]float64, n), make([]float64, m)
+	for i := range rows {
+		rows[i] = p.RowMass(i)
+		targets, probs, _ := p.RowConditional(i)
+		for k, j := range targets {
+			cols[j] += rows[i] * probs[k]
+		}
+	}
+	for side, pair := range [2][2][]float64{{rows, source}, {cols, target}} {
+		got, want := pair[0], pair[1]
+		if len(got) != len(want) {
+			return fmt.Errorf("marginal %d: length %d, want %d", side, len(got), len(want))
+		}
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > tol {
+				return fmt.Errorf("marginal %d state %d is %v, want %v", side, i, got[i], want[i])
+			}
+		}
+	}
+	return nil
+}
 
 func TestQuantileRepairQuenchesDependence(t *testing.T) {
 	research, archive := paperData(t, 31, 500, 4000)
@@ -195,15 +239,15 @@ func TestQuantileAndDistributionalAgreeInDistribution(t *testing.T) {
 }
 
 func w1Samples(a, b []float64) (float64, error) {
-	ma, err := otEmp(a)
+	ma, err := empirical(a)
 	if err != nil {
 		return 0, err
 	}
-	mb, err := otEmp(b)
+	mb, err := empirical(b)
 	if err != nil {
 		return 0, err
 	}
-	return otW1(ma, mb)
+	return w1(ma, mb)
 }
 
 func TestQuantileRepairMidRankTies(t *testing.T) {

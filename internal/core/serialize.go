@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"otfair/internal/dataset"
 	"otfair/internal/kde"
@@ -184,8 +185,14 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		},
 		GroupSizes: make(map[dataset.Group]int, 4),
 	}
+	if err := plan.Opts.validate(); err != nil {
+		return nil, err
+	}
 	for _, g := range dataset.Groups() {
 		if n, ok := in.GroupSizes[groupKey(g)]; ok {
+			if n < 0 {
+				return nil, fmt.Errorf("core: plan group %s has negative size %d", groupKey(g), n)
+			}
 			plan.GroupSizes[g] = n
 		}
 	}
@@ -216,15 +223,18 @@ func cellFromJSON(cj cellJSON) (*Cell, error) {
 		}
 	}
 	cell := &Cell{Q: cj.Q, Bary: cj.Bary, H: cj.H, Degenerate: cj.Degenerate}
-	if len(cj.Bary) != n {
-		return nil, fmt.Errorf("barycenter has %d states, support has %d", len(cj.Bary), n)
+	if err := checkMass("barycenter", cj.Bary, n); err != nil {
+		return nil, err
 	}
 	for s := 0; s < 2; s++ {
-		if len(cj.PMF[s]) != n {
-			return nil, fmt.Errorf("pmf[%d] has %d states, support has %d", s, len(cj.PMF[s]), n)
+		if err := checkMass(fmt.Sprintf("pmf[%d]", s), cj.PMF[s], n); err != nil {
+			return nil, err
 		}
-		if len(cj.Target[s]) != n {
-			return nil, fmt.Errorf("target[%d] has %d states, support has %d", s, len(cj.Target[s]), n)
+		if err := checkMass(fmt.Sprintf("target[%d]", s), cj.Target[s], n); err != nil {
+			return nil, err
+		}
+		if h := cj.H[s]; math.IsInf(h, 0) || !(h >= 0) {
+			return nil, fmt.Errorf("bandwidth h[%d] = %v is not finite and non-negative", s, h)
 		}
 		cell.PMF[s] = cj.PMF[s]
 		cell.Target[s] = cj.Target[s]
@@ -232,10 +242,26 @@ func cellFromJSON(cj cellJSON) (*Cell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan[%d]: %w", s, err)
 		}
-		if plan.TotalMass() <= 0 {
-			return nil, fmt.Errorf("plan[%d] carries no mass", s)
+		// Merged duplicate atoms can overflow, so the total is checked for
+		// finiteness too: a finite total bounds every non-negative atom.
+		if m := plan.TotalMass(); !(m > 0) || math.IsInf(m, 1) {
+			return nil, fmt.Errorf("plan[%d] has total mass %v", s, m)
 		}
 		cell.Plans[s] = plan
 	}
 	return cell, nil
+}
+
+// checkMass validates one serialized pmf: n states, every mass finite and
+// non-negative.
+func checkMass(what string, pmf []float64, n int) error {
+	if len(pmf) != n {
+		return fmt.Errorf("%s has %d states, support has %d", what, len(pmf), n)
+	}
+	for i, v := range pmf {
+		if math.IsInf(v, 0) || !(v >= 0) {
+			return fmt.Errorf("%s state %d has mass %v", what, i, v)
+		}
+	}
+	return nil
 }

@@ -194,39 +194,6 @@ func (t *Table) Counts() map[Group]int {
 	return out
 }
 
-// PrU estimates Pr[U = 1] empirically. It returns NaN for an empty table.
-func (t *Table) PrU() float64 {
-	if len(t.records) == 0 {
-		return math.NaN()
-	}
-	n1 := 0
-	for _, r := range t.records {
-		if r.U == 1 {
-			n1++
-		}
-	}
-	return float64(n1) / float64(len(t.records))
-}
-
-// PrSGivenU estimates Pr[S = 1 | U = u] over labelled records. It returns
-// NaN when the u-population has no labelled records.
-func (t *Table) PrSGivenU(u int) float64 {
-	n, n1 := 0, 0
-	for _, r := range t.records {
-		if r.U != u || r.S == SUnknown {
-			continue
-		}
-		n++
-		if r.S == 1 {
-			n1++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return float64(n1) / float64(n)
-}
-
 // Shuffler is the subset of rng.RNG the split needs; declared locally to
 // keep dataset free of a direct dependency on the rng package.
 type Shuffler interface {

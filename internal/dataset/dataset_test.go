@@ -112,24 +112,6 @@ func TestColumnPanicsOutOfRange(t *testing.T) {
 	tbl.GroupColumn(Group{U: 0, S: 0}, 5)
 }
 
-func TestProbabilities(t *testing.T) {
-	tbl := sampleTable(t)
-	if got := tbl.PrU(); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("PrU = %v", got)
-	}
-	if got := tbl.PrSGivenU(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("PrSGivenU(0) = %v", got)
-	}
-	// u=1 has one s=0, one s=1, one unknown -> 0.5 over labelled.
-	if got := tbl.PrSGivenU(1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("PrSGivenU(1) = %v", got)
-	}
-	empty := MustTable(1, nil)
-	if !math.IsNaN(empty.PrU()) || !math.IsNaN(empty.PrSGivenU(0)) {
-		t.Error("empty-table probabilities not NaN")
-	}
-}
-
 func TestSplitSizesAndDisjoint(t *testing.T) {
 	tbl := MustTable(1, nil)
 	for i := 0; i < 100; i++ {

@@ -1,16 +1,14 @@
 // Package divergence implements the divergence measures used to quantify
-// s|u-dependence: the Kullback–Leibler divergence and its symmetrized form
-// (Definition 2.4 of the paper), plus Jensen–Shannon, Hellinger, total
-// variation and χ² for diagnostics and ablations. Closed-form Gaussian KL
-// and a k-nearest-neighbour differential-KL estimator serve as validation
-// oracles for the grid estimators.
+// s|u-dependence: the floored Kullback–Leibler divergence and its
+// symmetrized form (Definition 2.4 of the paper), and the kernel MMD. The
+// closed-form Gaussian KL and k-nearest-neighbour oracles the grid
+// estimators are validated against live with the tests.
 package divergence
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"otfair/internal/vec"
 )
@@ -56,13 +54,8 @@ func floored(p []float64, floor float64) []float64 {
 	return out
 }
 
-// KL returns the Kullback–Leibler divergence D(p‖q) in nats between two
-// discrete pmfs on a shared support, flooring both at DefaultFloor.
-func KL(p, q []float64) (float64, error) {
-	return KLFloored(p, q, DefaultFloor)
-}
-
-// KLFloored is KL with an explicit probability floor.
+// KLFloored returns the Kullback–Leibler divergence D(p‖q) in nats between
+// two discrete pmfs on a shared support, flooring both at floor.
 func KLFloored(p, q []float64, floor float64) (float64, error) {
 	if err := validatePair(p, q); err != nil {
 		return 0, err
@@ -83,13 +76,8 @@ func KLFloored(p, q []float64, floor float64) (float64, error) {
 	return d, nil
 }
 
-// SymKL returns the symmetrized KL of Definition 2.4:
-// ½·D(p‖q) + ½·D(q‖p).
-func SymKL(p, q []float64) (float64, error) {
-	return SymKLFloored(p, q, DefaultFloor)
-}
-
-// SymKLFloored is SymKL with an explicit probability floor.
+// SymKLFloored returns the symmetrized KL of Definition 2.4,
+// ½·D(p‖q) + ½·D(q‖p), with both pmfs floored at floor.
 func SymKLFloored(p, q []float64, floor float64) (float64, error) {
 	a, err := KLFloored(p, q, floor)
 	if err != nil {
@@ -100,148 +88,4 @@ func SymKLFloored(p, q []float64, floor float64) (float64, error) {
 		return 0, err
 	}
 	return 0.5*a + 0.5*b, nil
-}
-
-// JensenShannon returns the Jensen–Shannon divergence (base-e, in [0, ln 2]).
-func JensenShannon(p, q []float64) (float64, error) {
-	if err := validatePair(p, q); err != nil {
-		return 0, err
-	}
-	pf := floored(p, DefaultFloor)
-	qf := floored(q, DefaultFloor)
-	m := make([]float64, len(pf))
-	for i := range m {
-		m[i] = 0.5 * (pf[i] + qf[i])
-	}
-	a, err := KLFloored(pf, m, DefaultFloor)
-	if err != nil {
-		return 0, err
-	}
-	b, err := KLFloored(qf, m, DefaultFloor)
-	if err != nil {
-		return 0, err
-	}
-	return 0.5*a + 0.5*b, nil
-}
-
-// Hellinger returns the Hellinger distance H(p,q) ∈ [0, 1].
-func Hellinger(p, q []float64) (float64, error) {
-	if err := validatePair(p, q); err != nil {
-		return 0, err
-	}
-	s := 0.0
-	for i := range p {
-		d := math.Sqrt(p[i]) - math.Sqrt(q[i])
-		s += d * d
-	}
-	h := math.Sqrt(0.5 * s)
-	if h > 1 {
-		h = 1
-	}
-	return h, nil
-}
-
-// TotalVariation returns TV(p,q) = ½ Σ|p−q| ∈ [0, 1].
-func TotalVariation(p, q []float64) (float64, error) {
-	if err := validatePair(p, q); err != nil {
-		return 0, err
-	}
-	return 0.5 * vec.SumAbsDiff(p, q), nil
-}
-
-// ChiSquared returns the Pearson χ² divergence Σ (p−q)²/q with flooring.
-func ChiSquared(p, q []float64) (float64, error) {
-	if err := validatePair(p, q); err != nil {
-		return 0, err
-	}
-	qf := floored(q, DefaultFloor)
-	pf := floored(p, DefaultFloor)
-	s := 0.0
-	for i := range pf {
-		d := pf[i] - qf[i]
-		s += d * d / qf[i]
-	}
-	return s, nil
-}
-
-// GaussianKL returns the closed-form KL divergence
-// D(N(m0,s0²) ‖ N(m1,s1²)) = ln(s1/s0) + (s0² + (m0−m1)²)/(2 s1²) − ½.
-// It is the oracle the grid estimators are validated against in tests.
-func GaussianKL(m0, s0, m1, s1 float64) float64 {
-	return math.Log(s1/s0) + (s0*s0+(m0-m1)*(m0-m1))/(2*s1*s1) - 0.5
-}
-
-// GaussianSymKL returns the closed-form symmetrized KL between two normals;
-// for equal variances it reduces to (m0−m1)²/(2σ²)·... specifically
-// ½[D01 + D10].
-func GaussianSymKL(m0, s0, m1, s1 float64) float64 {
-	return 0.5*GaussianKL(m0, s0, m1, s1) + 0.5*GaussianKL(m1, s1, m0, s0)
-}
-
-// KNNKL estimates the differential KL divergence D(P‖Q) from samples using
-// the 1-nearest-neighbour estimator of Wang, Kulkarni & Verdú (2009):
-// D̂ = (1/n) Σ_i log(ν_i/ρ_i) + log(m/(n−1)), where ρ_i is the distance from
-// x_i to its nearest neighbour in the P-sample and ν_i its distance to the
-// nearest Q-sample point. It needs no grid or floor, which makes it a useful
-// cross-check for the KDE-grid pipeline on continuous data.
-func KNNKL(pSample, qSample []float64) (float64, error) {
-	n, m := len(pSample), len(qSample)
-	if n < 2 || m < 1 {
-		return 0, errors.New("divergence: KNNKL needs ≥2 P samples and ≥1 Q sample")
-	}
-	ps := append([]float64(nil), pSample...)
-	qs := append([]float64(nil), qSample...)
-	sort.Float64s(ps)
-	sort.Float64s(qs)
-	const tiny = 1e-12
-	sum := 0.0
-	for i, x := range ps {
-		rho := math.Inf(1)
-		if i > 0 {
-			rho = x - ps[i-1]
-		}
-		if i < n-1 {
-			if d := ps[i+1] - x; d < rho {
-				rho = d
-			}
-		}
-		nu := nearestDistSorted(qs, x)
-		if rho < tiny {
-			rho = tiny
-		}
-		if nu < tiny {
-			nu = tiny
-		}
-		sum += math.Log(nu / rho)
-	}
-	return sum/float64(n) + math.Log(float64(m)/float64(n-1)), nil
-}
-
-// KNNSymKL is the symmetrized kNN KL estimate ½[D̂(P‖Q) + D̂(Q‖P)].
-func KNNSymKL(pSample, qSample []float64) (float64, error) {
-	a, err := KNNKL(pSample, qSample)
-	if err != nil {
-		return 0, err
-	}
-	b, err := KNNKL(qSample, pSample)
-	if err != nil {
-		return 0, err
-	}
-	return 0.5*a + 0.5*b, nil
-}
-
-// nearestDistSorted returns the distance from x to the closest element of
-// the ascending slice ys.
-func nearestDistSorted(ys []float64, x float64) float64 {
-	i := sort.SearchFloat64s(ys, x)
-	best := math.Inf(1)
-	if i < len(ys) {
-		best = ys[i] - x
-	}
-	if i > 0 {
-		if d := x - ys[i-1]; d < best {
-			best = d
-		}
-	}
-	return best
 }

@@ -136,41 +136,3 @@ func medianHeuristic(xs, ys []float64) float64 {
 	sort.Float64s(dists)
 	return dists[len(dists)/2]
 }
-
-// MMDTest performs a permutation test of H0: both samples share a
-// distribution, returning the p-value estimate over perms shuffles driven
-// by the caller's uniform source (any func() float64 in [0,1)).
-func MMDTest(xs, ys []float64, opts MMDOptions, perms int, uniform func() float64) (stat float64, pValue float64, err error) {
-	if perms <= 0 {
-		return 0, 0, errors.New("divergence: MMDTest needs at least one permutation")
-	}
-	base, err := MMD(xs, ys, opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Fix the bandwidth across permutations so only the split varies.
-	fixed := MMDOptions{Bandwidth: base.Bandwidth}
-	pool := make([]float64, 0, len(xs)+len(ys))
-	pool = append(pool, xs...)
-	pool = append(pool, ys...)
-	n := len(xs)
-	exceed := 0
-	for p := 0; p < perms; p++ {
-		// Fisher–Yates with the provided uniform source.
-		for i := len(pool) - 1; i > 0; i-- {
-			j := int(uniform() * float64(i+1))
-			if j > i {
-				j = i
-			}
-			pool[i], pool[j] = pool[j], pool[i]
-		}
-		perm, err := MMD(pool[:n], pool[n:], fixed)
-		if err != nil {
-			return 0, 0, err
-		}
-		if perm.Squared >= base.Squared {
-			exceed++
-		}
-	}
-	return base.Squared, (float64(exceed) + 1) / (float64(perms) + 1), nil
-}

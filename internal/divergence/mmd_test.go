@@ -104,32 +104,3 @@ func TestMMDSubsampledHeuristic(t *testing.T) {
 		t.Errorf("heuristic bandwidth = %v", res.Bandwidth)
 	}
 }
-
-func TestMMDPermutationTest(t *testing.T) {
-	r := rng.New(5)
-	same1 := make([]float64, 150)
-	same2 := make([]float64, 150)
-	diff := make([]float64, 150)
-	for i := range same1 {
-		same1[i] = r.Norm()
-		same2[i] = r.Norm()
-		diff[i] = r.Normal(2, 1)
-	}
-	_, pSame, err := MMDTest(same1, same2, MMDOptions{}, 100, r.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pSame < 0.05 {
-		t.Errorf("null p-value = %v, expected non-significant", pSame)
-	}
-	stat, pDiff, err := MMDTest(same1, diff, MMDOptions{}, 100, r.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pDiff > 0.05 {
-		t.Errorf("alternative p-value = %v (stat %v), expected significant", pDiff, stat)
-	}
-	if _, _, err := MMDTest(same1, same2, MMDOptions{}, 0, r.Float64); err == nil {
-		t.Error("zero permutations accepted")
-	}
-}

@@ -254,17 +254,6 @@ func New(artefact string, cfg Config, reg *obs.Registry) *Watcher {
 // State returns the current machine position.
 func (w *Watcher) State() State { return State(w.state.Load()) }
 
-// Artefact returns the fingerprint this watcher guards.
-func (w *Watcher) Artefact() string { return w.artefact }
-
-// RunID returns the current (or most recent) loop run ID, "" before the
-// first alarm.
-func (w *Watcher) RunID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.runID
-}
-
 // transition moves the machine, with mu held. Alarm and rollback page
 // (Warn); everything else narrates (Info).
 func (w *Watcher) transition(to State, attrs ...slog.Attr) {
@@ -428,13 +417,6 @@ func (w *Watcher) Finish(outcome, reason string, attrs ...slog.Attr) {
 		attrs = append(attrs, slog.String("reason", reason))
 	}
 	w.transition(to, attrs...)
-}
-
-// ReservoirSample returns a copy of the current canary reservoir.
-func (w *Watcher) ReservoirSample() []dataset.Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.res.records()
 }
 
 // ReservoirSplit partitions a copy of the canary reservoir into a judge

@@ -287,3 +287,10 @@ func TestRebindOverwritesScrapeClosures(t *testing.T) {
 		}
 	}
 }
+
+// ReservoirSample returns a copy of the current canary reservoir.
+func (w *Watcher) ReservoirSample() []dataset.Record {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.res.records()
+}

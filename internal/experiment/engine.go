@@ -8,7 +8,6 @@ package experiment
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"otfair/internal/rng"
@@ -87,15 +86,4 @@ func RunMC(reps, workers int, seed uint64, fn MCFunc) (map[string]CellStat, erro
 		final[name] = cs
 	}
 	return final, nil
-}
-
-// SortedKeys returns the measurement names in lexicographic order, for
-// stable rendering.
-func SortedKeys(m map[string]CellStat) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -401,4 +402,15 @@ func TestSortedKeys(t *testing.T) {
 	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
 		t.Errorf("keys = %v", keys)
 	}
+}
+
+// SortedKeys returns the measurement names in lexicographic order, for
+// stable rendering.
+func SortedKeys(m map[string]CellStat) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

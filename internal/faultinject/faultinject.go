@@ -133,6 +133,10 @@ type Injector struct {
 }
 
 // New returns an injector whose derived phases are a function of seed.
+// Production wiring injects nothing; only the soak and resilience tests
+// build injectors.
+//
+//otfair:testonly-ok the repairsvc, planstore and researchfeed tests schedule faults through it
 func New(seed uint64) *Injector {
 	return &Injector{seed: seed, points: make(map[string]*point)}
 }
@@ -226,16 +230,6 @@ func (in *Injector) Corrupt(name string, b []byte) []byte {
 	torn := make([]byte, len(b)/2)
 	copy(torn, b)
 	return torn
-}
-
-// Hits reports how many times the point was reached (0 for unknown points
-// and nil injectors).
-func (in *Injector) Hits(name string) uint64 {
-	p := in.point(name)
-	if p == nil {
-		return 0
-	}
-	return p.hits.Load()
 }
 
 // Fired reports how many times the point actually injected its failure.

@@ -153,3 +153,13 @@ func TestConcurrentFireCountDeterministic(t *testing.T) {
 		t.Fatalf("snapshot %v disagrees with Fired %d", snap, in.Fired("p"))
 	}
 }
+
+// Hits reports how many times the point was reached (0 for unknown points
+// and nil injectors).
+func (in *Injector) Hits(name string) uint64 {
+	p := in.point(name)
+	if p == nil {
+		return 0
+	}
+	return p.hits.Load()
+}

@@ -104,9 +104,6 @@ type Cell struct {
 	Plans [2]ot.RowPlan
 }
 
-// States returns the product-support size.
-func (c *Cell) States() int { return len(c.Points) }
-
 // Plan is the complete joint design: one Cell per u.
 type Plan struct {
 	// Dim is the feature dimension d.

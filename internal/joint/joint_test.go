@@ -3,12 +3,14 @@ package joint
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"otfair/internal/core"
 	"otfair/internal/dataset"
+	"otfair/internal/ot"
 	"otfair/internal/rng"
 	"otfair/internal/simulate"
 	"otfair/internal/stat"
@@ -129,7 +131,7 @@ func TestDesignPlanStructure(t *testing.T) {
 			}
 		}
 		for s := 0; s < 2; s++ {
-			if err := cell.Plans[s].CheckMarginals(cell.PMF[s], cell.Bary, 1e-6); err != nil {
+			if err := checkMarginals(cell.Plans[s], cell.PMF[s], cell.Bary, 1e-6); err != nil {
 				t.Errorf("u=%d s=%d: %v", u, s, err)
 			}
 		}
@@ -587,4 +589,31 @@ func TestDesignRejectsNonConvergedSinkhorn(t *testing.T) {
 	if ce.MarginalErr < ce.Tol || ce.Iterations == 0 {
 		t.Errorf("convergence error %+v does not describe a non-converged solve", ce)
 	}
+}
+
+// checkMarginals reports the first marginal of p that is off source or
+// target by more than tol (L∞). It reads the plan through the rows a
+// repairer samples: row masses, and each row's conditional scaled back up.
+func checkMarginals(p ot.RowPlan, source, target []float64, tol float64) error {
+	n, m := p.Dims()
+	rows, cols := make([]float64, n), make([]float64, m)
+	for i := range rows {
+		rows[i] = p.RowMass(i)
+		targets, probs, _ := p.RowConditional(i)
+		for k, j := range targets {
+			cols[j] += rows[i] * probs[k]
+		}
+	}
+	for side, pair := range [2][2][]float64{{rows, source}, {cols, target}} {
+		got, want := pair[0], pair[1]
+		if len(got) != len(want) {
+			return fmt.Errorf("marginal %d: length %d, want %d", side, len(got), len(want))
+		}
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > tol {
+				return fmt.Errorf("marginal %d state %d is %v, want %v", side, i, got[i], want[i])
+			}
+		}
+	}
+	return nil
 }

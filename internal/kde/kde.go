@@ -281,16 +281,6 @@ func NewFixed(sample []float64, kernel Kernel, h float64) (*Estimator, error) {
 	return &Estimator{xs: xs, kernel: kernel, h: h}, nil
 }
 
-// MustNew is New that panics on error, for tests and examples with
-// statically valid inputs.
-func MustNew(sample []float64, kernel Kernel, rule Bandwidth) *Estimator {
-	e, err := New(sample, kernel, rule)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Bandwidth reports the fitted bandwidth.
 func (e *Estimator) Bandwidth() float64 { return e.h }
 

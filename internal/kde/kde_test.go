@@ -7,6 +7,7 @@ import (
 
 	"otfair/internal/rng"
 	"otfair/internal/stat"
+	"otfair/internal/vec"
 )
 
 func TestKernelsIntegrateToOne(t *testing.T) {
@@ -208,8 +209,8 @@ func TestGridPMF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(stat.Sum(pmf)-1) > 1e-12 {
-		t.Errorf("pmf sums to %v", stat.Sum(pmf))
+	if math.Abs(vec.Sum(pmf)-1) > 1e-12 {
+		t.Errorf("pmf sums to %v", vec.Sum(pmf))
 	}
 	for _, p := range pmf {
 		if p < 0 {
@@ -296,4 +297,13 @@ func BenchmarkEvalGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.EvalGrid(grid)
 	}
+}
+
+// MustNew is New that panics on error, for statically valid test inputs.
+func MustNew(sample []float64, kernel Kernel, rule Bandwidth) *Estimator {
+	e, err := New(sample, kernel, rule)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

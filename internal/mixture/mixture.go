@@ -268,42 +268,6 @@ func (m *Model) Classify(x []float64) int {
 	return bi
 }
 
-// BIC returns the Bayesian information criterion of a fitted model on the
-// sample it was trained on: −2·logL + params·ln n, lower is better. A
-// diagonal K-component model in d dimensions has K−1 + 2·K·d parameters.
-func (m *Model) BIC(n, d int) float64 {
-	k := len(m.Components)
-	params := float64(k-1) + float64(2*k*d)
-	return -2*m.LogLik + params*math.Log(float64(n))
-}
-
-// SelectK fits models with K = 1..maxK and returns the one minimizing BIC,
-// the standard order-selection rule for the mixture identification step of
-// Eq. (10).
-func SelectK(rows [][]float64, r *rng.RNG, maxK int, opts Options) (*Model, int, error) {
-	if maxK < 1 {
-		return nil, 0, errors.New("mixture: maxK must be at least 1")
-	}
-	d := 0
-	if len(rows) > 0 {
-		d = len(rows[0])
-	}
-	var best *Model
-	bestK := 0
-	bestBIC := math.Inf(1)
-	for k := 1; k <= maxK && k <= len(rows); k++ {
-		opts.K = k
-		m, err := Fit(rows, r, opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("mixture: K=%d: %w", k, err)
-		}
-		if bic := m.BIC(len(rows), d); bic < bestBIC {
-			bestBIC, best, bestK = bic, m, k
-		}
-	}
-	return best, bestK, nil
-}
-
 // LabelEstimator assigns ŝ|u labels to archive records: per u-population it
 // fits a 2-component GMM to the pooled features and maps components to s
 // by matching component means to the labelled research group means.
@@ -427,30 +391,6 @@ func (e *LabelEstimator) Estimate(rec dataset.Record) (int, error) {
 		return 0, fmt.Errorf("mixture: no model for u=%d", rec.U)
 	}
 	return e.compToS[rec.U][m.Classify(rec.X)], nil
-}
-
-// SPosterior returns Pr[ŝ = 1 | x, u] under the fitted u-mixture: the total
-// responsibility of the components anchored to s = 1. It is the soft label
-// that internal/blind's posterior repair methods consume.
-func (e *LabelEstimator) SPosterior(rec dataset.Record) (float64, error) {
-	if rec.U != 0 && rec.U != 1 {
-		return 0, fmt.Errorf("mixture: invalid u label %d", rec.U)
-	}
-	if len(rec.X) != e.dim {
-		return 0, fmt.Errorf("mixture: record has %d features, want %d", len(rec.X), e.dim)
-	}
-	m := e.models[rec.U]
-	if m == nil {
-		return 0, fmt.Errorf("mixture: no model for u=%d", rec.U)
-	}
-	post := m.Posterior(rec.X)
-	p1 := 0.0
-	for j, p := range post {
-		if e.compToS[rec.U][j] == 1 {
-			p1 += p
-		}
-	}
-	return p1, nil
 }
 
 // Label returns a copy of the table with every record's S replaced by the

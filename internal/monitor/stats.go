@@ -3,45 +3,13 @@ package monitor
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
-// Two-sample and one-sample distribution-shift statistics used by the
-// stream monitor. All operate on raw samples or binned pmfs — no external
-// dependencies, following the repository's stdlib-only rule.
-
-// KSStatistic computes the two-sample Kolmogorov–Smirnov statistic
-// sup_x |F_a(x) − F_b(x)| by the classic merge walk.
-func KSStatistic(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, errors.New("monitor: KS needs two non-empty samples")
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	i, j := 0, 0
-	d := 0.0
-	for i < len(as) && j < len(bs) {
-		// Step past the smaller value in both samples at once so ties do
-		// not register a spurious CDF gap.
-		x := as[i]
-		if bs[j] < x {
-			x = bs[j]
-		}
-		for i < len(as) && as[i] == x {
-			i++
-		}
-		for j < len(bs) && bs[j] == x {
-			j++
-		}
-		diff := math.Abs(float64(i)/float64(len(as)) - float64(j)/float64(len(bs)))
-		if diff > d {
-			d = diff
-		}
-	}
-	return d, nil
-}
+// Distribution-shift thresholds and the PSI used by the stream monitor —
+// no external dependencies, following the repository's stdlib-only rule.
+// The monitor computes its KS statistics from counted windows; the
+// raw-sample KS and binning references they are checked against live in
+// stats_test.go.
 
 // KSCritical returns the approximate two-sample KS rejection threshold at
 // level alpha: c(α)·√((n+m)/(n·m)) with c(α) = √(−ln(α/2)/2). Valid for
@@ -52,40 +20,6 @@ func KSCritical(n, m int, alpha float64) float64 {
 	}
 	c := math.Sqrt(-math.Log(alpha/2) / 2)
 	return c * math.Sqrt(float64(n+m)/(float64(n)*float64(m)))
-}
-
-// KSAgainstPMF computes the one-sample KS statistic between an empirical
-// sample and a discrete reference distribution given as (ascending grid,
-// pmf): sup |F̂_sample(x) − F_ref(x)| over the grid states. The reference
-// CDF steps at grid points, so evaluating at them (and just before them)
-// captures the supremum.
-func KSAgainstPMF(sample, grid, pmf []float64) (float64, error) {
-	if len(sample) == 0 {
-		return 0, errors.New("monitor: empty sample")
-	}
-	if len(grid) != len(pmf) || len(grid) == 0 {
-		return 0, errors.New("monitor: grid/pmf mismatch")
-	}
-	xs := append([]float64(nil), sample...)
-	sort.Float64s(xs)
-	empAt := func(x float64) float64 {
-		// Fraction of sample ≤ x.
-		return float64(sort.SearchFloat64s(xs, math.Nextafter(x, math.Inf(1)))) / float64(len(xs))
-	}
-	d := 0.0
-	cum := 0.0
-	for i, g := range grid {
-		// Just before the atom: reference CDF is cum, empirical at g⁻.
-		before := float64(sort.SearchFloat64s(xs, g)) / float64(len(xs))
-		if diff := math.Abs(before - cum); diff > d {
-			d = diff
-		}
-		cum += pmf[i]
-		if diff := math.Abs(empAt(g) - cum); diff > d {
-			d = diff
-		}
-	}
-	return d, nil
 }
 
 // KSOneSampleCritical is the one-sample KS threshold √(−ln(α/2)/2)/√n.
@@ -115,25 +49,4 @@ func PSI(expected, actual []float64) (float64, error) {
 		psi += (a - e) * math.Log(a/e)
 	}
 	return psi, nil
-}
-
-// BinSample histograms a sample onto the half-open cells of an ascending
-// grid (values below grid[0] land in bin 0, above grid[n-1] in bin n-1) and
-// normalizes to a pmf — the binning PSI consumes.
-func BinSample(sample, grid []float64) ([]float64, error) {
-	if len(sample) == 0 || len(grid) == 0 {
-		return nil, errors.New("monitor: empty sample or grid")
-	}
-	counts := make([]float64, len(grid))
-	for _, x := range sample {
-		i := sort.SearchFloat64s(grid, x)
-		if i >= len(grid) {
-			i = len(grid) - 1
-		}
-		counts[i]++
-	}
-	for i := range counts {
-		counts[i] /= float64(len(sample))
-	}
-	return counts, nil
 }

@@ -266,3 +266,58 @@ func TestCounterGaugeNilSafe(t *testing.T) {
 		t.Fatalf("gauge = %d, want 7", gg.Load())
 	}
 }
+
+// Local is an unsynchronized recorder bound to one histogram, for one
+// goroutine (a shard, a request) to batch observations without touching
+// the shared atomics. Flush folds the batch into the shared histogram —
+// one atomic add per nonzero bucket plus two for count and sum — and
+// resets the recorder for reuse. A nil *Local is the uninstrumented no-op.
+//
+//otfair:nilsafe nil local follows its nil parent histogram through uninstrumented runs
+type Local struct {
+	h      *Histogram
+	counts []uint64
+	count  uint64
+	sum    float64
+}
+
+// Local returns a new per-shard recorder (nil on a nil histogram, so the
+// whole recording path stays nil-safe).
+func (h *Histogram) Local() *Local {
+	if h == nil {
+		return nil
+	}
+	return &Local{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe records one value into the local batch. No synchronization, no
+// atomics: this is the per-record path.
+func (l *Local) Observe(v float64) {
+	if l == nil {
+		return
+	}
+	l.counts[l.h.bucketIndex(v)]++
+	l.count++
+	l.sum += v
+}
+
+// ObserveDuration records a duration in seconds.
+func (l *Local) ObserveDuration(d time.Duration) { l.Observe(d.Seconds()) }
+
+// Flush merges the batch into the shared histogram and resets the
+// recorder. Merge order across shards does not matter: every fold is a
+// commutative atomic add, which is what the merge-invariance test pins.
+func (l *Local) Flush() {
+	if l == nil || l.count == 0 {
+		return
+	}
+	for i, c := range l.counts {
+		if c != 0 {
+			l.h.counts[i].Add(c)
+			l.counts[i] = 0
+		}
+	}
+	l.h.count.Add(l.count)
+	l.h.addSum(l.sum)
+	l.count, l.sum = 0, 0
+}

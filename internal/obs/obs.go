@@ -7,11 +7,9 @@
 // The package exists so instrumentation can ride the 2.3 M rec/s hot paths
 // without bending them: every instrument is nil-receiver safe (an
 // uninstrumented deployment holds nil pointers and pays one pointer check,
-// faultinject-style), a recording is a single atomic add, and the per-shard
-// Local recorder batches a whole shard's observations into one atomic add
-// per nonzero bucket at merge time. Nothing here allocates per observation
-// — pinned by AllocsPerRun tests — and the registry depends only on the
-// standard library.
+// faultinject-style) and a recording is a single atomic add. Nothing here
+// allocates per observation — pinned by AllocsPerRun tests — and the
+// registry depends only on the standard library.
 //
 // Naming follows Prometheus conventions: counters end in _total, durations
 // are _seconds histograms, and label sets are fixed at registration time
@@ -225,14 +223,11 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...s
 	r.mu.Unlock()
 }
 
-// Gauge registers (or returns) an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeL(name, help)
-}
-
 // GaugeL registers (or returns) a gauge with a fixed label set, given as
 // alternating key, value strings — the settable counterpart of GaugeFunc
 // for small closed label sets (state machines, per-artefact bindings).
+//
+//otfair:testonly-ok registry API the metriclabel analyzer polices; its fixture and the obs tests register settable gauges
 func (r *Registry) GaugeL(name, help string, labels ...string) *Gauge {
 	s := r.register(name, help, kindGauge, labels)
 	r.mu.Lock()

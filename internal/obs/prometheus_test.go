@@ -17,7 +17,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	rl := r.CounterL("otfair_http_requests_total", "Requests by route.", "route", "repair", "code", "200")
 	rl.Add(7)
 	r.CounterL("otfair_http_requests_total", "Requests by route.", "route", "blind", "code", "200").Add(3)
-	g := r.Gauge("otfair_inflight", "In-flight requests.")
+	g := r.GaugeL("otfair_inflight", "In-flight requests.")
 	g.Set(5)
 	r.GaugeFunc("otfair_store_mem_bytes", "Store bytes.", func() float64 { return 1024 })
 	h := r.Histogram("otfair_request_seconds", "Request latency.", []float64{0.001, 0.01, 0.1})
@@ -121,7 +121,7 @@ func TestRegistryIdempotentAndConflicts(t *testing.T) {
 				t.Fatal("kind conflict did not panic")
 			}
 		}()
-		r.Gauge("x_total", "help")
+		r.GaugeL("x_total", "help")
 	}()
 }
 

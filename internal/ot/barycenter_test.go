@@ -6,6 +6,7 @@ import (
 
 	"otfair/internal/rng"
 	"otfair/internal/stat"
+	"otfair/internal/vec"
 )
 
 func TestGeodesicMidpointOfDiracs(t *testing.T) {
@@ -153,8 +154,8 @@ func TestProjectOntoGridPreservesMassAndMean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(stat.Sum(pmf)-1) > 1e-9 {
-			t.Errorf("trial %d: projected mass = %v", trial, stat.Sum(pmf))
+		if math.Abs(vec.Sum(pmf)-1) > 1e-9 {
+			t.Errorf("trial %d: projected mass = %v", trial, vec.Sum(pmf))
 		}
 		mean := 0.0
 		for i, p := range pmf {
@@ -269,8 +270,8 @@ func TestBregmanBarycenterMatchesQuantileOnSmoothInputs(t *testing.T) {
 	if d > 0.2 {
 		t.Errorf("Bregman vs quantile barycenter W2 = %v", d)
 	}
-	if math.Abs(stat.Sum(breg)-1) > 1e-9 {
-		t.Errorf("Bregman barycenter mass = %v", stat.Sum(breg))
+	if math.Abs(vec.Sum(breg)-1) > 1e-9 {
+		t.Errorf("Bregman barycenter mass = %v", vec.Sum(breg))
 	}
 }
 
@@ -309,25 +310,6 @@ func TestPlanRowConditional(t *testing.T) {
 	plan2, _ := NewPlan(3, 2, []Entry{{0, 0, 1}})
 	if _, _, ok := plan2.RowConditional(2); ok {
 		t.Error("empty row reported ok")
-	}
-}
-
-func TestPlanBarycentricProjection(t *testing.T) {
-	plan, _ := NewPlan(2, 2, []Entry{{0, 0, 0.25}, {0, 1, 0.25}, {1, 1, 0.5}})
-	proj, err := plan.BarycentricProjection([]float64{0, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(proj[0]-5) > 1e-12 || math.Abs(proj[1]-10) > 1e-12 {
-		t.Errorf("projection = %v", proj)
-	}
-	if _, err := plan.BarycentricProjection([]float64{1}); err == nil {
-		t.Error("wrong target length accepted")
-	}
-	empty, _ := NewPlan(2, 1, []Entry{{0, 0, 1}})
-	proj2, _ := empty.BarycentricProjection([]float64{7})
-	if !math.IsNaN(proj2[1]) {
-		t.Errorf("massless row projection = %v, want NaN", proj2[1])
 	}
 }
 

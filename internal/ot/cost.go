@@ -18,41 +18,6 @@ func SquaredEuclidean(x, y float64) float64 {
 	return d * d
 }
 
-// Absolute is the L1 cost |x−y| (Wasserstein-1).
-func Absolute(x, y float64) float64 { return math.Abs(x - y) }
-
-// PowerCost returns the cost |x−y|^p for p ≥ 1; p outside [1, ∞) panics
-// because Wp is not a metric below p = 1.
-//
-// The integer exponents the ablations sweep get multiply-only fast paths:
-// p = 1 is Absolute (one abs, no multiply — the W1 ground cost), p = 2 is
-// SquaredEuclidean (one multiply, no abs — the paper's default, under which
-// the monotone solver is exact), and p = 3 / p = 4 are closed with two or
-// three multiplies. Only non-integer exponents pay for math.Pow.
-func PowerCost(p float64) CostFn {
-	if p < 1 || math.IsNaN(p) || math.IsInf(p, 0) {
-		panic(fmt.Sprintf("ot: PowerCost needs p >= 1, got %v", p))
-	}
-	switch p {
-	case 1:
-		return Absolute
-	case 2:
-		return SquaredEuclidean
-	case 3:
-		return func(x, y float64) float64 {
-			d := math.Abs(x - y)
-			return d * d * d
-		}
-	case 4:
-		return func(x, y float64) float64 {
-			d := x - y
-			d *= d
-			return d * d
-		}
-	}
-	return func(x, y float64) float64 { return math.Pow(math.Abs(x-y), p) }
-}
-
 // CostMatrix is a dense source×target cost matrix — the M_{u,k} = C(Q, Q)
 // of Algorithm 1 line 6.
 type CostMatrix struct {
@@ -89,6 +54,8 @@ type PointCostFn func(x, y []float64) float64
 
 // SquaredEuclideanPoints is ‖x − y‖₂², the multivariate counterpart of
 // SquaredEuclidean.
+//
+//otfair:testonly-ok the cost of the dense joint oracle in internal/joint's tests
 func SquaredEuclideanPoints(x, y []float64) float64 {
 	s := 0.0
 	for k := range x {
@@ -101,6 +68,8 @@ func SquaredEuclideanPoints(x, y []float64) float64 {
 // NewCostMatrixPoints tabulates cost(x_i, y_j) for supports that are sets of
 // d-dimensional points (e.g. flattened product grids). All points must share
 // one dimension.
+//
+//otfair:testonly-ok builds the dense joint oracle in internal/joint's tests
 func NewCostMatrixPoints(xs, ys [][]float64, cost PointCostFn) (*CostMatrix, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		return nil, errors.New("ot: cost matrix needs non-empty supports")

@@ -183,9 +183,6 @@ func NewSeparableFactors(factors [][]float64) (*SeparableKernel, error) {
 // sides).
 func (k *SeparableKernel) Dims() (n, m int) { return k.n, k.n }
 
-// AxisDims returns the per-axis state counts (read-only).
-func (k *SeparableKernel) AxisDims() []int { return k.dims }
-
 // Factors returns the per-axis row-major factor matrices (read-only) — the
 // serialization surface of factored plans.
 func (k *SeparableKernel) Factors() [][]float64 { return k.factors }

@@ -1,8 +1,7 @@
 // Package ot implements the optimal-transport machinery of the paper from
 // scratch: discrete measures, transport plans, an exact 1-D monotone solver,
 // a transportation network-simplex solver for general costs, log-stabilised
-// scaling Sinkhorn for entropic regularization, Wasserstein-p distances,
-// and the W2 barycenters (quantile-based and iterative-Bregman) that define
+// scaling Sinkhorn for entropic regularization, and the W2 barycenters (quantile-based and iterative-Bregman) that define
 // the paper's fair repair target ν (Eq. 7).
 package ot
 
@@ -65,15 +64,6 @@ func NewMeasure(points, weights []float64) (*Measure, error) {
 	return &Measure{points: ps, weights: ws}, nil
 }
 
-// Empirical builds the uniform empirical measure (1/n) Σ δ_{x_i} of Eq. (4).
-func Empirical(sample []float64) (*Measure, error) {
-	w := make([]float64, len(sample))
-	for i := range w {
-		w[i] = 1
-	}
-	return NewMeasure(sample, w)
-}
-
 // OnGrid builds a measure from a pmf on an ascending grid without copying
 // surprises: the grid must be strictly ascending and the pmf non-negative
 // with positive total. Zero-weight grid points are retained so that plans
@@ -104,16 +94,6 @@ func OnGrid(grid, pmf []float64) (*Measure, error) {
 		ws[i] = pmf[i] / total
 	}
 	return &Measure{points: ps, weights: ws}, nil
-}
-
-// MustMeasure is NewMeasure that panics on error, for statically valid
-// literals in tests and examples.
-func MustMeasure(points, weights []float64) *Measure {
-	m, err := NewMeasure(points, weights)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // Len reports the support size.

@@ -50,45 +50,3 @@ func Monotone(mu, nu *Measure) (*Plan, error) {
 	}
 	return NewPlan(n, m, entries)
 }
-
-// MonotoneCost returns the optimal transport cost between two 1-D measures
-// under the given cost without materializing a Plan, streaming over the
-// coupling's atoms. It is the work-horse behind the exact Wasserstein
-// distances.
-func MonotoneCost(mu, nu *Measure, cost CostFn) (float64, error) {
-	if mu == nil || nu == nil {
-		return 0, errors.New("ot: nil measure")
-	}
-	xs, ys := mu.Points(), nu.Points()
-	a := append([]float64(nil), mu.Weights()...)
-	b := append([]float64(nil), nu.Weights()...)
-	total := 0.0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= 0 {
-			i++
-			continue
-		}
-		if b[j] <= 0 {
-			j++
-			continue
-		}
-		mass := a[i]
-		if b[j] < mass {
-			mass = b[j]
-		}
-		total += mass * cost(xs[i], ys[j])
-		a[i] -= mass
-		b[j] -= mass
-		const eps = 1e-15
-		if a[i] <= eps && b[j] <= eps {
-			i++
-			j++
-		} else if a[i] <= eps {
-			i++
-		} else {
-			j++
-		}
-	}
-	return total, nil
-}

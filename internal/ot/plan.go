@@ -1,7 +1,6 @@
 package ot
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -103,25 +102,6 @@ func (p *Plan) RowMass(i int) float64 {
 	return s
 }
 
-// SourceMarginal returns the push-forward onto the source states
-// (T_{x0}♯π in the paper's notation).
-func (p *Plan) SourceMarginal() []float64 {
-	out := make([]float64, p.n)
-	for _, e := range p.entries {
-		out[e.I] += e.Mass
-	}
-	return out
-}
-
-// TargetMarginal returns the push-forward onto the target states.
-func (p *Plan) TargetMarginal() []float64 {
-	out := make([]float64, p.m)
-	for _, e := range p.entries {
-		out[e.J] += e.Mass
-	}
-	return out
-}
-
 // TotalMass returns the total transported mass (1 for a coupling of
 // probability measures).
 func (p *Plan) TotalMass() float64 {
@@ -139,41 +119,6 @@ func (p *Plan) Cost(cost func(i, j int) float64) float64 {
 		s += e.Mass * cost(e.I, e.J)
 	}
 	return s
-}
-
-// Dense materializes the full n×m matrix.
-func (p *Plan) Dense() [][]float64 {
-	out := make([][]float64, p.n)
-	buf := make([]float64, p.n*p.m)
-	for i := range out {
-		out[i], buf = buf[:p.m], buf[p.m:]
-	}
-	for _, e := range p.entries {
-		out[e.I][e.J] += e.Mass
-	}
-	return out
-}
-
-// CheckMarginals verifies that the plan's marginals match the given source
-// and target pmfs within tol (L∞). It is the invariant behind Eq. (5)'s
-// constraint set Π(µ0, µ1) and is exercised heavily by the property tests.
-func (p *Plan) CheckMarginals(source, target []float64, tol float64) error {
-	if len(source) != p.n || len(target) != p.m {
-		return errors.New("ot: marginal length mismatch")
-	}
-	sm := p.SourceMarginal()
-	for i := range sm {
-		if math.Abs(sm[i]-source[i]) > tol {
-			return fmt.Errorf("ot: source marginal %d is %v, want %v", i, sm[i], source[i])
-		}
-	}
-	tm := p.TargetMarginal()
-	for j := range tm {
-		if math.Abs(tm[j]-target[j]) > tol {
-			return fmt.Errorf("ot: target marginal %d is %v, want %v", j, tm[j], target[j])
-		}
-	}
-	return nil
 }
 
 // RowConditional returns row i normalized into a conditional pmf over the
@@ -231,29 +176,4 @@ func TruncateSubUlp(row []float64) (dropped int) {
 	}
 	row[maxIdx] += folded
 	return dropped
-}
-
-// BarycentricProjection returns, for each source state, the conditional
-// mean of the target support under the plan: T(i) = Σ_j π_ij y_j / Σ_j π_ij.
-// This is the deterministic (Monge-like) repair map that the geometric
-// method of Eq. (8)–(9) applies, and the deterministic alternative to
-// Algorithm 2's stochastic draw. Rows with no mass yield NaN.
-func (p *Plan) BarycentricProjection(targetPoints []float64) ([]float64, error) {
-	if len(targetPoints) != p.m {
-		return nil, fmt.Errorf("ot: %d target points for %d target states", len(targetPoints), p.m)
-	}
-	out := make([]float64, p.n)
-	mass := make([]float64, p.n)
-	for _, e := range p.entries {
-		out[e.I] += e.Mass * targetPoints[e.J]
-		mass[e.I] += e.Mass
-	}
-	for i := range out {
-		if mass[i] > 0 {
-			out[i] /= mass[i]
-		} else {
-			out[i] = math.NaN()
-		}
-	}
-	return out, nil
 }

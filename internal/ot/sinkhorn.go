@@ -199,8 +199,9 @@ const absorbBound = 1e50
 // on pmfs a and b. After the v-update the column marginals are exact and
 // the next u-sweep's K v doubles as the row-marginal check, so the L1 error
 // ‖u ⊙ (K v) − a‖₁ costs one fused sweep and no kernel application. A tiny
-// floor on the kernel applications keeps the ratios finite. A non-nil
-// absorb stabilises small ε: whenever a scaling leaves the absorbBound
+// floor on the kernel applications keeps the ratios finite; the error is
+// measured on the unfloored K v, so an underflowed row never converges. A
+// non-nil absorb stabilises small ε: whenever a scaling leaves the absorbBound
 // range it is called to fold u and v into op (K̃_ij ← u_i·K̃_ij·v_j) and
 // reset both to ones. Only the kernel Sinkhorn builds for itself absorbs;
 // caller-owned operators are never mutated. It returns the scalings of the
@@ -233,11 +234,13 @@ func sinkhornScaling(a, b []float64, op KernelOp, absorb func(u, v []float64), o
 		vec.DivTo(v, b, ktu)
 		stabilise(v)
 		op.Apply(kv, v)
-		vec.Floor(kv, tiny)
+		// The error is taken before the floor: a row whose K v underflowed
+		// carries no mass, and flooring it first would report u_i·tiny = a_i.
 		errL1 = 0
 		for i, ui := range u {
 			errL1 += math.Abs(ui*kv[i] - a[i])
 		}
+		vec.Floor(kv, tiny)
 		if errL1 < opts.Tol {
 			iter++
 			break

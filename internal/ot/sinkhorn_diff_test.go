@@ -256,9 +256,9 @@ func TestSinkhornParallelRace(t *testing.T) {
 // disjoint supports at 1e-4·(1 + max c), where every kernel entry between
 // a positive-mass source and a positive-mass target underflows to zero.
 // Sinkhorn must converge and match the log-domain reference within 1e-9.
-// The same scaling loop over the unabsorbed kernel must fail on both: it
-// stalls on the first, and on the second the 1e-300 floor hides the zero
-// kernel, so it reports convergence for a plan that carries no mass.
+// The same scaling loop over the unabsorbed kernel must report failure on
+// both: it stalls on the first, and on the second every kernel row
+// underflows, so the 1e-300 floor must not pass for convergence.
 func TestSinkhornSmallEpsilonStabilised(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow reference solve")
@@ -314,8 +314,8 @@ func TestSinkhornSmallEpsilonStabilised(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Converged && res.Plan.CheckMarginals(tc.a, tc.b, 1e-6) == nil {
-			t.Errorf("%s: unabsorbed loop solved the problem in %d iterations; the stabilisation is untested", tc.name, res.Iterations)
+		if res.Converged {
+			t.Errorf("%s: unabsorbed loop reports convergence after %d iterations (error %v); either the stabilisation is untested or an underflowed kernel row passed the check", tc.name, res.Iterations, res.MarginalErr)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // RowPlan is the read surface a repairer needs from a transport plan: row
-// masses and row conditionals to sample repairs from, marginals to audit.
+// masses and row conditionals to sample repairs from.
 // Both the sparse materialized *Plan and the scaling-form *FactoredPlan
 // implement it, which is what lets the joint repair run over 10⁴-state
 // product supports whose dense plans (n² atoms) could never be built.
@@ -21,12 +21,6 @@ type RowPlan interface {
 	// RowConditional returns row i normalized into a conditional pmf over
 	// the target states; ok == false marks a zero-mass row.
 	RowConditional(i int) (targets []int, probs []float64, ok bool)
-	// SourceMarginal returns the plan's push-forward onto the source states.
-	SourceMarginal() []float64
-	// TargetMarginal returns the plan's push-forward onto the target states.
-	TargetMarginal() []float64
-	// CheckMarginals verifies both marginals against the given pmfs (L∞).
-	CheckMarginals(source, target []float64, tol float64) error
 	// TotalMass returns the total transported mass.
 	TotalMass() float64
 }
@@ -135,45 +129,8 @@ func (p *FactoredPlan) RowConditional(i int) (targets []int, probs []float64, ok
 	return targets, probs, true
 }
 
-// SourceMarginal returns u ⊙ (K v) — the cached row masses, copied.
-func (p *FactoredPlan) SourceMarginal() []float64 {
-	return append([]float64(nil), p.rowMass...)
-}
-
-// TargetMarginal returns v ⊙ (Kᵀ u).
-func (p *FactoredPlan) TargetMarginal() []float64 {
-	_, m := p.op.Dims()
-	out := make([]float64, m)
-	p.op.ApplyT(out, p.u)
-	for j := range out {
-		out[j] *= p.v[j]
-	}
-	return out
-}
-
 // TotalMass returns the total transported mass.
 func (p *FactoredPlan) TotalMass() float64 { return vec.Sum(p.rowMass) }
-
-// CheckMarginals verifies the plan's marginals against the given source and
-// target pmfs within tol (L∞) — the same contract as Plan.CheckMarginals.
-func (p *FactoredPlan) CheckMarginals(source, target []float64, tol float64) error {
-	n, m := p.op.Dims()
-	if len(source) != n || len(target) != m {
-		return errors.New("ot: marginal length mismatch")
-	}
-	for i, got := range p.rowMass {
-		if math.Abs(got-source[i]) > tol {
-			return fmt.Errorf("ot: source marginal %d is %v, want %v", i, got, source[i])
-		}
-	}
-	tm := p.TargetMarginal()
-	for j, got := range tm {
-		if math.Abs(got-target[j]) > tol {
-			return fmt.Errorf("ot: target marginal %d is %v, want %v", j, got, target[j])
-		}
-	}
-	return nil
-}
 
 // SinkhornOpResult reports the scaling-domain solver outcome.
 type SinkhornOpResult struct {

@@ -152,9 +152,6 @@ func (s *Server) shed(w http.ResponseWriter, format string, args ...any) {
 // draining server is on its way out.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // refuseDraining writes the 503 a draining server answers new repair
 // work with. Retry-After carries the same hint as shedding: the client
 // should go elsewhere, and soon.

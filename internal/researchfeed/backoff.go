@@ -63,14 +63,3 @@ func (p RetryPolicy) Delay(retry int) time.Duration {
 	u := rng.New(p.Seed).Split(uint64(retry) + 1).Float64()
 	return time.Duration((0.5 + 0.5*u) * float64(d))
 }
-
-// Schedule materializes the full retry timeline (Attempts-1 waits), the
-// form tests compare against recorded sleeps.
-func (p RetryPolicy) Schedule() []time.Duration {
-	p = p.withDefaults()
-	out := make([]time.Duration, p.Attempts-1)
-	for i := range out {
-		out[i] = p.Delay(i)
-	}
-	return out
-}

@@ -147,9 +147,6 @@ func New(src Source, cfg Config) *Feed {
 // Kind reports the wrapped source's kind.
 func (f *Feed) Kind() string { return f.src.Kind() }
 
-// BreakerState exposes the breaker position for tests and dashboards.
-func (f *Feed) BreakerState() int64 { return f.br.State() }
-
 func (f *Feed) count(outcome string) {
 	if c := f.fetches[outcome]; c != nil {
 		c.Inc()

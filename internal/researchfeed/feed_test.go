@@ -644,3 +644,17 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("ungated table rejected: %v", err)
 	}
 }
+
+// BreakerState exposes the breaker position.
+func (f *Feed) BreakerState() int64 { return f.br.State() }
+
+// Schedule materializes the full retry timeline (Attempts-1 waits), the
+// form tests compare against recorded sleeps.
+func (p RetryPolicy) Schedule() []time.Duration {
+	p = p.withDefaults()
+	out := make([]time.Duration, p.Attempts-1)
+	for i := range out {
+		out[i] = p.Delay(i)
+	}
+	return out
+}

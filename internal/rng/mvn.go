@@ -38,16 +38,6 @@ func NewMVN(mean []float64, cov [][]float64) (*MVN, error) {
 	return &MVN{mean: m, chol: l, dim: d}, nil
 }
 
-// MustMVN is NewMVN that panics on error, for statically known-valid
-// covariances such as the identity matrix of the simulation study.
-func MustMVN(mean []float64, cov [][]float64) *MVN {
-	m, err := NewMVN(mean, cov)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Dim reports the dimensionality of the distribution.
 func (m *MVN) Dim() int { return m.dim }
 
@@ -76,15 +66,6 @@ func (m *MVN) Sample(r *RNG, dst []float64) []float64 {
 		dst[i] = v
 	}
 	return dst
-}
-
-// SampleN draws n vectors as an n×dim matrix.
-func (m *MVN) SampleN(r *RNG, n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = m.Sample(r, nil)
-	}
-	return out
 }
 
 // cholesky returns the lower-triangular factor L of a symmetric positive

@@ -397,3 +397,93 @@ func TestLogNormalPositive(t *testing.T) {
 		}
 	}
 }
+
+// Exponential returns a sample from Exp(rate).
+func (r *RNG) Exponential(rate float64) float64 {
+	return r.src.ExpFloat64() / rate
+}
+
+// Multinomial draws counts of n trials across the weight vector w.
+// The returned slice has len(w) entries summing to n.
+func (r *RNG) Multinomial(n int, w []float64) []int {
+	counts := make([]int, len(w))
+	if n <= 0 {
+		return counts
+	}
+	// Conditional binomial method: draw each cell's count as a binomial of
+	// the remaining trials, conditioning on mass already placed.
+	total := 0.0
+	for _, wi := range w {
+		if wi < 0 || math.IsNaN(wi) {
+			panic("rng: Multinomial called with negative or NaN weight")
+		}
+		total += wi
+	}
+	if total <= 0 {
+		panic("rng: Multinomial called with zero total mass")
+	}
+	remaining := n
+	massLeft := total
+	for i := 0; i < len(w)-1 && remaining > 0; i++ {
+		p := w[i] / massLeft
+		c := r.Binomial(remaining, p)
+		counts[i] = c
+		remaining -= c
+		massLeft -= w[i]
+		if massLeft <= 0 {
+			break
+		}
+	}
+	counts[len(w)-1] += remaining
+	return counts
+}
+
+// Binomial draws the number of successes in n Bernoulli(p) trials.
+// It uses direct simulation for small n and a normal approximation with
+// correction is deliberately avoided: n is modest everywhere in this
+// repository and exactness keeps the property tests sharp.
+func (r *RNG) Binomial(n int, p float64) int {
+	if p <= 0 || n <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	// Inversion by waiting times is O(np) expected; fine for our sizes.
+	c := 0
+	for i := 0; i < n; i++ {
+		if r.src.Float64() < p {
+			c++
+		}
+	}
+	return c
+}
+
+// SampleWithoutReplacement returns k distinct indices drawn uniformly from
+// [0, n) in random order. It panics if k > n.
+func (r *RNG) SampleWithoutReplacement(n, k int) []int {
+	if k > n {
+		panic("rng: SampleWithoutReplacement with k > n")
+	}
+	p := r.src.Perm(n)
+	return p[:k]
+}
+
+// MustMVN is NewMVN that panics on error, for statically known-valid
+// covariances such as the identity matrix of the simulation study.
+func MustMVN(mean []float64, cov [][]float64) *MVN {
+	m, err := NewMVN(mean, cov)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// SampleN draws n vectors as an n×dim matrix.
+func (m *MVN) SampleN(r *RNG, n int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = m.Sample(r, nil)
+	}
+	return out
+}

@@ -57,14 +57,16 @@ func TestGroupProportions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.PrU(); math.Abs(got-0.5) > 0.01 {
+	c := tbl.Counts()
+	n := func(u, s int) float64 { return float64(c[dataset.Group{U: u, S: s}]) }
+	if got := (n(1, 0) + n(1, 1)) / float64(tbl.Len()); math.Abs(got-0.5) > 0.01 {
 		t.Errorf("Pr[u=1] = %v, want ~0.5", got)
 	}
 	// Pr(s=1|u=0) = 0.7, Pr(s=1|u=1) = 0.9.
-	if got := tbl.PrSGivenU(0); math.Abs(got-0.7) > 0.02 {
+	if got := n(0, 1) / (n(0, 0) + n(0, 1)); math.Abs(got-0.7) > 0.02 {
 		t.Errorf("Pr[s=1|u=0] = %v, want ~0.7", got)
 	}
-	if got := tbl.PrSGivenU(1); math.Abs(got-0.9) > 0.02 {
+	if got := n(1, 1) / (n(1, 0) + n(1, 1)); math.Abs(got-0.9) > 0.02 {
 		t.Errorf("Pr[s=1|u=1] = %v, want ~0.9", got)
 	}
 }

@@ -97,29 +97,6 @@ func NewECDF(sample []float64) (*ECDF, error) {
 	return newECDFSorted(xs, w)
 }
 
-// NewWeightedECDF builds an ECDF from support points and non-negative
-// weights (a discrete pmf). Points need not be sorted.
-func NewWeightedECDF(points, weights []float64) (*ECDF, error) {
-	if len(points) == 0 {
-		return nil, ErrEmpty
-	}
-	if len(points) != len(weights) {
-		return nil, errors.New("stat: ECDF points/weights length mismatch")
-	}
-	idx := make([]int, len(points))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return points[idx[a]] < points[idx[b]] })
-	xs := make([]float64, len(points))
-	ws := make([]float64, len(points))
-	for i, j := range idx {
-		xs[i] = points[j]
-		ws[i] = weights[j]
-	}
-	return newECDFSorted(xs, ws)
-}
-
 func newECDFSorted(xs, ws []float64) (*ECDF, error) {
 	total := 0.0
 	for _, w := range ws {

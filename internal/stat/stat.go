@@ -81,16 +81,6 @@ func Quantile(sorted []float64, p float64) float64 {
 	return sorted[i] + frac*(sorted[i+1]-sorted[i])
 }
 
-// Median returns the sample median of unsorted data.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return Quantile(cp, 0.5)
-}
-
 // IQR returns the interquartile range (Q3 − Q1) of unsorted data. It feeds
 // Silverman's robust spread estimate.
 func IQR(xs []float64) float64 {
@@ -126,46 +116,6 @@ func Correlation(xs, ys []float64) float64 {
 	return Covariance(xs, ys) / (sx * sy)
 }
 
-// Summary bundles the descriptive statistics reported by diagnostics and
-// the CLI `evaluate` command.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	Q1, Median, Q3 float64
-}
-
-// Summarize computes a Summary of xs. Quantile fields are NaN when n == 0.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		nan := math.NaN()
-		s.Mean, s.Std, s.Min, s.Max, s.Q1, s.Median, s.Q3 = nan, nan, nan, nan, nan, nan, nan
-		return s
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	s.Mean = Mean(cp)
-	s.Std = StdDev(cp)
-	s.Min = cp[0]
-	s.Max = cp[len(cp)-1]
-	s.Q1 = Quantile(cp, 0.25)
-	s.Median = Quantile(cp, 0.5)
-	s.Q3 = Quantile(cp, 0.75)
-	return s
-}
-
-// MeanStd returns the mean and unbiased standard deviation of xs in one
-// pass; the Monte-Carlo harness reports every cell of the paper's tables as
-// mean ± std over replicates.
-func MeanStd(xs []float64) (mean, std float64) {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Mean(), w.Std()
-}
-
 // Linspace returns n uniformly spaced points from lo to hi inclusive —
 // exactly the support construction of Algorithm 1 line 4:
 // ζ_i = (n−i)/(n−1)·lo + (i−1)/(n−1)·hi. It panics if n < 2 when lo ≠ hi;
@@ -190,9 +140,6 @@ func Linspace(lo, hi float64, n int) []float64 {
 	out[n-1] = hi
 	return out
 }
-
-// Sum returns the sum of xs (0 for empty input).
-func Sum(xs []float64) float64 { return vec.Sum(xs) }
 
 // Normalize scales non-negative weights into a probability vector in place
 // and returns it. It returns ErrEmpty for empty input and an error when the

@@ -1,9 +1,13 @@
 package stat
 
 import (
+	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"otfair/internal/vec"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -250,8 +254,8 @@ func TestHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(Sum(pmf), 1, 1e-12) {
-		t.Errorf("pmf sums to %v", Sum(pmf))
+	if !almostEq(vec.Sum(pmf), 1, 1e-12) {
+		t.Errorf("pmf sums to %v", vec.Sum(pmf))
 	}
 	centers := h.Centers()
 	if !almostEq(centers[0], 1, 1e-12) || !almostEq(centers[4], 9, 1e-12) {
@@ -344,4 +348,84 @@ func TestMeanStd(t *testing.T) {
 	if !almostEq(m, 3, 1e-12) || !almostEq(s, math.Sqrt(2.5), 1e-12) {
 		t.Errorf("MeanStd = %v %v", m, s)
 	}
+}
+
+// Summary bundles the descriptive statistics reported by diagnostics and
+// the CLI `evaluate` command.
+type Summary struct {
+	N              int
+	Mean, Std      float64
+	Min, Max       float64
+	Q1, Median, Q3 float64
+}
+
+// Summarize computes a Summary of xs. Quantile fields are NaN when n == 0.
+func Summarize(xs []float64) Summary {
+	s := Summary{N: len(xs)}
+	if len(xs) == 0 {
+		nan := math.NaN()
+		s.Mean, s.Std, s.Min, s.Max, s.Q1, s.Median, s.Q3 = nan, nan, nan, nan, nan, nan, nan
+		return s
+	}
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	s.Mean = Mean(cp)
+	s.Std = StdDev(cp)
+	s.Min = cp[0]
+	s.Max = cp[len(cp)-1]
+	s.Q1 = Quantile(cp, 0.25)
+	s.Median = Quantile(cp, 0.5)
+	s.Q3 = Quantile(cp, 0.75)
+	return s
+}
+
+// MeanStd returns the mean and unbiased standard deviation of xs in one
+// pass; the Monte-Carlo harness reports every cell of the paper's tables as
+// mean ± std over replicates.
+func MeanStd(xs []float64) (mean, std float64) {
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
+	}
+	return w.Mean(), w.Std()
+}
+
+// NewWeightedECDF builds an ECDF from support points and non-negative
+// weights (a discrete pmf). Points need not be sorted.
+func NewWeightedECDF(points, weights []float64) (*ECDF, error) {
+	if len(points) == 0 {
+		return nil, ErrEmpty
+	}
+	if len(points) != len(weights) {
+		return nil, errors.New("stat: ECDF points/weights length mismatch")
+	}
+	idx := make([]int, len(points))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return points[idx[a]] < points[idx[b]] })
+	xs := make([]float64, len(points))
+	ws := make([]float64, len(points))
+	for i, j := range idx {
+		xs[i] = points[j]
+		ws[i] = weights[j]
+	}
+	return newECDFSorted(xs, ws)
+}
+
+// AddAll folds a batch of observations.
+func (w *Welford) AddAll(xs []float64) {
+	for _, x := range xs {
+		w.Add(x)
+	}
+}
+
+// Median returns the sample median of unsorted data.
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	return Quantile(cp, 0.5)
 }

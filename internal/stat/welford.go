@@ -32,13 +32,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// AddAll folds a batch of observations.
-func (w *Welford) AddAll(xs []float64) {
-	for _, x := range xs {
-		w.Add(x)
-	}
-}
-
 // Merge combines another accumulator into this one (Chan et al. parallel
 // update); used when per-goroutine accumulators are reduced.
 func (w *Welford) Merge(o Welford) {

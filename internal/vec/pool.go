@@ -13,21 +13,11 @@ var bufPool = sync.Pool{
 	},
 }
 
-// GetBuf returns a zeroed scratch slice of length n from the pool. Callers
-// must return it with PutBuf when done and must not retain references past
-// the PutBuf.
-func GetBuf(n int) []float64 {
-	s := GetBufRaw(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// GetBufRaw is GetBuf without the zeroing pass: the contents are
-// unspecified. Use it when every element is about to be overwritten (axis
-// contractions, plan rows) — at large sizes the clear is a measurable
-// fraction of the work.
+// GetBufRaw returns a scratch slice of length n from the pool with
+// unspecified contents: every caller overwrites each element (axis
+// contractions, plan rows), and at large sizes a clear would be a
+// measurable fraction of the work. Callers must return it with PutBuf when
+// done and must not retain references past the PutBuf.
 func GetBufRaw(n int) []float64 {
 	p := bufPool.Get().(*[]float64)
 	s := *p
@@ -37,7 +27,7 @@ func GetBufRaw(n int) []float64 {
 	return s[:n]
 }
 
-// PutBuf returns a slice obtained from GetBuf to the pool.
+// PutBuf returns a slice obtained from GetBufRaw to the pool.
 func PutBuf(s []float64) {
 	if cap(s) == 0 {
 		return

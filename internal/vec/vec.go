@@ -56,13 +56,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// AddConst performs x += c element-wise.
-func AddConst(c float64, x []float64) {
-	for i := range x {
-		x[i] += c
-	}
-}
-
 // Max returns the maximum of xs (−Inf for empty input).
 func Max(xs []float64) float64 {
 	max := math.Inf(-1)
