@@ -123,13 +123,14 @@ feed-scenario:
 # The artefact benches run whole-experiment iterations (~0.5 s/op), so two
 # are enough; the throughput benches are ~10 ms/op and need more iterations
 # for stable records/sec — especially the blind/labelled ratio the blind
-# serving work is tracked by. Each run lands in its own spool first so a
+# serving work is tracked by. They run at GOMAXPROCS 1 and 2 (cmd/benchjson
+# keys each entry by both), so multicore speedup is a measured pair. Each run lands in its own spool first so a
 # failing bench fails the target instead of being swallowed by the pipe;
 # benchjson then parses the concatenation.
 bench:
 	@set -e; A=$$(mktemp); T=$$(mktemp); J=$$(mktemp); trap 'rm -f "$$A" "$$T" "$$J"' EXIT; \
 	$(GO) test -run '^$$' -bench '$(ARTEFACTS)' -benchtime 2x -count $(BENCH_COUNT) . > "$$A"; \
-	$(GO) test -run '^$$' -bench '$(THROUGHPUT)' -benchtime 20x -count $(BENCH_COUNT) . > "$$T"; \
+	$(GO) test -run '^$$' -bench '$(THROUGHPUT)' -benchtime 20x -count $(BENCH_COUNT) -cpu 1,2 . > "$$T"; \
 	$(GO) test -run '^$$' -bench '$(JOINT)' -benchtime 3x -count $(BENCH_COUNT) . > "$$J"; \
 	cat "$$A" "$$T" "$$J" | $(GO) run ./cmd/benchjson $(BASEFLAG) > BENCH_$(BENCH_N).json
 	@cat BENCH_$(BENCH_N).json

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"otfair/internal/dataset"
 	"otfair/internal/kde"
 	"otfair/internal/rng"
+	"otfair/internal/stat"
 )
 
 // RepairOptions configures Algorithm 2.
@@ -144,7 +144,7 @@ func (rp *Repairer) snapToGrid(cell *Cell, x float64) int {
 		return n - 1
 	}
 	// Largest q with grid[q] <= x.
-	q := sort.SearchFloat64s(grid, x)
+	q := stat.SearchGrid(grid, x)
 	if q == n || grid[q] > x {
 		q--
 	}

@@ -2,27 +2,187 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// FuzzCSVStream drives the streaming CSV decoder with arbitrary bytes: it
-// must never panic, and every row it accepts into a table must survive a
-// WriteCSV → ReadCSV round trip unchanged, features compared bitwise.
+// referenceRows is the decoder the row reader replaced — encoding/csv's
+// Read and a []string row parser, one row at a time — with one change:
+// errors name the physical line a row starts on (a csv.ParseError's
+// StartLine, or FieldPos) where it named a row count. It returns the
+// header (or its read error) and the rows it decoded up to the first
+// failing one, whose error rowErr reports; what names a row in read errors
+// as the row reader's caller does.
+func referenceRows(data []byte, what string) (header []string, headerErr error, recs []Record, lines []int, rowErr error) {
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.TrimLeadingSpace = true
+	header, headerErr = cr.Read()
+	if headerErr != nil || !validHeader(header) {
+		return header, headerErr, nil, nil, nil
+	}
+	dim := len(header) - 2
+	for {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return header, nil, recs, lines, nil
+		}
+		if err != nil {
+			line := 0
+			if pe, ok := err.(*csv.ParseError); ok {
+				line = pe.StartLine
+			}
+			return header, nil, recs, lines, fmt.Errorf("dataset: %s %d: %w", what, line, err)
+		}
+		line, _ := cr.FieldPos(0)
+		rec, err := referenceParseRow(row, dim, line)
+		if err != nil {
+			return header, nil, recs, lines, err
+		}
+		recs = append(recs, rec)
+		lines = append(lines, line)
+	}
+}
+
+// referenceParseRow is the []string row parser: encoding/csv has already
+// checked the field count.
+func referenceParseRow(row []string, dim, line int) (Record, error) {
+	rec := Record{X: make([]float64, dim)}
+	sField := strings.TrimSpace(row[0])
+	if sField == "" || sField == "?" {
+		rec.S = SUnknown
+	} else {
+		s, err := strconv.Atoi(sField)
+		if err != nil {
+			return Record{}, fmt.Errorf("dataset: line %d: bad s %q", line, row[0])
+		}
+		rec.S = s
+	}
+	u, err := strconv.Atoi(strings.TrimSpace(row[1]))
+	if err != nil {
+		return Record{}, fmt.Errorf("dataset: line %d: bad u %q", line, row[1])
+	}
+	rec.U = u
+	for k := 0; k < dim; k++ {
+		v, err := strconv.ParseFloat(strings.TrimSpace(row[2+k]), 64)
+		if err != nil {
+			return Record{}, fmt.Errorf("dataset: line %d: bad feature %d %q", line, k, row[2+k])
+		}
+		rec.X[k] = v
+	}
+	return rec, nil
+}
+
+// referenceStream is what NewCSVStream and Next must yield for data: the
+// records before the first error, and that error (nil after a clean EOF).
+func referenceStream(data []byte) ([]Record, error) {
+	header, headerErr, recs, _, err := referenceRows(data, "stream line")
+	if headerErr != nil {
+		return nil, fmt.Errorf("dataset: reading stream header: %w", headerErr)
+	}
+	if !validHeader(header) {
+		return nil, fmt.Errorf("dataset: stream header must start with s,u, got %v", header)
+	}
+	return recs, err
+}
+
+// referenceTable is what ReadCSV must return for data: the rows, each
+// validated as Table.Append validates it.
+func referenceTable(data []byte) ([]Record, error) {
+	header, headerErr, recs, lines, err := referenceRows(data, "line")
+	if headerErr != nil {
+		return nil, fmt.Errorf("dataset: reading header: %w", headerErr)
+	}
+	if !validHeader(header) {
+		return nil, fmt.Errorf("dataset: header must start with s,u followed by features, got %v", header)
+	}
+	for i, rec := range recs {
+		if verr := rec.Validate(len(header) - 2); verr != nil {
+			return nil, fmt.Errorf("dataset: line %d: %w", lines[i], verr)
+		}
+	}
+	return recs, err
+}
+
+// sameRecords fails t unless got and want hold the same labels and
+// bitwise-equal features.
+func sameRecords(t *testing.T, what string, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, reference %d", what, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.S != w.S || g.U != w.U || len(g.X) != len(w.X) {
+			t.Fatalf("%s record %d: %+v, reference %+v", what, i, g, w)
+		}
+		for k := range w.X {
+			if math.Float64bits(g.X[k]) != math.Float64bits(w.X[k]) {
+				t.Fatalf("%s record %d feature %d: %v, reference %v", what, i, k, g.X[k], w.X[k])
+			}
+		}
+	}
+}
+
+// sameError fails t unless got and want are both nil or carry the same
+// text.
+func sameError(t *testing.T, what string, got, want error) {
+	t.Helper()
+	if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+		t.Fatalf("%s: error %v, reference %v", what, got, want)
+	}
+}
+
+// streamRecords drains NewCSVStream over data: its dimension (0 when the
+// header fails), the records before the first error, and that error (nil
+// after a clean EOF).
+func streamRecords(data []byte) (int, []Record, error) {
+	in, err := NewCSVStream(bytes.NewReader(data))
+	if err != nil {
+		return 0, nil, err
+	}
+	var recs []Record
+	for {
+		rec, err := in.Next()
+		if err == io.EOF {
+			return in.Dim(), recs, nil
+		}
+		if err != nil {
+			return in.Dim(), recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// FuzzCSVStream is a differential target: NewCSVStream and ReadCSV must
+// decode arbitrary bytes exactly as the encoding/csv reference does —
+// the same records, features compared bitwise, or the same error text —
+// and every row the stream accepts into a table must survive a WriteCSV →
+// ReadCSV round trip unchanged.
 func FuzzCSVStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in, err := NewCSVStream(bytes.NewReader(data))
-		if err != nil {
+		dim, recs, err := streamRecords(data)
+		wantRecs, wantErr := referenceStream(data)
+		sameError(t, "CSVStream", err, wantErr)
+		sameRecords(t, "CSVStream", recs, wantRecs)
+
+		tbl, err := ReadCSV(bytes.NewReader(data))
+		wantRecs, wantErr = referenceTable(data)
+		sameError(t, "ReadCSV", err, wantErr)
+		if err == nil {
+			sameRecords(t, "ReadCSV", tbl.Records(), wantRecs)
+		}
+
+		if dim == 0 {
 			return
 		}
-		table := MustTable(in.Dim(), nil)
-		for {
-			rec, err := in.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil || table.Append(rec) != nil {
+		table := MustTable(dim, nil)
+		for _, rec := range recs {
+			if table.Append(rec) != nil {
 				break
 			}
 		}
@@ -34,19 +194,9 @@ func FuzzCSVStream(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-reading %q: %v", buf.Bytes(), err)
 		}
-		if back.Len() != table.Len() || back.Dim() != table.Dim() {
-			t.Fatalf("round trip: %d×%d, want %d×%d", back.Len(), back.Dim(), table.Len(), table.Dim())
+		if back.Dim() != table.Dim() {
+			t.Fatalf("round trip: dim %d, want %d", back.Dim(), table.Dim())
 		}
-		for i, want := range table.Records() {
-			got := back.At(i)
-			if got.S != want.S || got.U != want.U {
-				t.Fatalf("record %d: labels (%d,%d), want (%d,%d)", i, got.S, got.U, want.S, want.U)
-			}
-			for k, w := range want.X {
-				if math.Float64bits(got.X[k]) != math.Float64bits(w) {
-					t.Fatalf("record %d feature %d: %v, want %v", i, k, got.X[k], w)
-				}
-			}
-		}
+		sameRecords(t, "round trip", back.Records(), table.Records())
 	})
 }

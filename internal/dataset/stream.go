@@ -2,10 +2,8 @@ package dataset
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Stream delivers records one at a time — the paper's "torrents of archival
@@ -41,43 +39,32 @@ func (s *SliceStream) Next() (Record, error) {
 func (s *SliceStream) Dim() int { return s.table.Dim() }
 
 // CSVStream parses records incrementally from a CSV reader in the WriteCSV
-// layout, holding only one row in memory at a time.
+// layout, holding only one buffer of input in memory at a time.
 type CSVStream struct {
-	cr   *csv.Reader
-	dim  int
-	line int
+	rows *rowReader
 }
 
 // NewCSVStream reads and validates the header, returning a stream over the
 // remaining rows.
 func NewCSVStream(r io.Reader) (*CSVStream, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
+	rows, header, err := newRowReader(r, "stream line")
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading stream header: %w", err)
 	}
-	if len(header) < 3 || strings.TrimSpace(header[0]) != "s" || strings.TrimSpace(header[1]) != "u" {
+	if !validHeader(header) {
 		return nil, fmt.Errorf("dataset: stream header must start with s,u, got %v", header)
 	}
-	return &CSVStream{cr: cr, dim: len(header) - 2, line: 1}, nil
+	return &CSVStream{rows: rows}, nil
 }
 
 // Next implements Stream.
 func (s *CSVStream) Next() (Record, error) {
-	row, err := s.cr.Read()
-	if err == io.EOF {
-		return Record{}, io.EOF
-	}
-	if err != nil {
-		return Record{}, fmt.Errorf("dataset: stream line %d: %w", s.line+1, err)
-	}
-	s.line++
-	return parseRow(row, s.dim, s.line)
+	rec, _, err := s.rows.next()
+	return rec, err
 }
 
 // Dim implements Stream.
-func (s *CSVStream) Dim() int { return s.dim }
+func (s *CSVStream) Dim() int { return s.rows.dim }
 
 // ctxStream fails Next with ctx.Err() once the context is cancelled,
 // checking every `every` records so the hot path pays a counter

@@ -8,6 +8,7 @@ import (
 
 	"otfair/internal/dataset"
 	"otfair/internal/rng"
+	"otfair/internal/stat"
 )
 
 // Diagnostics counts boundary conditions seen while repairing.
@@ -124,7 +125,7 @@ func (rp *Repairer) snapToAxis(grid []float64, x float64) int {
 		}
 		return n - 1
 	}
-	q := sort.SearchFloat64s(grid, x)
+	q := stat.SearchGrid(grid, x)
 	if q == n || grid[q] > x {
 		q--
 	}

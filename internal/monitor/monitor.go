@@ -14,12 +14,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/kde"
 	"otfair/internal/rng"
+	"otfair/internal/stat"
 )
 
 // AlarmKind labels which statistic tripped.
@@ -150,14 +150,21 @@ type psiRef struct {
 // Monitor watches a record stream against a designed plan. Not safe for
 // concurrent use.
 type Monitor struct {
-	plan  *core.Plan
-	opts  Options
-	cells map[[3]int]*cellState
-	psi   map[[3]int]*psiRef
+	plan *core.Plan
+	opts Options
+	// cells and psi hold one entry per (u,s,feature) cell at
+	// cellIndex(u, s, k); a cell is allocated on its first observation,
+	// so the non-nil cells are the watched ones.
+	cells []*cellState
+	psi   []*psiRef
 	rng   *rng.RNG // nil unless Options.Dither
 	seen  int64
 	fired int64
 }
+
+// cellIndex is the (u,s,feature) cell's position in Monitor.cells and
+// Monitor.psi: (2u+s)·Dim + k.
+func (m *Monitor) cellIndex(u, s, k int) int { return (2*u+s)*m.plan.Dim + k }
 
 // New builds a monitor for the plan the deployment repairs with.
 func New(plan *core.Plan, opts Options) (*Monitor, error) {
@@ -174,8 +181,8 @@ func New(plan *core.Plan, opts Options) (*Monitor, error) {
 	m := &Monitor{
 		plan:  plan,
 		opts:  opts,
-		cells: make(map[[3]int]*cellState),
-		psi:   make(map[[3]int]*psiRef),
+		cells: make([]*cellState, 4*plan.Dim),
+		psi:   make([]*psiRef, 4*plan.Dim),
 	}
 	if opts.Dither {
 		seed := opts.Seed
@@ -212,8 +219,12 @@ type Summary struct {
 // Snapshot summarizes the monitor's current state. Like every Monitor
 // method it must not race Observe; callers serialize access.
 func (m *Monitor) Snapshot() Summary {
-	s := Summary{Seen: m.seen, Fired: m.fired, WatchedCells: len(m.cells)}
+	s := Summary{Seen: m.seen, Fired: m.fired}
 	for _, cs := range m.cells {
+		if cs == nil {
+			continue
+		}
+		s.WatchedCells++
 		if cs.n == len(cs.ring) {
 			s.FullWindows++
 		}
@@ -242,13 +253,14 @@ func (m *Monitor) Observe(rec dataset.Record) ([]Alarm, error) {
 	}
 	m.seen++
 	var alarms []Alarm
+	cells := m.plan.Cells[rec.U]
+	base := m.cellIndex(rec.U, rec.S, 0)
 	for k, x := range rec.X {
-		key := [3]int{rec.U, rec.S, k}
-		cell := m.plan.Cell(rec.U, k)
-		cs := m.cells[key]
+		cell := cells[k]
+		cs := m.cells[base+k]
 		if cs == nil {
 			cs = &cellState{ring: make([]int32, m.opts.Window), counts: make([]int, 2*len(cell.Q)+1)}
-			m.cells[key] = cs
+			m.cells[base+k] = cs
 		}
 		if m.rng != nil {
 			if h := cell.H[rec.S]; h > 0 && !cell.Degenerate {
@@ -263,7 +275,9 @@ func (m *Monitor) Observe(rec dataset.Record) ([]Alarm, error) {
 		c := gridCell(cell.Q, x)
 		cs.ring[cs.next] = int32(c)
 		cs.counts[c]++
-		cs.next = (cs.next + 1) % len(cs.ring)
+		if cs.next++; cs.next == len(cs.ring) {
+			cs.next = 0
+		}
 		cs.observed++
 		cs.sinceChk++
 		if cs.cooldown > 0 {
@@ -345,8 +359,8 @@ const psiBinCount = 10
 // psiRef builds (and caches) the coarse equal-mass binning of one cell's
 // design pmf.
 func (m *Monitor) psiRef(u, s, k int, cell *core.Cell) *psiRef {
-	key := [3]int{u, s, k}
-	if ref := m.psi[key]; ref != nil {
+	i := m.cellIndex(u, s, k)
+	if ref := m.psi[i]; ref != nil {
 		return ref
 	}
 	ref := &psiRef{}
@@ -363,7 +377,7 @@ func (m *Monitor) psiRef(u, s, k int, cell *core.Cell) *psiRef {
 		}
 	}
 	ref.expected = append(ref.expected, binMass)
-	m.psi[key] = ref
+	m.psi[i] = ref
 	return ref
 }
 
@@ -372,7 +386,7 @@ func gridCell(q []float64, x float64) int {
 	if math.IsNaN(x) {
 		return 0
 	}
-	i := sort.SearchFloat64s(q, x)
+	i := stat.SearchGrid(q, x)
 	if i < len(q) && q[i] == x {
 		return 2*i + 1
 	}

@@ -26,11 +26,16 @@ const (
 	StageEncode
 	// StageFlush covers the final response flush.
 	StageFlush
+	// StageMonitor accumulates the observability tap on each decoded
+	// record — its validation, the rolling record window and the drift
+	// monitor's Observe — per record on sampled requests only. It is
+	// nested: the same time is also counted in StageShardExecute.
+	StageMonitor
 	// NumStages is the span slab size.
-	NumStages = int(StageFlush) + 1
+	NumStages = int(StageMonitor) + 1
 )
 
-var stageNames = [NumStages]string{"admission", "spool", "decode", "shard_execute", "encode", "flush"}
+var stageNames = [NumStages]string{"admission", "spool", "decode", "shard_execute", "encode", "flush", "monitor"}
 
 func (s Stage) String() string {
 	if int(s) < NumStages {

@@ -140,7 +140,10 @@ func TestTracerConcurrentIDsUnique(t *testing.T) {
 
 func TestStageNames(t *testing.T) {
 	names := StageNames()
-	want := []string{"admission", "spool", "decode", "shard_execute", "encode", "flush"}
+	want := []string{"admission", "spool", "decode", "shard_execute", "encode", "flush", "monitor"}
+	if len(names) != len(want) {
+		t.Fatalf("%d stages, want %d", len(names), len(want))
+	}
 	for i, w := range want {
 		if names[i] != w {
 			t.Fatalf("stage %d = %q, want %q", i, names[i], w)

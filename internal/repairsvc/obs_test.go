@@ -279,9 +279,12 @@ func TestSlowRequestTrackingAndLogging(t *testing.T) {
 	if _, ok := sr.Stages["shard_execute"]; !ok {
 		t.Errorf("slow record missing shard_execute stage: %v", sr.Stages)
 	}
-	// Sampled at 1: the decode span was timed per record.
-	if _, ok := sr.Stages["decode"]; !ok {
-		t.Errorf("sampled slow record missing decode stage: %v", sr.Stages)
+	// Sampled at 1: the decode span and the nested monitor tap were timed
+	// per record.
+	for _, stage := range []string{"decode", "monitor"} {
+		if _, ok := sr.Stages[stage]; !ok {
+			t.Errorf("sampled slow record missing %s stage: %v", stage, sr.Stages)
+		}
 	}
 	if !strings.Contains(sr.Detail, "plan="+id) {
 		t.Errorf("detail %q missing plan fingerprint", sr.Detail)

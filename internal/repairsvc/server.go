@@ -1054,7 +1054,9 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 
 	// The run wall covers decode, repair and encode interleaved; the
 	// sampled decode/encode accumulators are backed out so shard_execute
-	// reports engine time. Unsampled requests report the whole wall there.
+	// reports engine time, the monitor tap included (the monitor stage
+	// reports that share again). Unsampled requests report the whole wall
+	// there.
 	runStart := time.Now() //otfair:nondet-ok trace stage wall-clock accounting; trace spans never reach repaired records
 	n, _, _, err := engine.RepairStreamContext(ctx, rng.New(seed), method, tapped, repairedSink)
 	records = n
@@ -1164,25 +1166,35 @@ func (t *trackedResponse) Write(b []byte) (int, error) {
 type tapStream struct {
 	inner dataset.Stream
 	tap   func(dataset.Record)
-	// tr accumulates per-record decode time on trace-sampled requests
+	// tr accumulates per-record decode time, and the time from there to
+	// the end of the tap as the monitor stage, on trace-sampled requests
 	// (nil-safe; Next is called serially from the request goroutine).
 	tr *obs.Trace
 }
 
 func (t *tapStream) Next() (dataset.Record, error) {
-	var start time.Time
-	sampled := t.tr.Sampled()
-	if sampled {
-		start = time.Now() //otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
+	if !t.tr.Sampled() {
+		rec, err := t.inner.Next()
+		if err != nil {
+			return rec, err
+		}
+		return t.observe(rec)
 	}
+	start := time.Now() //otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
 	rec, err := t.inner.Next()
-	if sampled {
-		//otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
-		t.tr.Add(obs.StageDecode, time.Since(start))
-	}
+	decoded := time.Now() //otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
+	t.tr.Add(obs.StageDecode, decoded.Sub(start))
 	if err != nil {
 		return rec, err
 	}
+	rec, err = t.observe(rec)
+	//otfair:nondet-ok sampled-trace monitor timing; trace spans never reach repaired records
+	t.tr.Add(obs.StageMonitor, time.Since(decoded))
+	return rec, err
+}
+
+// observe validates a decoded record and hands it to the tap.
+func (t *tapStream) observe(rec dataset.Record) (dataset.Record, error) {
 	if err := rec.Validate(t.inner.Dim()); err != nil {
 		return dataset.Record{}, err
 	}

@@ -141,6 +141,43 @@ func Linspace(lo, hi float64, n int) []float64 {
 	return out
 }
 
+// SearchGrid returns sort.SearchFloat64s(q, x) — the first index with
+// q[i] >= x, len(q) when there is none (NaN included) — for any ascending
+// q. It guesses the index by interpolating x between q[0] and q[n-1], then
+// walks at most two steps to the lower bound; on a Linspace grid, which is
+// every designed support, the guess is off by at most one. A grid far from
+// uniform falls back to the binary search, so the answer never depends on
+// the grid's shape, only the time does.
+func SearchGrid(q []float64, x float64) int {
+	n := len(q)
+	if n == 0 || x <= q[0] {
+		return 0
+	}
+	if !(x <= q[n-1]) {
+		return n
+	}
+	// Now q[0] < x <= q[n-1], so the answer g has q[g-1] < x <= q[g] with
+	// 1 <= g <= n-1, and every step below keeps g in that range.
+	t := (x - q[0]) / (q[n-1] - q[0]) * float64(n-1)
+	g := n - 1
+	if !(t >= 1) { // NaN from infinite endpoints lands here too
+		g = 1
+	} else if t < float64(n-1) {
+		g = int(t)
+	}
+	for step := 0; step < 3; step++ {
+		switch {
+		case q[g] < x:
+			g++
+		case q[g-1] >= x:
+			g--
+		default:
+			return g
+		}
+	}
+	return sort.SearchFloat64s(q, x)
+}
+
 // Normalize scales non-negative weights into a probability vector in place
 // and returns it. It returns ErrEmpty for empty input and an error when the
 // total mass is not positive or any entry is negative/NaN.

@@ -3,6 +3,7 @@ package stat
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -428,4 +429,61 @@ func Median(xs []float64) float64 {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
 	return Quantile(cp, 0.5)
+}
+
+// TestSearchGridMatchesSortSearch pins SearchGrid to sort.SearchFloat64s:
+// on Linspace grids of several sizes and spans at every grid point, the
+// midpoints, the neighbouring floats, values outside the ends, ±Inf and
+// NaN; on one-point grids; and on random non-uniform ascending grids with
+// ties, where the interpolated guess is usually wrong.
+func TestSearchGridMatchesSortSearch(t *testing.T) {
+	check := func(q []float64, x float64) {
+		t.Helper()
+		if got, want := SearchGrid(q, x), sort.SearchFloat64s(q, x); got != want {
+			t.Fatalf("SearchGrid(%v, %v) = %d, sort.SearchFloat64s %d", q, x, got, want)
+		}
+	}
+	probe := func(q []float64, extra ...float64) {
+		t.Helper()
+		for _, x := range append(extra, math.Inf(-1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1)) {
+			check(q, x)
+		}
+		for i, g := range q {
+			check(q, g)
+			check(q, math.Nextafter(g, math.Inf(-1)))
+			check(q, math.Nextafter(g, math.Inf(1)))
+			if i > 0 {
+				check(q, (q[i-1]+g)/2)
+			}
+		}
+		span := q[len(q)-1] - q[0]
+		check(q, q[0]-1-span)
+		check(q, q[len(q)-1]+1+span)
+	}
+	for _, n := range []int{2, 3, 7, 50, 100, 1000} {
+		for _, span := range [][2]float64{{0, 1}, {-3, 2}, {1e-9, 2e-9}, {-1e6, 1e300}, {17, 17.5}} {
+			probe(Linspace(span[0], span[1], n))
+		}
+	}
+	probe([]float64{3}, 2, 4)
+	probe([]float64{-1e308, 1e308})
+	probe([]float64{math.Inf(-1), 0, 1, math.Inf(1)}, 0.5)
+	check(nil, 1)
+
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		q := make([]float64, 1+r.Intn(40))
+		for i := range q {
+			switch r.Intn(4) {
+			case 0:
+				q[i] = math.Exp(10 * r.Float64())
+			case 1:
+				q[i] = float64(r.Intn(5)) // ties
+			default:
+				q[i] = r.NormFloat64()
+			}
+		}
+		sort.Float64s(q)
+		probe(q, r.NormFloat64(), 20*r.Float64())
+	}
 }
