@@ -14,10 +14,11 @@ BENCH_COUNT ?= 5
 # uses a fixed experiment seed so runs are comparable across machines.
 ARTEFACTS = BenchmarkTable1$$|BenchmarkFigure3$$|BenchmarkFigure4$$|BenchmarkTable2$$
 # Serving-layer throughput (records/sec): the alias-table engine
-# (parallel and serial), the fairserved HTTP round trip, the engine bound
-# to a blind (s-unlabelled) calibration, and the batched QDA posterior
-# kernel under the blind path.
-THROUGHPUT = BenchmarkRepairThroughput|BenchmarkServeRepairHTTP$$|BenchmarkBlindRepairThroughput|BenchmarkBlindPosteriorBatch$$
+# (parallel and serial), the fairserved HTTP round trip (labelled CSV, and
+# blind NDJSON through a calibration), the engine bound to a blind
+# (s-unlabelled) calibration, and the batched QDA posterior kernel under
+# the blind path.
+THROUGHPUT = BenchmarkRepairThroughput|BenchmarkServeRepairHTTP$$|BenchmarkServeRepairHTTPBlindNDJSON$$|BenchmarkBlindRepairThroughput|BenchmarkBlindPosteriorBatch$$
 # Joint (multivariate) design and repair at NQ=16, d=2, and the NQ=20,
 # d=3 (8 000-state) pair that certifies the scale a dense kernel cannot
 # touch. The dense oracle's own bench lives with its tests in
@@ -40,8 +41,11 @@ test:
 # otfairlint: the repo's own analyzer suite (mapiter, nondetsource,
 # metriclabel, hookrecv, naninput — see DESIGN.md "Enforced invariants").
 # Stdlib-only, builds with the module, exits nonzero on any finding or on
-# a malformed //otfair: escape directive.
+# a malformed //otfair: escape directive. Also fails when gofmt would
+# rewrite any tracked .go file (perfbench's .bench_build/ cache excluded).
 lint:
+	@unformatted=$$(git ls-files '*.go' | grep -v '^\.bench_build/' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/otfairlint ./...
 
 # Tier-1 verify line (see ROADMAP.md).

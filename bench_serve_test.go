@@ -8,6 +8,7 @@ package otfair_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -27,18 +28,18 @@ import (
 // alias table's O(1) draw beats the O(row-nnz) inversion baseline. (With
 // the default monotone solver rows carry 1–2 atoms and both draw methods
 // are equally cheap.)
-func benchServeState(b *testing.B, nA int) (*otfair.Plan, *otfair.Table) {
+func benchServeState(b *testing.B, nA int) (plan *otfair.Plan, research, archive *otfair.Table) {
 	b.Helper()
-	research, archive := benchSimData(b, 500, nA)
+	research, archive = benchSimData(b, 500, nA)
 	plan, err := otfair.Design(research, otfair.DesignOptions{NQ: 100, Solver: otfair.SolverSinkhorn})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return plan, archive
+	return plan, research, archive
 }
 
 func benchBatchRepair(b *testing.B, opts otfair.BatchOptions) {
-	plan, archive := benchServeState(b, 20000)
+	plan, _, archive := benchServeState(b, 20000)
 	engine, err := otfair.NewBatchRepairer(plan, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -67,7 +68,56 @@ func BenchmarkRepairThroughputAliasSerial(b *testing.B) {
 // BenchmarkServeRepairHTTP measures the full service round trip: CSV
 // upload, streamed repair, CSV download through the fairserved handler.
 func BenchmarkServeRepairHTTP(b *testing.B) {
-	plan, archive := benchServeState(b, 20000)
+	plan, _, archive := benchServeState(b, 20000)
+	srv, id := benchServer(b, plan)
+	var archiveCSV bytes.Buffer
+	if err := archive.WriteCSV(&archiveCSV); err != nil {
+		b.Fatal(err)
+	}
+	benchServeRoundTrip(b, srv.URL+"/v1/repair?plan="+id+"&seed=1", "text/csv", archiveCSV.Bytes(), archive.Len())
+}
+
+// BenchmarkServeRepairHTTPBlindNDJSON is the blind serving round trip:
+// s-unlabelled NDJSON upload, repair through a calibration with
+// method=draw on one worker, NDJSON download.
+func BenchmarkServeRepairHTTPBlindNDJSON(b *testing.B) {
+	plan, research, archive := benchServeState(b, 20000)
+	srv, id := benchServer(b, plan)
+	var researchCSV bytes.Buffer
+	if err := research.WriteCSV(&researchCSV); err != nil {
+		b.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/calibrations?plan="+id, "text/csv", &researchCSV)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fit struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&fit)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		b.Fatalf("calibration fit: %s: %v", resp.Status, err)
+	}
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for i := 0; i < archive.Len(); i++ {
+		rec := archive.At(i)
+		if err := enc.Encode(struct {
+			X []float64 `json:"x"`
+			S *int      `json:"s"`
+			U int       `json:"u"`
+		}{X: rec.X, U: rec.U}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	url := srv.URL + "/v1/repair?calibration=" + fit.ID + "&method=draw&workers=1&format=ndjson&seed=1"
+	benchServeRoundTrip(b, url, "application/x-ndjson", body.Bytes(), archive.Len())
+}
+
+// benchServer serves plan from a fresh store through the fairserved
+// handler.
+func benchServer(b *testing.B, plan *otfair.Plan) (*httptest.Server, string) {
 	store, err := planstore.Open(b.TempDir(), planstore.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -81,15 +131,16 @@ func BenchmarkServeRepairHTTP(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv := httptest.NewServer(handler)
-	defer srv.Close()
-	var archiveCSV bytes.Buffer
-	if err := archive.WriteCSV(&archiveCSV); err != nil {
-		b.Fatal(err)
-	}
-	body := archiveCSV.Bytes()
+	b.Cleanup(srv.Close)
+	return srv, id
+}
+
+// benchServeRoundTrip posts body to url b.N times, draining each response,
+// and reports records/sec.
+func benchServeRoundTrip(b *testing.B, url, ctype string, body []byte, records int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(srv.URL+"/v1/repair?plan="+id+"&seed=1", "text/csv", bytes.NewReader(body))
+		resp, err := http.Post(url, ctype, bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +152,7 @@ func BenchmarkServeRepairHTTP(b *testing.B) {
 		}
 		resp.Body.Close()
 	}
-	b.ReportMetric(float64(archive.Len())*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 }
 
 // benchServeOverload offers `mult`× the admission budget in concurrent
@@ -113,7 +164,7 @@ func BenchmarkServeRepairHTTP(b *testing.B) {
 // collapsing under queueing.
 func benchServeOverload(b *testing.B, mult int) {
 	const gate = 4
-	plan, archive := benchServeState(b, 5000)
+	plan, _, archive := benchServeState(b, 5000)
 	store, err := planstore.Open(b.TempDir(), planstore.Options{})
 	if err != nil {
 		b.Fatal(err)

@@ -44,10 +44,10 @@ func register(reg *obs.Registry, userInput string, n int) {
 	}
 
 	// Unbounded forms: request input, derived ints, spread label lists.
-	reg.CounterL("c_input", "h", "stage", userInput)                 // want "metric label value userInput is not statically bounded"
-	reg.CounterL("c_key", "h", userInput, "v")                       // want "metric label key userInput is not statically bounded"
-	reg.CounterL("c_itoa", "h", "size", strconv.Itoa(n))             // want "metric label value strconv.Itoa\(n\) is not statically bounded"
-	reg.HistogramL("h_input", "h", nil, "route", userInput)          // want "metric label value userInput is not statically bounded"
+	reg.CounterL("c_input", "h", "stage", userInput)                                   // want "metric label value userInput is not statically bounded"
+	reg.CounterL("c_key", "h", userInput, "v")                                         // want "metric label key userInput is not statically bounded"
+	reg.CounterL("c_itoa", "h", "size", strconv.Itoa(n))                               // want "metric label value strconv.Itoa\(n\) is not statically bounded"
+	reg.HistogramL("h_input", "h", nil, "route", userInput)                            // want "metric label value userInput is not statically bounded"
 	reg.GaugeFunc("gf_input", "h", func() float64 { return 0 }, "artefact", userInput) // want "metric label value userInput is not statically bounded"
 	labels := []string{"stage", userInput}
 	reg.CounterL("c_spread", "h", labels...) // want "label list spread into reg.CounterL cannot be statically bounded"

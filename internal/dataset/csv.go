@@ -23,7 +23,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	var line []byte
 	for i, r := range t.records {
-		line = AppendCSVRecord(line[:0], r)
+		line = AppendCSVRecord(line[:0], r, appendFeature)
 		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("dataset: writing record %d: %w", i, err)
 		}
@@ -42,19 +42,26 @@ func WriteCSVHeader(w io.Writer, names []string) error {
 
 // AppendCSVRecord appends one record as a data row in the WriteCSV layout,
 // newline included: the bytes encoding/csv writes for the fields
-// Itoa(s) (empty when unknown), Itoa(u) and FormatFloat(x, 'g', -1, 64).
-// None of those fields ever needs quoting, so no csv.Writer is involved.
-func AppendCSVRecord(b []byte, r Record) []byte {
+// Itoa(s) (empty when unknown), Itoa(u) and, for each feature k, the text
+// feature(b, u, k, x) appends. With the plain formatter WriteCSV passes,
+// FormatFloat(x, 'g', -1, 64), none of those fields ever needs quoting, so
+// no csv.Writer is involved; a feature func must append that same text.
+func AppendCSVRecord(b []byte, r Record, feature func(b []byte, u, k int, x float64) []byte) []byte {
 	if r.S != SUnknown {
 		b = strconv.AppendInt(b, int64(r.S), 10)
 	}
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(r.U), 10)
-	for _, v := range r.X {
+	for k, v := range r.X {
 		b = append(b, ',')
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		b = feature(b, r.U, k, v)
 	}
 	return append(b, '\n')
+}
+
+// appendFeature is the plain feature formatter of the WriteCSV layout.
+func appendFeature(b []byte, _, _ int, x float64) []byte {
+	return strconv.AppendFloat(b, x, 'g', -1, 64)
 }
 
 // ReadCSV parses a table from the WriteCSV layout with the same row

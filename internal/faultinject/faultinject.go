@@ -126,6 +126,7 @@ func (p *point) fire() (uint64, bool) {
 // rule with Set before sharing the injector across goroutines; after that
 // all hook methods are safe for concurrent use. A nil *Injector is the
 // production no-op: every hook returns immediately.
+//
 //otfair:nilsafe nil injector is the production no-fault configuration
 type Injector struct {
 	seed   uint64

@@ -13,6 +13,7 @@ import (
 // in the first bucket with v <= bound, or the implicit +Inf bucket past
 // the last. Observe is wait-free on the bucket counters and lock-free on
 // the float sum; a nil *Histogram is the uninstrumented no-op.
+//
 //otfair:nilsafe nil histogram is the uninstrumented no-op on the record hot path
 type Histogram struct {
 	bounds  []float64 // sorted, strictly increasing upper bounds
@@ -142,7 +143,7 @@ func (s Snapshot) Quantile(q float64) float64 {
 			if c == 0 {
 				return hi
 			}
-			inBucket := float64(cum-c) // rank at bucket start
+			inBucket := float64(cum - c) // rank at bucket start
 			return lo + (hi-lo)*(rank-inBucket)/float64(c)
 		}
 	}

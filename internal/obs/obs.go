@@ -27,6 +27,7 @@ import (
 
 // Counter is a monotone cumulative counter. The zero value is ready to use;
 // a nil *Counter is the uninstrumented no-op.
+//
 //otfair:nilsafe nil counter is the uninstrumented no-op on the record hot path
 type Counter struct {
 	v atomic.Uint64
@@ -53,6 +54,7 @@ func (c *Counter) Load() uint64 {
 
 // Gauge is a settable instantaneous value. The zero value is ready to use;
 // a nil *Gauge is the uninstrumented no-op.
+//
 //otfair:nilsafe nil gauge is the uninstrumented no-op on the record hot path
 type Gauge struct {
 	v atomic.Int64

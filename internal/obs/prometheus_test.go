@@ -39,7 +39,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		got[s.Key()] = s.Value
 	}
 	want := map[string]float64{
-		"otfair_requests_total":                                42,
+		"otfair_requests_total":                                 42,
 		`otfair_http_requests_total{route="repair",code="200"}`: 7,
 		`otfair_http_requests_total{route="blind",code="200"}`:  3,
 		"otfair_inflight":                                       5,

@@ -53,6 +53,7 @@ func StageNames() [NumStages]string { return stageNames }
 // Tracer; every method is nil-receiver safe so an untraced deployment
 // (nil Tracer, nil Trace) pays one pointer check per instrumentation
 // point.
+//
 //otfair:nilsafe nil trace means the request is unsampled; span adds are no-ops
 type Trace struct {
 	id      string
@@ -163,6 +164,7 @@ type TraceResult struct {
 // Tracer generates request IDs and owns the trace pool and the
 // slow-request ring. A nil *Tracer is the untraced no-op: Start returns a
 // nil *Trace and every downstream method is a pointer check.
+//
 //otfair:nilsafe nil tracer disables request tracing entirely
 type Tracer struct {
 	opts TracerOptions

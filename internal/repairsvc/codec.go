@@ -9,85 +9,239 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"otfair/internal/core"
 	"otfair/internal/dataset"
+	"otfair/internal/stat"
 )
 
 // The repair endpoint is a record-stream transformer, so both wire formats
-// are implemented as (input Stream, output sink, finish) triples around the
+// are implemented as (input Stream, lineSink) pairs around the
 // request/response bodies. Response headers and the CSV header row are
 // written lazily on the first repaired record, so validation errors that
 // precede any output (unknown plan, dimension mismatch) still produce clean
 // JSON errors.
 //
-// Both sinks append a whole record into one reused line buffer and hand it
-// to a bufio.Writer, so the bytes are exactly what encoding/csv and
-// encoding/json would write without either package running per record.
+// Both sinks append whole records into one pooled output buffer and hand
+// it to the ResponseWriter in one write once it is full, so the bytes are
+// exactly what encoding/csv and encoding/json would write without either
+// package running per record, and every write ends on a record boundary.
+// Each feature's text comes from the response's supportMemo.
 
-// lineSink lazily starts the response and writes one encoded record per
-// call.
+// outBufSize is the response buffer: whole records accumulate until the
+// next one might not fit, then go to the ResponseWriter in one write. It
+// is the 64 KiB the CSV row reader reads requests with.
+const outBufSize = 64 << 10
+
+// featureFunc appends the text of feature k of a record in group u.
+type featureFunc = func(b []byte, u, k int, x float64) []byte
+
+// respState is one response's encoder state: the output buffer and the
+// support-text memo. It is pooled between responses, so a response clears
+// the memo's slots instead of allocating them.
+type respState struct {
+	out  []byte
+	memo supportMemo
+}
+
+var respPool = sync.Pool{New: func() any {
+	st := &respState{out: make([]byte, 0, outBufSize)}
+	st.memo.feature = st.memo.appendFeature
+	return st
+}}
+
+// supportMemo is one response's text for its plan's support points. Every
+// value a repair writes is a support point of its record's (u, k) cell —
+// cell.Q[j], or Q[0] for a degenerate cell — so a response formats each
+// point the first time it writes it and copies that text after. A value
+// not bit-identical to the grid point stat.SearchGrid finds for it
+// (off-grid, -0 beside a +0 point, NaN, a u outside {0,1}) is formatted
+// directly, so the bytes written never depend on the memo.
+type supportMemo struct {
+	format  func([]byte, float64) []byte // the encoder's float formatter
+	feature featureFunc                  // appendFeature, bound once per respState
+	cells   [2][]memoCell                // indexed [u][k], like core.Plan.Cells
+	slots   []memoSlot                   // every cell's slots, back to back
+	text    []byte                       // the formatted points, back to back
+}
+
+type memoCell struct {
+	q     []float64
+	slots []memoSlot
+}
+
+// memoSlot locates a support point's text in supportMemo.text; end == 0
+// marks a point this response has not written yet.
+type memoSlot struct{ start, end uint32 }
+
+// bind points the memo at plan's grids with every slot empty.
+func (m *supportMemo) bind(plan *core.Plan, format func([]byte, float64) []byte) {
+	m.format = format
+	m.text = m.text[:0]
+	n := 0
+	for u := range plan.Cells {
+		for _, c := range plan.Cells[u] {
+			n += len(c.Q)
+		}
+	}
+	if cap(m.slots) < n {
+		m.slots = make([]memoSlot, n)
+	} else {
+		m.slots = m.slots[:n]
+		clear(m.slots)
+	}
+	slots := m.slots
+	for u := range plan.Cells {
+		cells := m.cells[u][:0]
+		for _, c := range plan.Cells[u] {
+			q := c.Q
+			cells = append(cells, memoCell{q: q, slots: slots[:len(q):len(q)]})
+			slots = slots[len(q):]
+		}
+		m.cells[u] = cells
+	}
+}
+
+// unbind drops the memo's references to the plan before it is pooled.
+func (m *supportMemo) unbind() {
+	for u := range m.cells {
+		clear(m.cells[u])
+		m.cells[u] = m.cells[u][:0]
+	}
+	m.format = nil
+}
+
+func (m *supportMemo) appendFeature(b []byte, u, k int, x float64) []byte {
+	if uint(u) < 2 && uint(k) < uint(len(m.cells[u])) {
+		c := &m.cells[u][k]
+		if j := stat.SearchGrid(c.q, x); j < len(c.q) && math.Float64bits(c.q[j]) == math.Float64bits(x) {
+			s := &c.slots[j]
+			if s.end == 0 {
+				s.start = uint32(len(m.text))
+				m.text = m.format(m.text, x)
+				s.end = uint32(len(m.text))
+			}
+			return append(b, m.text[s.start:s.end]...)
+		}
+	}
+	return m.format(b, x)
+}
+
+// lineSink lazily starts the response and appends one encoded record per
+// write.
 type lineSink struct {
-	w      http.ResponseWriter
-	ctype  string
-	header func(io.Writer) error // writes any preamble once; may be nil
-	encode func([]byte, dataset.Record) ([]byte, error)
-	bw     *bufio.Writer
-	line   []byte
+	w       http.ResponseWriter
+	ctype   string
+	header  func(io.Writer) error // writes any preamble once; may be nil
+	encode  func([]byte, dataset.Record, featureFunc) ([]byte, error)
+	st      *respState
+	started bool
+}
+
+// newLineSink takes a respState from the pool with its memo bound to plan;
+// the caller must release it.
+func newLineSink(w http.ResponseWriter, ctype string, plan *core.Plan, format func([]byte, float64) []byte,
+	header func(io.Writer) error, encode func([]byte, dataset.Record, featureFunc) ([]byte, error)) *lineSink {
+	st := respPool.Get().(*respState)
+	st.memo.bind(plan, format)
+	return &lineSink{w: w, ctype: ctype, header: header, encode: encode, st: st}
 }
 
 func (ls *lineSink) start() error {
-	if ls.bw != nil {
+	if ls.started {
 		return nil
 	}
+	ls.started = true
 	ls.w.Header().Set("Content-Type", ls.ctype)
 	ls.w.WriteHeader(http.StatusOK)
-	ls.bw = bufio.NewWriter(ls.w)
 	if ls.header != nil {
-		return ls.header(ls.bw)
+		return ls.header((*appendWriter)(&ls.st.out))
 	}
 	return nil
 }
 
-// write encodes the record into the reused line buffer and sends it.
+// write appends the record to the output buffer, and sends the buffer
+// once another record as long as this one would take it past outBufSize.
 func (ls *lineSink) write(rec dataset.Record) error {
 	if err := ls.start(); err != nil {
 		return err
 	}
-	line, err := ls.encode(ls.line[:0], rec)
+	st := ls.st
+	n := len(st.out)
+	out, err := ls.encode(st.out, rec, st.memo.feature)
 	if err != nil {
 		return err
 	}
-	ls.line = line
-	_, err = ls.bw.Write(line)
+	st.out = out
+	if last := len(out) - n; len(out)+last > outBufSize {
+		return ls.flush()
+	}
+	return nil
+}
+
+func (ls *lineSink) flush() error {
+	_, err := ls.w.Write(ls.st.out)
+	ls.st.out = ls.st.out[:0]
 	return err
 }
 
-// finish starts an empty response if no record was written and flushes.
+// finish starts an empty response if no record was written and sends
+// what the buffer holds.
 func (ls *lineSink) finish() error {
 	if err := ls.start(); err != nil {
 		return err
 	}
-	return ls.bw.Flush()
+	if len(ls.st.out) == 0 {
+		return nil
+	}
+	return ls.flush()
+}
+
+// release returns the sink's state to the pool; the sink is unusable
+// after. A buffer a very long record grew past twice outBufSize is left
+// to the collector.
+func (ls *lineSink) release() {
+	st := ls.st
+	if st == nil {
+		return
+	}
+	ls.st = nil
+	st.memo.unbind()
+	if cap(st.out) > 2*outBufSize {
+		return
+	}
+	st.out = st.out[:0]
+	respPool.Put(st)
+}
+
+// appendWriter is an io.Writer appending to a byte slice.
+type appendWriter []byte
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	*a = append(*a, p...)
+	return len(p), nil
 }
 
 // csvPipe adapts the dataset CSV layout ("s,u,<features...>").
-func (s *Server) csvPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, func(dataset.Record) error, func() error, error) {
+func (s *Server) csvPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, *lineSink, error) {
 	in, err := dataset.NewCSVStream(body)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	out := &lineSink{
-		w:     w,
-		ctype: "text/csv",
-		header: func(w io.Writer) error {
+	out := newLineSink(w, "text/csv", plan, appendCSVFloat,
+		func(w io.Writer) error {
 			return dataset.WriteCSVHeader(w, plan.Names)
 		},
-		encode: func(b []byte, rec dataset.Record) ([]byte, error) {
-			return dataset.AppendCSVRecord(b, rec), nil
-		},
-	}
-	return in, out.write, out.finish, nil
+		func(b []byte, rec dataset.Record, feature featureFunc) ([]byte, error) {
+			return dataset.AppendCSVRecord(b, rec, feature), nil
+		})
+	return in, out, nil
+}
+
+// appendCSVFloat is the CSV layout's float text, FormatFloat(x, 'g', -1, 64).
+func appendCSVFloat(b []byte, x float64) []byte {
+	return strconv.AppendFloat(b, x, 'g', -1, 64)
 }
 
 // wireRecord is the NDJSON record shape, identical both directions. A
@@ -276,9 +430,10 @@ func skipDigits(b []byte, i int) int {
 }
 
 // appendNDJSON appends rec as the line json.Encoder writes for its
-// wireRecord, newline included. Like encoding/json it rejects non-finite
-// features, appending nothing.
-func appendNDJSON(b []byte, rec dataset.Record) ([]byte, error) {
+// wireRecord, newline included, with each feature's text from feature,
+// which must append appendJSONFloat's. Like encoding/json it rejects
+// non-finite features, appending nothing.
+func appendNDJSON(b []byte, rec dataset.Record, feature featureFunc) ([]byte, error) {
 	for _, v := range rec.X {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
@@ -289,7 +444,7 @@ func appendNDJSON(b []byte, rec dataset.Record) ([]byte, error) {
 		if k > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONFloat(b, v)
+		b = feature(b, rec.U, k, v)
 	}
 	b = append(b, `],"s":`...)
 	if rec.S == dataset.SUnknown {
@@ -323,10 +478,10 @@ func appendJSONFloat(b []byte, v float64) []byte {
 }
 
 // ndjsonPipe adapts newline-delimited JSON records.
-func (s *Server) ndjsonPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, func(dataset.Record) error, func() error, error) {
+func (s *Server) ndjsonPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, *lineSink, error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
 	in := &ndjsonStream{sc: sc, dim: plan.Dim}
-	out := &lineSink{w: w, ctype: "application/x-ndjson", encode: appendNDJSON}
-	return in, out.write, out.finish, nil
+	out := newLineSink(w, "application/x-ndjson", plan, appendJSONFloat, nil, appendNDJSON)
+	return in, out, nil
 }

@@ -9,11 +9,17 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"otfair/internal/core"
 	"otfair/internal/dataset"
+	"otfair/internal/rng"
+	"otfair/internal/stat"
 )
 
 // The NDJSON error-path contract: a request that fails after the response
@@ -247,7 +253,7 @@ func TestScanWireRecordTakesEncoderShapes(t *testing.T) {
 			}
 			lines = append(lines, raw)
 		}
-		line, _ := appendNDJSON(nil, dataset.Record{X: x, S: 0, U: 1})
+		line, _ := appendNDJSON(nil, dataset.Record{X: x, S: 0, U: 1}, plainJSON)
 		lines = append(lines, bytes.TrimSuffix(line, []byte("\n")))
 		for _, line := range lines {
 			rec, count, ok := scanWireRecord(line, make([]float64, 2))
@@ -302,27 +308,26 @@ var encodeCases = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(),
 }
 
-// checkEncode compares the append-based encoders with json.Encoder on a
-// wireRecord and csv.Writer on the FormatFloat/Itoa row.
-func checkEncode(t *testing.T, rec dataset.Record) {
-	t.Helper()
-	var want bytes.Buffer
+// plainJSON and plainCSV are the memo-free feature formatters of the two
+// wire encoders.
+func plainJSON(b []byte, _, _ int, x float64) []byte { return appendJSONFloat(b, x) }
+func plainCSV(b []byte, _, _ int, x float64) []byte  { return appendCSVFloat(b, x) }
+
+// stdlibEncode is the reference for both wire encoders: the line
+// json.Encoder writes for rec's wireRecord, or its error, and the row
+// csv.Writer writes for the FormatFloat/Itoa fields.
+func stdlibEncode(rec dataset.Record) (jsonLine string, jsonErr error, csvRow string) {
+	var buf bytes.Buffer
 	wr := wireRecord{X: rec.X, U: rec.U}
 	if rec.S != dataset.SUnknown {
 		s := rec.S
 		wr.S = &s
 	}
-	werr := json.NewEncoder(&want).Encode(wr)
-	got, gerr := appendNDJSON([]byte("prefix"), rec)
-	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
-		t.Fatalf("%+v: ndjson error %v, want %v", rec, gerr, werr)
-	}
-	if string(got) != "prefix"+want.String() {
-		t.Fatalf("%+v: ndjson %q, want %q", rec, got, "prefix"+want.String())
-	}
+	jsonErr = json.NewEncoder(&buf).Encode(wr)
+	jsonLine = buf.String()
 
-	want.Reset()
-	cw := csv.NewWriter(&want)
+	buf.Reset()
+	cw := csv.NewWriter(&buf)
 	row := []string{"", strconv.Itoa(rec.U)}
 	if rec.S != dataset.SUnknown {
 		row[0] = strconv.Itoa(rec.S)
@@ -332,9 +337,99 @@ func checkEncode(t *testing.T, rec dataset.Record) {
 	}
 	cw.Write(row)
 	cw.Flush()
-	if got := dataset.AppendCSVRecord(nil, rec); string(got) != want.String() {
-		t.Fatalf("%+v: csv %q, want %q", rec, got, want.String())
+	return jsonLine, jsonErr, buf.String()
+}
+
+// checkEncode compares the append-based encoders with stdlibEncode: once
+// with the plain formatters, then through both response sinks bound to
+// two plans — one whose every grid holds the record's finite values, and
+// memoFixturePlan. Each sink writes the record twice, so the second write
+// copies what the first formatted into the memo, then twice more with its
+// features reversed, so each cell also meets the other values.
+func checkEncode(t *testing.T, rec dataset.Record) {
+	t.Helper()
+	wantJSON, werr, wantCSV := stdlibEncode(rec)
+	got, gerr := appendNDJSON([]byte("prefix"), rec, plainJSON)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("%+v: ndjson error %v, want %v", rec, gerr, werr)
 	}
+	if string(got) != "prefix"+wantJSON {
+		t.Fatalf("%+v: ndjson %q, want %q", rec, got, "prefix"+wantJSON)
+	}
+	if got := dataset.AppendCSVRecord(nil, rec, plainCSV); string(got) != wantCSV {
+		t.Fatalf("%+v: csv %q, want %q", rec, got, wantCSV)
+	}
+
+	rev := dataset.Record{X: slices.Clone(rec.X), S: rec.S, U: rec.U}
+	slices.Reverse(rev.X)
+	writes := []dataset.Record{rec, rec, rev, rev}
+	for _, plan := range []*core.Plan{gridPlanFor(rec.X), memoFixturePlan()} {
+		for _, format := range []string{"ndjson", "csv"} {
+			var want bytes.Buffer
+			pipe := (*Server).ndjsonPipe
+			if format == "csv" {
+				pipe = (*Server).csvPipe
+				if err := dataset.WriteCSVHeader(&want, plan.Names); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w := httptest.NewRecorder()
+			_, out, err := pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass, r := range writes {
+				line, lineErr, row := stdlibEncode(r)
+				if format == "csv" {
+					line, lineErr = row, nil
+				}
+				err := out.write(r)
+				if (err == nil) != (lineErr == nil) || err != nil && err.Error() != lineErr.Error() {
+					t.Fatalf("%+v: %s sink write %d error %v, want %v", r, format, pass, err, lineErr)
+				}
+				if err == nil {
+					want.WriteString(line)
+				}
+			}
+			if err := out.finish(); err != nil {
+				t.Fatal(err)
+			}
+			out.release()
+			if got := w.Body.String(); got != want.String() {
+				t.Fatalf("%+v: %s sink wrote %q, want %q", rec, format, got, want.String())
+			}
+		}
+	}
+}
+
+// gridPlanFor is a plan of dimension len(x) whose every (u, k) grid holds
+// the finite values of x, sorted.
+func gridPlanFor(x []float64) *core.Plan {
+	var q []float64
+	for _, v := range x {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			q = append(q, v)
+		}
+	}
+	sort.Float64s(q)
+	plan := &core.Plan{Dim: len(x)}
+	for u := range plan.Cells {
+		for range x {
+			plan.Cells[u] = append(plan.Cells[u], &core.Cell{Q: q})
+		}
+	}
+	return plan
+}
+
+// memoFixturePlan is a fixed d = 2 plan the FuzzWireEncode seeds place
+// values against: cell (0,0) holds +0 and 0.25, cell (0,1) neither, cell
+// (1,0) is degenerate at 2.5, and cell (1,1) spans both of encoding/json's
+// 'e' ranges.
+func memoFixturePlan() *core.Plan {
+	return &core.Plan{Dim: 2, Cells: [2][]*core.Cell{
+		{{Q: stat.Linspace(-1, 1, 9)}, {Q: stat.Linspace(0.5, 4.5, 5)}},
+		{{Q: []float64{2.5}, Degenerate: true}, {Q: []float64{-1e22, -1e-7, 1e-7, 1e21}}},
+	}}
 }
 
 func TestWireEncodeMatchesStdlib(t *testing.T) {
@@ -361,7 +456,9 @@ func FuzzNDJSONDecode(f *testing.F) {
 }
 
 // FuzzWireEncode compares both append-based encoders with encoding/json
-// and encoding/csv for arbitrary float64 bit patterns and labels.
+// and encoding/csv for arbitrary float64 bit patterns and labels, plain
+// and through both response sinks' support-text memo (checkEncode). The
+// memo_* seeds place values against memoFixturePlan's grids.
 func FuzzWireEncode(f *testing.F) {
 	for _, v := range encodeCases {
 		f.Add(math.Float64bits(v), math.Float64bits(-v), 1, 0)
@@ -369,4 +466,210 @@ func FuzzWireEncode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b uint64, s, u int) {
 		checkEncode(t, dataset.Record{X: []float64{math.Float64frombits(a), math.Float64frombits(b)}, S: s, U: u})
 	})
+}
+
+// discardResponse is an http.ResponseWriter that drops the body.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+
+// repairedRecords repairs n archive records of a d = 2, n_Q = nq plan, the
+// values a sink writes in serving.
+func repairedRecords(t *testing.T, nq, n int) (*core.Plan, []dataset.Record) {
+	t.Helper()
+	plan, _, archive := testData(t, 91, 400, n, nq)
+	rp, err := core.NewRepairer(plan, rng.New(5), core.RepairOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repaired, err := rp.RepairTable(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]dataset.Record, repaired.Len())
+	for i := range recs {
+		recs[i] = repaired.At(i)
+	}
+	return plan, recs
+}
+
+// TestSinkAllocsPerRecord pins the pooled sink: after a warm-up response,
+// a 10 000-record response through either sink allocates at most 0.01
+// times per record, and its memo fills at most one slot per support point,
+// 2·d·n_Q in all.
+func TestSinkAllocsPerRecord(t *testing.T) {
+	const nq, n = 100, 10000
+	plan, recs := repairedRecords(t, nq, n)
+	for _, tc := range []struct {
+		name string
+		pipe func(*Server, http.ResponseWriter, io.Reader, *core.Plan) (dataset.Stream, *lineSink, error)
+	}{
+		{"ndjson", (*Server).ndjsonPipe},
+		{"csv", (*Server).csvPipe},
+	} {
+		w := &discardResponse{h: http.Header{}}
+		var filled, slots int
+		allocs := testing.AllocsPerRun(3, func() {
+			_, out, err := tc.pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				if err := out.write(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := out.finish(); err != nil {
+				t.Fatal(err)
+			}
+			filled, slots = 0, len(out.st.memo.slots)
+			for _, s := range out.st.memo.slots {
+				if s.end != 0 {
+					filled++
+				}
+			}
+			out.release()
+		})
+		if perRec := allocs / n; perRec > 0.01 {
+			t.Errorf("%s: %.4f allocations per record (%.0f per response), want <= 0.01", tc.name, perRec, allocs)
+		}
+		if max := 2 * plan.Dim * nq; slots != max || filled == 0 || filled > max {
+			t.Errorf("%s: memo filled %d of %d slots, want 1..%d", tc.name, filled, slots, max)
+		}
+	}
+}
+
+// TestSinkBytesMatchPlainEncoders writes a whole repaired stream, both u
+// groups and every feature interleaved, through each sink and compares
+// the body with the plain formatters' bytes.
+func TestSinkBytesMatchPlainEncoders(t *testing.T) {
+	plan, recs := repairedRecords(t, 30, 3000)
+	var header bytes.Buffer
+	if err := dataset.WriteCSVHeader(&header, plan.Names); err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, wantCSV := []byte{}, header.Bytes()
+	for _, rec := range recs {
+		var err error
+		if wantJSON, err = appendNDJSON(wantJSON, rec, plainJSON); err != nil {
+			t.Fatal(err)
+		}
+		wantCSV = dataset.AppendCSVRecord(wantCSV, rec, plainCSV)
+	}
+	for _, tc := range []struct {
+		name string
+		pipe func(*Server, http.ResponseWriter, io.Reader, *core.Plan) (dataset.Stream, *lineSink, error)
+		want []byte
+	}{
+		{"ndjson", (*Server).ndjsonPipe, wantJSON},
+		{"csv", (*Server).csvPipe, wantCSV},
+	} {
+		w := httptest.NewRecorder()
+		_, out, err := tc.pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := out.write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := out.finish(); err != nil {
+			t.Fatal(err)
+		}
+		out.release()
+		if !bytes.Equal(w.Body.Bytes(), tc.want) {
+			t.Errorf("%s: sink body (%d bytes) differs from the plain encoder's (%d bytes)", tc.name, w.Body.Len(), len(tc.want))
+		}
+	}
+}
+
+// TestLongRowsAbortOnRecordBoundary: a request that fails mid-stream
+// truncates its response at a record boundary in both formats, for rows
+// shorter than 4 KiB that do not divide it and for rows longer than it,
+// because each write to the response holds whole records.
+func TestLongRowsAbortOnRecordBoundary(t *testing.T) {
+	for _, dim := range []int{150, 300} {
+		plan, research := wideDesign(t, dim)
+		srv, id := newTestServer(t, plan)
+		var csvBody bytes.Buffer
+		if err := research.WriteCSV(&csvBody); err != nil {
+			t.Fatal(err)
+		}
+		csvBody.WriteString("0,1,2\n") // a short row mid-stream
+
+		for _, tc := range []struct {
+			format, ctype string
+			body          io.Reader
+			// header is the number of preamble lines before the records.
+			header int
+			whole  func(line []byte) bool
+		}{
+			{"ndjson", "application/x-ndjson", ndjsonBody(t, dim, 60, `{"x": [1.0, broken`), 0, func(line []byte) bool {
+				var wr wireRecord
+				return json.Unmarshal(line, &wr) == nil && len(wr.X) == dim
+			}},
+			{"csv", "text/csv", &csvBody, 1, func(line []byte) bool {
+				return bytes.Count(line, []byte(",")) == dim+1 && line[len(line)-1] != ','
+			}},
+		} {
+			t.Run(fmt.Sprintf("%s/dim%d", tc.format, dim), func(t *testing.T) {
+				resp, err := http.Post(srv.URL+"/v1/repair?plan="+id+"&seed=1&workers=1&format="+tc.format, tc.ctype, tc.body)
+				if err != nil {
+					t.Fatalf("response never started: %v", err)
+				}
+				defer resp.Body.Close()
+				read, err := io.ReadAll(resp.Body)
+				if err == nil {
+					t.Fatalf("failing mid-stream request returned a clean complete response (%d bytes)", len(read))
+				}
+				lines := bytes.Split(bytes.TrimSuffix(read, []byte("\n")), []byte("\n"))
+				if len(lines) <= tc.header {
+					t.Fatal("no record arrived before the abort; the test needs a flushed buffer")
+				}
+				if read[len(read)-1] != '\n' {
+					t.Fatalf("aborted stream ends mid-record: ...%q", read[max(0, len(read)-40):])
+				}
+				for i, line := range lines[tc.header:] {
+					if !tc.whole(line) {
+						t.Fatalf("record %d is not a whole record: %.60q...", i, line)
+					}
+				}
+				if dim == 300 && len(lines[tc.header]) <= 4096 {
+					t.Fatalf("rows are %d bytes; the case needs rows longer than 4 KiB", len(lines[tc.header]))
+				}
+			})
+		}
+	}
+}
+
+// wideDesign designs an NQ = 10 plan on an 80-record research set of
+// dimension dim.
+func wideDesign(t *testing.T, dim int) (*core.Plan, *dataset.Table) {
+	t.Helper()
+	names := make([]string, dim)
+	for k := range names {
+		names[k] = "feature_" + strconv.Itoa(k)
+	}
+	research, err := dataset.NewTable(dim, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(uint64(dim))
+	for i := 0; i < 80; i++ {
+		x := make([]float64, dim)
+		for k := range x {
+			x[k] = r.Normal(float64(i%2), 1)
+		}
+		if err := research.Append(dataset.Record{X: x, S: i % 2, U: (i / 2) % 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := core.Design(research, core.Options{NQ: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, research
 }

@@ -995,15 +995,14 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// a CSV/NDJSON body.
 	var (
 		in      dataset.Stream
-		sink    func(dataset.Record) error
-		finish  func() error
+		out     *lineSink
 		openErr error
 	)
 	switch format {
 	case "csv":
-		in, sink, finish, openErr = s.csvPipe(tw, spool, engine.Plan())
+		in, out, openErr = s.csvPipe(tw, spool, engine.Plan())
 	case "ndjson":
-		in, sink, finish, openErr = s.ndjsonPipe(tw, spool, engine.Plan())
+		in, out, openErr = s.ndjsonPipe(tw, spool, engine.Plan())
 	default:
 		httpError(w, http.StatusBadRequest, "unknown format %q", format)
 		return
@@ -1012,6 +1011,9 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", openErr)
 		return
 	}
+	// The sink's pooled buffer goes back on every exit, the
+	// ErrAbortHandler panics below included.
+	defer out.release()
 
 	// Wrap the sink to feed the observability state. The engine calls the
 	// sink serially from this goroutine, so one lock acquisition per record
@@ -1044,12 +1046,12 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		// clock reads are the cost being sampled away.
 		if tr.Sampled() {
 			start := time.Now() //otfair:nondet-ok sampled-trace encode timing; trace spans never reach repaired records
-			err := sink(rec)
+			err := out.write(rec)
 			//otfair:nondet-ok sampled-trace encode timing; trace spans never reach repaired records
 			tr.Add(obs.StageEncode, time.Since(start))
 			return err
 		}
-		return sink(rec)
+		return out.write(rec)
 	}
 
 	// The run wall covers decode, repair and encode interleaved; the
@@ -1093,7 +1095,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	tr.Begin(obs.StageFlush)
-	if err := finish(); err != nil {
+	if err := out.finish(); err != nil {
 		return
 	}
 	tr.End(obs.StageFlush)

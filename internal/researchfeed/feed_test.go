@@ -99,7 +99,7 @@ func (s *scriptSource) Calls() int {
 	return s.calls
 }
 
-func ok(b []byte) func() ([]byte, error)  { return func() ([]byte, error) { return b, nil } }
+func ok(b []byte) func() ([]byte, error) { return func() ([]byte, error) { return b, nil } }
 func fail(msg string) func() ([]byte, error) {
 	return func() ([]byte, error) { return nil, errors.New(msg) }
 }

@@ -14,6 +14,7 @@ import (
 //
 // The runner observes at shard and chunk granularity, never per record —
 // the granularity at which instrumentation is free relative to the work.
+//
 //otfair:nilsafe nil Obs runs the shard runner uninstrumented
 type Obs struct {
 	// ShardSeconds observes each shard closure's wall time, panicking
