@@ -158,7 +158,9 @@ bench-check:
 loc:
 	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test\.go$$' | xargs cat | wc -l
 
-# Stage-level micro-benchmarks (design, repair, solvers, metric, kernels).
+# Stage-level micro-benchmarks (design, repair, solvers, metric, kernels,
+# and the decimal parser under both /v1/repair decoders against strconv).
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkDesign$$|BenchmarkRepairTable$$|BenchmarkSolvers|BenchmarkEMetric$$' -benchtime 10x .
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/vec/
+	$(GO) test -run '^$$' -bench 'BenchmarkParse$$' -benchtime 1000000x ./internal/atof/

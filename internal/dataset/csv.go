@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"otfair/internal/atof"
 )
 
 // CSV layout: header "s,u,<feature names...>"; S is written as an empty
@@ -332,7 +334,7 @@ func (rr *rowReader) parseRow(line int) (Record, error) {
 	}
 	rec.U = u
 	for k := range rec.X {
-		v, err := strconv.ParseFloat(string(bytes.TrimSpace(row[2+k])), 64)
+		v, err := atof.Parse(bytes.TrimSpace(row[2+k]))
 		if err != nil {
 			return Record{}, fmt.Errorf("dataset: line %d: bad feature %d %q", line, k, row[2+k])
 		}

@@ -10,7 +10,6 @@ import (
 	"otfair/internal/kde"
 	"otfair/internal/rng"
 	"otfair/internal/stat"
-	"otfair/internal/vec"
 )
 
 func TestKLIdentical(t *testing.T) {
@@ -108,61 +107,6 @@ func TestFlooringKeepsFinite(t *testing.T) {
 	}
 	if d < 10 {
 		t.Errorf("disjoint-support KL suspiciously small: %v", d)
-	}
-}
-
-func TestJensenShannonBounds(t *testing.T) {
-	p := []float64{1, 0}
-	q := []float64{0, 1}
-	d, err := JensenShannon(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < math.Log(2)-1e-6 || d > math.Log(2)+1e-6 {
-		t.Errorf("JS of disjoint = %v, want ln2 = %v", d, math.Log(2))
-	}
-	same, _ := JensenShannon(p, p)
-	if same > 1e-9 {
-		t.Errorf("JS(p,p) = %v", same)
-	}
-}
-
-func TestHellingerKnown(t *testing.T) {
-	p := []float64{1, 0}
-	q := []float64{0, 1}
-	h, err := Hellinger(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h-1) > 1e-12 {
-		t.Errorf("Hellinger disjoint = %v", h)
-	}
-	h2, _ := Hellinger(p, p)
-	if h2 != 0 {
-		t.Errorf("Hellinger(p,p) = %v", h2)
-	}
-}
-
-func TestTotalVariation(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.25, 0.75}
-	tv, err := TotalVariation(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tv-0.25) > 1e-12 {
-		t.Errorf("TV = %v", tv)
-	}
-}
-
-func TestChiSquaredZeroOnIdentical(t *testing.T) {
-	p := []float64{0.3, 0.7}
-	c, err := ChiSquared(p, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c > 1e-12 {
-		t.Errorf("chi2(p,p) = %v", c)
 	}
 }
 
@@ -273,68 +217,6 @@ func KL(p, q []float64) (float64, error) {
 // ½·D(p‖q) + ½·D(q‖p).
 func SymKL(p, q []float64) (float64, error) {
 	return SymKLFloored(p, q, DefaultFloor)
-}
-
-// JensenShannon returns the Jensen–Shannon divergence (base-e, in [0, ln 2]).
-func JensenShannon(p, q []float64) (float64, error) {
-	if err := validatePair(p, q); err != nil {
-		return 0, err
-	}
-	pf := floored(p, DefaultFloor)
-	qf := floored(q, DefaultFloor)
-	m := make([]float64, len(pf))
-	for i := range m {
-		m[i] = 0.5 * (pf[i] + qf[i])
-	}
-	a, err := KLFloored(pf, m, DefaultFloor)
-	if err != nil {
-		return 0, err
-	}
-	b, err := KLFloored(qf, m, DefaultFloor)
-	if err != nil {
-		return 0, err
-	}
-	return 0.5*a + 0.5*b, nil
-}
-
-// Hellinger returns the Hellinger distance H(p,q) ∈ [0, 1].
-func Hellinger(p, q []float64) (float64, error) {
-	if err := validatePair(p, q); err != nil {
-		return 0, err
-	}
-	s := 0.0
-	for i := range p {
-		d := math.Sqrt(p[i]) - math.Sqrt(q[i])
-		s += d * d
-	}
-	h := math.Sqrt(0.5 * s)
-	if h > 1 {
-		h = 1
-	}
-	return h, nil
-}
-
-// TotalVariation returns TV(p,q) = ½ Σ|p−q| ∈ [0, 1].
-func TotalVariation(p, q []float64) (float64, error) {
-	if err := validatePair(p, q); err != nil {
-		return 0, err
-	}
-	return 0.5 * vec.SumAbsDiff(p, q), nil
-}
-
-// ChiSquared returns the Pearson χ² divergence Σ (p−q)²/q with flooring.
-func ChiSquared(p, q []float64) (float64, error) {
-	if err := validatePair(p, q); err != nil {
-		return 0, err
-	}
-	qf := floored(q, DefaultFloor)
-	pf := floored(p, DefaultFloor)
-	s := 0.0
-	for i := range pf {
-		d := pf[i] - qf[i]
-		s += d * d / qf[i]
-	}
-	return s, nil
 }
 
 // GaussianKL returns the closed-form KL divergence

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 
+	"otfair/internal/atof"
 	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/stat"
@@ -300,7 +301,8 @@ func (n *ndjsonStream) Next() (dataset.Record, error) {
 		return rec, nil
 	}
 	if err := n.sc.Err(); err != nil {
-		return dataset.Record{}, err
+		// Scan failed on the line after the last one it returned.
+		return dataset.Record{}, fmt.Errorf("repairsvc: ndjson line %d: %w", n.line+1, err)
 	}
 	return dataset.Record{}, io.EOF
 }
@@ -326,7 +328,7 @@ func scanWireRecord(b []byte, x []float64) (rec dataset.Record, count int, ok bo
 		}
 		// Features past len(x) are parsed too: one encoding/json rejects
 		// must fail the line as its error, not as a feature count.
-		v, err := strconv.ParseFloat(string(b[i:end]), 64)
+		v, err := atof.Parse(b[i:end])
 		if err != nil {
 			return rec, 0, false
 		}

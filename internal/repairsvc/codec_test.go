@@ -113,6 +113,34 @@ func TestNDJSONOversizedRecordAborts(t *testing.T) {
 	}
 }
 
+// TestNDJSONOverlongLineNamesItsLine posts a line past the scanner's 4 MiB
+// cap after two good ones. With the default workers the stream fails while
+// the first chunk is still being read, so the client gets a clean 422 whose
+// message names the line, as every other NDJSON error does.
+func TestNDJSONOverlongLineNamesItsLine(t *testing.T) {
+	plan, _, _ := testData(t, 72, 250, 10, 25)
+	srv, id := newTestServer(t, plan)
+	url := srv.URL + "/v1/repair?plan=" + id + "&seed=1&format=ndjson"
+
+	huge := `{"x": [0.1, ` + strings.Repeat("0,", 3*1024*1024) + `0.2], "s": 0, "u": 0}`
+	status, read, err := postNDJSON(t, url, ndjsonBody(t, plan.Dim, 2, huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want %d: %s", status, http.StatusUnprocessableEntity, read)
+	}
+	var msg struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(read, &msg); err != nil {
+		t.Fatalf("error body is not the JSON error shape: %q", read)
+	}
+	if !strings.Contains(msg.Error, "ndjson line 3: ") || !strings.Contains(msg.Error, bufio.ErrTooLong.Error()) {
+		t.Errorf("error %q does not name line 3 and the scanner's cause", msg.Error)
+	}
+}
+
 func TestNDJSONMissingColumnAborts(t *testing.T) {
 	plan, _, _ := testData(t, 73, 250, 10, 25)
 	srv, id := newTestServer(t, plan)

@@ -2,7 +2,6 @@ package stat
 
 import (
 	"errors"
-	"math"
 	"sort"
 )
 
@@ -74,8 +73,8 @@ func (h *Histogram) Centers() []float64 {
 }
 
 // ECDF is an empirical cumulative distribution function over a sorted
-// sample with optional weights. It supplies the quantile functions that the
-// exact 1-D Wasserstein distance and barycenter are built from.
+// sample. It supplies the group quantile functions of the 1-D quantile
+// repair (core.QuantilePlan), whose target is their W2 barycentre.
 type ECDF struct {
 	// xs is ascending; cum[i] is the cumulative probability mass at and
 	// below xs[i]; cum[len-1] == 1.
@@ -83,35 +82,17 @@ type ECDF struct {
 	cum []float64
 }
 
-// NewECDF builds an ECDF from an unsorted unweighted sample.
+// NewECDF builds an ECDF from an unsorted sample.
 func NewECDF(sample []float64) (*ECDF, error) {
 	if len(sample) == 0 {
 		return nil, ErrEmpty
 	}
 	xs := append([]float64(nil), sample...)
 	sort.Float64s(xs)
-	w := make([]float64, len(xs))
-	for i := range w {
-		w[i] = 1
-	}
-	return newECDFSorted(xs, w)
-}
-
-func newECDFSorted(xs, ws []float64) (*ECDF, error) {
-	total := 0.0
-	for _, w := range ws {
-		if w < 0 || math.IsNaN(w) {
-			return nil, errors.New("stat: ECDF with negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		return nil, errors.New("stat: ECDF with zero total mass")
-	}
 	cum := make([]float64, len(xs))
-	acc := 0.0
+	step, acc := 1/float64(len(xs)), 0.0
 	for i := range xs {
-		acc += ws[i] / total
+		acc += step
 		cum[i] = acc
 	}
 	cum[len(cum)-1] = 1 // pin against round-off

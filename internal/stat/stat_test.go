@@ -1,7 +1,6 @@
 package stat
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -114,17 +113,6 @@ func TestCovarianceCorrelation(t *testing.T) {
 	}
 	if !math.IsNaN(Covariance(xs, ys[:2])) {
 		t.Error("mismatched lengths not NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Median != 2.5 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || !math.IsNaN(empty.Mean) {
-		t.Errorf("empty Summarize = %+v", empty)
 	}
 }
 
@@ -297,19 +285,6 @@ func TestECDFBasic(t *testing.T) {
 	}
 }
 
-func TestWeightedECDF(t *testing.T) {
-	e, err := NewWeightedECDF([]float64{10, 0, 5}, []float64{1, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.CDF(5); !almostEq(got, 0.75, 1e-12) {
-		t.Errorf("CDF(5) = %v", got)
-	}
-	if got := e.Quantile(0.3); got != 5 {
-		t.Errorf("Quantile(0.3) = %v", got)
-	}
-}
-
 func TestECDFQuantileCDFInverseProperty(t *testing.T) {
 	// Property: Quantile(CDF(x)) <= x for support points, and
 	// CDF(Quantile(p)) >= p for all p in (0,1).
@@ -333,85 +308,6 @@ func TestECDFErrors(t *testing.T) {
 	if _, err := NewECDF(nil); err == nil {
 		t.Error("empty sample accepted")
 	}
-	if _, err := NewWeightedECDF([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero total weight accepted")
-	}
-	if _, err := NewWeightedECDF([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := NewWeightedECDF([]float64{1}, []float64{-2}); err == nil {
-		t.Error("negative weight accepted")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	m, s := MeanStd([]float64{1, 2, 3, 4, 5})
-	if !almostEq(m, 3, 1e-12) || !almostEq(s, math.Sqrt(2.5), 1e-12) {
-		t.Errorf("MeanStd = %v %v", m, s)
-	}
-}
-
-// Summary bundles the descriptive statistics reported by diagnostics and
-// the CLI `evaluate` command.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	Q1, Median, Q3 float64
-}
-
-// Summarize computes a Summary of xs. Quantile fields are NaN when n == 0.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		nan := math.NaN()
-		s.Mean, s.Std, s.Min, s.Max, s.Q1, s.Median, s.Q3 = nan, nan, nan, nan, nan, nan, nan
-		return s
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	s.Mean = Mean(cp)
-	s.Std = StdDev(cp)
-	s.Min = cp[0]
-	s.Max = cp[len(cp)-1]
-	s.Q1 = Quantile(cp, 0.25)
-	s.Median = Quantile(cp, 0.5)
-	s.Q3 = Quantile(cp, 0.75)
-	return s
-}
-
-// MeanStd returns the mean and unbiased standard deviation of xs in one
-// pass; the Monte-Carlo harness reports every cell of the paper's tables as
-// mean ± std over replicates.
-func MeanStd(xs []float64) (mean, std float64) {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Mean(), w.Std()
-}
-
-// NewWeightedECDF builds an ECDF from support points and non-negative
-// weights (a discrete pmf). Points need not be sorted.
-func NewWeightedECDF(points, weights []float64) (*ECDF, error) {
-	if len(points) == 0 {
-		return nil, ErrEmpty
-	}
-	if len(points) != len(weights) {
-		return nil, errors.New("stat: ECDF points/weights length mismatch")
-	}
-	idx := make([]int, len(points))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return points[idx[a]] < points[idx[b]] })
-	xs := make([]float64, len(points))
-	ws := make([]float64, len(points))
-	for i, j := range idx {
-		xs[i] = points[j]
-		ws[i] = weights[j]
-	}
-	return newECDFSorted(xs, ws)
 }
 
 // AddAll folds a batch of observations.
