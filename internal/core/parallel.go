@@ -49,7 +49,7 @@ func RepairTableParallel(plan *Plan, r *rng.RNG, opts RepairOptions, t *dataset.
 	// Per-shard slots are bounded by the table, not the requested fan-out,
 	// so an absurd worker count cannot balloon the allocation.
 	diags := make([]Diagnostics, shardrun.Slots(workers, n))
-	err = shardrun.Table(context.Background(), r, workers, n, func(w int, rr *rng.RNG, lo, hi int) error {
+	err = shardrun.TableObs(context.Background(), r, workers, n, nil, func(w int, rr *rng.RNG, lo, hi int) error {
 		rp, err := NewRepairerShared(sampler, rr, opts)
 		if err != nil {
 			return err

@@ -1,12 +1,15 @@
 // The store machinery below is artefact-generic: the serving layer persists
 // more than one kind of deployment artefact (repair plans, blind
-// calibrations, design links), all with the same lifecycle — canonical
-// serialized bytes, a 128-bit content fingerprint as the key, atomic
-// temp-file-and-rename writes, loud validation on load, an in-memory LRU of
-// decoded values on top of unbounded-by-default disk retention. Artefacts
-// implements that lifecycle once; the typed stores (Store for plans,
-// CalibrationStore for blind calibrations) are thin wrappers that pin the
-// namespace and the decode function.
+// calibrations, staged research sets), all with the same lifecycle —
+// canonical serialized bytes, a 128-bit content fingerprint as the key,
+// atomic temp-file-and-rename writes, loud validation on load, an
+// in-memory LRU of decoded values on top of unbounded-by-default disk
+// retention. Artefacts[T] implements that lifecycle once for any value
+// type T, given the namespace's encode and decode functions; Store,
+// CalibrationStore and ResearchStore are type aliases of its three
+// instantiations. commitFile is the one atomic write every file of the
+// store (artefacts, design links, refs) goes through, and scanDir the one
+// directory listing every namespace walk starts from.
 package planstore
 
 import (
@@ -59,22 +62,23 @@ func (e *CorruptArtefactError) Error() string {
 
 func (e *CorruptArtefactError) Unwrap() error { return e.Err }
 
-// Decoder validates and deserializes one artefact's canonical bytes. It must
-// fail loudly on corrupted input: the store trusts it as the read-path gate.
-type Decoder func(raw []byte) (any, error)
-
 // Artefacts is a disk-backed content-addressed registry for one artefact
-// namespace, with an in-memory LRU of decoded values. All methods are safe
-// for concurrent use.
-type Artefacts struct {
-	dir    string
-	kind   string // artefact noun for error messages ("plan", "calibration")
-	decode Decoder
+// namespace holding values of type T, with an in-memory LRU of decoded
+// values. All methods are safe for concurrent use.
+type Artefacts[T any] struct {
+	dir  string
+	kind string // artefact noun for error messages ("plan", "calibration")
+	// encode serializes a value to its canonical bytes (the fingerprint is
+	// taken over them); decode validates and deserializes them again and
+	// must fail loudly on corrupted input: the store trusts it as the
+	// read-path gate.
+	encode func(T) ([]byte, error)
+	decode func([]byte) (T, error)
 	opts   Options
 
 	mu    sync.Mutex
 	cache map[string]*list.Element // fingerprint -> lru element
-	lru   *list.List               // front = most recent; values are *cacheEntry
+	lru   *list.List               // front = most recent; values are *cacheEntry[T]
 	stats Stats
 
 	// readLat, when set, observes the wall time of each disk read path
@@ -87,20 +91,24 @@ type Artefacts struct {
 
 // SetReadLatency binds the histogram that observes disk-read latencies
 // (nil to unbind). Safe to call while Gets are in flight.
-func (a *Artefacts) SetReadLatency(h *obs.Histogram) {
+func (a *Artefacts[T]) SetReadLatency(h *obs.Histogram) {
 	a.readLat.Store(h)
 }
 
-type cacheEntry struct {
+type cacheEntry[T any] struct {
 	id    string
-	value any
+	value T
 }
 
 // OpenArtefacts creates (if needed) and opens an artefact namespace rooted
-// at dir. kind names the artefact in errors; decode gates every disk read.
-func OpenArtefacts(dir, kind string, decode Decoder, opts Options) (*Artefacts, error) {
+// at dir. kind names the artefact in errors; encode produces the bytes
+// every Put stores and decode gates every disk read.
+func OpenArtefacts[T any](dir, kind string, encode func(T) ([]byte, error), decode func([]byte) (T, error), opts Options) (*Artefacts[T], error) {
 	if dir == "" {
 		return nil, errors.New("planstore: empty directory")
+	}
+	if encode == nil {
+		return nil, errors.New("planstore: nil encoder")
 	}
 	if decode == nil {
 		return nil, errors.New("planstore: nil decoder")
@@ -108,9 +116,10 @@ func OpenArtefacts(dir, kind string, decode Decoder, opts Options) (*Artefacts, 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("planstore: creating %s: %w", dir, err)
 	}
-	return &Artefacts{
+	return &Artefacts[T]{
 		dir:    dir,
 		kind:   kind,
+		encode: encode,
 		decode: decode,
 		opts:   opts.withDefaults(),
 		cache:  make(map[string]*list.Element),
@@ -119,12 +128,12 @@ func OpenArtefacts(dir, kind string, decode Decoder, opts Options) (*Artefacts, 
 }
 
 // Dir reports the namespace's root directory.
-func (a *Artefacts) Dir() string { return a.dir }
+func (a *Artefacts[T]) Dir() string { return a.dir }
 
 // CacheCap reports the (defaulted) LRU capacity — the most decoded
 // artefacts the memory tier will hold, and therefore the most a prewarm
 // walk can usefully load.
-func (a *Artefacts) CacheCap() int { return a.opts.CacheSize }
+func (a *Artefacts[T]) CacheCap() int { return a.opts.CacheSize }
 
 // validID reports whether id is a well-formed fingerprint — 32 lowercase
 // hex characters. Everything else is rejected before touching the
@@ -142,15 +151,20 @@ func validID(id string) bool {
 	return true
 }
 
-func (a *Artefacts) path(id string) string {
+func (a *Artefacts[T]) path(id string) string {
 	return filepath.Join(a.dir, id+".json")
 }
 
-// PutBytes persists an artefact given its canonical bytes and the already
-// decoded value (kept hot in the LRU), returning the content fingerprint
-// and whether this call created the entry. Storing content the store
-// already holds is a cheap no-op (created == false).
-func (a *Artefacts) PutBytes(raw []byte, value any) (id string, created bool, err error) {
+// Put persists an artefact, returning its content fingerprint and whether
+// this call created the entry. The fingerprint is taken over the one
+// serialization Put performs anyway (for a plan, identical to
+// plan.Fingerprint()), and v is kept hot in the LRU. Storing content the
+// store already holds is a cheap no-op (created == false).
+func (a *Artefacts[T]) Put(v T) (id string, created bool, err error) {
+	raw, err := a.encode(v)
+	if err != nil {
+		return "", false, err
+	}
 	id = fingerprint(raw)
 	path := a.path(id)
 	if _, err := os.Stat(path); err == nil {
@@ -164,7 +178,7 @@ func (a *Artefacts) PutBytes(raw []byte, value any) (id string, created bool, er
 		os.Chtimes(path, now, now)
 		a.mu.Lock()
 		a.stats.DupPuts++
-		a.touch(id, value)
+		a.touch(id, v)
 		a.mu.Unlock()
 		return id, false, nil
 	}
@@ -177,34 +191,47 @@ func (a *Artefacts) PutBytes(raw []byte, value any) (id string, created bool, er
 	// the damage from disk. The soak drives the quarantine path with it.
 	wr := a.opts.Fault.Corrupt(faultinject.StoreTornWrite, raw)
 	torn := len(wr) != len(raw)
-	// Same-directory temp file + rename: the live name either does not
-	// exist or holds the complete bytes, never a torn write.
-	tmp, err := os.CreateTemp(a.dir, id+".tmp-*")
-	if err != nil {
-		return "", false, fmt.Errorf("planstore: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(wr); err != nil {
-		tmp.Close()
-		return "", false, a.discardTemp(fmt.Errorf("planstore: writing %s: %w", id, err), tmpName)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", false, a.discardTemp(fmt.Errorf("planstore: syncing %s: %w", id, err), tmpName)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", false, a.discardTemp(fmt.Errorf("planstore: closing %s: %w", id, err), tmpName)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return "", false, a.discardTemp(fmt.Errorf("planstore: committing %s: %w", id, err), tmpName)
+	if err := commitFile(a.dir, id, "", path, wr); err != nil {
+		return "", false, err
 	}
 	a.mu.Lock()
 	a.stats.Puts++
 	if !torn {
-		a.touch(id, value)
+		a.touch(id, v)
 	}
 	a.mu.Unlock()
 	return id, true, nil
+}
+
+// commitFile is the store's one write path: data lands in a
+// same-directory temp file that is written, fsynced, closed and renamed
+// over target, so the live name either does not exist or holds the
+// complete bytes, never a torn write. name (the id or key the file is
+// named after) and label (the noun before it, "" for artefacts) only
+// shape the temp name and the error text; a failed step removes the temp
+// file through discardTemp.
+func commitFile(dir, name, label, target string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("planstore: %stemp file: %w", label, err)
+	}
+	tmpName := tmp.Name()
+	what := label + name
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return discardTemp(fmt.Errorf("planstore: writing %s: %w", what, err), tmpName)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return discardTemp(fmt.Errorf("planstore: syncing %s: %w", what, err), tmpName)
+	}
+	if err := tmp.Close(); err != nil {
+		return discardTemp(fmt.Errorf("planstore: closing %s: %w", what, err), tmpName)
+	}
+	if err := os.Rename(tmpName, target); err != nil {
+		return discardTemp(fmt.Errorf("planstore: committing %s: %w", what, err), tmpName)
+	}
+	return nil
 }
 
 // removeFile is os.Remove, injectable so tests can force removal failures.
@@ -215,7 +242,7 @@ var removeFile = os.Remove
 // disk the operator must see both that the write failed and that its spool
 // is still occupying space (TTL Prune will eventually collect it, but only
 // if someone runs Prune).
-func (a *Artefacts) discardTemp(writeErr error, tmpName string) error {
+func discardTemp(writeErr error, tmpName string) error {
 	if rerr := removeFile(tmpName); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
 		return errors.Join(writeErr, fmt.Errorf("planstore: removing temp %s: %w", filepath.Base(tmpName), rerr))
 	}
@@ -233,15 +260,16 @@ func (a *Artefacts) discardTemp(writeErr error, tmpName string) error {
 // file is moved to quarantine/ with a reason file and Get returns a
 // *CorruptArtefactError; the fingerprint then reads as ErrNotFound until
 // the true bytes are re-Put.
-func (a *Artefacts) Get(id string) (any, error) {
+func (a *Artefacts[T]) Get(id string) (T, error) {
+	var zero T
 	if !validID(id) {
-		return nil, fmt.Errorf("%w: %q", ErrBadID, id)
+		return zero, fmt.Errorf("%w: %q", ErrBadID, id)
 	}
 	a.mu.Lock()
 	if el, ok := a.cache[id]; ok {
 		a.lru.MoveToFront(el)
 		a.stats.MemHits++
-		value := el.Value.(*cacheEntry).value
+		value := el.Value.(*cacheEntry[T]).value
 		a.mu.Unlock()
 		return value, nil
 	}
@@ -254,7 +282,7 @@ func (a *Artefacts) Get(id string) (any, error) {
 	value, err := a.loadDisk(id)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
-			return nil, err
+			return zero, err
 		}
 		a.mu.Lock()
 		a.stats.ReadRetries++
@@ -262,13 +290,13 @@ func (a *Artefacts) Get(id string) (any, error) {
 		value, err = a.loadDisk(id)
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
-				return nil, err
+				return zero, err
 			}
 			var terr *loadError
 			if errors.As(err, &terr) && terr.corrupt {
-				return nil, a.quarantine(id, err)
+				return zero, a.quarantine(id, err)
 			}
-			return nil, err
+			return zero, err
 		}
 	}
 	a.mu.Lock()
@@ -291,37 +319,38 @@ func (e *loadError) Unwrap() error { return e.err }
 
 // loadDisk performs one read-and-validate attempt. A miss is returned as
 // ErrNotFound directly (never retried, never quarantined).
-func (a *Artefacts) loadDisk(id string) (any, error) {
+func (a *Artefacts[T]) loadDisk(id string) (T, error) {
+	var zero T
 	if ferr := a.opts.Fault.Err(faultinject.StoreRead); ferr != nil {
-		return nil, &loadError{err: fmt.Errorf("planstore: opening %s: %w", id, ferr)}
+		return zero, &loadError{err: fmt.Errorf("planstore: opening %s: %w", id, ferr)}
 	}
 	raw, err := os.ReadFile(a.path(id))
 	if errors.Is(err, os.ErrNotExist) {
 		a.mu.Lock()
 		a.stats.Misses++
 		a.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s %s", ErrNotFound, a.kind, id)
+		return zero, fmt.Errorf("%w: %s %s", ErrNotFound, a.kind, id)
 	}
 	if err != nil {
-		return nil, &loadError{err: fmt.Errorf("planstore: opening %s: %w", id, err)}
+		return zero, &loadError{err: fmt.Errorf("planstore: opening %s: %w", id, err)}
 	}
 	// Enforce content addressing on the read path too: the decoder
 	// validates structure, not identity, so a file renamed or restored
 	// under the wrong name would otherwise serve the wrong artefact under
 	// this fingerprint.
 	if got := fingerprint(raw); got != id {
-		return nil, &loadError{corrupt: true, err: fmt.Errorf("planstore: %s %s: content fingerprint is %s (file corrupted or misnamed)", a.kind, id, got)}
+		return zero, &loadError{corrupt: true, err: fmt.Errorf("planstore: %s %s: content fingerprint is %s (file corrupted or misnamed)", a.kind, id, got)}
 	}
 	value, err := a.decode(raw)
 	if err != nil {
-		return nil, &loadError{corrupt: true, err: fmt.Errorf("planstore: %s %s: %w", a.kind, id, err)}
+		return zero, &loadError{corrupt: true, err: fmt.Errorf("planstore: %s %s: %w", a.kind, id, err)}
 	}
 	return value, nil
 }
 
 // QuarantineDir reports the namespace's quarantine directory (which may
 // not exist yet — it is created on first quarantine).
-func (a *Artefacts) QuarantineDir() string {
+func (a *Artefacts[T]) QuarantineDir() string {
 	return filepath.Join(a.dir, QuarantineDirName)
 }
 
@@ -332,7 +361,7 @@ func (a *Artefacts) QuarantineDir() string {
 // the *CorruptArtefactError the caller surfaces. If the move itself
 // fails, the error says so and the live file stays — better a loud
 // repeat failure than losing the evidence.
-func (a *Artefacts) quarantine(id string, cause error) error {
+func (a *Artefacts[T]) quarantine(id string, cause error) error {
 	cerr := &CorruptArtefactError{Kind: a.kind, ID: id, Err: cause}
 	a.mu.Lock()
 	if el, ok := a.cache[id]; ok {
@@ -367,7 +396,7 @@ func (a *Artefacts) quarantine(id string, cause error) error {
 
 // Has reports whether the fingerprint exists in memory or on disk, without
 // decoding.
-func (a *Artefacts) Has(id string) bool {
+func (a *Artefacts[T]) Has(id string) bool {
 	if !validID(id) {
 		return false
 	}
@@ -383,7 +412,7 @@ func (a *Artefacts) Has(id string) bool {
 
 // Delete removes an artefact from memory and disk. Deleting an absent
 // artefact is a no-op.
-func (a *Artefacts) Delete(id string) error {
+func (a *Artefacts[T]) Delete(id string) error {
 	if !validID(id) {
 		return fmt.Errorf("%w: %q", ErrBadID, id)
 	}
@@ -402,24 +431,71 @@ func (a *Artefacts) Delete(id string) error {
 // IDs lists every fingerprint persisted on disk, in directory order.
 // Temp files from in-flight or crashed writes and nested namespace
 // directories are excluded.
-func (a *Artefacts) IDs() ([]string, error) {
-	entries, err := os.ReadDir(a.dir)
+func (a *Artefacts[T]) IDs() ([]string, error) {
+	live, _, err := scanDir(a.dir, ".json")
 	if err != nil {
-		return nil, fmt.Errorf("planstore: listing %s: %w", a.dir, err)
+		return nil, err
 	}
 	var ids []string
+	for _, f := range live {
+		ids = append(ids, f.id)
+	}
+	return ids, nil
+}
+
+// dirFile is one committed file a namespace scan found: the id its name
+// carries and its directory entry (whose Info stats the file lazily).
+type dirFile struct {
+	id string
+	os.DirEntry
+}
+
+// scanDir is the one listing every namespace walk starts from: the
+// committed files named <id><ext> with a well-formed id, in directory
+// order, and separately the temp spools of in-flight or crashed writes
+// (".tmp-" in the name). Subdirectories and other debris are skipped.
+func scanDir(dir, ext string) (live []dirFile, temps []os.DirEntry, err error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("planstore: listing %s: %w", dir, err)
+	}
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		name := e.Name()
-		id, ok := strings.CutSuffix(name, ".json")
-		if !ok || !validID(id) {
+		if id, ok := strings.CutSuffix(name, ext); ok && validID(id) {
+			live = append(live, dirFile{id: id, DirEntry: e})
+		} else if strings.Contains(name, ".tmp-") {
+			temps = append(temps, e)
+		}
+	}
+	return live, temps, nil
+}
+
+// olderThan reports whether e was last modified before cutoff; an entry
+// that cannot be stat'ed (it raced with a concurrent delete) is not.
+func olderThan(e os.DirEntry, cutoff time.Time) bool {
+	info, err := e.Info()
+	return err == nil && info.ModTime().Before(cutoff)
+}
+
+// pruneTemps removes the temp spools last modified before cutoff. Younger
+// ones are kept: their atomic rename may still be in flight in a
+// concurrent write, and deleting one would race the rename and fail the
+// writer; only spools older than the TTL are provably abandoned (a
+// crashed write can never be completed).
+func pruneTemps(dir string, temps []os.DirEntry, cutoff time.Time) error {
+	for _, e := range temps {
+		if !olderThan(e, cutoff) {
 			continue
 		}
-		ids = append(ids, id)
+		name := e.Name()
+		if err := removeFile(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("planstore: pruning %s: %w", name, err)
+		}
 	}
-	return ids, nil
+	return nil
 }
 
 // Prune enforces an age-based retention policy: every artefact whose file
@@ -433,56 +509,32 @@ func (a *Artefacts) IDs() ([]string, error) {
 // whoever holds it — retention never changes any surviving artefact's
 // identity, and each removal is an independent atomic unlink, so a crash
 // mid-prune leaves a smaller but fully consistent store.
-func (a *Artefacts) Prune(maxAge time.Duration) (removed int, err error) {
+func (a *Artefacts[T]) Prune(maxAge time.Duration) (removed int, err error) {
 	if maxAge <= 0 {
 		return 0, errors.New("planstore: non-positive prune age")
 	}
-	entries, err := os.ReadDir(a.dir)
+	live, temps, err := scanDir(a.dir, ".json")
 	if err != nil {
-		return 0, fmt.Errorf("planstore: listing %s: %w", a.dir, err)
+		return 0, err
 	}
 	//otfair:nondet-ok prune cutoff for ops retention; stored artefact bytes are content-addressed and unaffected
 	cutoff := time.Now().Add(-maxAge)
-	for _, e := range entries {
-		if e.IsDir() {
+	for _, f := range live {
+		if !olderThan(f, cutoff) {
 			continue
 		}
-		name := e.Name()
-		info, ierr := e.Info()
-		if ierr != nil {
-			// Raced with a concurrent delete; nothing to prune.
-			continue
+		if derr := a.Delete(f.id); derr != nil {
+			return removed, derr
 		}
-		if !info.ModTime().Before(cutoff) {
-			// Younger than the TTL: live artefacts are retained, and —
-			// critically — so are fresh .tmp- spools, whose atomic rename
-			// may still be in flight in a concurrent PutBytes. Deleting one
-			// would race the rename and fail the writer; only spools older
-			// than the TTL are provably abandoned (a crashed write can
-			// never be completed).
-			continue
-		}
-		id, isLive := strings.CutSuffix(name, ".json")
-		if isLive && validID(id) {
-			if derr := a.Delete(id); derr != nil {
-				return removed, derr
-			}
-			removed++
-			continue
-		}
-		// Stale temp file (or foreign debris) past the age cutoff: the
-		// spool is garbage.
-		if strings.Contains(name, ".tmp-") {
-			if rerr := removeFile(filepath.Join(a.dir, name)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-				return removed, fmt.Errorf("planstore: pruning %s: %w", name, rerr)
-			}
-		}
+		removed++
+	}
+	if err := pruneTemps(a.dir, temps, cutoff); err != nil {
+		return removed, err
 	}
 	// Sweep quarantine/ by the same age policy: quarantined bytes and
 	// their reason files are operator evidence, not live data, and must
-	// not accumulate forever. (The dir-skip in the main loop above is what
-	// used to leave quarantine untouched.) Each quarantined artefact
-	// counts once, by its .json; reason files ride along.
+	// not accumulate forever. Each quarantined artefact counts once, by
+	// its .json; reason files ride along.
 	qdir := a.QuarantineDir()
 	qentries, qerr := os.ReadDir(qdir)
 	if qerr != nil {
@@ -492,11 +544,7 @@ func (a *Artefacts) Prune(maxAge time.Duration) (removed int, err error) {
 		return removed, fmt.Errorf("planstore: listing %s: %w", qdir, qerr)
 	}
 	for _, e := range qentries {
-		if e.IsDir() {
-			continue
-		}
-		info, ierr := e.Info()
-		if ierr != nil || !info.ModTime().Before(cutoff) {
+		if e.IsDir() || !olderThan(e, cutoff) {
 			continue
 		}
 		name := e.Name()
@@ -516,91 +564,73 @@ func (a *Artefacts) Prune(maxAge time.Duration) (removed int, err error) {
 	return removed, nil
 }
 
+// newest reports the youngest live artefact in the namespace by file
+// modification time, the lexicographically greater id winning ties so
+// the answer is total; id is "" when the namespace is empty.
+func (a *Artefacts[T]) newest() (id string, mtime time.Time, err error) {
+	live, _, err := scanDir(a.dir, ".json")
+	if err != nil {
+		return "", time.Time{}, err
+	}
+	for _, f := range live {
+		info, ierr := f.Info()
+		if ierr != nil {
+			continue
+		}
+		if mt := info.ModTime(); mt.After(mtime) || (mt.Equal(mtime) && f.id > id) {
+			id, mtime = f.id, mt
+		}
+	}
+	return id, mtime, nil
+}
+
 // NewestMTime reports the modification time of the youngest live artefact
 // in the namespace (zero time when the namespace is empty). Scrape-time
 // artefact-age gauges read it so stale-plan alerting works even with the
 // drift watcher disabled.
-func (a *Artefacts) NewestMTime() (time.Time, error) {
-	entries, err := os.ReadDir(a.dir)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("planstore: listing %s: %w", a.dir, err)
-	}
-	var newest time.Time
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		id, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok || !validID(id) {
-			continue
-		}
-		info, ierr := e.Info()
-		if ierr != nil {
-			continue
-		}
-		if mt := info.ModTime(); mt.After(newest) {
-			newest = mt
-		}
-	}
-	return newest, nil
+func (a *Artefacts[T]) NewestMTime() (time.Time, error) {
+	_, mtime, err := a.newest()
+	return mtime, err
 }
 
-// LatestID reports the id of the youngest live artefact in the namespace
-// (by file modification time, with the lexicographically greater id
-// winning ties so the answer is total), or ErrNotFound when the
-// namespace is empty. StagedSource resolves "the current staged research
-// set" through it.
-func (a *Artefacts) LatestID() (string, error) {
-	entries, err := os.ReadDir(a.dir)
+// Latest returns the youngest live artefact (see newest for the order),
+// or ErrNotFound when the namespace is empty. StagedSource resolves "the
+// current staged research set" through it.
+func (a *Artefacts[T]) Latest() (string, T, error) {
+	id, _, err := a.newest()
+	if err == nil && id == "" {
+		err = fmt.Errorf("planstore: %s namespace is empty: %w", a.kind, ErrNotFound)
+	}
 	if err != nil {
-		return "", fmt.Errorf("planstore: listing %s: %w", a.dir, err)
+		var zero T
+		return "", zero, err
 	}
-	var (
-		newest   time.Time
-		newestID string
-	)
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		id, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok || !validID(id) {
-			continue
-		}
-		info, ierr := e.Info()
-		if ierr != nil {
-			continue
-		}
-		mt := info.ModTime()
-		if mt.After(newest) || (mt.Equal(newest) && id > newestID) {
-			newest, newestID = mt, id
-		}
+	v, err := a.Get(id)
+	if err != nil {
+		return "", v, err
 	}
-	if newestID == "" {
-		return "", fmt.Errorf("planstore: %s namespace is empty: %w", a.kind, ErrNotFound)
-	}
-	return newestID, nil
+	return id, v, nil
 }
 
 // Stats returns a snapshot of the cumulative counters.
-func (a *Artefacts) Stats() Stats {
+func (a *Artefacts[T]) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.stats
 }
 
 // touch inserts or refreshes an LRU entry; caller holds a.mu.
-func (a *Artefacts) touch(id string, value any) {
+func (a *Artefacts[T]) touch(id string, value T) {
 	if el, ok := a.cache[id]; ok {
 		a.lru.MoveToFront(el)
-		el.Value.(*cacheEntry).value = value
+		el.Value.(*cacheEntry[T]).value = value
 		return
 	}
-	a.cache[id] = a.lru.PushFront(&cacheEntry{id: id, value: value})
+	a.cache[id] = a.lru.PushFront(&cacheEntry[T]{id: id, value: value})
 	for a.lru.Len() > a.opts.CacheSize {
 		back := a.lru.Back()
 		a.lru.Remove(back)
-		delete(a.cache, back.Value.(*cacheEntry).id)
+		delete(a.cache, back.Value.(*cacheEntry[T]).id)
 		a.stats.Evictions++
 	}
 }

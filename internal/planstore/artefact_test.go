@@ -14,17 +14,13 @@ import (
 // failure and the removal failure, so the operator can diagnose the disk
 // instead of chasing only the first symptom.
 func TestDiscardTempSurfacesRemovalFailure(t *testing.T) {
-	a, err := OpenArtefacts(t.TempDir(), "plan", func(raw []byte) (any, error) { return raw, nil }, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	writeErr := fmt.Errorf("planstore: writing abc: %w", errors.New("disk full"))
 	rmErr := errors.New("read-only file system")
 	old := removeFile
 	removeFile = func(string) error { return rmErr }
 	defer func() { removeFile = old }()
 
-	got := a.discardTemp(writeErr, "/store/abc.tmp-1")
+	got := discardTemp(writeErr, "/store/abc.tmp-1")
 	if !errors.Is(got, writeErr) {
 		t.Errorf("write error lost from chain: %v", got)
 	}
@@ -37,7 +33,7 @@ func TestDiscardTempSurfacesRemovalFailure(t *testing.T) {
 
 	// A successful removal (or an already-gone file) adds nothing.
 	removeFile = os.Remove
-	if got := a.discardTemp(writeErr, "/nonexistent/abc.tmp-1"); !errors.Is(got, writeErr) || errors.Is(got, rmErr) {
+	if got := discardTemp(writeErr, "/nonexistent/abc.tmp-1"); !errors.Is(got, writeErr) || errors.Is(got, rmErr) {
 		t.Errorf("clean discard mangled the error: %v", got)
 	}
 }
@@ -45,12 +41,12 @@ func TestDiscardTempSurfacesRemovalFailure(t *testing.T) {
 // TestDiscardTempIgnoresMissingFile: a temp file that vanished (e.g. a
 // concurrent Prune past its TTL) is not an additional failure.
 func TestDiscardTempIgnoresMissingFile(t *testing.T) {
-	a, err := OpenArtefacts(t.TempDir(), "plan", func(raw []byte) (any, error) { return raw, nil }, Options{})
+	a, err := OpenArtefacts(t.TempDir(), "plan", rawEncoder, rawEncoder, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeErr := errors.New("boom")
-	got := a.discardTemp(writeErr, a.dir+"/gone.tmp-1")
+	got := discardTemp(writeErr, a.dir+"/gone.tmp-1")
 	if got != writeErr {
 		t.Errorf("missing temp file polluted the chain: %v", got)
 	}

@@ -30,10 +30,10 @@ const designNamespace = "designs"
 // plan from the same disk tier the serving layer shares.
 //
 // Layout: one `<inputkey>.link` file per design under `designs/` of the
-// store root, holding the plan fingerprint as JSON. Links are written
-// atomically (temp file + rename) and are pure derived data: a dangling
-// link — the plan was pruned — just falls back to a fresh design that
-// re-creates both sides.
+// store root, holding the plan fingerprint and a newline. Links are
+// written through the store's one atomic commit (temp file, fsync,
+// rename) and are pure derived data: a dangling link — the plan was
+// pruned — just falls back to a fresh design that re-creates both sides.
 type DesignIndex struct {
 	store *Store
 	dir   string
@@ -113,27 +113,9 @@ func (ix *DesignIndex) Design(research *dataset.Table, opts core.Options) (*core
 	return plan, nil
 }
 
-// writeLink commits a link atomically, same-directory temp file + rename.
+// writeLink commits a link atomically through commitFile.
 func (ix *DesignIndex) writeLink(key, id string) error {
-	tmp, err := os.CreateTemp(ix.dir, key+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("planstore: link temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.WriteString(id + "\n"); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("planstore: writing link %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("planstore: closing link %s: %w", key, err)
-	}
-	if err := os.Rename(tmpName, ix.linkPath(key)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("planstore: committing link %s: %w", key, err)
-	}
-	return nil
+	return commitFile(ix.dir, key, "link ", ix.linkPath(key), []byte(id+"\n"))
 }
 
 // Stats reports warm starts served from the disk tier (hits) and designs
@@ -153,31 +135,15 @@ func (ix *DesignIndex) Prune(maxAge time.Duration) (removed int, err error) {
 	if maxAge <= 0 {
 		return 0, errors.New("planstore: non-positive prune age")
 	}
-	entries, err := os.ReadDir(ix.dir)
+	live, temps, err := scanDir(ix.dir, ".link")
 	if err != nil {
-		return 0, fmt.Errorf("planstore: listing %s: %w", ix.dir, err)
+		return 0, err
 	}
 	//otfair:nondet-ok prune cutoff for ops retention; stored index bytes are content-addressed and unaffected
 	cutoff := time.Now().Add(-maxAge)
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		full := filepath.Join(ix.dir, name)
-		key, isLink := strings.CutSuffix(name, ".link")
-		if !isLink {
-			if strings.Contains(name, ".tmp-") {
-				if info, ierr := e.Info(); ierr == nil && info.ModTime().Before(cutoff) {
-					os.Remove(full)
-				}
-			}
-			continue
-		}
-		stale := false
-		if info, ierr := e.Info(); ierr == nil && info.ModTime().Before(cutoff) {
-			stale = true
-		}
+	for _, f := range live {
+		full := ix.linkPath(f.id)
+		stale := olderThan(f, cutoff)
 		if !stale {
 			raw, rerr := os.ReadFile(full)
 			if rerr != nil {
@@ -189,9 +155,9 @@ func (ix *DesignIndex) Prune(maxAge time.Duration) (removed int, err error) {
 			continue
 		}
 		if rerr := os.Remove(full); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-			return removed, fmt.Errorf("planstore: pruning link %s: %w", key, rerr)
+			return removed, fmt.Errorf("planstore: pruning link %s: %w", f.id, rerr)
 		}
 		removed++
 	}
-	return removed, nil
+	return removed, pruneTemps(ix.dir, temps, cutoff)
 }

@@ -1,0 +1,142 @@
+package planstore
+
+import (
+	"bytes"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"otfair/internal/blind"
+	"otfair/internal/core"
+)
+
+// TestOnDiskLayout pins the store's on-disk contract through the public
+// API: the relative path of every file each namespace writes, and the
+// bytes of design links and refs. Stores written by earlier builds must
+// keep loading, so this layout may only ever grow.
+func TestOnDiskLayout(t *testing.T) {
+	root := t.TempDir()
+	st, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cals, err := OpenCalibrations(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	research, err := OpenResearch(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewDesignIndex(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := OpenRefs(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tbl := designTestResearch(t, 90)
+	opts := core.Options{NQ: 12}
+	plan, err := ix.Design(tbl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planID, created, err := st.Put(plan)
+	if err != nil || created {
+		t.Fatalf("Put of the designed plan = (%v, %v), want a duplicate", created, err)
+	}
+	cal, err := blind.NewCalibration(plan, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calID, _, err := cals.Put(cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	researchID, _, err := research.Put(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := refs.CompareAndSwap(planID, planID, calID); err != nil {
+		t.Fatal(err)
+	}
+	key, err := designKey(tbl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var got []string
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || p == root {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if d.IsDir() {
+			rel += "/"
+		}
+		got = append(got, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		planID + ".json",
+		"calibrations/",
+		"calibrations/" + calID + ".json",
+		"designs/",
+		"designs/" + key + ".link",
+		"refs/",
+		"refs/" + planID + ".ref",
+		"research/",
+		"research/" + researchID + ".json",
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("store layout:\n got %q\nwant %q", got, want)
+	}
+
+	for rel, body := range map[string]string{
+		"designs/" + key + ".link": planID + "\n",
+		"refs/" + planID + ".ref":  calID + "\n",
+	} {
+		raw, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != body {
+			t.Errorf("%s holds %q, want %q", rel, raw, body)
+		}
+	}
+	// Each artefact file holds exactly the canonical bytes it is keyed by.
+	planRaw, err := plan.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calRaw, err := cal.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var researchRaw bytes.Buffer
+	if err := tbl.WriteCSV(&researchRaw); err != nil {
+		t.Fatal(err)
+	}
+	for rel, want := range map[string][]byte{
+		planID + ".json":                   planRaw,
+		"calibrations/" + calID + ".json":  calRaw,
+		"research/" + researchID + ".json": researchRaw.Bytes(),
+	} {
+		raw, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want) {
+			t.Errorf("%s does not hold the canonical bytes", rel)
+		}
+	}
+}

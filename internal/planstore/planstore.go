@@ -14,28 +14,36 @@
 // the same plan twice, or uploading an artefact a peer already designed, is
 // a no-op write to the same file.
 //
+// One generic namespace type, Artefacts[T], implements the whole artefact
+// lifecycle; the typed stores are aliases of its instantiations, each
+// differing only in directory, kind noun and codec.
+//
 // Layout: one `<fingerprint>.json` per artefact under the namespace
 // directory, each exactly the canonical serialized bytes; plans live at the
 // store root (Store), calibrations under `calibrations/`
-// (CalibrationStore), design warm-start links under `designs/`
-// (DesignIndex). Writes go through a same-directory temp file and rename,
-// so a crash mid-write can never leave a live truncated entry; every load
-// re-validates through the artefact's full deserializer, so a corrupted
-// file fails loudly instead of repairing data with garbage — loudly and
-// terminally: a file that fails validation twice is moved to
-// `quarantine/<id>.json` with a `<id>.reason` note and surfaces as a
-// typed *CorruptArtefactError until the true bytes are re-stored.
+// (CalibrationStore), staged research sets under `research/`
+// (ResearchStore), design warm-start links under `designs/<key>.link`
+// (DesignIndex) and lineage refs under `refs/<lineage>.ref` (Refs), the
+// last two holding `<fingerprint>\n`. Every file is written through one
+// same-directory temp file, fsync and rename, so a crash mid-write can
+// never leave a live truncated entry; every load re-validates through the
+// artefact's full deserializer, so a corrupted file fails loudly instead
+// of repairing data with garbage — loudly and terminally: a file that
+// fails validation twice is moved to `quarantine/<id>.json` with a
+// `<id>.reason` note and surfaces as a typed *CorruptArtefactError until
+// the true bytes are re-stored.
 package planstore
 
 import (
 	"bytes"
 	"errors"
 	"log/slog"
-	"time"
+	"path/filepath"
 
+	"otfair/internal/blind"
 	"otfair/internal/core"
+	"otfair/internal/dataset"
 	"otfair/internal/faultinject"
-	"otfair/internal/obs"
 )
 
 // ErrNotFound reports a fingerprint absent from both memory and disk.
@@ -101,82 +109,63 @@ func fingerprint(raw []byte) string { return core.FingerprintBytes(raw) }
 
 // Store is the plan namespace: a disk-backed registry of repair plans at
 // the store root. All methods are safe for concurrent use.
-type Store struct {
-	a *Artefacts
-}
+type Store = Artefacts[*core.Plan]
 
 // Open creates (if needed) and opens a plan store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
-	a, err := OpenArtefacts(dir, "plan", func(raw []byte) (any, error) {
+	return OpenArtefacts(dir, "plan", func(plan *core.Plan) ([]byte, error) {
+		if plan == nil {
+			return nil, errors.New("planstore: nil plan")
+		}
+		return plan.MarshalCanonical()
+	}, func(raw []byte) (*core.Plan, error) {
 		return core.ReadPlan(bytes.NewReader(raw))
 	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{a: a}, nil
 }
 
-// Dir reports the store's root directory.
-func (st *Store) Dir() string { return st.a.Dir() }
+// CalibrationStore is the blind-calibration namespace of an artefact
+// store: fitted QDA/pooled models (blind.Calibration) keyed by content
+// fingerprint, under `calibrations/` of the store root.
+type CalibrationStore = Artefacts[*blind.Calibration]
 
-// CacheCap reports the in-memory LRU capacity.
-func (st *Store) CacheCap() int { return st.a.CacheCap() }
-
-// Put persists a plan, returning its content fingerprint and whether this
-// call created the entry. Storing content the store already holds is a
-// cheap no-op (created == false). The fingerprint is computed from the one
-// serialization Put performs anyway — identical to plan.Fingerprint().
-func (st *Store) Put(plan *core.Plan) (id string, created bool, err error) {
-	if plan == nil {
-		return "", false, errors.New("planstore: nil plan")
-	}
-	raw, err := plan.MarshalCanonical()
-	if err != nil {
-		return "", false, err
-	}
-	return st.a.PutBytes(raw, plan)
+// OpenCalibrations creates (if needed) and opens the calibration namespace
+// under a store root — typically the same directory a plan Store is rooted
+// at, so one -store flag provisions both tiers.
+func OpenCalibrations(root string, opts Options) (*CalibrationStore, error) {
+	return OpenArtefacts(filepath.Join(root, "calibrations"), "calibration", func(cal *blind.Calibration) ([]byte, error) {
+		if cal == nil {
+			return nil, errors.New("planstore: nil calibration")
+		}
+		return cal.MarshalCanonical()
+	}, func(raw []byte) (*blind.Calibration, error) {
+		return blind.ReadCalibration(bytes.NewReader(raw))
+	}, opts)
 }
 
-// Get returns the plan with the given fingerprint, from memory when hot,
-// from disk otherwise. The returned plan is shared and must be treated
-// read-only (plans are immutable everywhere in this repository).
-func (st *Store) Get(id string) (*core.Plan, error) {
-	v, err := st.a.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Plan), nil
+// ResearchStore is the staged-research namespace of an artefact store:
+// research tables (dataset.Table) persisted as canonical CSV keyed by
+// content fingerprint, under `research/` of the store root — candidate
+// inputs for the drift loop's refits, delivered through POST /v1/research.
+// Staging is content-addressed like every other artefact tier, so
+// re-delivering the same records is an idempotent no-op and a torn upload
+// can never be mistaken for a research set (the fingerprint check
+// quarantines it).
+type ResearchStore = Artefacts[*dataset.Table]
+
+// OpenResearch creates (if needed) and opens the research namespace under
+// a store root — typically the same directory the plan Store is rooted
+// at, so one -store flag provisions every tier.
+func OpenResearch(root string, opts Options) (*ResearchStore, error) {
+	return OpenArtefacts(filepath.Join(root, "research"), "research set", func(tbl *dataset.Table) ([]byte, error) {
+		if tbl == nil || tbl.Len() == 0 {
+			return nil, errors.New("planstore: empty research set")
+		}
+		var buf bytes.Buffer
+		if err := tbl.WriteCSV(&buf); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	}, func(raw []byte) (*dataset.Table, error) {
+		return dataset.ReadCSV(bytes.NewReader(raw))
+	}, opts)
 }
-
-// Has reports whether the fingerprint exists in memory or on disk, without
-// deserializing.
-func (st *Store) Has(id string) bool { return st.a.Has(id) }
-
-// Delete removes a plan from memory and disk. Deleting an absent plan is a
-// no-op.
-func (st *Store) Delete(id string) error { return st.a.Delete(id) }
-
-// IDs lists every plan fingerprint persisted on disk, in directory order.
-// Temp files from in-flight or crashed writes are excluded.
-func (st *Store) IDs() ([]string, error) { return st.a.IDs() }
-
-// Prune removes every plan older than maxAge from disk and memory,
-// together with abandoned temp files and aged-out quarantine/ evidence;
-// see Artefacts.Prune for why content addressing makes TTL retention
-// safe. It returns the number of plans removed.
-func (st *Store) Prune(maxAge time.Duration) (int, error) { return st.a.Prune(maxAge) }
-
-// QuarantineDir reports where corrupt plans are moved; see
-// Artefacts.QuarantineDir.
-func (st *Store) QuarantineDir() string { return st.a.QuarantineDir() }
-
-// Stats returns a snapshot of the cumulative counters.
-func (st *Store) Stats() Stats { return st.a.Stats() }
-
-// SetReadLatency binds the histogram observing disk-read latencies; see
-// Artefacts.SetReadLatency.
-func (st *Store) SetReadLatency(h *obs.Histogram) { st.a.SetReadLatency(h) }
-
-// NewestMTime reports the youngest plan's file modification time; see
-// Artefacts.NewestMTime.
-func (st *Store) NewestMTime() (time.Time, error) { return st.a.NewestMTime() }

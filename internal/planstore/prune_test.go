@@ -1,6 +1,7 @@
 package planstore
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -319,4 +320,38 @@ func designTestResearch(t *testing.T, seed uint64) *dataset.Table {
 		}
 	}
 	return tbl
+}
+
+// TestDesignIndexPruneSurfacesTempRemovalFailure: a stale link spool that
+// cannot be removed fails the prune loudly, as it does for artefacts,
+// instead of being skipped in silence.
+func TestDesignIndexPruneSurfacesTempRemovalFailure(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewDesignIndex(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spool := filepath.Join(ix.dir, "0123456789abcdef0123456789abcdef.tmp-crashed")
+	if err := os.WriteFile(spool, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	backdate(t, spool, 48*time.Hour)
+	rmErr := errors.New("read-only file system")
+	old := removeFile
+	removeFile = func(string) error { return rmErr }
+	defer func() { removeFile = old }()
+
+	if _, err := ix.Prune(24 * time.Hour); !errors.Is(err, rmErr) {
+		t.Fatalf("Prune = %v, want the temp removal failure", err)
+	}
+	removeFile = old
+	if _, err := ix.Prune(24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(spool); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale link spool survived: %v", err)
+	}
 }

@@ -11,15 +11,16 @@ import (
 	"otfair/internal/faultinject"
 )
 
-// rawDecoder stores bytes as-is; corruption tests rely on the
-// fingerprint check, not the decoder.
-func rawDecoder(raw []byte) (any, error) { return append([]byte(nil), raw...), nil }
+// rawEncoder and rawDecoder store bytes as-is; corruption tests rely on
+// the fingerprint check, not the decoder.
+func rawEncoder(v []byte) ([]byte, error)   { return v, nil }
+func rawDecoder(raw []byte) ([]byte, error) { return append([]byte(nil), raw...), nil }
 
 // openRaw opens a fresh Artefacts over dir with an empty cache, so Gets
 // are forced to the disk path.
-func openRaw(t *testing.T, dir string, opts Options) *Artefacts {
+func openRaw(t *testing.T, dir string, opts Options) *Artefacts[[]byte] {
 	t.Helper()
-	a, err := OpenArtefacts(dir, "plan", rawDecoder, opts)
+	a, err := OpenArtefacts(dir, "plan", rawEncoder, rawDecoder, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func openRaw(t *testing.T, dir string, opts Options) *Artefacts {
 func TestGetQuarantinesCorruptArtefact(t *testing.T) {
 	dir := t.TempDir()
 	a := openRaw(t, dir, Options{})
-	id, _, err := a.PutBytes([]byte("payload-one"), []byte("payload-one"))
+	id, _, err := a.Put([]byte("payload-one"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,8 @@ func TestGetQuarantinesCorruptArtefact(t *testing.T) {
 func TestGetQuarantinesDecodeFailure(t *testing.T) {
 	dir := t.TempDir()
 	decodeErr := errors.New("structurally invalid")
-	open := func() *Artefacts {
-		a, err := OpenArtefacts(dir, "plan", func(raw []byte) (any, error) {
+	open := func() *Artefacts[[]byte] {
+		a, err := OpenArtefacts(dir, "plan", rawEncoder, func(raw []byte) ([]byte, error) {
 			if bytes.Contains(raw, []byte("poison")) {
 				return nil, decodeErr
 			}
@@ -101,9 +102,9 @@ func TestGetQuarantinesDecodeFailure(t *testing.T) {
 		return a
 	}
 	a := open()
-	// PutBytes trusts the caller's decoded value, so the poison lands on
+	// Put does not decode what it writes, so the poison lands on
 	// disk with a valid fingerprint.
-	id, _, err := a.PutBytes([]byte("poison-payload"), []byte("poison-payload"))
+	id, _, err := a.Put([]byte("poison-payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestGetQuarantinesDecodeFailure(t *testing.T) {
 func TestGetRetryAbsorbsTransientReadFault(t *testing.T) {
 	dir := t.TempDir()
 	a := openRaw(t, dir, Options{})
-	id, _, err := a.PutBytes([]byte("healthy"), []byte("healthy"))
+	id, _, err := a.Put([]byte("healthy"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestGetRetryAbsorbsTransientReadFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get with transient fault: %v", err)
 	}
-	if !bytes.Equal(v.([]byte), []byte("healthy")) {
+	if !bytes.Equal(v, []byte("healthy")) {
 		t.Errorf("retry served wrong bytes: %q", v)
 	}
 	st := b.Stats()
@@ -172,9 +173,9 @@ func TestTornWriteFaultDrivesQuarantine(t *testing.T) {
 	inj := faultinject.New(11).Set(faultinject.StoreTornWrite, faultinject.Rule{Every: 1, Limit: 1})
 	a := openRaw(t, dir, Options{Fault: inj})
 	payload := []byte("this payload is long enough to be torn in half")
-	id, created, err := a.PutBytes(payload, payload)
+	id, created, err := a.Put(payload)
 	if err != nil || !created {
-		t.Fatalf("PutBytes = (%v, %v)", created, err)
+		t.Fatalf("Put = (%v, %v)", created, err)
 	}
 	// The torn artefact must not be served from memory: the injector
 	// skipped the LRU insert, so this Get decodes the damage from disk.
@@ -188,10 +189,10 @@ func TestTornWriteFaultDrivesQuarantine(t *testing.T) {
 	}
 	// Re-storing the true bytes resurrects the fingerprint (the rule that
 	// makes quarantine safe under content addressing).
-	if _, _, err := a.PutBytes(payload, payload); err != nil {
+	if _, _, err := a.Put(payload); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := a.Get(id); err != nil || !bytes.Equal(v.([]byte), payload) {
+	if v, err := a.Get(id); err != nil || !bytes.Equal(v, payload) {
 		t.Errorf("re-Put did not restore the artefact: %v %v", v, err)
 	}
 }
@@ -202,7 +203,7 @@ func TestTornWriteFaultDrivesQuarantine(t *testing.T) {
 func TestPruneSweepsQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	a := openRaw(t, dir, Options{})
-	id, _, err := a.PutBytes([]byte("doomed"), []byte("doomed"))
+	id, _, err := a.Put([]byte("doomed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,20 +248,20 @@ func TestPruneSweepsQuarantine(t *testing.T) {
 	}
 }
 
-// TestWriteFaultSurfacesAsError: the store.write point fails PutBytes
+// TestWriteFaultSurfacesAsError: the store.write point fails Put
 // loudly and leaves no live file behind.
 func TestWriteFaultSurfacesAsError(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultinject.New(3).Set(faultinject.StoreWrite, faultinject.Rule{Every: 1, Limit: 1})
 	a := openRaw(t, dir, Options{Fault: inj})
 	payload := []byte("never lands")
-	_, _, err := a.PutBytes(payload, payload)
+	_, _, err := a.Put(payload)
 	var ferr *faultinject.Error
 	if !errors.As(err, &ferr) || ferr.Point != faultinject.StoreWrite {
-		t.Fatalf("PutBytes = %v, want injected store.write fault", err)
+		t.Fatalf("Put = %v, want injected store.write fault", err)
 	}
 	// Second attempt (fault exhausted) succeeds.
-	if _, created, err := a.PutBytes(payload, payload); err != nil || !created {
-		t.Fatalf("retry PutBytes = (%v, %v), want created", created, err)
+	if _, created, err := a.Put(payload); err != nil || !created {
+		t.Fatalf("retry Put = (%v, %v), want created", created, err)
 	}
 }

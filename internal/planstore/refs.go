@@ -99,8 +99,9 @@ func (r *Refs) Resolve(lineage string) string {
 // CompareAndSwap repoints a lineage from the expected incumbent to the new
 // active fingerprint. expected is what Resolve currently answers — the
 // lineage itself when no ref exists yet. On mismatch it returns
-// ErrRefConflict and the ref is untouched. The write is temp-file +
-// rename, so a crash can never leave a torn ref.
+// ErrRefConflict and the ref is untouched. The write goes through
+// commitFile (temp file, fsync, rename), so a crash can never leave a torn
+// ref.
 func (r *Refs) CompareAndSwap(lineage, expected, active string) error {
 	if !validID(lineage) {
 		return fmt.Errorf("%w: %q", ErrBadID, lineage)
@@ -113,28 +114,8 @@ func (r *Refs) CompareAndSwap(lineage, expected, active string) error {
 	if cur := r.Resolve(lineage); cur != expected {
 		return fmt.Errorf("%w: lineage %s is at %s, expected %s", ErrRefConflict, lineage, cur, expected)
 	}
-	tmp, err := os.CreateTemp(r.dir, lineage+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("planstore: ref temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.WriteString(active + "\n"); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("planstore: writing ref %s: %w", lineage, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("planstore: syncing ref %s: %w", lineage, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("planstore: closing ref %s: %w", lineage, err)
-	}
-	if err := os.Rename(tmpName, r.path(lineage)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("planstore: committing ref %s: %w", lineage, err)
+	if err := commitFile(r.dir, lineage, "ref ", r.path(lineage), []byte(active+"\n")); err != nil {
+		return err
 	}
 	r.logger.Info("ref swapped", slog.String("lineage", lineage),
 		slog.String("from", expected), slog.String("to", active))
@@ -157,24 +138,17 @@ func (r *Refs) Delete(lineage string) error {
 
 // List returns every lineage → active mapping, for the /v1/refs endpoint.
 func (r *Refs) List() (map[string]string, error) {
-	entries, err := os.ReadDir(r.dir)
+	live, _, err := scanDir(r.dir, ".ref")
 	if err != nil {
-		return nil, fmt.Errorf("planstore: listing %s: %w", r.dir, err)
+		return nil, err
 	}
 	out := make(map[string]string)
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		lineage, ok := strings.CutSuffix(e.Name(), ".ref")
-		if !ok || !validID(lineage) {
-			continue
-		}
-		id, err := r.Get(lineage)
+	for _, f := range live {
+		id, err := r.Get(f.id)
 		if err != nil {
 			continue
 		}
-		out[lineage] = id
+		out[f.id] = id
 	}
 	return out, nil
 }

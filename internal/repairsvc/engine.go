@@ -250,7 +250,7 @@ func (e *Engine) check(r *rng.RNG, dim int) error {
 // passes blind.MethodHard, the zero value. With Workers == 1 it is
 // byte-identical to the reference repairer's RepairTable on the same RNG;
 // with Workers == w > 1 it shards contiguously on Split(w) streams via
-// shardrun.Table — byte-identical to core.RepairTableParallel with w
+// shardrun.TableObs — byte-identical to core.RepairTableParallel with w
 // workers on labelled tables, including its clamp to a single Split(0)
 // shard on tables smaller than w.
 func (e *Engine) RepairTable(r *rng.RNG, method blind.Method, t *dataset.Table) (*dataset.Table, blind.Stats, core.Diagnostics, error) {

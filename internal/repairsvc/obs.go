@@ -455,7 +455,9 @@ func (om *serverObs) observability() map[string]any {
 	}
 }
 
-// statusRecorder captures the response status for the route metrics.
+// statusRecorder captures the first response status, for the route
+// metrics and the repair request log. code != 0 means a header or byte has
+// been written: the response has started.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int

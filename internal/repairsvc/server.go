@@ -850,7 +850,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// early error, success, and the deliberate mid-stream abort panic —
 	// and re-panics so net/http still sees ErrAbortHandler.
 	tr := s.om.tracer.Start()
-	tw := &trackedResponse{ResponseWriter: w}
+	tw := &statusRecorder{ResponseWriter: w}
 	w = tw
 	var (
 		planID, calID string
@@ -1074,7 +1074,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.noteFailure(ctx, err)
-		if !tw.started {
+		if tw.code == 0 {
 			// Nothing sent yet: the client gets a clean, typed JSON error —
 			// 503 for a blown deadline, 500 for a worker panic or a corrupt
 			// artefact, 422 for a bad stream (e.g. dimension mismatch, bad
@@ -1134,30 +1134,6 @@ func (sp *bodySpool) Close() error {
 		}
 	}
 	return err
-}
-
-// trackedResponse records whether any header or byte has been written,
-// and the first status code, for the request log.
-type trackedResponse struct {
-	http.ResponseWriter
-	started bool
-	code    int
-}
-
-func (t *trackedResponse) WriteHeader(code int) {
-	t.started = true
-	if t.code == 0 {
-		t.code = code
-	}
-	t.ResponseWriter.WriteHeader(code)
-}
-
-func (t *trackedResponse) Write(b []byte) (int, error) {
-	t.started = true
-	if t.code == 0 {
-		t.code = http.StatusOK
-	}
-	return t.ResponseWriter.Write(b)
 }
 
 // tapStream forwards Next while exposing each record to the observability

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -156,48 +155,6 @@ func TestCategoricalSkipsZeroWeights(t *testing.T) {
 	}
 }
 
-func TestMultinomialSumsToN(t *testing.T) {
-	r := New(29)
-	err := quick.Check(func(n uint8, a, b, c uint8) bool {
-		w := []float64{float64(a) + 1, float64(b) + 1, float64(c) + 1}
-		counts := r.Multinomial(int(n), w)
-		total := 0
-		for _, v := range counts {
-			if v < 0 {
-				return false
-			}
-			total += v
-		}
-		return total == int(n)
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMultinomialFrequencies(t *testing.T) {
-	r := New(31)
-	w := []float64{0.5, 0.5}
-	counts := r.Multinomial(100000, w)
-	f := float64(counts[0]) / 100000
-	if math.Abs(f-0.5) > 0.01 {
-		t.Errorf("Multinomial split = %v, want ~0.5", f)
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	r := New(37)
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Errorf("Binomial(10, 0) = %d", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Errorf("Binomial(10, 1) = %d", got)
-	}
-	if got := r.Binomial(0, 0.5); got != 0 {
-		t.Errorf("Binomial(0, .5) = %d", got)
-	}
-}
-
 func TestAliasMatchesWeights(t *testing.T) {
 	r := New(41)
 	w := []float64{0.1, 0.0, 0.4, 0.5}
@@ -267,30 +224,6 @@ func TestAliasAgreesWithCategorical(t *testing.T) {
 	}
 }
 
-func TestSampleWithoutReplacement(t *testing.T) {
-	r := New(53)
-	idx := r.SampleWithoutReplacement(10, 10)
-	seen := make(map[int]bool)
-	for _, i := range idx {
-		if i < 0 || i >= 10 || seen[i] {
-			t.Fatalf("invalid sample %v", idx)
-		}
-		seen[i] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("expected 10 distinct, got %d", len(seen))
-	}
-}
-
-func TestSampleWithoutReplacementPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("k > n did not panic")
-		}
-	}()
-	New(1).SampleWithoutReplacement(3, 4)
-}
-
 func TestMVNMomentsIdentity(t *testing.T) {
 	r := New(59)
 	m := MustMVN([]float64{1, -2}, Identity(2))
@@ -351,20 +284,6 @@ func TestMVNSampleReusesDst(t *testing.T) {
 	}
 }
 
-func TestSampleN(t *testing.T) {
-	r := New(71)
-	m := MustMVN([]float64{3, 4}, Identity(2))
-	rows := m.SampleN(r, 17)
-	if len(rows) != 17 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, row := range rows {
-		if len(row) != 2 {
-			t.Fatalf("row has %d entries", len(row))
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(73)
 	p := r.Perm(20)
@@ -377,18 +296,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(79)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(2)
-	}
-	if math.Abs(sum/n-0.5) > 0.02 {
-		t.Errorf("Exp(2) mean = %v, want ~0.5", sum/n)
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	r := New(83)
 	for i := 0; i < 1000; i++ {
@@ -396,77 +303,6 @@ func TestLogNormalPositive(t *testing.T) {
 			t.Fatalf("LogNormal produced %v", v)
 		}
 	}
-}
-
-// Exponential returns a sample from Exp(rate).
-func (r *RNG) Exponential(rate float64) float64 {
-	return r.src.ExpFloat64() / rate
-}
-
-// Multinomial draws counts of n trials across the weight vector w.
-// The returned slice has len(w) entries summing to n.
-func (r *RNG) Multinomial(n int, w []float64) []int {
-	counts := make([]int, len(w))
-	if n <= 0 {
-		return counts
-	}
-	// Conditional binomial method: draw each cell's count as a binomial of
-	// the remaining trials, conditioning on mass already placed.
-	total := 0.0
-	for _, wi := range w {
-		if wi < 0 || math.IsNaN(wi) {
-			panic("rng: Multinomial called with negative or NaN weight")
-		}
-		total += wi
-	}
-	if total <= 0 {
-		panic("rng: Multinomial called with zero total mass")
-	}
-	remaining := n
-	massLeft := total
-	for i := 0; i < len(w)-1 && remaining > 0; i++ {
-		p := w[i] / massLeft
-		c := r.Binomial(remaining, p)
-		counts[i] = c
-		remaining -= c
-		massLeft -= w[i]
-		if massLeft <= 0 {
-			break
-		}
-	}
-	counts[len(w)-1] += remaining
-	return counts
-}
-
-// Binomial draws the number of successes in n Bernoulli(p) trials.
-// It uses direct simulation for small n and a normal approximation with
-// correction is deliberately avoided: n is modest everywhere in this
-// repository and exactness keeps the property tests sharp.
-func (r *RNG) Binomial(n int, p float64) int {
-	if p <= 0 || n <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// Inversion by waiting times is O(np) expected; fine for our sizes.
-	c := 0
-	for i := 0; i < n; i++ {
-		if r.src.Float64() < p {
-			c++
-		}
-	}
-	return c
-}
-
-// SampleWithoutReplacement returns k distinct indices drawn uniformly from
-// [0, n) in random order. It panics if k > n.
-func (r *RNG) SampleWithoutReplacement(n, k int) []int {
-	if k > n {
-		panic("rng: SampleWithoutReplacement with k > n")
-	}
-	p := r.src.Perm(n)
-	return p[:k]
 }
 
 // MustMVN is NewMVN that panics on error, for statically known-valid
@@ -477,13 +313,4 @@ func MustMVN(mean []float64, cov [][]float64) *MVN {
 		panic(err)
 	}
 	return m
-}
-
-// SampleN draws n vectors as an n×dim matrix.
-func (m *MVN) SampleN(r *RNG, n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = m.Sample(r, nil)
-	}
-	return out
 }

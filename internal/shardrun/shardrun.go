@@ -20,7 +20,7 @@
 //     its input. The drain (sink) always runs serially, in input order,
 //     from the calling goroutine, and at most one chunk is in memory.
 //
-// Cancellation contract (the resilience layer's addition): Table and
+// Cancellation contract (the resilience layer's addition): TableObs and
 // Stream take a context and stop promptly when it is cancelled —
 // between shards' launch in table mode, and between chunks (never inside
 // a delivered chunk) in stream mode — returning ctx.Err(). Cancellation
@@ -184,23 +184,20 @@ func IsolatedObs(o *Obs, f func() error) error {
 	return callShard(o, 0, false, 0, 0, 0, f)
 }
 
-// Table fans the index range [0, n) across contiguous shards. Shard w
+// TableObs fans the index range [0, n) across contiguous shards. Shard w
 // covers [w·n/W, (w+1)·n/W) and receives the child stream r.Split(w),
 // where W = min(workers, n); when fewer than two shards remain after the
 // clamp, the whole range runs as one shard on r.Split(0) in the calling
 // goroutine. The shard closure owns all per-shard state (repairers,
-// diagnostics slots); Table only orchestrates. On error the
+// diagnostics slots); TableObs only orchestrates. On error the
 // lowest-indexed shard's error is returned; a panicking shard yields a
 // *ShardPanicError. A ctx already cancelled at entry returns ctx.Err()
 // before any shard runs (prompt cancellation inside a running shard is
 // the closure's job — the engines check ctx at span granularity).
-func Table(ctx context.Context, r *rng.RNG, workers, n int, shard func(shard int, r *rng.RNG, lo, hi int) error) error {
-	return TableObs(ctx, r, workers, n, nil, shard)
-}
-
-// TableObs is Table with per-shard wall timings and counts recorded on o
-// (nil o = plain Table). Instrumentation never influences the sharding or
-// the split streams, so the output is byte-identical either way.
+//
+// Per-shard wall timings and counts are recorded on o (nil o =
+// uninstrumented). Instrumentation never influences the sharding or the
+// split streams, so the output is byte-identical either way.
 func TableObs(ctx context.Context, r *rng.RNG, workers, n int, o *Obs, shard func(shard int, r *rng.RNG, lo, hi int) error) error {
 	if r == nil {
 		return errors.New("shardrun: nil rng")
@@ -214,11 +211,21 @@ func TableObs(ctx context.Context, r *rng.RNG, workers, n int, o *Obs, shard fun
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	return fanOut(o, r, 0, false, 0, workers, n, shard)
+}
+
+// fanOut is the one fan-out body under both runners: shard w of [0, n)
+// covers [w·n/W, (w+1)·n/W) with W = min(workers, n) and receives the
+// child stream r.Split(base + w); when fewer than two shards remain after
+// the clamp, the whole range runs as one shard on r.Split(base) in the
+// calling goroutine. chunk and stream only label a *ShardPanicError. The
+// lowest-indexed shard's error is returned.
+func fanOut(o *Obs, r *rng.RNG, chunk uint64, stream bool, base uint64, workers, n int, shard func(shard int, r *rng.RNG, lo, hi int) error) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		return callShard(o, 0, false, 0, 0, n, func() error { return shard(0, r.Split(0), 0, n) })
+		return callShard(o, chunk, stream, 0, 0, n, func() error { return shard(0, r.Split(base), 0, n) })
 	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -228,7 +235,7 @@ func TableObs(ctx context.Context, r *rng.RNG, workers, n int, o *Obs, shard fun
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			errs[w] = callShard(o, 0, false, w, lo, hi, func() error { return shard(w, r.Split(uint64(w)), lo, hi) })
+			errs[w] = callShard(o, chunk, stream, w, lo, hi, func() error { return shard(w, r.Split(base+uint64(w)), lo, hi) })
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -324,31 +331,9 @@ func Stream[T any](
 }
 
 // runChunk fans one chunk across shards with the per-(chunk, shard) split
-// formula.
+// formula: the stride is the unclamped worker count.
 func runChunk[T any](o *Obs, r *rng.RNG, chunk uint64, workers int, in, out []T, shard func(chunk uint64, shard int, r *rng.RNG, in, out []T, lo, hi int) error) error {
-	n := len(in)
-	streamStride := uint64(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return callShard(o, chunk, true, 0, 0, n, func() error {
-			return shard(chunk, 0, r.Split(chunk*streamStride), in, out, 0, n)
-		})
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = callShard(o, chunk, true, w, lo, hi, func() error {
-				return shard(chunk, w, r.Split(chunk*streamStride+uint64(w)), in, out, lo, hi)
-			})
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return firstErr(errs)
+	return fanOut(o, r, chunk, true, chunk*uint64(workers), workers, len(in), func(w int, rr *rng.RNG, lo, hi int) error {
+		return shard(chunk, w, rr, in, out, lo, hi)
+	})
 }
