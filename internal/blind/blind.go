@@ -302,35 +302,34 @@ func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 	return rp.repairImputed(rec, out, gamma[0])
 }
 
-// RepairBatch repairs a span of records under precomputed posteriors
+// repairBatch repairs a block of records under precomputed posteriors
 // (gammas[i] pairs with recs[i] and is ignored by records that never
-// consult a posterior), writing record i's repair to out[i]. It applies
-// RepairRecord's exact per-record sequence with the posterior supplied
-// instead of evaluated — same RNG consumption, same stats accumulation
-// order, so when gammas[i] is what the repairer's own posterior returns the
-// outputs are byte-identical — but carves every output feature vector from one backing
-// allocation, which is what keeps the serving engines' span loop off the
-// per-record allocator. base offsets the record indices in error messages,
-// so a caller feeding spans of a larger stream reports absolute positions.
-func (rp *Repairer) RepairBatch(base int, recs []dataset.Record, gammas []float64, out []dataset.Record) error {
-	if len(gammas) != len(recs) || len(out) != len(recs) {
-		return errors.New("blind: batch length mismatch")
-	}
+// consult a posterior), writing record i's repair to out[i], and returns
+// how many leading records it completed. It applies RepairRecord's exact
+// per-record sequence with the posterior supplied instead of evaluated —
+// same RNG consumption, same stats accumulation order, so when gammas[i]
+// is what the repairer's own posterior returns the outputs are
+// byte-identical — but carves every output feature vector from one
+// backing allocation, which is what keeps the span loop off the
+// per-record allocator. base offsets the record indices in error
+// messages, so a caller feeding spans of a larger stream reports absolute
+// positions.
+func (rp *Repairer) repairBatch(base int, recs []dataset.Record, gammas []float64, out []dataset.Record) (int, error) {
 	d := rp.dim
 	xs := make([]float64, len(recs)*d)
 	for i, rec := range recs {
 		o, done, err := rp.repairKnown(rec, xs[i*d:(i+1)*d:(i+1)*d])
 		if err != nil {
-			return fmt.Errorf("blind: record %d: %w", base+i, err)
+			return i, fmt.Errorf("blind: record %d: %w", base+i, err)
 		}
 		if !done {
 			if o, err = rp.repairImputed(rec, o, gammas[i]); err != nil {
-				return fmt.Errorf("blind: record %d: %w", base+i, err)
+				return i, fmt.Errorf("blind: record %d: %w", base+i, err)
 			}
 		}
 		out[i] = o
 	}
-	return nil
+	return len(recs), nil
 }
 
 // repairKnown handles the posterior-free cases — validation, the pooled
@@ -434,54 +433,56 @@ func (rp *Repairer) repairImputed(rec, out dataset.Record, gamma float64) (datas
 const blindSpan = 1024
 
 // RepairSpan repairs recs into out (equal lengths), writing record i's
-// repair to out[i] — the span body of RepairTable and of the serving
-// engine's shards. It works in blocks of blindSpan records, polling ctx
-// between blocks. A block runs through BatchPosterior + RepairBatch when
-// it can: every record valid, and the block's unlabelled records (if any)
-// covered by the default QDA posterior. That path is byte-identical to
-// the per-record sequence (identical RNG consumption and stats order).
+// repair to out[i], and returns how many leading records it completed —
+// on error, out[:n] holds the repairs of recs[:n], each byte-identical to
+// an uninterrupted run. It is the span body of RepairTable and of every
+// serving-engine path. It works in blocks of blindSpan records, polling
+// ctx between blocks. A block runs through BatchPosterior + repairBatch
+// when it can: every record valid, and the block's unlabelled records (if
+// any) covered by the default QDA posterior. That path is byte-identical
+// to the per-record sequence (identical RNG consumption and stats order).
 // Any other block — a custom posterior, no posterior at all, or an
 // invalid record — takes the scalar loop, so error positions and partial
 // progress match RepairRecord exactly. base offsets the record indices in
 // error messages, so a caller feeding spans of a larger input reports
 // absolute positions.
-func (rp *Repairer) RepairSpan(ctx context.Context, base int, recs, out []dataset.Record) error {
+func (rp *Repairer) RepairSpan(ctx context.Context, base int, recs, out []dataset.Record) (int, error) {
 	if len(out) != len(recs) {
-		return errors.New("blind: span length mismatch")
+		return 0, errors.New("blind: span length mismatch")
 	}
 	var gammas [blindSpan]float64
 	for lo := 0; lo < len(recs); lo += blindSpan {
 		if err := ctx.Err(); err != nil {
-			return err
+			return lo, err
 		}
 		hi := min(lo+blindSpan, len(recs))
 		block, g := recs[lo:hi], gammas[:hi-lo]
 		batched, err := rp.blockPosteriors(block, g)
 		if err != nil {
-			return fmt.Errorf("blind: posterior (span at %d): %w", base+lo, err)
+			return lo, fmt.Errorf("blind: posterior (span at %d): %w", base+lo, err)
 		}
 		if batched {
-			if err := rp.RepairBatch(base+lo, block, g, out[lo:hi]); err != nil {
-				return err
+			if n, err := rp.repairBatch(base+lo, block, g, out[lo:hi]); err != nil {
+				return lo + n, err
 			}
 			continue
 		}
 		for i, rec := range block {
 			o, err := rp.RepairRecord(rec)
 			if err != nil {
-				return fmt.Errorf("blind: record %d: %w", base+lo+i, err)
+				return lo + i, fmt.Errorf("blind: record %d: %w", base+lo+i, err)
 			}
 			out[lo+i] = o
 		}
 	}
-	return nil
+	return len(recs), nil
 }
 
 // blockPosteriors fills gammas[i] for every unlabelled record of a block
 // through the batched QDA evaluator and reports whether the block may run
-// through RepairBatch. Labelled slots (and every slot, for the pooled
+// through repairBatch. Labelled slots (and every slot, for the pooled
 // method) are not written — the reused buffer may carry stale values
-// there — and are ignored downstream: RepairBatch never consults gamma for
+// there — and are ignored downstream: repairBatch never consults gamma for
 // a record that needs no posterior.
 func (rp *Repairer) blockPosteriors(recs []dataset.Record, gammas []float64) (bool, error) {
 	// Like the scalar path, only unlabelled records consult the posterior:
@@ -538,7 +539,7 @@ func (rp *Repairer) RepairTable(t *dataset.Table) (*dataset.Table, error) {
 		return nil, err
 	}
 	repaired := make([]dataset.Record, t.Len())
-	if err := rp.RepairSpan(context.Background(), 0, t.Records(), repaired); err != nil {
+	if _, err := rp.RepairSpan(context.Background(), 0, t.Records(), repaired); err != nil {
 		return nil, err
 	}
 	if err := out.AppendAll(repaired); err != nil {

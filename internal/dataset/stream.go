@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"context"
 	"fmt"
 	"io"
 )
@@ -65,45 +64,6 @@ func (s *CSVStream) Next() (Record, error) {
 
 // Dim implements Stream.
 func (s *CSVStream) Dim() int { return s.rows.dim }
-
-// ctxStream fails Next with ctx.Err() once the context is cancelled,
-// checking every `every` records so the hot path pays a counter
-// decrement, not a context poll, per record.
-type ctxStream struct {
-	inner Stream
-	ctx   context.Context
-	every int
-	left  int
-}
-
-// WithContext wraps a stream so cancellation of ctx surfaces as a Next
-// error within `every` records (every <= 1 checks on each record). The
-// serving engines use it to honour per-request deadlines and client
-// disconnects at record granularity without a context poll per record.
-func WithContext(ctx context.Context, in Stream, every int) Stream {
-	if ctx == nil {
-		return in
-	}
-	if every < 1 {
-		every = 1
-	}
-	return &ctxStream{inner: in, ctx: ctx, every: every}
-}
-
-// Next implements Stream.
-func (s *ctxStream) Next() (Record, error) {
-	if s.left <= 0 {
-		if err := s.ctx.Err(); err != nil {
-			return Record{}, err
-		}
-		s.left = s.every
-	}
-	s.left--
-	return s.inner.Next()
-}
-
-// Dim implements Stream.
-func (s *ctxStream) Dim() int { return s.inner.Dim() }
 
 // Collect drains a stream into a table (for tests and small inputs; the
 // repair path proper never needs to materialize a stream).

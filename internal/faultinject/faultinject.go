@@ -3,8 +3,7 @@
 // *Injector that is nil in real deployments — every hook method is
 // nil-receiver safe and compiles to a single pointer check — and the soak
 // harness (`make soak`) arms one with a seeded schedule to drive store
-// corruption, slow shards, worker panics and poisoned records through a
-// live server.
+// corruption, slow shards and worker panics through a live server.
 //
 // Schedules are deterministic by construction: each failure point carries
 // an every-Nth rule whose phase is derived from (seed, point name), and a
@@ -42,9 +41,6 @@ const (
 	// ShardPanic panics a shard worker, exercising shardrun's panic
 	// isolation (repairsvc engine).
 	ShardPanic = "shard.panic"
-	// RecordPoison fails record validation mid-stream, exercising the
-	// serving layer's malformed-input path (repairsvc server).
-	RecordPoison = "record.poison"
 	// FeedFetch fails a research-feed fetch attempt before the source is
 	// consulted (researchfeed).
 	FeedFetch = "feed.fetch"

@@ -1,8 +1,6 @@
 package mixture
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"testing"
 
@@ -217,158 +215,4 @@ func TestAccuracyRequiresLabels(t *testing.T) {
 	if _, err := est.Accuracy(archive.DropS()); err == nil {
 		t.Error("unlabelled accuracy accepted")
 	}
-}
-
-func TestBICSelectK(t *testing.T) {
-	r := rng.New(11)
-	// Two clearly separated clusters: BIC should pick K=2 over 1 and 3.
-	var rows [][]float64
-	for i := 0; i < 600; i++ {
-		mean := -4.0
-		if i%2 == 0 {
-			mean = 4
-		}
-		rows = append(rows, []float64{r.Normal(mean, 1)})
-	}
-	model, k, err := SelectK(rows, r, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 2 {
-		t.Errorf("SelectK chose K=%d, want 2", k)
-	}
-	if model == nil || len(model.Components) != 2 {
-		t.Fatalf("model = %+v", model)
-	}
-}
-
-func TestBICSelectKSingleCluster(t *testing.T) {
-	r := rng.New(12)
-	var rows [][]float64
-	for i := 0; i < 400; i++ {
-		rows = append(rows, []float64{r.Norm()})
-	}
-	_, k, err := SelectK(rows, r, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 1 {
-		t.Errorf("SelectK chose K=%d for unimodal data, want 1", k)
-	}
-}
-
-func TestSelectKValidation(t *testing.T) {
-	r := rng.New(13)
-	if _, _, err := SelectK([][]float64{{1}}, r, 0, Options{}); err == nil {
-		t.Error("maxK=0 accepted")
-	}
-}
-
-func TestSPosteriorConsistentWithEstimate(t *testing.T) {
-	s, _ := simulate.NewSampler(simulate.Paper())
-	r := rng.New(10)
-	research, archive, _ := s.ResearchArchive(r, 800, 4000)
-	est, err := NewLabelEstimator(research, archive, r, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < archive.Len(); i += 37 {
-		rec := archive.At(i)
-		p, err := est.SPosterior(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p < 0 || p > 1 {
-			t.Fatalf("posterior %v outside [0,1]", p)
-		}
-		hard, err := est.Estimate(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The MAP label must agree with thresholding the soft posterior.
-		if want := 0; p >= 0.5 {
-			want = 1
-			if hard != want {
-				t.Fatalf("record %d: posterior %v but hard label %d", i, p, hard)
-			}
-		} else if hard != want {
-			t.Fatalf("record %d: posterior %v but hard label %d", i, p, hard)
-		}
-	}
-}
-
-func TestSPosteriorValidation(t *testing.T) {
-	s, _ := simulate.NewSampler(simulate.Paper())
-	r := rng.New(11)
-	research, archive, _ := s.ResearchArchive(r, 300, 300)
-	est, err := NewLabelEstimator(research, archive, r, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := est.SPosterior(dataset.Record{X: []float64{0, 0}, U: 9}); err == nil {
-		t.Error("bad u accepted")
-	}
-	if _, err := est.SPosterior(dataset.Record{X: []float64{0}, U: 0}); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
-// BIC returns the Bayesian information criterion of a fitted model on the
-// sample it was trained on: −2·logL + params·ln n, lower is better. A
-// diagonal K-component model in d dimensions has K−1 + 2·K·d parameters.
-func (m *Model) BIC(n, d int) float64 {
-	k := len(m.Components)
-	params := float64(k-1) + float64(2*k*d)
-	return -2*m.LogLik + params*math.Log(float64(n))
-}
-
-// SelectK fits models with K = 1..maxK and returns the one minimizing BIC,
-// the standard order-selection rule for the mixture identification step of
-// Eq. (10).
-func SelectK(rows [][]float64, r *rng.RNG, maxK int, opts Options) (*Model, int, error) {
-	if maxK < 1 {
-		return nil, 0, errors.New("mixture: maxK must be at least 1")
-	}
-	d := 0
-	if len(rows) > 0 {
-		d = len(rows[0])
-	}
-	var best *Model
-	bestK := 0
-	bestBIC := math.Inf(1)
-	for k := 1; k <= maxK && k <= len(rows); k++ {
-		opts.K = k
-		m, err := Fit(rows, r, opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("mixture: K=%d: %w", k, err)
-		}
-		if bic := m.BIC(len(rows), d); bic < bestBIC {
-			bestBIC, best, bestK = bic, m, k
-		}
-	}
-	return best, bestK, nil
-}
-
-// SPosterior returns Pr[ŝ = 1 | x, u] under the fitted u-mixture: the total
-// responsibility of the components anchored to s = 1. It is the soft label
-// that internal/blind's posterior repair methods consume.
-func (e *LabelEstimator) SPosterior(rec dataset.Record) (float64, error) {
-	if rec.U != 0 && rec.U != 1 {
-		return 0, fmt.Errorf("mixture: invalid u label %d", rec.U)
-	}
-	if len(rec.X) != e.dim {
-		return 0, fmt.Errorf("mixture: record has %d features, want %d", len(rec.X), e.dim)
-	}
-	m := e.models[rec.U]
-	if m == nil {
-		return 0, fmt.Errorf("mixture: no model for u=%d", rec.U)
-	}
-	post := m.Posterior(rec.X)
-	p1 := 0.0
-	for j, p := range post {
-		if e.compToS[rec.U][j] == 1 {
-			p1 += p
-		}
-	}
-	return p1, nil
 }

@@ -21,15 +21,15 @@ const (
 	StageDecode
 	// StageShardExecute covers the repair engines and the shard runner.
 	StageShardExecute
-	// StageEncode accumulates wire-format rendering (per record, sampled
-	// requests only).
+	// StageEncode accumulates wire-format rendering (per span of records,
+	// sampled requests only).
 	StageEncode
 	// StageFlush covers the final response flush.
 	StageFlush
-	// StageMonitor accumulates the observability tap on each decoded
-	// record — its validation, the rolling record window and the drift
-	// monitor's Observe — per record on sampled requests only. It is
-	// nested: the same time is also counted in StageShardExecute.
+	// StageMonitor accumulates the observability tap on each delivered
+	// span — the rolling record windows, the drift monitor's Observe and
+	// the drift-watch reservoir — on sampled requests only. It is nested:
+	// the same time is also counted in StageShardExecute.
 	StageMonitor
 	// NumStages is the span slab size.
 	NumStages = int(StageMonitor) + 1

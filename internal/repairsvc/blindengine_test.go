@@ -6,7 +6,11 @@ package repairsvc
 // calibration checks.
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,7 +95,7 @@ func TestBlindEngineSerialByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, _, _, err := engine.RepairStream(rng.New(11), method, dataset.NewSliceStream(unlabelled), streamed.Append)
+		n, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(11), method, dataset.NewSliceStream(unlabelled), appendSink(streamed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,6 +103,95 @@ func TestBlindEngineSerialByteIdentical(t *testing.T) {
 			t.Fatalf("streamed %d of %d", n, unlabelled.Len())
 		}
 		tablesEqual(t, streamed, want)
+	}
+}
+
+// recordStream yields recs in order, then fails with err (io.EOF when
+// err is nil). Unlike a SliceStream it can carry records a Table would
+// reject.
+type recordStream struct {
+	recs []dataset.Record
+	dim  int
+	pos  int
+	err  error
+}
+
+func (s *recordStream) Next() (dataset.Record, error) {
+	if s.pos == len(s.recs) {
+		if s.err != nil {
+			return dataset.Record{}, s.err
+		}
+		return dataset.Record{}, io.EOF
+	}
+	s.pos++
+	return s.recs[s.pos-1], nil
+}
+
+func (s *recordStream) Dim() int { return s.dim }
+
+// TestEngineSerialPrefixAcrossChunk pins the serial span loop's failure
+// contract past the first span: a stream that fails at record
+// ChunkSize+37 — an invalid record the repairer rejects, or a Next error —
+// delivers exactly the records before it, byte-identical to
+// blind.Repairer.RepairStream with the same seed and with the same
+// blind.Stats, and a repair error names the record's absolute index.
+func TestEngineSerialPrefixAcrossChunk(t *testing.T) {
+	const bad = shardrun.DefaultChunkSize + 37
+	plan, cal, research, unlabelled := blindTestData(t, 6, 300, bad+500, 30)
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := append([]dataset.Record(nil), unlabelled.Records()...)
+	invalid[bad].U = 7
+	errRead := errors.New("read failed")
+	inputs := []struct {
+		name  string
+		input func() *recordStream
+	}{
+		{"invalid record", func() *recordStream { return &recordStream{recs: invalid, dim: unlabelled.Dim()} }},
+		{"read error", func() *recordStream {
+			return &recordStream{recs: unlabelled.Records()[:bad], dim: unlabelled.Dim(), err: errRead}
+		}},
+	}
+	for _, in := range inputs {
+		name, input := in.name, in.input
+		for _, method := range blindMethods {
+			ref, err := blind.New(plan, research, rng.New(11), blind.Options{Method: method})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := dataset.NewTable(unlabelled.Dim(), unlabelled.Names())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantN, wantErr := ref.RepairStream(input(), want.Append)
+			got, err := dataset.NewTable(unlabelled.Dim(), unlabelled.Names())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, st, _, err := engine.RepairStreamContext(context.Background(), rng.New(11), method, input(), appendSink(got))
+			if wantErr == nil || err == nil {
+				t.Fatalf("%s, %v: errors %v (reference) and %v (engine), want both non-nil", name, method, wantErr, err)
+			}
+			if n != bad || wantN != bad || got.Len() != bad {
+				t.Fatalf("%s, %v: engine delivered %d (sink saw %d), reference %d, want %d", name, method, n, got.Len(), wantN, bad)
+			}
+			tablesEqual(t, got, want)
+			if st != ref.Stats() {
+				t.Errorf("%s, %v: stats differ: %+v vs %+v", name, method, st, ref.Stats())
+			}
+			switch name {
+			case "invalid record":
+				if !strings.Contains(err.Error(), fmt.Sprintf("record %d:", bad)) {
+					t.Errorf("%s, %v: error %q does not name record %d", name, method, err, bad)
+				}
+			case "read error":
+				if !errors.Is(err, errRead) {
+					t.Errorf("%s, %v: error %v, want the read error", name, method, err)
+				}
+			}
+		}
 	}
 }
 
@@ -167,7 +260,7 @@ func TestBlindEngineParallelDeterministicAndEffective(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := engine.RepairStream(rng.New(5), method, dataset.NewSliceStream(unlabelled), out.Append); err != nil {
+			if _, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(5), method, dataset.NewSliceStream(unlabelled), appendSink(out)); err != nil {
 				t.Fatal(err)
 			}
 			return out
@@ -343,7 +436,7 @@ func TestBlindEngineAbsurdFanOutStaysCheap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := engine.RepairStream(rng.New(2), blind.MethodDraw, dataset.NewSliceStream(unlabelled), streamed.Append); err != nil {
+		if _, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(2), blind.MethodDraw, dataset.NewSliceStream(unlabelled), appendSink(streamed)); err != nil {
 			t.Fatal(err)
 		}
 		return out

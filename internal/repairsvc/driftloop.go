@@ -21,7 +21,7 @@ package repairsvc
 //
 // Nothing here touches the serve path: repairs pin explicit fingerprints,
 // ps.engine is never replaced, and the only serving-state mutation is the
-// monitor rebind under ps.mu — the same lock every tap already takes. The
+// monitor rebind under ps.mu — the same lock every span sink already takes. The
 // responses of a server running this loop are byte-identical to one with
 // the loop disabled.
 

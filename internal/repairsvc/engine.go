@@ -13,7 +13,9 @@
 // blind.Repairer on its own rng.Split stream; a record carrying an
 // observed s consumes that stream exactly as core.Repairer.RepairRecord
 // does, and on a labelled engine an unlabelled record fails with
-// blind.ErrNoPosterior. Determinism contract:
+// blind.ErrNoPosterior. Every path repairs through
+// blind.Repairer.RepairSpan, and a stream reaches its caller one span of
+// originals and repairs at a time. Determinism contract:
 //
 //   - Workers == 1 consumes the caller's RNG stream directly, so output is
 //     byte-identical to core.Repairer (labelled) or blind.Repairer
@@ -33,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"otfair/internal/blind"
@@ -43,20 +46,16 @@ import (
 	"otfair/internal/shardrun"
 )
 
-// ctxCheckEvery is how many records the serial streaming path repairs
-// between context polls: cancellation lands within this many records, and
-// the hot path pays a counter decrement, not a context mutex, per record.
-const ctxCheckEvery = 64
-
 // Options configures an Engine.
 type Options struct {
 	// Workers is the shard fan-out (0 = GOMAXPROCS, 1 = the serial
 	// byte-compatible mode). Negative values are rejected with a
 	// *shardrun.OptionError.
 	Workers int
-	// ChunkSize is the number of records repaired per parallel wave in
-	// streaming mode (0 = shardrun.DefaultChunkSize). Larger chunks
-	// amortize fan-out overhead; smaller chunks bound latency and memory.
+	// ChunkSize is the number of records repaired per span in streaming
+	// mode — one parallel wave when Workers > 1 (0 =
+	// shardrun.DefaultChunkSize). Larger chunks amortize fan-out and sink
+	// overhead; smaller chunks bound latency and memory.
 	// Negative values are rejected with a *shardrun.OptionError.
 	ChunkSize int
 	// Repair is passed through to every shard repairer.
@@ -284,7 +283,7 @@ func (e *Engine) RepairTableContext(ctx context.Context, r *rng.RNG, method blin
 		if err != nil {
 			return err
 		}
-		if err := rp.RepairSpan(ctx, lo, records[lo:hi], repaired[lo:hi]); err != nil {
+		if _, err := rp.RepairSpan(ctx, lo, records[lo:hi], repaired[lo:hi]); err != nil {
 			return err
 		}
 		allStats[w], diags[w] = rp.Stats(), rp.Diagnostics()
@@ -318,27 +317,25 @@ func (e *Engine) RepairTableContext(ctx context.Context, r *rng.RNG, method blin
 	return out, stats, diag, nil
 }
 
-// RepairStream consumes a record stream and emits repaired records to sink
-// in input order. With one worker it holds a single repairer over the
-// caller's stream (byte-identical to the reference repairer's
-// RepairStream) and sinks each record before reading the next; with more
-// it repairs chunks of ChunkSize across per-(chunk, shard) split streams,
-// holding at most one chunk in memory. The sink always runs serially, in
-// order, from the calling goroutine.
-func (e *Engine) RepairStream(r *rng.RNG, method blind.Method, in dataset.Stream, sink func(dataset.Record) error) (int, blind.Stats, core.Diagnostics, error) {
-	return e.RepairStreamContext(context.Background(), r, method, in, sink)
-}
-
-// RepairStreamContext is RepairStream under a context — the serving
-// layer's per-request deadline and client-disconnect path. Cancellation
-// surfaces as ctx.Err() within ctxCheckEvery records (serial mode) or by
-// the next chunk boundary (chunked mode), and only ever truncates the
-// sink's output: every record delivered before the cancellation is
-// byte-identical to the uncancelled run at the same seed, because the
-// contiguous-shard RNG split formula depends on positions and chunk
-// indices, never on where the stream stops. Emitted traffic is accounted
-// on every exit path.
-func (e *Engine) RepairStreamContext(ctx context.Context, r *rng.RNG, method blind.Method, in dataset.Stream, sink func(dataset.Record) error) (total int, stats blind.Stats, diag core.Diagnostics, err error) {
+// RepairStreamContext repairs a record stream and hands it to sink one
+// span at a time: sink(in, out) gets original records and their repairs
+// (out[i] repairs in[i]) in input order, serially, from the calling
+// goroutine, and must not retain either slice. With one worker a single
+// repairer on the caller's RNG repairs spans of up to ChunkSize records
+// with blind.Repairer.RepairSpan — byte-identical to the reference
+// repairer's RepairStream at the same seed and method — and a read or
+// repair error first sinks every record before the failing one; repair
+// errors name its absolute index. With more workers, chunks of ChunkSize
+// are repaired across per-(chunk, shard) split streams and reach the sink
+// whole or not at all.
+//
+// Cancelling ctx (the per-request deadline and client disconnect) surfaces
+// as ctx.Err() at the next RepairSpan block (at most 1 024 records) or
+// chunk boundary and only truncates the output: every delivered record is
+// byte-identical to the uncancelled run at the same seed, because the RNG
+// split formula depends on positions and chunk indices, never on where
+// the stream stops. Emitted traffic is accounted on every exit path.
+func (e *Engine) RepairStreamContext(ctx context.Context, r *rng.RNG, method blind.Method, in dataset.Stream, sink func(in, out []dataset.Record) error) (total int, stats blind.Stats, diag core.Diagnostics, err error) {
 	if in == nil {
 		return 0, stats, diag, errors.New("repairsvc: nil stream")
 	}
@@ -352,12 +349,38 @@ func (e *Engine) RepairStreamContext(ctx context.Context, r *rng.RNG, method bli
 			if err != nil {
 				return err
 			}
-			// Per-record sinking: each repaired record reaches the sink
-			// before the next is read, so a mid-stream failure leaves
-			// every earlier record delivered.
-			total, err = rp.RepairStream(dataset.WithContext(ctx, in, ctxCheckEvery), sink)
-			stats, diag = rp.Stats(), rp.Diagnostics()
-			return err
+			defer func() { stats, diag = rp.Stats(), rp.Diagnostics() }()
+			var span, out []dataset.Record
+			for {
+				span = span[:0]
+				var readErr error
+				for len(span) < e.opts.ChunkSize {
+					rec, err := in.Next()
+					if err != nil {
+						readErr = err
+						break
+					}
+					span = append(span, rec)
+				}
+				if cap(out) < len(span) {
+					out = make([]dataset.Record, cap(span))
+				}
+				n, err := rp.RepairSpan(ctx, total, span, out[:len(span)])
+				if n > 0 {
+					if err := sink(span[:n], out[:n]); err != nil {
+						return err
+					}
+					total += n
+				}
+				switch {
+				case err != nil:
+					return err
+				case readErr == io.EOF:
+					return nil
+				case readErr != nil:
+					return readErr
+				}
+			}
 		})
 		return total, stats, diag, err
 	}
@@ -374,27 +397,25 @@ func (e *Engine) RepairStreamContext(ctx context.Context, r *rng.RNG, method bli
 			if err != nil {
 				return err
 			}
-			if err := rp.RepairSpan(ctx, lo, chunk[lo:hi], out[lo:hi]); err != nil {
+			if _, err := rp.RepairSpan(ctx, lo, chunk[lo:hi], out[lo:hi]); err != nil {
 				return err
 			}
 			allStats[w], diags[w] = rp.Stats(), rp.Diagnostics()
 			return nil
 		},
-		func(out []dataset.Record) error {
+		func(chunk, out []dataset.Record) error {
 			// Merge the chunk's per-shard counters in shard-index order so
 			// the floating-point confidence sums stay bit-stable, then sink
-			// serially in input order.
+			// the chunk.
 			for w := range diags {
 				stats.Merge(allStats[w])
 				diag.Merge(diags[w])
 				allStats[w], diags[w] = blind.Stats{}, core.Diagnostics{}
 			}
-			for _, rec := range out {
-				if err := sink(rec); err != nil {
-					return err
-				}
-				total++
+			if err := sink(chunk, out); err != nil {
+				return err
 			}
+			total += len(out)
 			return nil
 		})
 	return total, stats, diag, err

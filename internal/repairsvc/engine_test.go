@@ -1,6 +1,7 @@
 package repairsvc
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -11,6 +12,12 @@ import (
 	"otfair/internal/rng"
 	"otfair/internal/simulate"
 )
+
+// appendSink returns a RepairStreamContext span sink that appends each
+// span's repairs to t.
+func appendSink(t *dataset.Table) func(in, out []dataset.Record) error {
+	return func(_, out []dataset.Record) error { return t.AppendAll(out) }
+}
 
 // testData returns a designed plan plus research/archive tables from the
 // paper's simulation scenario.
@@ -80,7 +87,7 @@ func TestEngineSerialByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, _, err := engine.RepairStream(rng.New(11), blind.MethodHard, dataset.NewSliceStream(archive), streamed.Append)
+	n, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(11), blind.MethodHard, dataset.NewSliceStream(archive), appendSink(streamed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +143,7 @@ func TestEngineStreamDeterministicAndEffective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := engine.RepairStream(rng.New(5), blind.MethodHard, dataset.NewSliceStream(archive), out.Append); err != nil {
+		if _, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(5), blind.MethodHard, dataset.NewSliceStream(archive), appendSink(out)); err != nil {
 			t.Fatal(err)
 		}
 		return out

@@ -199,6 +199,7 @@ func TestDriftTimerRecalibratesIdleArtefact(t *testing.T) {
 func TestFeedOutageScenario(t *testing.T) {
 	leakCheck(t)
 	const openFor = 50 * time.Millisecond
+	clock := newFakeClock()
 
 	fresh := shiftedTable(t, 2, 400, 1)
 	var freshCSV bytes.Buffer
@@ -242,6 +243,10 @@ func TestFeedOutageScenario(t *testing.T) {
 		RecalibrateURL: upstream.URL,
 		FeedRetry:      researchfeed.RetryPolicy{Attempts: 2, Base: time.Millisecond, Max: 4 * time.Millisecond, Seed: 7},
 		FeedBreaker:    researchfeed.BreakerConfig{Threshold: 2, OpenFor: openFor},
+		// The breaker's OpenFor runs on a manual clock: on the real one a
+		// slow host let it lapse between alarms, so phase 2 never saw a
+		// breaker_open fast fail.
+		Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +342,7 @@ func TestFeedOutageScenario(t *testing.T) {
 	upMu.Lock()
 	upstreamUp = true
 	upMu.Unlock()
-	time.Sleep(openFor)
+	clock.Advance(openFor)
 	m = waitFor("recovery", func(m map[string]float64) bool {
 		return m[`otfair_recalibrations_total{outcome="swapped"}`] >= 1
 	}, 1)

@@ -315,7 +315,7 @@ func TestEngineObsAllocDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rng.New(7)
-		sink := func(dataset.Record) error { return nil }
+		sink := func(_, _ []dataset.Record) error { return nil }
 		return testing.AllocsPerRun(3, func() {
 			in := dataset.NewSliceStream(archive)
 			if _, _, _, err := engine.RepairStreamContext(context.Background(), r, blind.MethodHard, in, sink); err != nil {

@@ -1,6 +1,7 @@
 package repairsvc
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestEngineAbsurdFanOutStaysCheap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := engine.RepairStream(rng.New(2), blind.MethodHard, dataset.NewSliceStream(archive), streamed.Append); err != nil {
+		if _, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(2), blind.MethodHard, dataset.NewSliceStream(archive), appendSink(streamed)); err != nil {
 			t.Fatal(err)
 		}
 		return out

@@ -93,10 +93,10 @@ type ServerOptions struct {
 	// repair request is counted slow, retained in the slow ring (surfaced
 	// by /v1/metrics) and logged at Warn (0 = slow tracking off).
 	SlowRequest time.Duration
-	// TraceSample turns on fine-grained per-record decode/encode span
-	// timing for every N-th repair request (1 = all, 0 = never). Coarse
-	// request-level stage spans are always recorded; sampling only gates
-	// the spans that cost a clock read per record.
+	// TraceSample turns on fine-grained span timing — decode per record,
+	// monitor and encode per span — for every N-th repair request (1 = all,
+	// 0 = never). Coarse request-level stage spans are always recorded;
+	// sampling only gates the spans read inside the repair loop.
 	TraceSample uint64
 	// Logger receives structured request logs (nil = discard). Repair
 	// requests log at Info with their request ID; slow ones at Warn with a
@@ -320,6 +320,34 @@ type planState struct {
 	repaired       *recordWindow
 	blind          map[string]*blindEntry // calibration id -> bound engine
 	blindClock     uint64                 // monotone LRU clock for blind, guarded by mu
+}
+
+// observe feeds one delivered span to the plan's observability state,
+// taking mu once: the original window and the drift monitor see the
+// originals, the repaired window their repairs, and the alarm ring keeps
+// the most recent maxAlarms. The drift watcher has its own lock and only
+// copies records its reservoir admits, so it is fed after mu is released.
+func (ps *planState) observe(orig, repaired []dataset.Record, maxAlarms int) {
+	ps.mu.Lock()
+	for _, rec := range orig {
+		ps.original.add(rec)
+		if alarms, _ := ps.mon.Observe(rec); len(alarms) > 0 {
+			ps.alarmsTotal += int64(len(alarms))
+			ps.alarms = append(ps.alarms, alarms...)
+		}
+	}
+	if over := len(ps.alarms) - maxAlarms; over > 0 {
+		ps.alarms = append(ps.alarms[:0], ps.alarms[over:]...)
+	}
+	for _, rec := range repaired {
+		ps.repaired.add(rec)
+	}
+	ps.mu.Unlock()
+	if ps.watch != nil {
+		for _, rec := range orig {
+			ps.watch.Observe(rec)
+		}
+	}
 }
 
 // blindEntry tracks one bound calibrated engine with its LRU recency.
@@ -1015,43 +1043,33 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// ErrAbortHandler panics below included.
 	defer out.release()
 
-	// Wrap the sink to feed the observability state. The engine calls the
-	// sink serially from this goroutine, so one lock acquisition per record
-	// is uncontended in the common single-request case.
-	tap := func(orig dataset.Record) {
-		ps.mu.Lock()
-		ps.original.add(orig)
-		alarms, _ := ps.mon.Observe(orig)
-		if len(alarms) > 0 {
-			ps.alarmsTotal += int64(len(alarms))
-			ps.alarms = append(ps.alarms, alarms...)
-			if over := len(ps.alarms) - s.opts.MaxAlarms; over > 0 {
-				ps.alarms = append(ps.alarms[:0], ps.alarms[over:]...)
+	// One span sink feeds the observability state and encodes. The engine
+	// calls it serially from this goroutine with each span's originals and
+	// repairs, so ps.mu is taken once per span, and the monitor and both
+	// metric windows see exactly the delivered records — a failed request
+	// leaves them paired.
+	sampled := tr.Sampled()
+	sink := func(orig, repaired []dataset.Record) error {
+		var start time.Time
+		if sampled {
+			start = time.Now() //otfair:nondet-ok sampled-trace monitor timing; trace spans never reach repaired records
+		}
+		ps.observe(orig, repaired, s.opts.MaxAlarms)
+		var encStart time.Time
+		if sampled {
+			encStart = time.Now() //otfair:nondet-ok sampled-trace monitor timing; trace spans never reach repaired records
+			tr.Add(obs.StageMonitor, encStart.Sub(start))
+		}
+		for _, rec := range repaired {
+			if err := out.write(rec); err != nil {
+				return err
 			}
 		}
-		ps.mu.Unlock()
-		// The watcher has its own lock and only copies records the
-		// reservoir actually admits, so this is O(1) per record and stays
-		// off the response path entirely when drift-watch is disabled.
-		if ps.watch != nil {
-			ps.watch.Observe(orig)
-		}
-	}
-	tapped := &tapStream{inner: in, tap: tap, tr: tr}
-	repairedSink := func(rec dataset.Record) error {
-		ps.mu.Lock()
-		ps.repaired.add(rec)
-		ps.mu.Unlock()
-		// Per-record encode timing only on trace-sampled requests: the
-		// clock reads are the cost being sampled away.
-		if tr.Sampled() {
-			start := time.Now() //otfair:nondet-ok sampled-trace encode timing; trace spans never reach repaired records
-			err := out.write(rec)
+		if sampled {
 			//otfair:nondet-ok sampled-trace encode timing; trace spans never reach repaired records
-			tr.Add(obs.StageEncode, time.Since(start))
-			return err
+			tr.Add(obs.StageEncode, time.Since(encStart))
 		}
-		return out.write(rec)
+		return nil
 	}
 
 	// The run wall covers decode, repair and encode interleaved; the
@@ -1060,7 +1078,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// reports that share again). Unsampled requests report the whole wall
 	// there.
 	runStart := time.Now() //otfair:nondet-ok trace stage wall-clock accounting; trace spans never reach repaired records
-	n, _, _, err := engine.RepairStreamContext(ctx, rng.New(seed), method, tapped, repairedSink)
+	n, _, _, err := engine.RepairStreamContext(ctx, rng.New(seed), method, &validStream{inner: in, tr: tr}, sink)
 	records = n
 	//otfair:nondet-ok trace stage wall-clock accounting; trace spans never reach repaired records
 	tr.Set(obs.StageShardExecute, time.Since(runStart)-tr.Get(obs.StageDecode)-tr.Get(obs.StageEncode))
@@ -1136,51 +1154,38 @@ func (sp *bodySpool) Close() error {
 	return err
 }
 
-// tapStream forwards Next while exposing each record to the observability
-// tap before repair. Records are validated here — the wire codecs parse
-// shape but not label ranges or feature finiteness — so a malformed record
-// fails the request loudly instead of repairing garbage, and the monitor
-// and metric windows only ever see valid records.
-type tapStream struct {
+// validStream forwards Next, validating each record — the wire codecs
+// parse shape but not label ranges or feature finiteness — so a malformed
+// record fails the request loudly instead of repairing garbage, and the
+// monitor and metric windows only ever see valid records. On
+// trace-sampled requests it accumulates the per-record decode time (tr is
+// nil-safe; Next is called serially from the request goroutine).
+type validStream struct {
 	inner dataset.Stream
-	tap   func(dataset.Record)
-	// tr accumulates per-record decode time, and the time from there to
-	// the end of the tap as the monitor stage, on trace-sampled requests
-	// (nil-safe; Next is called serially from the request goroutine).
-	tr *obs.Trace
+	tr    *obs.Trace
 }
 
-func (t *tapStream) Next() (dataset.Record, error) {
-	if !t.tr.Sampled() {
-		rec, err := t.inner.Next()
-		if err != nil {
-			return rec, err
-		}
-		return t.observe(rec)
+func (v *validStream) Next() (dataset.Record, error) {
+	var start time.Time
+	sampled := v.tr.Sampled()
+	if sampled {
+		start = time.Now() //otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
 	}
-	start := time.Now() //otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
-	rec, err := t.inner.Next()
-	decoded := time.Now() //otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
-	t.tr.Add(obs.StageDecode, decoded.Sub(start))
+	rec, err := v.inner.Next()
+	if sampled {
+		//otfair:nondet-ok sampled-trace decode timing; trace spans never reach repaired records
+		v.tr.Add(obs.StageDecode, time.Since(start))
+	}
 	if err != nil {
 		return rec, err
 	}
-	rec, err = t.observe(rec)
-	//otfair:nondet-ok sampled-trace monitor timing; trace spans never reach repaired records
-	t.tr.Add(obs.StageMonitor, time.Since(decoded))
-	return rec, err
-}
-
-// observe validates a decoded record and hands it to the tap.
-func (t *tapStream) observe(rec dataset.Record) (dataset.Record, error) {
-	if err := rec.Validate(t.inner.Dim()); err != nil {
+	if err := rec.Validate(v.inner.Dim()); err != nil {
 		return dataset.Record{}, err
 	}
-	t.tap(rec)
 	return rec, nil
 }
 
-func (t *tapStream) Dim() int { return t.inner.Dim() }
+func (v *validStream) Dim() int { return v.inner.Dim() }
 
 // handleMetrics reports serving state as JSON. The server-wide sections —
 // resilience counters, store stats, design cache, and the observability

@@ -15,6 +15,7 @@ import (
 	"otfair/internal/dataset"
 	"otfair/internal/planstore"
 	"otfair/internal/rng"
+	"otfair/internal/shardrun"
 )
 
 // newTestServer boots a server over a fresh store and registers the plan.
@@ -392,5 +393,68 @@ func TestBoundPlanStateEviction(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("rebind after eviction: %s", resp.Status)
+	}
+}
+
+// TestFailedRepairKeepsWindowsPaired: a labelled request that aborts on an
+// s-unlabelled record leaves the original and repaired metric windows
+// holding the same records — exactly the ones delivered to the sink — at
+// every worker count, so /v1/metrics never compares E before and after
+// over different records. Serially the delivered prefix ends at the
+// failing record; chunked, the failing chunk is dropped whole.
+func TestFailedRepairKeepsWindowsPaired(t *testing.T) {
+	const bad = 4500
+	plan, _, archive := testData(t, 41, 300, 5000, 30)
+	input, err := dataset.NewTable(archive.Dim(), archive.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range archive.Records() {
+		if i == bad {
+			rec.S = dataset.SUnknown
+		}
+		if err := input.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	windowLen := func(w *recordWindow) int {
+		if w.full {
+			return len(w.buf)
+		}
+		return w.next
+	}
+	for _, tc := range []struct{ workers, delivered int }{{1, bad}, {2, shardrun.DefaultChunkSize}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			store, err := planstore.Open(t.TempDir(), planstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, _, err := store.Put(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handler, err := NewServer(store, ServerOptions{MetricWindow: 8192})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(handler)
+			t.Cleanup(srv.Close)
+			resp := postCSV(t, fmt.Sprintf("%s/v1/repair?plan=%s&seed=3&workers=%d", srv.URL, id, tc.workers), input)
+			_, rerr := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || rerr == nil {
+				t.Fatalf("status %s, read error %v: want an aborted 200 stream", resp.Status, rerr)
+			}
+			ps, err := handler.state(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps.mu.Lock()
+			orig, rep := windowLen(ps.original), windowLen(ps.repaired)
+			ps.mu.Unlock()
+			if orig != rep || rep != tc.delivered {
+				t.Fatalf("windows hold %d original and %d repaired records, want %d of each", orig, rep, tc.delivered)
+			}
+		})
 	}
 }

@@ -91,7 +91,7 @@ func TestStreamObsChunks(t *testing.T) {
 			}
 			return nil
 		},
-		func(out []int) error { drained += len(out); return nil },
+		func(_, out []int) error { drained += len(out); return nil },
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ func TestStreamPanicIsolation(t *testing.T) {
 			copy(out[lo:hi], in[lo:hi])
 			return nil
 		},
-		func(out []int) error { drained += len(out); return nil })
+		func(_, out []int) error { drained += len(out); return nil })
 	var pe *ShardPanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *ShardPanicError", err)
@@ -117,7 +117,7 @@ func TestStreamCancellationPrefix(t *testing.T) {
 				}
 				return nil
 			},
-			func(dst []int) error {
+			func(_, dst []int) error {
 				out = append(out, dst...)
 				chunks++
 				if chunks == cancelAfterChunks {
@@ -169,7 +169,7 @@ func TestStreamCancelRace(t *testing.T) {
 				copy(dst[lo:hi], in[lo:hi])
 				return nil
 			},
-			func(dst []int) error { out = append(out, dst...); return nil })
+			func(_, dst []int) error { out = append(out, dst...); return nil })
 		wg.Wait()
 		cancel()
 		if err != nil && !errors.Is(err, context.Canceled) {

@@ -249,11 +249,11 @@ func fanOut(o *Obs, r *rng.RNG, chunk uint64, stream bool, base uint64, workers,
 // r.Split(c·Workers + w) — the unclamped worker count keeps the split
 // formula independent of how full the final chunk is. After a chunk's
 // shards finish, drain is invoked serially from the calling goroutine with
-// the chunk's outputs in input order; the caller sinks records and merges
-// per-shard state there (in shard-index order, so floating-point
-// accumulations stay bit-stable). The in/out buffers are reused across
-// chunks — at most one chunk is in memory — so drain must not retain the
-// slice.
+// the chunk's inputs and their outputs, both in input order (in[i] was
+// repaired into out[i]); the caller sinks records and merges per-shard
+// state there (in shard-index order, so floating-point accumulations stay
+// bit-stable). The in/out buffers are reused across chunks — at most one
+// chunk is in memory — so drain must not retain either slice.
 //
 // A read error aborts immediately (records already read in the aborted
 // chunk are dropped, never repaired); a shard error aborts before drain,
@@ -267,7 +267,7 @@ func Stream[T any](
 	opts Options,
 	next func() (T, error),
 	shard func(chunk uint64, shard int, r *rng.RNG, in, out []T, lo, hi int) error,
-	drain func(out []T) error,
+	drain func(in, out []T) error,
 ) error {
 	if r == nil {
 		return errors.New("shardrun: nil rng")
@@ -319,7 +319,7 @@ func Stream[T any](
 				return err
 			}
 			opts.Obs.chunkDone(len(in))
-			if err := drain(out[:len(in)]); err != nil {
+			if err := drain(in, out[:len(in)]); err != nil {
 				return err
 			}
 			chunkIdx++

@@ -203,7 +203,7 @@ func streamTrace(t *testing.T, opts Options, next func() (int, error)) (calls []
 			}
 			return nil
 		},
-		func(dst []int) error {
+		func(_, dst []int) error {
 			out = append(out, dst...)
 			return nil
 		})
@@ -268,7 +268,7 @@ func TestStreamSlowAdversarialSink(t *testing.T) {
 				}
 				return nil
 			},
-			func(dst []int) error {
+			func(_, dst []int) error {
 				time.Sleep(time.Millisecond)
 				out = append(out, dst...)
 				return nil
@@ -310,7 +310,7 @@ func TestStreamErrors(t *testing.T) {
 			return reads, nil
 		},
 		copyShard,
-		func(dst []int) error { drained += len(dst); return nil })
+		func(_, dst []int) error { drained += len(dst); return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("read error not propagated: %v", err)
 	}
@@ -326,14 +326,14 @@ func TestStreamErrors(t *testing.T) {
 			}
 			return copyShard(chunk, w, r, in, dst, lo, hi)
 		},
-		func(dst []int) error { drains++; return nil })
+		func(_, dst []int) error { drains++; return nil })
 	if !errors.Is(err, boom) || drains != 1 {
 		t.Fatalf("shard error: err=%v drains=%d, want boom after 1 drain", err, drains)
 	}
 
 	err = Stream(context.Background(), rng.New(1), Options{Workers: 2, ChunkSize: 4}, sliceSource([]int{1, 2, 3}),
 		copyShard,
-		func(dst []int) error { return boom })
+		func(_, dst []int) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("drain error not propagated: %v", err)
 	}
