@@ -226,19 +226,39 @@ func BenchmarkSolvers(b *testing.B) {
 	})
 }
 
-// BenchmarkPlanSerialization measures save/load of a designed plan.
+// BenchmarkPlanSerialization measures the canonical plan encoder on the
+// two plan shapes perfbench serves: monotone n_Q=100 designed from 2 000
+// research records (design_fresh, design_repeat) and the dense Sinkhorn
+// n_Q=100 plan designed from 500 (repair_csv, repair_blind_ndjson).
 func BenchmarkPlanSerialization(b *testing.B) {
-	research, _ := benchSimData(b, 500, 0)
-	plan, err := otfair.Design(research, otfair.DesignOptions{NQ: 50})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf discardCounter
-		if err := plan.WriteJSON(&buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct {
+		name     string
+		research int
+		opts     otfair.DesignOptions
+	}{
+		{"monotone", 2000, otfair.DesignOptions{NQ: 100}},
+		{"sinkhorn", 500, otfair.DesignOptions{NQ: 100, Solver: otfair.SolverSinkhorn}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			research, _ := benchSimData(b, shape.research, 0)
+			plan, err := otfair.Design(research, shape.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var size discardCounter
+			if err := plan.WriteJSON(&size); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var buf discardCounter
+				if err := plan.WriteJSON(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

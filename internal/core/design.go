@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"otfair/internal/dataset"
 	"otfair/internal/kde"
@@ -37,6 +38,13 @@ type Cell struct {
 
 // Plan is the complete output of Algorithm 1: one Cell per (u, feature),
 // plus the configuration needed to reproduce or serialize it.
+//
+// A Plan is immutable once Design, ReadPlan or a pooled re-design returns
+// it: nothing writes its fields or its cells' after construction, and
+// plans are passed by pointer, never copied by value (go vet's copylocks
+// check flags a copy, through the fingerprint field). The serving layer
+// shares one *Plan between the store, engines and calibrations on that
+// rule, and Fingerprint memoizes on it.
 type Plan struct {
 	// Dim is the feature dimension d.
 	Dim int
@@ -49,6 +57,10 @@ type Plan struct {
 	// GroupSizes records the research group sizes n_{R,u,s} the plan was
 	// designed from, for diagnostics and reports.
 	GroupSizes map[dataset.Group]int
+
+	// fingerprint is FingerprintBytes of the canonical bytes, stored by
+	// the first MarshalCanonical and returned by Fingerprint after it.
+	fingerprint atomic.Pointer[string]
 }
 
 // Design implements Algorithm 1: for every u ∈ {0,1} and feature k it

@@ -9,7 +9,8 @@ import (
 // FuzzReadPlan feeds arbitrary bytes to ReadPlan, the decoder behind
 // PUT /v1/plans and the plan store. It must never panic and never accept a
 // non-finite value, and any plan it accepts must write back to canonical
-// bytes that read again to the same plan: same bytes, same fingerprint.
+// bytes that encoding/json's reflection encoder agrees with and that read
+// again to the same plan: same bytes, same fingerprint.
 // Seeds under testdata/fuzz/FuzzReadPlan cover truncated JSON, a NaN grid,
 // a negative mass, duplicate cells and an empty document.
 func FuzzReadPlan(f *testing.F) {
@@ -23,6 +24,7 @@ func FuzzReadPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted plan does not serialize: %v", err)
 		}
+		checkMatchesReflection(t, "decoded plan", plan)
 		back, err := ReadPlan(bytes.NewReader(canon))
 		if err != nil {
 			t.Fatalf("canonical bytes rejected: %v\n%s", err, canon)

@@ -1,13 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
+	"strconv"
 
+	"otfair/internal/atof"
 	"otfair/internal/dataset"
 	"otfair/internal/kde"
 	"otfair/internal/ot"
@@ -54,74 +57,245 @@ type cellJSON struct {
 
 func groupKey(g dataset.Group) string { return fmt.Sprintf("u%ds%d", g.U, g.S) }
 
-// WriteJSON serializes the plan.
+// WriteJSON serializes the plan: its canonical bytes, in one write.
 func (p *Plan) WriteJSON(w io.Writer) error {
-	out := planJSON{
-		Version: planVersion,
-		Dim:     p.Dim,
-		Names:   p.Names,
-		Opts: optionsJSON{
-			NQ:              p.Opts.NQ,
-			T:               p.Opts.T,
-			Amount:          p.Opts.Amount,
-			Kernel:          p.Opts.Kernel.String(),
-			Bandwidth:       p.Opts.Bandwidth.String(),
-			Solver:          p.Opts.Solver.String(),
-			Target:          p.Opts.Target.String(),
-			Barycenter:      p.Opts.Barycenter.String(),
-			SinkhornEpsilon: p.Opts.SinkhornEpsilon,
-		},
-		GroupSizes: make(map[string]int, len(p.GroupSizes)),
+	raw, err := p.canonical()
+	if err != nil {
+		return err
 	}
-	//otfair:nondet-ok map-to-map copy; encoding/json marshals map keys sorted
-	for g, n := range p.GroupSizes {
-		out.GroupSizes[groupKey(g)] = n
-	}
-	for u := 0; u < 2; u++ {
-		out.Cells[u] = make([]cellJSON, len(p.Cells[u]))
-		for k, cell := range p.Cells[u] {
-			cj := cellJSON{
-				Q:          cell.Q,
-				PMF:        cell.PMF,
-				Bary:       cell.Bary,
-				Target:     cell.Target,
-				H:          cell.H,
-				Degenerate: cell.Degenerate,
-			}
-			for s := 0; s < 2; s++ {
-				cj.Plans[s] = cell.Plans[s].Entries()
-			}
-			out.Cells[u][k] = cj
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	_, err = w.Write(raw)
+	return err
 }
 
 // MarshalCanonical returns the plan's canonical serialized form — exactly
-// the bytes WriteJSON emits. encoding/json sorts map keys and the cell
-// slices are in fixed (u, k) order, so the bytes are a pure function of the
-// plan's content: equal plans serialize identically, which is what lets the
-// plan store key on a content hash of this buffer.
+// the bytes WriteJSON emits. Group-size keys are sorted and the cell
+// slices are in fixed (u, k) order, so the bytes are a pure function of
+// the plan's content: equal plans serialize identically, which is what
+// lets the plan store key on a content hash of this buffer. It also
+// records that hash, so Fingerprint costs nothing after it.
 func (p *Plan) MarshalCanonical() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf); err != nil {
+	raw, err := p.canonical()
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	id := FingerprintBytes(raw)
+	p.fingerprint.Store(&id)
+	return raw, nil
 }
 
 // Fingerprint returns the 128-bit content hash of the canonical serialized
 // plan as a 32-character lowercase hex ID — the key the disk-backed plan
 // store and the serving layer address plans by. Plans with identical
 // content (including options) share a fingerprint; any semantic change
-// yields a new one.
+// yields a new one. A plan the store has Put, or that was fingerprinted
+// before, returns the hash MarshalCanonical recorded without encoding
+// again (a Plan is immutable, see its doc).
 func (p *Plan) Fingerprint() (string, error) {
-	raw, err := p.MarshalCanonical()
-	if err != nil {
+	if id := p.fingerprint.Load(); id != nil {
+		return *id, nil
+	}
+	if _, err := p.MarshalCanonical(); err != nil {
 		return "", err
 	}
-	return FingerprintBytes(raw), nil
+	return *p.fingerprint.Load(), nil
+}
+
+// canonical encodes the plan without reflection into exactly what
+// json.NewEncoder(w).Encode writes for its planJSON, trailing newline
+// included: fields in planJSON's order with its omitempty rules, a nil
+// slice as null and an empty one as [], the group-size keys sorted.
+// Floats go through atof.AppendJSON; the few strings go through
+// encoding/json, so their escaping is the same by construction. A NaN or
+// ±Inf anywhere fails it with encoding/json's error for the first one.
+// The buffer is sized from the plan up front, so a dense plan of
+// megabytes is not regrown.
+func (p *Plan) canonical() ([]byte, error) {
+	e := planEncoder{b: make([]byte, 0, p.canonicalSizeHint())}
+	e.raw(`{"version":`)
+	e.int(planVersion)
+	e.raw(`,"dim":`)
+	e.int(p.Dim)
+	e.raw(`,"names":`)
+	e.json(p.Names)
+	o := p.Opts
+	e.raw(`,"options":{"nq":`)
+	e.int(o.NQ)
+	e.raw(`,"t":`)
+	e.float(o.T)
+	e.raw(`,"amount":`)
+	e.float(o.Amount)
+	e.raw(`,"kernel":`)
+	e.json(o.Kernel.String())
+	e.raw(`,"bandwidth":`)
+	e.json(o.Bandwidth.String())
+	e.raw(`,"solver":`)
+	e.json(o.Solver.String())
+	e.raw(`,"target":`)
+	e.json(o.Target.String())
+	e.raw(`,"barycenter":`)
+	e.json(o.Barycenter.String())
+	if o.SinkhornEpsilon != 0 {
+		e.raw(`,"sinkhorn_epsilon":`)
+		e.float(o.SinkhornEpsilon)
+	}
+	e.raw(`},"group_sizes":{`)
+	sizes := make(map[string]int, len(p.GroupSizes))
+	//otfair:nondet-ok map-to-map copy; the keys are written sorted below
+	for g, n := range p.GroupSizes {
+		sizes[groupKey(g)] = n
+	}
+	for i, key := range slices.Sorted(maps.Keys(sizes)) {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.json(key)
+		e.raw(":")
+		e.int(sizes[key])
+	}
+	e.raw(`},"cells":[`)
+	for u := range p.Cells {
+		if u > 0 {
+			e.raw(",")
+		}
+		e.raw("[")
+		for k, c := range p.Cells[u] {
+			if k > 0 {
+				e.raw(",")
+			}
+			e.cell(c)
+		}
+		e.raw("]")
+	}
+	e.raw("]}\n")
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.b, nil
+}
+
+// cell appends one cellJSON object.
+func (e *planEncoder) cell(c *Cell) {
+	e.raw(`{"q":`)
+	e.floats(c.Q)
+	e.raw(`,"pmf":[`)
+	e.floats(c.PMF[0])
+	e.raw(",")
+	e.floats(c.PMF[1])
+	e.raw(`],"bary":`)
+	e.floats(c.Bary)
+	e.raw(`,"target":[`)
+	e.floats(c.Target[0])
+	e.raw(",")
+	e.floats(c.Target[1])
+	e.raw(`],"plans":[`)
+	e.entries(c.Plans[0].Entries())
+	e.raw(",")
+	e.entries(c.Plans[1].Entries())
+	e.raw(`],"h":[`)
+	e.float(c.H[0])
+	e.raw(",")
+	e.float(c.H[1])
+	e.raw("]")
+	if c.Degenerate {
+		e.raw(`,"degenerate":true`)
+	}
+	e.raw("}")
+}
+
+// canonicalSizeHint bounds the canonical size from above: 26 bytes per
+// float and separator (the longest float text, a negative value six
+// places below the point, is 25 bytes), and per plan atom its float, its
+// two indices and 20 bytes of punctuation, plus slack for the header,
+// names and per-cell keys.
+func (p *Plan) canonicalSizeHint() int {
+	n := 512
+	for _, name := range p.Names {
+		n += 8 + 6*len(name) // \u00XX escaping at worst
+	}
+	for u := range p.Cells {
+		for _, c := range p.Cells[u] {
+			if c == nil {
+				continue
+			}
+			floats := len(c.Q) + len(c.Bary) + 2
+			atoms := 0
+			for s := 0; s < 2; s++ {
+				floats += len(c.PMF[s]) + len(c.Target[s])
+				if c.Plans[s] != nil {
+					atoms += c.Plans[s].NNZ()
+				}
+			}
+			index := len(strconv.Itoa(len(c.Q)))
+			n += 128 + 26*floats + atoms*(26+20+2*index)
+		}
+	}
+	return n
+}
+
+// planEncoder appends canonical plan JSON. The first non-finite float
+// sets err; the bytes are discarded then.
+type planEncoder struct {
+	b   []byte
+	err error
+}
+
+func (e *planEncoder) raw(s string) { e.b = append(e.b, s...) }
+
+func (e *planEncoder) int(n int) { e.b = strconv.AppendInt(e.b, int64(n), 10) }
+
+func (e *planEncoder) float(v float64) {
+	if err := atof.CheckJSON(v); err != nil {
+		if e.err == nil {
+			e.err = err
+		}
+		return
+	}
+	e.b = atof.AppendJSON(e.b, v)
+}
+
+func (e *planEncoder) floats(xs []float64) {
+	if xs == nil {
+		e.raw("null")
+		return
+	}
+	e.b = append(e.b, '[')
+	for i, v := range xs {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.float(v)
+	}
+	e.b = append(e.b, ']')
+}
+
+// entries appends a plan's atoms as ot.Entry objects.
+func (e *planEncoder) entries(es []ot.Entry) {
+	if es == nil {
+		e.raw("null")
+		return
+	}
+	e.b = append(e.b, '[')
+	for i, a := range es {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.raw(`{"I":`)
+		e.int(a.I)
+		e.raw(`,"J":`)
+		e.int(a.J)
+		e.raw(`,"Mass":`)
+		e.float(a.Mass)
+		e.b = append(e.b, '}')
+	}
+	e.b = append(e.b, ']')
+}
+
+// json appends a string or string slice as encoding/json writes it.
+func (e *planEncoder) json(v any) {
+	// Strings and string slices always marshal; invalid UTF-8 becomes
+	// U+FFFD rather than an error.
+	raw, _ := json.Marshal(v)
+	e.b = append(e.b, raw...)
 }
 
 // FingerprintBytes is the fingerprint of an already-serialized canonical

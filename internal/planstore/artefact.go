@@ -158,8 +158,9 @@ func (a *Artefacts[T]) path(id string) string {
 // Put persists an artefact, returning its content fingerprint and whether
 // this call created the entry. The fingerprint is taken over the one
 // serialization Put performs anyway (for a plan, identical to
-// plan.Fingerprint()), and v is kept hot in the LRU. Storing content the
-// store already holds is a cheap no-op (created == false).
+// plan.Fingerprint(), which that serialization also records on the plan),
+// and v is kept hot in the LRU. Storing content the store already holds
+// is a cheap no-op (created == false).
 func (a *Artefacts[T]) Put(v T) (id string, created bool, err error) {
 	raw, err := a.encode(v)
 	if err != nil {
@@ -167,20 +168,24 @@ func (a *Artefacts[T]) Put(v T) (id string, created bool, err error) {
 	}
 	id = fingerprint(raw)
 	path := a.path(id)
-	if _, err := os.Stat(path); err == nil {
-		// Content-addressed: an existing file with this name holds these
-		// bytes already (or a corruption the decoder will catch loudly).
-		// Refresh the mtime so TTL retention (Prune) measures age since
-		// the artefact was last stored, not since first creation — a
-		// re-Put is a client saying "still in use".
-		//otfair:nondet-ok TTL-retention mtime refresh; never reaches artefact bytes
-		now := time.Now()
-		os.Chtimes(path, now, now)
+	// Content-addressed: an existing file with this name holds these bytes
+	// already (or a corruption the decoder will catch loudly). Refreshing
+	// its mtime is also the existence probe, so TTL retention (Prune)
+	// measures age since the artefact was last stored — a re-Put is a
+	// client saying "still in use" — and a Prune that removed the file
+	// since cannot leave this call reporting a file that is gone: that
+	// fails with ErrNotExist and the bytes are committed again.
+	//otfair:nondet-ok TTL-retention mtime refresh; never reaches artefact bytes
+	now := time.Now()
+	switch err := os.Chtimes(path, now, now); {
+	case err == nil:
 		a.mu.Lock()
 		a.stats.DupPuts++
 		a.touch(id, v)
 		a.mu.Unlock()
 		return id, false, nil
+	case !errors.Is(err, os.ErrNotExist):
+		return "", false, fmt.Errorf("planstore: refreshing %s: %w", id, err)
 	}
 	if ferr := a.opts.Fault.Err(faultinject.StoreWrite); ferr != nil {
 		return "", false, fmt.Errorf("planstore: writing %s: %w", id, ferr)

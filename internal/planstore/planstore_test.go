@@ -3,8 +3,10 @@ package planstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -274,8 +276,15 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				id := ids[(w+i)%len(ids)]
-				if _, err := st.Get(id); err != nil {
+				got, err := st.Get(id)
+				if err != nil {
 					t.Errorf("concurrent get %s: %v", id, err)
+					return
+				}
+				// A plan decoded from disk is fingerprinted here by several
+				// goroutines at once: the first to finish records the memo.
+				if fp, err := got.Fingerprint(); err != nil || fp != id {
+					t.Errorf("concurrent fingerprint of %s = %s, %v", id, fp, err)
 					return
 				}
 				if i%10 == 0 {
@@ -293,3 +302,93 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func bytesReader(b []byte) *bytes.Reader { return bytes.NewReader(b) }
+
+// TestPutRecommitsPrunedFile covers a Prune (or any removal) between two
+// Puts of the same plan: the second Put must find the file gone, commit
+// the canonical bytes again and report created, not claim a file that a
+// restart or an LRU eviction would then miss.
+func TestPutRecommitsPrunedFile(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := designTestPlan(t, 5, 16)
+	id, created, err := st.Put(plan)
+	if err != nil || !created {
+		t.Fatalf("first Put = (%v, %v), want created", created, err)
+	}
+	path := filepath.Join(st.Dir(), id+".json")
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	again, created, err := st.Put(plan)
+	if err != nil || !created || again != id {
+		t.Fatalf("Put after removal = (%s, %v, %v), want (%s, created)", again, created, err, id)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Fatal("recommitted file does not hold the canonical bytes")
+	}
+	if got := st.Stats(); got.Puts != 2 || got.DupPuts != 0 {
+		t.Errorf("stats = %+v, want 2 puts and no duplicate", got)
+	}
+}
+
+// TestPutSeedsFingerprint pins the one-encoding path of a blind cold
+// boot: the plan a Get returns right after Put is the pointer Put kept,
+// and its Fingerprint is the memo Put's encoding recorded — no second
+// encoding, no allocation.
+func TestPutSeedsFingerprint(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := st.Put(designTestPlan(t, 6, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := st.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if fp, err := plan.Fingerprint(); err != nil || fp != id {
+			t.Fatalf("Fingerprint = %s, %v, want %s", fp, err, id)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Fingerprint of a stored plan allocates %v times, want 0", allocs)
+	}
+}
+
+// TestPutRejectsNonFinitePlan: a plan holding NaN or ±Inf fails Put with
+// encoding/json's error text and leaves the directory empty.
+func TestPutRejectsNonFinitePlan(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := designTestPlan(t, 7, 16)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := &core.Plan{Dim: good.Dim, Names: good.Names, Cells: good.Cells, Opts: good.Opts, GroupSizes: good.GroupSizes}
+		bad.Opts.T = v
+		want := "json: unsupported value: " + strconv.FormatFloat(v, 'g', -1, 64)
+		if id, _, err := st.Put(bad); err == nil || err.Error() != want {
+			t.Fatalf("Put with t = %v = (%q, %v), want error %q", v, id, err, want)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("failed Puts left %d entries behind", len(entries))
+	}
+}

@@ -433,12 +433,12 @@ func skipDigits(b []byte, i int) int {
 
 // appendNDJSON appends rec as the line json.Encoder writes for its
 // wireRecord, newline included, with each feature's text from feature,
-// which must append appendJSONFloat's. Like encoding/json it rejects
+// which must append atof.AppendJSON's. Like encoding/json it rejects
 // non-finite features, appending nothing.
 func appendNDJSON(b []byte, rec dataset.Record, feature featureFunc) ([]byte, error) {
 	for _, v := range rec.X {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
+		if err := atof.CheckJSON(v); err != nil {
+			return b, err
 		}
 	}
 	b = append(b, `{"x":[`...)
@@ -459,31 +459,11 @@ func appendNDJSON(b []byte, rec dataset.Record, feature featureFunc) ([]byte, er
 	return append(b, "}\n"...), nil
 }
 
-// appendJSONFloat formats a finite float64 the way encoding/json does: the
-// shortest round-tripping 'f' form, switching to 'e' for magnitudes below
-// 1e-6 or from 1e21 up, with a two-digit negative exponent shortened
-// (e-07 → e-7).
-func appendJSONFloat(b []byte, v float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		n := len(b)
-		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 // ndjsonPipe adapts newline-delimited JSON records.
 func (s *Server) ndjsonPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, *lineSink, error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
 	in := &ndjsonStream{sc: sc, dim: plan.Dim}
-	out := newLineSink(w, "application/x-ndjson", plan, appendJSONFloat, nil, appendNDJSON)
+	out := newLineSink(w, "application/x-ndjson", plan, atof.AppendJSON, nil, appendNDJSON)
 	return in, out, nil
 }

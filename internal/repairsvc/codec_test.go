@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"otfair/internal/atof"
 	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/rng"
@@ -338,7 +339,7 @@ var encodeCases = []float64{
 
 // plainJSON and plainCSV are the memo-free feature formatters of the two
 // wire encoders.
-func plainJSON(b []byte, _, _ int, x float64) []byte { return appendJSONFloat(b, x) }
+func plainJSON(b []byte, _, _ int, x float64) []byte { return atof.AppendJSON(b, x) }
 func plainCSV(b []byte, _, _ int, x float64) []byte  { return appendCSVFloat(b, x) }
 
 // stdlibEncode is the reference for both wire encoders: the line
