@@ -157,9 +157,10 @@ loc:
 	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 # Stage-level micro-benchmarks (design, repair, solvers, metric, the
-# canonical plan encoder on perfbench's two plan shapes, kernels, and the
-# decimal parser under both /v1/repair decoders against strconv).
+# canonical plan encoder and the alias-slot sampler build on perfbench's
+# two plan shapes, kernels, and the decimal parser under both /v1/repair
+# decoders against strconv).
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkDesign$$|BenchmarkRepairTable$$|BenchmarkSolvers|BenchmarkEMetric$$|BenchmarkPlanSerialization' -benchtime 10x .
+	$(GO) test -run '^$$' -bench 'BenchmarkDesign$$|BenchmarkRepairTable$$|BenchmarkSolvers|BenchmarkEMetric$$|BenchmarkPlanSerialization|BenchmarkPlanSamplerBuild' -benchtime 10x .
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/vec/
 	$(GO) test -run '^$$' -bench 'BenchmarkParse$$' -benchtime 1000000x ./internal/atof/

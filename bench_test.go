@@ -262,6 +262,37 @@ func BenchmarkPlanSerialization(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanSamplerBuild measures building the alias-slot draw tables
+// (core.NewPlanSampler) that every engine bind and labelled repairer pays
+// once per plan, on the same two plan shapes as BenchmarkPlanSerialization:
+// monotone n_Q=100 from 2 000 research records (1–2 atoms per row) and the
+// dense Sinkhorn n_Q=100 plan from 500 (about 70 000 atoms).
+func BenchmarkPlanSamplerBuild(b *testing.B) {
+	for _, shape := range []struct {
+		name     string
+		research int
+		opts     otfair.DesignOptions
+	}{
+		{"monotone", 2000, otfair.DesignOptions{NQ: 100}},
+		{"sinkhorn", 500, otfair.DesignOptions{NQ: 100, Solver: otfair.SolverSinkhorn}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			research, _ := benchSimData(b, shape.research, 0)
+			plan, err := otfair.Design(research, shape.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := otfair.NewPlanSampler(plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // discardCounter is an io.Writer that counts bytes.
 type discardCounter int64
 

@@ -1,11 +1,14 @@
 package blind
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
+	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/rng"
 )
@@ -277,4 +280,85 @@ func TestBatchedStreamInvalidRecordSinksPrefix(t *testing.T) {
 			t.Fatalf("record %d differs before the failure", i)
 		}
 	}
+}
+
+// TestRepairSpanOptionsMatchRecordLoop pins RepairSpan with both repair
+// options on (jitter and kernel dither, whose draws interleave with the
+// alias draws in the RNG stream) against a RepairRecord loop at the same
+// seed, for every method. The input carries a record with an invalid s
+// label inside a batched block (it fails mid-block, after valid records
+// of the same block were drawn) and one with an invalid u (its block takes
+// the scalar path). After each failure both repairers resume on the next
+// record, so any draw the failed record left behind would show up
+// downstream.
+func TestRepairSpanOptionsMatchRecordLoop(t *testing.T) {
+	opts := core.RepairOptions{Jitter: true, KernelDither: true}
+	for _, method := range []Method{MethodHard, MethodDraw, MethodMix, MethodPooled} {
+		t.Run(method.String(), func(t *testing.T) {
+			plan, research, archive := designOnScenario(t, 47, 400, 3000)
+			span, err := New(plan, research, rng.New(47), Options{Method: method, Repair: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loop, err := New(plan, research, rng.New(47), Options{Method: method, Repair: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := mixLabels(t, archive).Records()
+			recs[1300].S = 5
+			recs[2200].U = 7
+
+			got := make([]dataset.Record, len(recs))
+			want := make([]dataset.Record, len(recs))
+			failures := 0
+			for lo := 0; lo < len(recs); {
+				n, errSpan := span.RepairSpan(context.Background(), lo, recs[lo:], got[lo:])
+				m := 0
+				var errLoop error
+				for ; lo+m < len(recs); m++ {
+					var o dataset.Record
+					if o, errLoop = loop.RepairRecord(recs[lo+m]); errLoop != nil {
+						break
+					}
+					want[lo+m] = o
+				}
+				if n != m || (errSpan == nil) != (errLoop == nil) {
+					t.Fatalf("span from %d: completed %d (err %v), loop %d (err %v)", lo, n, errSpan, m, errLoop)
+				}
+				for i := lo; i < lo+n; i++ {
+					if !sameRecord(got[i], want[i]) {
+						t.Fatalf("record %d differs: %+v vs %+v", i, got[i], want[i])
+					}
+				}
+				if span.Stats() != loop.Stats() || span.Diagnostics() != loop.Diagnostics() {
+					t.Fatalf("counters diverged at %d: %+v %+v vs %+v %+v", lo+n, span.Stats(), span.Diagnostics(), loop.Stats(), loop.Diagnostics())
+				}
+				if errSpan != nil {
+					failures++
+				}
+				lo += n + 1
+			}
+			wantFailures := 2
+			if method == MethodPooled {
+				// The pooled transport never reads s.
+				wantFailures = 1
+			}
+			if failures != wantFailures {
+				t.Fatalf("%d failures, want %d", failures, wantFailures)
+			}
+		})
+	}
+}
+
+// sameRecord compares two records bit for bit.
+func sameRecord(a, b dataset.Record) bool {
+	if a.S != b.S || a.U != b.U || len(a.X) != len(b.X) {
+		return false
+	}
+	for k := range a.X {
+		if math.Float64bits(a.X[k]) != math.Float64bits(b.X[k]) {
+			return false
+		}
+	}
+	return true
 }

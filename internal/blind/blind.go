@@ -281,25 +281,32 @@ func (rp *Repairer) Diagnostics() core.Diagnostics { return rp.inner.Diagnostics
 // output record keeps the input's S field: the repair never pretends an
 // imputed label is an observation.
 func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
-	out, done, err := rp.repairKnown(rec, nil)
-	if done || err != nil {
-		return out, err
-	}
-	var gamma [1]float64
-	switch {
-	case rp.bp != nil:
-		// A length-1 batch is bit-identical to the scalar QDA posterior
-		// and skips its per-record prior logs.
-		err = rp.bp.Posteriors([]dataset.Record{rec}, gamma[:])
-	case rp.posterior != nil:
-		gamma[0], err = rp.posterior(rec)
-	default:
-		return dataset.Record{}, ErrNoPosterior
+	done, err := rp.pickKnown(rec)
+	if err == nil && !done {
+		var gamma [1]float64
+		switch {
+		case rp.bp != nil:
+			// A length-1 batch is bit-identical to the scalar QDA posterior
+			// and skips its per-record prior logs.
+			err = rp.bp.Posteriors([]dataset.Record{rec}, gamma[:])
+		case rp.posterior != nil:
+			gamma[0], err = rp.posterior(rec)
+		default:
+			return dataset.Record{}, ErrNoPosterior
+		}
+		if err != nil {
+			err = fmt.Errorf("blind: posterior: %w", err)
+		} else {
+			err = rp.pickImputed(rec, gamma[0])
+		}
 	}
 	if err != nil {
-		return dataset.Record{}, fmt.Errorf("blind: posterior: %w", err)
+		rp.inner.Resolve(nil)
+		return dataset.Record{}, err
 	}
-	return rp.repairImputed(rec, out, gamma[0])
+	out := dataset.Record{X: make([]float64, len(rec.X)), S: rec.S, U: rec.U}
+	rp.inner.Resolve(out.X)
+	return out, nil
 }
 
 // repairBatch repairs a block of records under precomputed posteriors
@@ -309,84 +316,75 @@ func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 // per-record sequence with the posterior supplied instead of evaluated —
 // same RNG consumption, same stats accumulation order, so when gammas[i]
 // is what the repairer's own posterior returns the outputs are
-// byte-identical — but carves every output feature vector from one
-// backing allocation, which is what keeps the span loop off the
-// per-record allocator. base offsets the record indices in error
-// messages, so a caller feeding spans of a larger stream reports absolute
-// positions.
+// byte-identical — but picks the whole block before resolving its draws
+// in one pass, and carves every output feature vector from one backing
+// allocation, which is what keeps the span loop off the per-record
+// allocator. On error out[:n] is complete and the failed record's draws
+// are dropped. base offsets the record indices in error messages, so a
+// caller feeding spans of a larger stream reports absolute positions.
 func (rp *Repairer) repairBatch(base int, recs []dataset.Record, gammas []float64, out []dataset.Record) (int, error) {
 	d := rp.dim
 	xs := make([]float64, len(recs)*d)
+	rp.inner.Reserve(len(xs))
 	for i, rec := range recs {
-		o, done, err := rp.repairKnown(rec, xs[i*d:(i+1)*d:(i+1)*d])
+		done, err := rp.pickKnown(rec)
+		if err == nil && !done {
+			err = rp.pickImputed(rec, gammas[i])
+		}
 		if err != nil {
+			rp.inner.Resolve(xs[:i*d])
 			return i, fmt.Errorf("blind: record %d: %w", base+i, err)
 		}
-		if !done {
-			if o, err = rp.repairImputed(rec, o, gammas[i]); err != nil {
-				return i, fmt.Errorf("blind: record %d: %w", base+i, err)
-			}
-		}
-		out[i] = o
+		out[i] = dataset.Record{X: xs[i*d : (i+1)*d : (i+1)*d], S: rec.S, U: rec.U}
 	}
+	rp.inner.Resolve(xs)
 	return len(recs), nil
 }
 
-// repairKnown handles the posterior-free cases — validation, the pooled
-// transport, and records arriving with an observed label. done reports
-// that out is complete; otherwise the caller supplies a posterior and
-// finishes with repairImputed. x, when non-nil, is the caller-provided
-// backing for the output features (the batch path's bulk allocation).
-func (rp *Repairer) repairKnown(rec dataset.Record, x []float64) (out dataset.Record, done bool, err error) {
+// pickKnown handles the posterior-free cases — validation, the pooled
+// transport, and records arriving with an observed label — picking the
+// record's draws (see core.Repairer.Pick). done reports that the record
+// is fully picked; otherwise the caller supplies a posterior and finishes
+// with pickImputed.
+func (rp *Repairer) pickKnown(rec dataset.Record) (done bool, err error) {
 	if rec.U != 0 && rec.U != 1 {
-		return dataset.Record{}, false, fmt.Errorf("blind: invalid u label %d", rec.U)
+		return false, fmt.Errorf("blind: invalid u label %d", rec.U)
 	}
 	if len(rec.X) != rp.dim {
-		return dataset.Record{}, false, fmt.Errorf("blind: record has %d features, want %d", len(rec.X), rp.dim)
+		return false, fmt.Errorf("blind: record has %d features, want %d", len(rec.X), rp.dim)
 	}
-	if x == nil {
-		x = make([]float64, len(rec.X))
-	}
-	out = dataset.Record{X: x, S: rec.S, U: rec.U}
 	rp.stats.Records++
 	switch {
 	case rp.method == MethodPooled:
 		// The pooled plan is identical in both s slots; apply as s = 0.
-		err = rp.transport(rec, 0, out)
+		return true, rp.transport(rec, 0)
 	case rec.S != dataset.SUnknown:
 		// Hard / draw / mix: a record that arrives with an observed label
 		// needs no imputation under any posterior method.
 		rp.stats.LabelsUsed++
-		err = rp.transport(rec, rec.S, out)
-	default:
-		return out, false, nil
+		return true, rp.transport(rec, rec.S)
 	}
-	if err != nil {
-		return dataset.Record{}, true, err
-	}
-	return out, true, nil
+	return false, nil
 }
 
-// transport repairs every feature of rec under label s into out.X.
-func (rp *Repairer) transport(rec dataset.Record, s int, out dataset.Record) error {
+// transport picks every feature of rec under label s.
+func (rp *Repairer) transport(rec dataset.Record, s int) error {
 	for k, x := range rec.X {
-		v, err := rp.inner.RepairValue(rec.U, s, k, x)
-		if err != nil {
+		if err := rp.inner.Pick(rec.U, s, k, x); err != nil {
 			return err
 		}
-		out.X[k] = v
 	}
 	return nil
 }
 
-// repairImputed finishes an unlabelled record under posterior gamma,
+// pickImputed picks an unlabelled record's draws under posterior gamma,
 // accounting the imputation telemetry exactly like the inline path always
 // did.
-func (rp *Repairer) repairImputed(rec, out dataset.Record, gamma float64) (dataset.Record, error) {
+func (rp *Repairer) pickImputed(rec dataset.Record, gamma float64) error {
 	// NaN passes both comparisons below and would index the ambiguity
 	// histogram with int(NaN); reject it explicitly.
 	if math.IsNaN(gamma) || gamma < 0 || gamma > 1 {
-		return dataset.Record{}, fmt.Errorf("blind: posterior %v outside [0,1]", gamma)
+		return fmt.Errorf("blind: posterior %v outside [0,1]", gamma)
 	}
 	rp.stats.Imputed++
 	conf := gamma
@@ -408,23 +406,18 @@ func (rp *Repairer) repairImputed(rec, out dataset.Record, gamma float64) (datas
 			if rp.r.Bernoulli(gamma) {
 				s = 1
 			}
-			v, err := rp.inner.RepairValue(rec.U, s, k, x)
-			if err != nil {
-				return dataset.Record{}, err
+			if err := rp.inner.Pick(rec.U, s, k, x); err != nil {
+				return err
 			}
-			out.X[k] = v
 		}
-		return out, nil
+		return nil
 	}
 	// Hard takes the MAP label; draw draws one label for the record.
 	s := 0
 	if (rp.method == MethodHard && gamma >= 0.5) || (rp.method == MethodDraw && rp.r.Bernoulli(gamma)) {
 		s = 1
 	}
-	if err := rp.transport(rec, s, out); err != nil {
-		return dataset.Record{}, err
-	}
-	return out, nil
+	return rp.transport(rec, s)
 }
 
 // blindSpan is the block size of RepairSpan — the same block

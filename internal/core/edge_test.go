@@ -252,3 +252,47 @@ func TestOptionsValidateDefaults(t *testing.T) {
 		t.Error("bad barycenter accepted")
 	}
 }
+
+// TestFailedRecordDropsItsDraws: a record that fails after some of its
+// features were picked (one feature too many) must leave no queued draw
+// behind. The next record then repairs exactly as on a repairer that
+// made the same RNG calls value by value, with jitter and dither on so
+// every kind of draw is in the stream.
+func TestFailedRecordDropsItsDraws(t *testing.T) {
+	research, archive := paperData(t, 57, 400, 50)
+	plan, err := Design(research, Options{NQ: 40, Solver: SolverSinkhorn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := RepairOptions{Jitter: true, KernelDither: true}
+	rp, _ := NewRepairer(plan, rng.New(58), opts)
+	ref, _ := NewRepairer(plan, rng.New(58), opts)
+	good := archive.At(3)
+	long := dataset.Record{X: append(append([]float64(nil), good.X...), 0.5), S: good.S, U: good.U}
+	if _, err := rp.RepairRecord(long); err == nil {
+		t.Fatal("record with an extra feature accepted")
+	}
+	if len(rp.picks) != 0 {
+		t.Fatalf("%d draws left queued after a failed record", len(rp.picks))
+	}
+	for k := 0; k < plan.Dim; k++ {
+		if _, err := ref.RepairValue(long.U, long.S, k, long.X[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < archive.Len(); i++ {
+		got, err := rp.RepairRecord(archive.At(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := ref.RepairRecord(archive.At(i))
+		for k := range got.X {
+			if math.Float64bits(got.X[k]) != math.Float64bits(want.X[k]) {
+				t.Fatalf("record %d feature %d: %v, want %v", i, k, got.X[k], want.X[k])
+			}
+		}
+	}
+	if rp.Diagnostics() != ref.Diagnostics() {
+		t.Fatalf("diagnostics %+v, want %+v", rp.Diagnostics(), ref.Diagnostics())
+	}
+}

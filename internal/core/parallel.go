@@ -54,12 +54,9 @@ func RepairTableParallel(plan *Plan, r *rng.RNG, opts RepairOptions, t *dataset.
 		if err != nil {
 			return err
 		}
-		for i := lo; i < hi; i++ {
-			rec, err := rp.RepairRecord(t.At(i))
-			if err != nil {
-				return fmt.Errorf("core: record %d: %w", i, err)
-			}
-			repaired[i] = rec
+		xs := make([]float64, (hi-lo)*t.Dim())
+		if err := rp.repairSpan(lo, t.Records()[lo:hi], repaired[lo:hi], xs); err != nil {
+			return err
 		}
 		diags[w] = rp.Diagnostics()
 		return nil

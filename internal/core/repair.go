@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"otfair/internal/dataset"
 	"otfair/internal/kde"
@@ -54,13 +55,36 @@ func (d *Diagnostics) Merge(o Diagnostics) {
 // A Repairer is not safe for concurrent use: it owns an RNG stream. Create
 // one per goroutine with independent rng.RNG splits; they can all share one
 // PlanSampler (see NewRepairerShared).
+//
+// Every repair runs in two steps. Pick walks the values in input order and
+// makes all of their RNG calls — dither, the τ-Bernoulli snap, the alias
+// slot index and its uniform, the jitter uniform — queueing each value's
+// slot and uniforms; Resolve then turns a whole block of queued draws into
+// values in one tight loop. No RNG call depends on a slot's contents, so
+// the split leaves the stream and the output exactly as a value-by-value
+// draw would, while the block's slot loads — cache misses into a dense
+// plan's tables — overlap instead of queueing one behind the other.
 type Repairer struct {
 	plan    *Plan
 	sampler *PlanSampler
 	rng     *rng.RNG
 	opts    RepairOptions
 	diag    Diagnostics
+	// picks queues the draws made since the last Resolve.
+	picks []pick
 }
+
+// pick is one value's draw after its RNG calls: the slot it landed on and
+// the cell it repairs in (PlanSampler indices), the uniform compared with
+// the slot's probability, and the jitter uniform (0 when jitter is off).
+type pick struct {
+	u, ju      float64
+	slot, cell int32
+}
+
+// repairBlock bounds how many records a table repair picks before it
+// resolves them, so the pick queue stays cache-sized.
+const repairBlock = 1024
 
 // NewRepairer binds a plan to a randomness source, precomputing the plan's
 // alias draw tables. When creating many repairers over one plan (parallel
@@ -97,32 +121,88 @@ func (rp *Repairer) Diagnostics() Diagnostics { return rp.diag }
 func (rp *Repairer) Plan() *Plan { return rp.plan }
 
 // RepairValue repairs a single feature value for group (u, s), feature k —
-// Algorithm 2 lines 5–9.
+// Algorithm 2 lines 5–9 — as a one-value Pick and Resolve.
 func (rp *Repairer) RepairValue(u, s, k int, x float64) (float64, error) {
+	if err := rp.Pick(u, s, k, x); err != nil {
+		return 0, err
+	}
+	var v [1]float64
+	rp.Resolve(v[:])
+	return v[0], nil
+}
+
+// Pick validates one feature value for group (u, s), feature k, makes
+// every RNG call of its repair (Algorithm 2 lines 5–9, plus dither and
+// jitter when enabled) and queues the draw for Resolve. The diagnostics
+// count the value at once. A value that fails validation makes no RNG
+// call and queues nothing.
+func (rp *Repairer) Pick(u, s, k int, x float64) error {
 	if s != 0 && s != 1 {
-		return 0, fmt.Errorf("core: repair requires a binary s label, got %d", s)
+		return fmt.Errorf("core: repair requires a binary s label, got %d", s)
 	}
 	if u != 0 && u != 1 {
-		return 0, fmt.Errorf("core: invalid u label %d", u)
+		return fmt.Errorf("core: invalid u label %d", u)
 	}
 	if k < 0 || k >= rp.plan.Dim {
-		return 0, fmt.Errorf("core: feature %d out of range %d", k, rp.plan.Dim)
+		return fmt.Errorf("core: feature %d out of range %d", k, rp.plan.Dim)
 	}
-	cell := rp.plan.Cells[u][k]
+	c := u*rp.plan.Dim + k
+	cell := rp.sampler.cells[c]
 	rp.diag.Repaired++
 	if cell.Degenerate {
-		return cell.Q[0], nil
+		rp.picks = append(rp.picks, pick{slot: degenerateSlot, cell: int32(c)})
+		return nil
 	}
 	if rp.opts.KernelDither && cell.H[s] > 0 {
 		x += cell.H[s] * kde.Sample(rp.plan.Opts.Kernel, rp.rng)
 	}
-	q := rp.snapToGrid(cell, x)
-	j := rp.drawTarget(u, s, k, q)
-	out := cell.Q[j]
-	if rp.opts.Jitter {
-		out = rp.jitter(cell, j, out)
+	row := rp.sampler.rows[c][s][rp.snapToGrid(cell, x)]
+	if row.fallback {
+		rp.diag.EmptyRowFallbacks++
 	}
-	return out, nil
+	// Line 9: draw the repaired state from the multinomial given by the
+	// normalized plan row (Eq. 15) — here only the slot and its uniform.
+	p := pick{cell: int32(c)}
+	p.slot = row.off + int32(rp.rng.IntN(int(row.n)))
+	p.u = rp.rng.Float64()
+	if rp.opts.Jitter {
+		p.ju = rp.rng.Float64()
+	}
+	rp.picks = append(rp.picks, p)
+	return nil
+}
+
+// Reserve makes room in the queue for n more draws, so a caller about to
+// pick a block of known size does not regrow the queue as it goes.
+func (rp *Repairer) Reserve(n int) { rp.picks = slices.Grow(rp.picks, n) }
+
+// Resolve writes the first len(dst) queued draws, in pick order, into dst
+// and empties the queue; draws beyond len(dst) are dropped, which is how a
+// caller discards the draws of a record that failed part way.
+func (rp *Repairer) Resolve(dst []float64) {
+	if len(dst) > len(rp.picks) {
+		panic("core: Resolve past the queued draws")
+	}
+	picks := rp.picks[:len(dst)]
+	slots, cells := rp.sampler.slots, rp.sampler.cells
+	if rp.opts.Jitter {
+		for i := range picks {
+			p := &picks[i]
+			cell := cells[p.cell]
+			j := int(slots[p.slot].Resolve(p.u))
+			if cell.Degenerate {
+				dst[i] = cell.Q[j]
+				continue
+			}
+			dst[i] = jitter(cell.Q, j, p.ju)
+		}
+	} else {
+		for i := range picks {
+			p := &picks[i]
+			dst[i] = cells[p.cell].Q[slots[p.slot].Resolve(p.u)]
+		}
+	}
+	rp.picks = rp.picks[:0]
 }
 
 // snapToGrid implements lines 5–8: locate the round-down state, then
@@ -158,23 +238,10 @@ func (rp *Repairer) snapToGrid(cell *Cell, x float64) int {
 	return q
 }
 
-// drawTarget implements line 9: draw the repaired state from the
-// multinomial given by normalized row q of π*_s (Eq. 15). Zero-mass rows
-// (supports cells where the research KDE carried no mass) were resolved to
-// the nearest row with mass when the sampler was built; draws through them
-// are counted in diagnostics.
-func (rp *Repairer) drawTarget(u, s, k, q int) int {
-	row := rp.sampler.row(u, s, k, q)
-	if row.fallback {
-		rp.diag.EmptyRowFallbacks++
-	}
-	return row.targets[row.table.Draw(rp.rng)]
-}
-
-// jitter spreads a repaired value uniformly within its grid cell, clamped
-// to the support range.
-func (rp *Repairer) jitter(cell *Cell, j int, x float64) float64 {
-	grid := cell.Q
+// jitter spreads the repaired state j uniformly within its grid cell,
+// clamped to the support range, with the uniform u drawn at pick time
+// (rng.Uniform's arithmetic).
+func jitter(grid []float64, j int, u float64) float64 {
 	n := len(grid)
 	var lo, hi float64
 	switch {
@@ -186,25 +253,56 @@ func (rp *Repairer) jitter(cell *Cell, j int, x float64) float64 {
 		lo = grid[j] - (grid[j]-grid[j-1])/2
 		hi = grid[j] + (grid[j+1]-grid[j])/2
 	}
-	return rp.rng.Uniform(lo, hi)
+	return lo + (hi-lo)*u
 }
 
 // RepairRecord repairs every feature of one labelled record, returning a
 // new record (the input is not mutated). Records with unknown S are
 // rejected: estimate labels first (internal/mixture) or drop the record.
 func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
-	if rec.S == dataset.SUnknown {
-		return dataset.Record{}, errors.New("core: record has no s label; Algorithm 2 requires s (estimate it first)")
-	}
 	out := dataset.Record{X: make([]float64, len(rec.X)), S: rec.S, U: rec.U}
-	for k := range rec.X {
-		v, err := rp.RepairValue(rec.U, rec.S, k, rec.X[k])
-		if err != nil {
-			return dataset.Record{}, err
-		}
-		out.X[k] = v
+	if err := rp.pickRecord(rec); err != nil {
+		rp.Resolve(nil)
+		return dataset.Record{}, err
 	}
+	rp.Resolve(out.X)
 	return out, nil
+}
+
+// pickRecord picks every feature of one labelled record. On failure the
+// record may have queued some of its draws; the caller drops them.
+func (rp *Repairer) pickRecord(rec dataset.Record) error {
+	if rec.S == dataset.SUnknown {
+		return errors.New("core: record has no s label; Algorithm 2 requires s (estimate it first)")
+	}
+	for k, x := range rec.X {
+		if err := rp.Pick(rec.U, rec.S, k, x); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// repairSpan repairs recs (each of the plan's dimension) into out, carving
+// every output feature vector from xs (len(recs)·Dim floats), in blocks of
+// repairBlock records. On error the output is incomplete and the queue is
+// emptied. base offsets the record indices in error messages.
+func (rp *Repairer) repairSpan(base int, recs, out []dataset.Record, xs []float64) error {
+	d := rp.plan.Dim
+	for lo := 0; lo < len(recs); lo += repairBlock {
+		hi := min(lo+repairBlock, len(recs))
+		rp.Reserve((hi - lo) * d)
+		for i := lo; i < hi; i++ {
+			rec := recs[i]
+			if err := rp.pickRecord(rec); err != nil {
+				rp.Resolve(nil)
+				return fmt.Errorf("core: record %d: %w", base+i, err)
+			}
+			out[i] = dataset.Record{X: xs[i*d : (i+1)*d : (i+1)*d], S: rec.S, U: rec.U}
+		}
+		rp.Resolve(xs[lo*d : hi*d])
+	}
+	return nil
 }
 
 // RepairTable repairs every record of a table in order, returning a new
@@ -220,11 +318,11 @@ func (rp *Repairer) RepairTable(t *dataset.Table) (*dataset.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < t.Len(); i++ {
-		rec, err := rp.RepairRecord(t.At(i))
-		if err != nil {
-			return nil, fmt.Errorf("core: record %d: %w", i, err)
-		}
+	repaired := make([]dataset.Record, t.Len())
+	if err := rp.repairSpan(0, t.Records(), repaired, make([]float64, t.Len()*t.Dim())); err != nil {
+		return nil, err
+	}
+	for i, rec := range repaired {
 		if err := out.Append(rec); err != nil {
 			return nil, fmt.Errorf("core: record %d: %w", i, err)
 		}

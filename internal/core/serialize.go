@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 
 	"otfair/internal/atof"
 	"otfair/internal/dataset"
@@ -57,29 +58,40 @@ type cellJSON struct {
 
 func groupKey(g dataset.Group) string { return fmt.Sprintf("u%ds%d", g.U, g.S) }
 
-// WriteJSON serializes the plan: its canonical bytes, in one write.
+// WriteJSON serializes the plan: its canonical bytes, in one write. The
+// bytes are encoded into a pooled buffer, so serving a dense plan of
+// megabytes again and again does not allocate its encoding each time.
 func (p *Plan) WriteJSON(w io.Writer) error {
-	raw, err := p.canonical()
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	raw, err := p.appendCanonical((*bp)[:0])
 	if err != nil {
 		return err
 	}
+	*bp = raw
 	_, err = w.Write(raw)
 	return err
 }
+
+// encodeBufs recycles WriteJSON's encoding buffers.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // MarshalCanonical returns the plan's canonical serialized form — exactly
 // the bytes WriteJSON emits. Group-size keys are sorted and the cell
 // slices are in fixed (u, k) order, so the bytes are a pure function of
 // the plan's content: equal plans serialize identically, which is what
-// lets the plan store key on a content hash of this buffer. It also
-// records that hash, so Fingerprint costs nothing after it.
+// lets the plan store key on a content hash of this buffer. The hash is
+// taken once per plan: the first call records it, so Fingerprint (and the
+// store's Put, which reads it from there) costs no hashing after it.
 func (p *Plan) MarshalCanonical() ([]byte, error) {
-	raw, err := p.canonical()
+	raw, err := p.appendCanonical(nil)
 	if err != nil {
 		return nil, err
 	}
-	id := FingerprintBytes(raw)
-	p.fingerprint.Store(&id)
+	if p.fingerprint.Load() == nil {
+		id := FingerprintBytes(raw)
+		p.fingerprint.Store(&id)
+	}
 	return raw, nil
 }
 
@@ -100,17 +112,17 @@ func (p *Plan) Fingerprint() (string, error) {
 	return *p.fingerprint.Load(), nil
 }
 
-// canonical encodes the plan without reflection into exactly what
+// appendCanonical encodes the plan without reflection into exactly what
 // json.NewEncoder(w).Encode writes for its planJSON, trailing newline
 // included: fields in planJSON's order with its omitempty rules, a nil
 // slice as null and an empty one as [], the group-size keys sorted.
 // Floats go through atof.AppendJSON; the few strings go through
 // encoding/json, so their escaping is the same by construction. A NaN or
 // ±Inf anywhere fails it with encoding/json's error for the first one.
-// The buffer is sized from the plan up front, so a dense plan of
-// megabytes is not regrown.
-func (p *Plan) canonical() ([]byte, error) {
-	e := planEncoder{b: make([]byte, 0, p.canonicalSizeHint())}
+// It appends to b, first growing it to the size bound of the plan, so a
+// dense plan of megabytes is not regrown.
+func (p *Plan) appendCanonical(b []byte) ([]byte, error) {
+	e := planEncoder{b: slices.Grow(b, p.canonicalSizeHint())}
 	e.raw(`{"version":`)
 	e.int(planVersion)
 	e.raw(`,"dim":`)

@@ -76,7 +76,7 @@ func TestSeparableDesignMatchesDenseOracle(t *testing.T) {
 }
 
 func expandConditional(p ot.RowPlan, i, m int) []float64 {
-	targets, probs, ok := p.RowConditional(i)
+	targets, probs, ok := p.AppendRowConditional(nil, nil, i)
 	if !ok {
 		return nil
 	}

@@ -599,7 +599,7 @@ func checkMarginals(p ot.RowPlan, source, target []float64, tol float64) error {
 	rows, cols := make([]float64, n), make([]float64, m)
 	for i := range rows {
 		rows[i] = p.RowMass(i)
-		targets, probs, _ := p.RowConditional(i)
+		targets, probs, _ := p.AppendRowConditional(nil, nil, i)
 		for k, j := range targets {
 			cols[j] += rows[i] * probs[k]
 		}

@@ -39,6 +39,10 @@ type Repairer struct {
 	// the same RNG stream.
 	alias      map[aliasKey]*rowSampler
 	aliasAtoms int
+	// builder and the row scratch are reused by every sampler build.
+	builder rng.AliasBuilder
+	targets []int32
+	probs   []float64
 	// aliasBudget is aliasAtomBudget in production; tests shrink it to
 	// force eviction on small plans.
 	aliasBudget int
@@ -46,8 +50,8 @@ type Repairer struct {
 	onEvict func(aliasKey)
 }
 
-// aliasAtomBudget bounds the alias cache at ~4M cached atoms (≈128 MB of
-// targets + probabilities + alias tables). Small cells (the 256-state
+// aliasAtomBudget bounds the alias cache at ~4M cached atoms (≈64 MB of
+// 16-byte alias slots). Small cells (the 256-state
 // NQ=16, d=2 design has at most 1 024 distinct keys) never evict; the
 // 8 000-state designs cycle the working set instead of exhausting memory.
 const aliasAtomBudget = 1 << 22
@@ -57,8 +61,8 @@ type aliasKey struct {
 }
 
 type rowSampler struct {
-	targets []int
-	table   *rng.Alias
+	// slots is the row's alias table over its target product states.
+	slots []rng.AliasSlot
 	// hits counts cache lookups that found this sampler; eviction sheds
 	// the coldest samplers first.
 	hits uint64
@@ -148,19 +152,20 @@ func (rp *Repairer) drawTarget(cell *Cell, u, s, row int) int {
 		if r != row {
 			rp.diag.EmptyRowFallbacks++
 		}
-		targets, probs, ok := cell.Plans[s].RowConditional(r)
+		targets, probs, ok := cell.Plans[s].AppendRowConditional(rp.targets[:0], rp.probs[:0], r)
 		if !ok {
 			panic("joint: plan has no mass in any row")
 		}
-		sampler = &rowSampler{targets: targets, table: rng.NewAlias(probs)}
-		if rp.aliasAtoms+len(targets) > rp.aliasBudget {
+		rp.targets, rp.probs = targets, probs
+		sampler = &rowSampler{slots: rp.builder.Append(make([]rng.AliasSlot, 0, len(probs)), probs, targets)}
+		if rp.aliasAtoms+len(sampler.slots) > rp.aliasBudget {
 			rp.evictAliases()
 		}
 		rp.alias[key] = sampler
-		rp.aliasAtoms += len(targets)
+		rp.aliasAtoms += len(sampler.slots)
 	}
 	sampler.hits++
-	return sampler.targets[sampler.table.Draw(rp.rng)]
+	return rp.rng.DrawAlias(sampler.slots)
 }
 
 // evictAliases sheds about a quarter of the budget, coldest samplers
@@ -179,7 +184,7 @@ func (rp *Repairer) evictAliases() {
 	cands := make([]candidate, 0, len(rp.alias))
 	//otfair:nondet-ok candidates are fully sorted below; map order is erased
 	for k, cached := range rp.alias {
-		cands = append(cands, candidate{key: k, atoms: len(cached.targets), hits: cached.hits})
+		cands = append(cands, candidate{key: k, atoms: len(cached.slots), hits: cached.hits})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]

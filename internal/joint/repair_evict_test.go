@@ -13,7 +13,7 @@ func TestAliasEvictionOrderDeterministic(t *testing.T) {
 	build := func() *Repairer {
 		rp := &Repairer{alias: make(map[aliasKey]*rowSampler), aliasBudget: 400}
 		add := func(u, s, row, atoms int, hits uint64) {
-			rp.alias[aliasKey{u: u, s: s, row: row}] = &rowSampler{targets: make([]int, atoms), hits: hits}
+			rp.alias[aliasKey{u: u, s: s, row: row}] = &rowSampler{slots: make([]rng.AliasSlot, atoms), hits: hits}
 			rp.aliasAtoms += atoms
 		}
 		add(1, 1, 9, 40, 5) // hot: must survive

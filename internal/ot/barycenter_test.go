@@ -296,7 +296,7 @@ func TestPlanRowConditional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets, probs, ok := plan.RowConditional(0)
+	targets, probs, ok := plan.AppendRowConditional(nil, nil, 0)
 	if !ok {
 		t.Fatal("row 0 reported empty")
 	}
@@ -308,7 +308,7 @@ func TestPlanRowConditional(t *testing.T) {
 	}
 	// Row with no atoms.
 	plan2, _ := NewPlan(3, 2, []Entry{{0, 0, 1}})
-	if _, _, ok := plan2.RowConditional(2); ok {
+	if _, _, ok := plan2.AppendRowConditional(nil, nil, 2); ok {
 		t.Error("empty row reported ok")
 	}
 }

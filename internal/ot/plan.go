@@ -31,6 +31,10 @@ func NewPlan(n, m int, entries []Entry) (*Plan, error) {
 	if n <= 0 || m <= 0 {
 		return nil, fmt.Errorf("ot: plan dimensions must be positive, got %d×%d", n, m)
 	}
+	if m > math.MaxInt32 {
+		// Row conditionals carry target states as int32.
+		return nil, fmt.Errorf("ot: %d target states exceed the int32 state range", m)
+	}
 	es := append([]Entry(nil), entries...)
 	for _, e := range es {
 		if e.I < 0 || e.I >= n || e.J < 0 || e.J >= m {
@@ -121,25 +125,25 @@ func (p *Plan) Cost(cost func(i, j int) float64) float64 {
 	return s
 }
 
-// RowConditional returns row i normalized into a conditional pmf over the
-// target states, as index and mass slices aligned with each other. This is
-// the multinomial M(·) of Eq. (15) that Algorithm 2 samples repairs from.
-// Rows with zero mass return ok == false; Algorithm 2 treats those as
-// "no plan evidence" and falls back to the nearest massive row.
-func (p *Plan) RowConditional(i int) (targets []int, probs []float64, ok bool) {
+// AppendRowConditional appends row i normalized into a conditional pmf
+// over the target states to targets and probs (aligned with each other)
+// and returns the extended slices. This is the multinomial M(·) of Eq. (15)
+// that Algorithm 2 samples repairs from; callers reuse the slices as
+// scratch across rows. Rows with zero mass append nothing and return
+// ok == false; Algorithm 2 treats those as "no plan evidence" and falls
+// back to the nearest massive row.
+func (p *Plan) AppendRowConditional(targets []int32, probs []float64, i int) ([]int32, []float64, bool) {
 	row := p.Row(i)
 	total := 0.0
 	for _, e := range row {
 		total += e.Mass
 	}
 	if total <= 0 {
-		return nil, nil, false
+		return targets, probs, false
 	}
-	targets = make([]int, len(row))
-	probs = make([]float64, len(row))
-	for k, e := range row {
-		targets[k] = e.J
-		probs[k] = e.Mass / total
+	for _, e := range row {
+		targets = append(targets, int32(e.J))
+		probs = append(probs, e.Mass/total)
 	}
 	return targets, probs, true
 }

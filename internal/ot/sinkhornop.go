@@ -18,9 +18,10 @@ type RowPlan interface {
 	Dims() (n, m int)
 	// RowMass returns the total mass of source row i.
 	RowMass(i int) float64
-	// RowConditional returns row i normalized into a conditional pmf over
-	// the target states; ok == false marks a zero-mass row.
-	RowConditional(i int) (targets []int, probs []float64, ok bool)
+	// AppendRowConditional appends row i normalized into a conditional
+	// pmf over the target states to targets and probs; ok == false marks a
+	// zero-mass row, which appends nothing.
+	AppendRowConditional(targets []int32, probs []float64, i int) ([]int32, []float64, bool)
 	// TotalMass returns the total transported mass.
 	TotalMass() float64
 }
@@ -55,6 +56,10 @@ func NewFactoredPlan(op KernelOp, u, v []float64) (*FactoredPlan, error) {
 		return nil, errors.New("ot: nil kernel operator")
 	}
 	n, m := op.Dims()
+	if m > math.MaxInt32 {
+		// Row conditionals carry target states as int32.
+		return nil, fmt.Errorf("ot: %d target states exceed the int32 state range", m)
+	}
 	if len(u) != n || len(v) != m {
 		return nil, fmt.Errorf("ot: scalings %d/%d do not match kernel %d×%d", len(u), len(v), n, m)
 	}
@@ -101,11 +106,12 @@ func (p *FactoredPlan) row(dst []float64, i int) {
 	}
 }
 
-// RowConditional materializes row i, truncates its sub-ulp atoms (folding
-// them into the dominant atom, exactly the TruncateSubUlp convention the
-// dense Sinkhorn plans apply), and returns the compacted conditional pmf.
-// Zero-mass rows (a zero-mass source state) return ok == false.
-func (p *FactoredPlan) RowConditional(i int) (targets []int, probs []float64, ok bool) {
+// AppendRowConditional materializes row i, truncates its sub-ulp atoms
+// (folding them into the dominant atom, exactly the TruncateSubUlp
+// convention the dense Sinkhorn plans apply), and appends the compacted
+// conditional pmf to targets and probs. Zero-mass rows (a zero-mass source
+// state) append nothing and return ok == false.
+func (p *FactoredPlan) AppendRowConditional(targets []int32, probs []float64, i int) ([]int32, []float64, bool) {
 	_, m := p.op.Dims()
 	buf := vec.GetBufRaw(m)
 	defer vec.PutBuf(buf)
@@ -115,14 +121,12 @@ func (p *FactoredPlan) RowConditional(i int) (targets []int, probs []float64, ok
 		total += x
 	}
 	if total <= 0 {
-		return nil, nil, false
+		return targets, probs, false
 	}
-	nnz := len(buf) - TruncateSubUlp(buf)
-	targets = make([]int, 0, nnz)
-	probs = make([]float64, 0, nnz)
+	TruncateSubUlp(buf)
 	for j, mass := range buf {
 		if mass > 0 {
-			targets = append(targets, j)
+			targets = append(targets, int32(j))
 			probs = append(probs, mass/total)
 		}
 	}

@@ -191,17 +191,17 @@ func TestFactoredPlanRowSemantics(t *testing.T) {
 	if p.RowMass(3) != 0 {
 		t.Fatalf("zero-mass state has row mass %v", p.RowMass(3))
 	}
-	if _, _, ok := p.RowConditional(3); ok {
+	if _, _, ok := p.AppendRowConditional(nil, nil, 3); ok {
 		t.Fatal("zero-mass row returned a conditional")
 	}
 	for _, i := range []int{0, 5, n - 1} {
-		targets, probs, ok := p.RowConditional(i)
+		targets, probs, ok := p.AppendRowConditional(nil, nil, i)
 		if !ok {
 			t.Fatalf("row %d has no mass", i)
 		}
 		sum := 0.0
 		for k, pr := range probs {
-			if pr <= 0 || targets[k] < 0 || targets[k] >= n {
+			if pr <= 0 || targets[k] < 0 || int(targets[k]) >= n {
 				t.Fatalf("row %d: invalid atom (%d, %v)", i, targets[k], pr)
 			}
 			sum += pr

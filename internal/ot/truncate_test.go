@@ -122,11 +122,11 @@ func TestSinkhornTruncationDifferential(t *testing.T) {
 	}
 }
 
-// denseConditional expands RowConditional into a dense pmf (nil if the row
+// denseConditional expands AppendRowConditional into a dense pmf (nil if the row
 // has no mass). It takes the RowPlan interface, so the factored-plan
 // differential tests share it.
 func denseConditional(p RowPlan, i, m int) []float64 {
-	targets, probs, ok := p.RowConditional(i)
+	targets, probs, ok := p.AppendRowConditional(nil, nil, i)
 	if !ok {
 		return nil
 	}

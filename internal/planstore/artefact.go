@@ -68,11 +68,12 @@ func (e *CorruptArtefactError) Unwrap() error { return e.Err }
 type Artefacts[T any] struct {
 	dir  string
 	kind string // artefact noun for error messages ("plan", "calibration")
-	// encode serializes a value to its canonical bytes (the fingerprint is
-	// taken over them); decode validates and deserializes them again and
-	// must fail loudly on corrupted input: the store trusts it as the
-	// read-path gate.
-	encode func(T) ([]byte, error)
+	// encode serializes a value to its canonical bytes and returns their
+	// fingerprint with them (a value that already knows its hash saves
+	// Put hashing the buffer again); decode validates and deserializes
+	// them again and must fail loudly on corrupted input: the store trusts
+	// it as the read-path gate.
+	encode func(T) ([]byte, string, error)
 	decode func([]byte) (T, error)
 	opts   Options
 
@@ -102,8 +103,9 @@ type cacheEntry[T any] struct {
 
 // OpenArtefacts creates (if needed) and opens an artefact namespace rooted
 // at dir. kind names the artefact in errors; encode produces the bytes
-// every Put stores and decode gates every disk read.
-func OpenArtefacts[T any](dir, kind string, encode func(T) ([]byte, error), decode func([]byte) (T, error), opts Options) (*Artefacts[T], error) {
+// every Put stores, with their fingerprint, and decode gates every disk
+// read.
+func OpenArtefacts[T any](dir, kind string, encode func(T) ([]byte, string, error), decode func([]byte) (T, error), opts Options) (*Artefacts[T], error) {
 	if dir == "" {
 		return nil, errors.New("planstore: empty directory")
 	}
@@ -156,17 +158,15 @@ func (a *Artefacts[T]) path(id string) string {
 }
 
 // Put persists an artefact, returning its content fingerprint and whether
-// this call created the entry. The fingerprint is taken over the one
-// serialization Put performs anyway (for a plan, identical to
-// plan.Fingerprint(), which that serialization also records on the plan),
-// and v is kept hot in the LRU. Storing content the store already holds
-// is a cheap no-op (created == false).
+// this call created the entry. The fingerprint is the one the encode step
+// returns with the bytes — for a plan, plan.Fingerprint(), hashed once
+// per plan — and v is kept hot in the LRU. Storing content the store
+// already holds is a cheap no-op (created == false).
 func (a *Artefacts[T]) Put(v T) (id string, created bool, err error) {
-	raw, err := a.encode(v)
+	raw, id, err := a.encode(v)
 	if err != nil {
 		return "", false, err
 	}
-	id = fingerprint(raw)
 	path := a.path(id)
 	// Content-addressed: an existing file with this name holds these bytes
 	// already (or a corruption the decoder will catch loudly). Refreshing

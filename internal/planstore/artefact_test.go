@@ -41,7 +41,7 @@ func TestDiscardTempSurfacesRemovalFailure(t *testing.T) {
 // TestDiscardTempIgnoresMissingFile: a temp file that vanished (e.g. a
 // concurrent Prune past its TTL) is not an additional failure.
 func TestDiscardTempIgnoresMissingFile(t *testing.T) {
-	a, err := OpenArtefacts(t.TempDir(), "plan", rawEncoder, rawEncoder, Options{})
+	a, err := OpenArtefacts(t.TempDir(), "plan", rawEncoder, rawDecoder, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,17 +107,33 @@ type Stats struct {
 // shared with core.Plan.Fingerprint so plan IDs agree across layers.
 func fingerprint(raw []byte) string { return core.FingerprintBytes(raw) }
 
+// hashed completes an encoder's result with the fingerprint of its bytes
+// — the encode step of the namespaces whose values carry no recorded
+// hash.
+func hashed(raw []byte, err error) ([]byte, string, error) {
+	if err != nil {
+		return nil, "", err
+	}
+	return raw, fingerprint(raw), nil
+}
+
 // Store is the plan namespace: a disk-backed registry of repair plans at
 // the store root. All methods are safe for concurrent use.
 type Store = Artefacts[*core.Plan]
 
 // Open creates (if needed) and opens a plan store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
-	return OpenArtefacts(dir, "plan", func(plan *core.Plan) ([]byte, error) {
+	return OpenArtefacts(dir, "plan", func(plan *core.Plan) ([]byte, string, error) {
 		if plan == nil {
-			return nil, errors.New("planstore: nil plan")
+			return nil, "", errors.New("planstore: nil plan")
 		}
-		return plan.MarshalCanonical()
+		raw, err := plan.MarshalCanonical()
+		if err != nil {
+			return nil, "", err
+		}
+		// Recorded by MarshalCanonical (or before it): no second hash.
+		id, err := plan.Fingerprint()
+		return raw, id, err
 	}, func(raw []byte) (*core.Plan, error) {
 		return core.ReadPlan(bytes.NewReader(raw))
 	}, opts)
@@ -132,11 +148,11 @@ type CalibrationStore = Artefacts[*blind.Calibration]
 // under a store root — typically the same directory a plan Store is rooted
 // at, so one -store flag provisions both tiers.
 func OpenCalibrations(root string, opts Options) (*CalibrationStore, error) {
-	return OpenArtefacts(filepath.Join(root, "calibrations"), "calibration", func(cal *blind.Calibration) ([]byte, error) {
+	return OpenArtefacts(filepath.Join(root, "calibrations"), "calibration", func(cal *blind.Calibration) ([]byte, string, error) {
 		if cal == nil {
-			return nil, errors.New("planstore: nil calibration")
+			return nil, "", errors.New("planstore: nil calibration")
 		}
-		return cal.MarshalCanonical()
+		return hashed(cal.MarshalCanonical())
 	}, func(raw []byte) (*blind.Calibration, error) {
 		return blind.ReadCalibration(bytes.NewReader(raw))
 	}, opts)
@@ -156,15 +172,15 @@ type ResearchStore = Artefacts[*dataset.Table]
 // a store root — typically the same directory the plan Store is rooted
 // at, so one -store flag provisions every tier.
 func OpenResearch(root string, opts Options) (*ResearchStore, error) {
-	return OpenArtefacts(filepath.Join(root, "research"), "research set", func(tbl *dataset.Table) ([]byte, error) {
+	return OpenArtefacts(filepath.Join(root, "research"), "research set", func(tbl *dataset.Table) ([]byte, string, error) {
 		if tbl == nil || tbl.Len() == 0 {
-			return nil, errors.New("planstore: empty research set")
+			return nil, "", errors.New("planstore: empty research set")
 		}
 		var buf bytes.Buffer
 		if err := tbl.WriteCSV(&buf); err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		return buf.Bytes(), nil
+		return hashed(buf.Bytes(), nil)
 	}, func(raw []byte) (*dataset.Table, error) {
 		return dataset.ReadCSV(bytes.NewReader(raw))
 	}, opts)

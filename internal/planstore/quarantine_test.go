@@ -13,8 +13,8 @@ import (
 
 // rawEncoder and rawDecoder store bytes as-is; corruption tests rely on
 // the fingerprint check, not the decoder.
-func rawEncoder(v []byte) ([]byte, error)   { return v, nil }
-func rawDecoder(raw []byte) ([]byte, error) { return append([]byte(nil), raw...), nil }
+func rawEncoder(v []byte) ([]byte, string, error) { return v, fingerprint(v), nil }
+func rawDecoder(raw []byte) ([]byte, error)       { return append([]byte(nil), raw...), nil }
 
 // openRaw opens a fresh Artefacts over dir with an empty cache, so Gets
 // are forced to the disk path.

@@ -66,7 +66,10 @@ func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
 // the standard library contract.
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 
-// Uniform returns a uniform sample in [lo, hi).
+// Uniform returns a uniform sample in [lo, hi). The repairer's jitter
+// applies the same arithmetic to a uniform it drew earlier.
+//
+//otfair:testonly-ok the classify, ot, fairmetrics and rng tests draw uniform noise through it
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.src.Float64()
 }

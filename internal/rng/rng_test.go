@@ -155,14 +155,29 @@ func TestCategoricalSkipsZeroWeights(t *testing.T) {
 	}
 }
 
+// identityLabels labels category i with i.
+func identityLabels(n int) []int32 {
+	l := make([]int32, n)
+	for i := range l {
+		l[i] = int32(i)
+	}
+	return l
+}
+
+// buildAlias is a one-table AliasBuilder run with identity labels.
+func buildAlias(w []float64) []AliasSlot {
+	var b AliasBuilder
+	return b.Append(nil, w, identityLabels(len(w)))
+}
+
 func TestAliasMatchesWeights(t *testing.T) {
 	r := New(41)
 	w := []float64{0.1, 0.0, 0.4, 0.5}
-	a := NewAlias(w)
+	a := buildAlias(w)
 	counts := make([]int, len(w))
 	const n = 200000
 	for i := 0; i < n; i++ {
-		counts[a.Draw(r)]++
+		counts[r.DrawAlias(a)]++
 	}
 	for i := range w {
 		got := float64(counts[i]) / n
@@ -174,9 +189,9 @@ func TestAliasMatchesWeights(t *testing.T) {
 
 func TestAliasSingleCategory(t *testing.T) {
 	r := New(43)
-	a := NewAlias([]float64{3.5})
+	a := buildAlias([]float64{3.5})
 	for i := 0; i < 100; i++ {
-		if a.Draw(r) != 0 {
+		if r.DrawAlias(a) != 0 {
 			t.Fatal("single-category alias drew nonzero index")
 		}
 	}
@@ -185,10 +200,10 @@ func TestAliasSingleCategory(t *testing.T) {
 func TestAliasZeroMassPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewAlias with zero mass did not panic")
+			t.Error("alias table with zero mass did not panic")
 		}
 	}()
-	NewAlias([]float64{0, 0, 0})
+	buildAlias([]float64{0, 0, 0})
 }
 
 func TestAliasAgreesWithCategorical(t *testing.T) {
@@ -205,12 +220,12 @@ func TestAliasAgreesWithCategorical(t *testing.T) {
 		for _, wi := range w {
 			total += wi
 		}
-		a := NewAlias(w)
+		a := buildAlias(w)
 		countsA := make([]int, n)
 		countsC := make([]int, n)
 		const draws = 50000
 		for i := 0; i < draws; i++ {
-			countsA[a.Draw(r)]++
+			countsA[r.DrawAlias(a)]++
 			countsC[r.Categorical(w)]++
 		}
 		for i := range w {
@@ -221,6 +236,168 @@ func TestAliasAgreesWithCategorical(t *testing.T) {
 				t.Errorf("trial %d category %d: alias %v categorical %v want %v", trial, i, fa, fc, want)
 			}
 		}
+	}
+}
+
+// oracleAlias is the two-array Walker/Vose table the fused AliasSlot
+// layout replaced — prob and alias as separate slices, labels looked up by
+// the caller — kept as the oracle the builder must reproduce bit for bit.
+type oracleAlias struct {
+	prob  []float64
+	alias []int
+	// leftover counts the categories settled by the round-off branch.
+	leftover int
+}
+
+func newOracleAlias(w []float64) *oracleAlias {
+	n := len(w)
+	total := 0.0
+	for _, wi := range w {
+		total += wi
+	}
+	a := &oracleAlias{prob: make([]float64, n), alias: make([]int, n)}
+	if n == 1 {
+		a.prob[0] = 1
+		return a
+	}
+	scaled := make([]float64, n)
+	for i, wi := range w {
+		scaled[i] = wi * float64(n) / total
+	}
+	small := make([]int, 0, n)
+	large := make([]int, 0, n)
+	for i, p := range scaled {
+		if p < 1 {
+			small = append(small, i)
+		} else {
+			large = append(large, i)
+		}
+	}
+	for len(small) > 0 && len(large) > 0 {
+		s := small[len(small)-1]
+		small = small[:len(small)-1]
+		l := large[len(large)-1]
+		large = large[:len(large)-1]
+
+		a.prob[s] = scaled[s]
+		a.alias[s] = l
+		scaled[l] -= 1 - scaled[s]
+		if scaled[l] < 1 {
+			small = append(small, l)
+		} else {
+			large = append(large, l)
+		}
+	}
+	for _, i := range large {
+		a.prob[i] = 1
+		a.alias[i] = i
+	}
+	for _, i := range small {
+		a.prob[i] = 1
+		a.alias[i] = i
+		a.leftover++
+	}
+	return a
+}
+
+func (a *oracleAlias) draw(r *RNG) int {
+	i := r.IntN(len(a.prob))
+	if r.Float64() < a.prob[i] {
+		return i
+	}
+	return a.alias[i]
+}
+
+// checkAgainstOracle builds w's table (labelled by labels) with b after
+// whatever b built before, and checks every slot and a draw sequence
+// against the oracle bit for bit.
+func checkAgainstOracle(t *testing.T, b *AliasBuilder, prefix []AliasSlot, w []float64, labels []int32, seed uint64) *oracleAlias {
+	t.Helper()
+	o := newOracleAlias(w)
+	all := b.Append(prefix, w, labels)
+	if len(all) != len(prefix)+len(w) {
+		t.Fatalf("appended %d slots to %d, want %d", len(all)-len(prefix), len(prefix), len(w))
+	}
+	slots := all[len(prefix):]
+	for i, s := range slots {
+		if math.Float64bits(s.Prob) != math.Float64bits(o.prob[i]) {
+			t.Fatalf("w=%v slot %d: prob %v, oracle %v", w, i, s.Prob, o.prob[i])
+		}
+		if s.Hit != labels[i] || s.Miss != labels[o.alias[i]] {
+			t.Fatalf("w=%v slot %d: hit/miss %d/%d, oracle %d/%d", w, i, s.Hit, s.Miss, labels[i], labels[o.alias[i]])
+		}
+	}
+	ra, rb := New(seed), New(seed)
+	for d := 0; d < 2000; d++ {
+		if got, want := rb.DrawAlias(slots), int(labels[o.draw(ra)]); got != want {
+			t.Fatalf("w=%v draw %d: %d, oracle %d", w, d, got, want)
+		}
+	}
+	return o
+}
+
+// TestAliasBuilderMatchesOracle is the property test of the fused
+// builder: on random weight vectors (normalized or not, with and without
+// zero entries), on one-category rows and on rows that reach the round-off
+// branch, its slots carry the oracle's exact prob and alias (mapped
+// through the labels) and a draw sequence lands on the same labels. One
+// builder serves every table, appending to a shared slice, so its scratch
+// reuse is under test too.
+func TestAliasBuilderMatchesOracle(t *testing.T) {
+	r := New(53)
+	var b AliasBuilder
+	var all []AliasSlot
+	labelsFor := func(n int) []int32 {
+		l := make([]int32, n)
+		for i := range l {
+			l[i] = int32(r.IntN(1 << 20))
+		}
+		return l
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.IntN(120)
+		w := make([]float64, n)
+		total := 0.0
+		for i := range w {
+			w[i] = r.Float64()
+			if trial%3 == 1 && r.Bernoulli(0.3) {
+				w[i] = 0
+			}
+			total += w[i]
+		}
+		if total == 0 {
+			w[r.IntN(n)] = 1
+			total = 1
+		}
+		if trial%2 == 0 {
+			// Normalized rows, the way plan rows arrive (Mass/total).
+			for i := range w {
+				w[i] /= total
+			}
+		}
+		labels := labelsFor(n)
+		checkAgainstOracle(t, &b, all, w, labels, uint64(trial))
+		all = b.Append(all, w, labels)
+	}
+	for _, w := range [][]float64{{1}, {7.25}, {0, 0, 3, 0}, {0, 1e-300, 0}} {
+		checkAgainstOracle(t, &b, all, w, labelsFor(len(w)), 9)
+	}
+	// Rows of n equal weights 1/n: the scaled masses n·(1/n)/Σ land within
+	// ulps of 1 on either side, which is what leaves categories for the
+	// round-off branch.
+	leftovers := 0
+	for n := 2; n <= 400 && leftovers < 5; n++ {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 1 / float64(n)
+		}
+		w[0] += 1e-3 / float64(n)
+		if o := checkAgainstOracle(t, &b, nil, w, labelsFor(n), uint64(n)); o.leftover > 0 {
+			leftovers++
+		}
+	}
+	if leftovers == 0 {
+		t.Fatal("no row reached the round-off branch")
 	}
 }
 
