@@ -229,7 +229,13 @@ func BenchmarkSolvers(b *testing.B) {
 // BenchmarkPlanSerialization measures the canonical plan encoder on the
 // two plan shapes perfbench serves: monotone n_Q=100 designed from 2 000
 // research records (design_fresh, design_repeat) and the dense Sinkhorn
-// n_Q=100 plan designed from 500 (repair_csv, repair_blind_ndjson).
+// n_Q=100 plan designed from 500 (repair_csv, repair_blind_ndjson). Cells
+// memoize their fragment from their second encode on, so each shape has
+// two sub-benches: cold encodes a plan over cells never encoded before
+// (the encoder itself; a fresh design), repeat a new *Plan over cells
+// already encoded twice (a repeated design whose cells the design cache
+// returns, or a GET of a stored plan). Every plan is built outside the
+// timer.
 func BenchmarkPlanSerialization(b *testing.B) {
 	for _, shape := range []struct {
 		name     string
@@ -239,27 +245,63 @@ func BenchmarkPlanSerialization(b *testing.B) {
 		{"monotone", 2000, otfair.DesignOptions{NQ: 100}},
 		{"sinkhorn", 500, otfair.DesignOptions{NQ: 100, Solver: otfair.SolverSinkhorn}},
 	} {
-		b.Run(shape.name, func(b *testing.B) {
-			research, _ := benchSimData(b, shape.research, 0)
-			plan, err := otfair.Design(research, shape.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var size discardCounter
-			if err := plan.WriteJSON(&size); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var buf discardCounter
-				if err := plan.WriteJSON(&buf); err != nil {
-					b.Fatal(err)
+		research, _ := benchSimData(b, shape.research, 0)
+		plan, err := otfair.Design(research, shape.opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var size discardCounter
+		if err := newCells(plan).WriteJSON(&size); err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name string
+			plan func() *otfair.Plan
+		}{
+			{"cold", func() *otfair.Plan { return newCells(plan) }},
+			{"repeat", func() *otfair.Plan { return newPlan(plan) }},
+		} {
+			b.Run(shape.name+"/"+mode.name, func(b *testing.B) {
+				for range 2 { // the repeat shape's cells are memoized from here on
+					if _, err := plan.MarshalCanonical(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				plans := make([]*otfair.Plan, b.N)
+				for i := range plans {
+					plans[i] = mode.plan()
+				}
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for _, p := range plans {
+					var buf discardCounter
+					if err := p.WriteJSON(&buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
+}
+
+// newPlan is a new *Plan over p's cells, as a repeated design builds one
+// from the design cache: nothing is memoized on the plan itself.
+func newPlan(p *otfair.Plan) *otfair.Plan {
+	return &otfair.Plan{Dim: p.Dim, Names: p.Names, Cells: p.Cells, Opts: p.Opts, GroupSizes: p.GroupSizes}
+}
+
+// newCells is a new *Plan over new cells holding p's cell data: nothing
+// is memoized on the plan or its cells.
+func newCells(p *otfair.Plan) *otfair.Plan {
+	out := newPlan(p)
+	for u := range p.Cells {
+		out.Cells[u] = make([]*core.Cell, len(p.Cells[u]))
+		for k, c := range p.Cells[u] {
+			out.Cells[u][k] = &core.Cell{Q: c.Q, PMF: c.PMF, Bary: c.Bary, Target: c.Target, Plans: c.Plans, H: c.H, Degenerate: c.Degenerate}
+		}
+	}
+	return out
 }
 
 // BenchmarkPlanSamplerBuild measures building the alias-slot draw tables

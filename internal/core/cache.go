@@ -30,6 +30,9 @@ var cellCache = struct {
 // cellCacheCap bounds the cache. A Sinkhorn-designed n_Q=250 cell can hold
 // a dense plan of ~60k atoms, so the cap keeps worst-case retention around
 // a few hundred megabytes; typical monotone-designed cells are ~100× smaller.
+// A cached cell that has been encoded twice also keeps its canonical JSON
+// fragment (planEncoder.cell), about 45 bytes per atom on top of the 24 the
+// atom itself takes.
 const cellCacheCap = 512
 
 // cellKeyFor fingerprints the design inputs. Options are hashed after

@@ -15,6 +15,14 @@ import (
 // Cell is the designed repair state for one (u, feature) pair: the shared
 // interpolated support Q_{u,k}, the two interpolated marginals p_{u,s,k},
 // the barycentric target ν_{u,k}, and the two OT plans π*_{u,s,k}.
+//
+// A Cell is immutable once DesignCell, ReadPlan or a pooled re-design
+// returns it, like the Plan that holds it: nothing writes its fields, the
+// slices and plans they point to included, after construction. The design
+// cache shares one *Cell between plans on that rule, and the plan encoder
+// memoizes the cell's canonical JSON on it (see planEncoder.cell), so a
+// write after an encode would serve stale bytes. Cells are passed by
+// pointer, never copied by value (go vet's copylocks check flags a copy).
 type Cell struct {
 	// Q is the interpolated support (Algorithm 1 line 4), ascending.
 	Q []float64
@@ -34,6 +42,11 @@ type Cell struct {
 	// Degenerate marks a support collapsed to a single point (constant
 	// research feature); repair then maps everything to that point.
 	Degenerate bool
+
+	// encoded is set by the cell's first error-free encode; frag holds
+	// its canonical JSON, stored by the second (planEncoder.cell).
+	encoded atomic.Bool
+	frag    atomic.Pointer[[]byte]
 }
 
 // Plan is the complete output of Algorithm 1: one Cell per (u, feature),
@@ -59,8 +72,11 @@ type Plan struct {
 	GroupSizes map[dataset.Group]int
 
 	// fingerprint is FingerprintBytes of the canonical bytes, stored by
-	// the first MarshalCanonical and returned by Fingerprint after it.
+	// the first MarshalCanonical and returned by Fingerprint after it, or
+	// the id a store read the plan under (ReadStoredPlan); unchecked then
+	// marks an id no encode has yet confirmed.
 	fingerprint atomic.Pointer[string]
+	unchecked   atomic.Bool
 }
 
 // Design implements Algorithm 1: for every u ∈ {0,1} and feature k it
@@ -75,13 +91,7 @@ func Design(research *dataset.Table, opts Options) (*Plan, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	counts := research.Counts()
-	for _, g := range dataset.Groups() {
-		if counts[g] == 0 {
-			return nil, fmt.Errorf("core: research group %v is empty; Algorithm 1 needs labelled data in every (u,s) group", g)
-		}
-	}
-
+	cols := research.GroupColumns()
 	plan := &Plan{
 		Dim:        research.Dim(),
 		Names:      append([]string(nil), research.Names()...),
@@ -89,12 +99,16 @@ func Design(research *dataset.Table, opts Options) (*Plan, error) {
 		GroupSizes: make(map[dataset.Group]int, 4),
 	}
 	for _, g := range dataset.Groups() {
-		plan.GroupSizes[g] = counts[g]
+		n := len(cols[g.U][g.S][0])
+		if n == 0 {
+			return nil, fmt.Errorf("core: research group %v is empty; Algorithm 1 needs labelled data in every (u,s) group", g)
+		}
+		plan.GroupSizes[g] = n
 	}
 	for u := 0; u < 2; u++ {
 		plan.Cells[u] = make([]*Cell, research.Dim())
 		for k := 0; k < research.Dim(); k++ {
-			cell, err := designCell(research, u, k, opts)
+			cell, err := DesignCell(cols[u][0][k], cols[u][1][k], opts)
 			if err != nil {
 				return nil, fmt.Errorf("core: designing (u=%d, k=%d): %w", u, k, err)
 			}
@@ -102,13 +116,6 @@ func Design(research *dataset.Table, opts Options) (*Plan, error) {
 		}
 	}
 	return plan, nil
-}
-
-// designCell runs Algorithm 1 lines 3–11 for one (u, k).
-func designCell(research *dataset.Table, u, k int, opts Options) (*Cell, error) {
-	x0 := research.GroupColumn(dataset.Group{U: u, S: 0}, k)
-	x1 := research.GroupColumn(dataset.Group{U: u, S: 1}, k)
-	return DesignCell(x0, x1, opts)
 }
 
 // DesignCell runs Algorithm 1 lines 3–11 for one conditioning cell given

@@ -42,9 +42,9 @@ func DesignQuantile(research *dataset.Table, amount float64) (*QuantilePlan, err
 	if amount <= 0 || amount > 1 {
 		return nil, fmt.Errorf("core: quantile repair amount %v outside (0,1]", amount)
 	}
-	counts := research.Counts()
+	cols := research.GroupColumns()
 	for _, g := range dataset.Groups() {
-		if counts[g] == 0 {
+		if len(cols[g.U][g.S][0]) == 0 {
 			return nil, fmt.Errorf("core: research group %v is empty", g)
 		}
 	}
@@ -53,8 +53,7 @@ func DesignQuantile(research *dataset.Table, amount float64) (*QuantilePlan, err
 		for s := 0; s < 2; s++ {
 			qp.ecdf[u][s] = make([]*stat.ECDF, research.Dim())
 			for k := 0; k < research.Dim(); k++ {
-				col := research.GroupColumn(dataset.Group{U: u, S: s}, k)
-				e, err := stat.NewECDF(col)
+				e, err := stat.NewECDF(cols[u][s][k])
 				if err != nil {
 					return nil, fmt.Errorf("core: quantile design (u=%d,s=%d,k=%d): %w", u, s, k, err)
 				}

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +13,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"otfair/internal/atof"
@@ -83,14 +88,23 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // lets the plan store key on a content hash of this buffer. The hash is
 // taken once per plan: the first call records it, so Fingerprint (and the
 // store's Put, which reads it from there) costs no hashing after it.
+// A plan read from a store (ReadStoredPlan) has its first call check the
+// id it was read under instead, and fail if the bytes hash otherwise, so
+// its bytes are never stored under that id.
 func (p *Plan) MarshalCanonical() ([]byte, error) {
 	raw, err := p.appendCanonical(nil)
 	if err != nil {
 		return nil, err
 	}
-	if p.fingerprint.Load() == nil {
-		id := FingerprintBytes(raw)
-		p.fingerprint.Store(&id)
+	switch id := p.fingerprint.Load(); {
+	case id == nil:
+		h := FingerprintBytes(raw)
+		p.fingerprint.Store(&h)
+	case p.unchecked.Load():
+		if got := FingerprintBytes(raw); got != *id {
+			return nil, fmt.Errorf("core: plan stored as %s is not canonical JSON (its canonical bytes hash to %s)", *id, got)
+		}
+		p.unchecked.Store(false)
 	}
 	return raw, nil
 }
@@ -122,13 +136,16 @@ func (p *Plan) Fingerprint() (string, error) {
 // It appends to b, first growing it to the size bound of the plan, so a
 // dense plan of megabytes is not regrown.
 func (p *Plan) appendCanonical(b []byte) ([]byte, error) {
-	e := planEncoder{b: slices.Grow(b, p.canonicalSizeHint())}
+	if hint := p.canonicalSizeHint(); cap(b)-len(b) < hint {
+		b = append(make([]byte, 0, len(b)+hint), b...)
+	}
+	e := planEncoder{b: b}
 	e.raw(`{"version":`)
 	e.int(planVersion)
 	e.raw(`,"dim":`)
 	e.int(p.Dim)
 	e.raw(`,"names":`)
-	e.json(p.Names)
+	e.strs(p.Names)
 	o := p.Opts
 	e.raw(`,"options":{"nq":`)
 	e.int(o.NQ)
@@ -137,33 +154,21 @@ func (p *Plan) appendCanonical(b []byte) ([]byte, error) {
 	e.raw(`,"amount":`)
 	e.float(o.Amount)
 	e.raw(`,"kernel":`)
-	e.json(o.Kernel.String())
+	e.str(o.Kernel.String())
 	e.raw(`,"bandwidth":`)
-	e.json(o.Bandwidth.String())
+	e.str(o.Bandwidth.String())
 	e.raw(`,"solver":`)
-	e.json(o.Solver.String())
+	e.str(o.Solver.String())
 	e.raw(`,"target":`)
-	e.json(o.Target.String())
+	e.str(o.Target.String())
 	e.raw(`,"barycenter":`)
-	e.json(o.Barycenter.String())
+	e.str(o.Barycenter.String())
 	if o.SinkhornEpsilon != 0 {
 		e.raw(`,"sinkhorn_epsilon":`)
 		e.float(o.SinkhornEpsilon)
 	}
 	e.raw(`},"group_sizes":{`)
-	sizes := make(map[string]int, len(p.GroupSizes))
-	//otfair:nondet-ok map-to-map copy; the keys are written sorted below
-	for g, n := range p.GroupSizes {
-		sizes[groupKey(g)] = n
-	}
-	for i, key := range slices.Sorted(maps.Keys(sizes)) {
-		if i > 0 {
-			e.raw(",")
-		}
-		e.json(key)
-		e.raw(":")
-		e.int(sizes[key])
-	}
+	e.groupSizes(p.GroupSizes)
 	e.raw(`},"cells":[`)
 	for u := range p.Cells {
 		if u > 0 {
@@ -185,8 +190,66 @@ func (p *Plan) appendCanonical(b []byte) ([]byte, error) {
 	return e.b, nil
 }
 
-// cell appends one cellJSON object.
+// groupSizes appends the group_sizes members, keys sorted. The four
+// labelled groups' keys ("u0s0" < "u0s1" < "u1s0" < "u1s1") sort in
+// dataset.Groups order, so only a plan holding another group — none that
+// Design or ReadPlan returns — sorts its keys; and a key, groupKey's
+// text, is written without building it.
+func (e *planEncoder) groupSizes(sizes map[dataset.Group]int) {
+	groups := dataset.Groups()
+	//otfair:nondet-ok looks for any unlabelled group; the order read is sorted below
+	for g := range sizes {
+		if (g.U != 0 && g.U != 1) || (g.S != 0 && g.S != 1) {
+			groups = slices.SortedFunc(maps.Keys(sizes), func(a, b dataset.Group) int {
+				return strings.Compare(groupKey(a), groupKey(b))
+			})
+			break
+		}
+	}
+	sep := ""
+	for _, g := range groups {
+		if n, ok := sizes[g]; ok {
+			e.raw(sep)
+			sep = ","
+			e.raw(`"u`)
+			e.int(g.U)
+			e.raw("s")
+			e.int(g.S)
+			e.raw(`":`)
+			e.int(n)
+		}
+	}
+}
+
+// cell appends one cellJSON object. The fragment is a pure function of
+// the immutable *Cell, so it is memoized there — from the second encode
+// on: the first error-free encode only sets encoded, the second stores a
+// copy of the bytes it wrote, and every later one appends that copy. A
+// cell encoded once (each cell of a fresh design, Put once) retains
+// nothing; one encoded again retains one copy of its fragment. A cell
+// holding a NaN or ±Inf stores nothing and fails every encode alike.
+// Racing encoders may both store a copy; the bytes are identical.
 func (e *planEncoder) cell(c *Cell) {
+	if frag := c.frag.Load(); frag != nil {
+		e.b = append(e.b, *frag...)
+		return
+	}
+	start, prior := len(e.b), e.err
+	e.err = nil
+	e.cellFields(c)
+	if e.err != nil {
+		e.err = cmp.Or(prior, e.err)
+		return
+	}
+	e.err = prior
+	if c.encoded.Swap(true) {
+		frag := slices.Clone(e.b[start:])
+		c.frag.Store(&frag)
+	}
+}
+
+// cellFields writes a cell's fragment.
+func (e *planEncoder) cellFields(c *Cell) {
 	e.raw(`{"q":`)
 	e.floats(c.Q)
 	e.raw(`,"pmf":[`)
@@ -227,6 +290,10 @@ func (p *Plan) canonicalSizeHint() int {
 	for u := range p.Cells {
 		for _, c := range p.Cells[u] {
 			if c == nil {
+				continue
+			}
+			if frag := c.frag.Load(); frag != nil {
+				n += len(*frag) + 1
 				continue
 			}
 			floats := len(c.Q) + len(c.Bary) + 2
@@ -302,21 +369,74 @@ func (e *planEncoder) entries(es []ot.Entry) {
 	e.b = append(e.b, ']')
 }
 
-// json appends a string or string slice as encoding/json writes it.
-func (e *planEncoder) json(v any) {
-	// Strings and string slices always marshal; invalid UTF-8 becomes
-	// U+FFFD rather than an error.
-	raw, _ := json.Marshal(v)
-	e.b = append(e.b, raw...)
+// strs appends a string slice as encoding/json writes it.
+func (e *planEncoder) strs(ss []string) {
+	if ss == nil {
+		e.raw("null")
+		return
+	}
+	e.b = append(e.b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.str(s)
+	}
+	e.b = append(e.b, ']')
+}
+
+// str appends a string as encoding/json writes it. A string of printable
+// ASCII other than the characters encoding/json escapes (the quote, the
+// backslash and its HTML-safe <, > and &) is copied between quotes; any
+// other goes through encoding/json itself, so the escaping is the same by
+// construction.
+func (e *planEncoder) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			// Strings always marshal; invalid UTF-8 becomes U+FFFD rather
+			// than an error.
+			raw, _ := json.Marshal(s)
+			e.b = append(e.b, raw...)
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, s...)
+	e.b = append(e.b, '"')
 }
 
 // FingerprintBytes is the fingerprint of an already-serialized canonical
 // plan. It is the single definition of the hash-to-ID encoding: callers
 // that hold the bytes (the plan store's Put) and Fingerprint must agree,
-// or content addressing breaks.
+// or content addressing breaks. The ID is the two hash words as 16
+// lowercase hex digits each, high word first.
 func FingerprintBytes(raw []byte) string {
 	h := ot.HashBytes(raw)
-	return fmt.Sprintf("%016x%016x", h[0], h[1])
+	var words [16]byte
+	binary.BigEndian.PutUint64(words[:8], h[0])
+	binary.BigEndian.PutUint64(words[8:], h[1])
+	var id [32]byte
+	hex.Encode(id[:], words[:])
+	return string(id[:])
+}
+
+// ReadStoredPlan is ReadPlan over the bytes a content-addressed store
+// holds under id, which its read path has just checked is
+// FingerprintBytes(raw). The plan keeps id as its fingerprint, so
+// Fingerprint does not encode the plan again to learn what the store
+// already verified. Bytes the store wrote are canonical, so id is also
+// the hash of the plan's canonical encoding. A file placed under its own
+// hash by hand that is not canonical JSON still loads and answers to the
+// id it is stored under, but its MarshalCanonical fails, so the plan
+// store never writes its canonical bytes under that id.
+func ReadStoredPlan(raw []byte, id string) (*Plan, error) {
+	p, err := ReadPlan(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	p.fingerprint.Store(&id)
+	p.unchecked.Store(true)
+	return p, nil
 }
 
 // ReadPlan deserializes a plan written by WriteJSON, re-validating every

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"otfair/internal/dataset"
@@ -63,8 +65,18 @@ func reflectionEncode(p *Plan) ([]byte, error) {
 }
 
 // checkMatchesReflection fails unless MarshalCanonical, WriteJSON and
-// the oracle agree on p: the same bytes, or the same error text.
+// the oracle agree on p: the same bytes, or the same error text. Each is
+// run three times, so a cell is encoded fresh, then stores its fragment,
+// then is written from the stored copy (unless an earlier plan sharing it
+// got that far already).
 func checkMatchesReflection(t *testing.T, what string, p *Plan) {
+	t.Helper()
+	for range 3 {
+		checkMatchesReflectionOnce(t, what, p)
+	}
+}
+
+func checkMatchesReflectionOnce(t *testing.T, what string, p *Plan) {
 	t.Helper()
 	want, werr := reflectionEncode(p)
 	got, gerr := p.MarshalCanonical()
@@ -298,5 +310,175 @@ func TestFingerprintMemo(t *testing.T) {
 	renamed := relabelled(p, []string{"a", "b"}, p.GroupSizes)
 	if other, _ := renamed.Fingerprint(); other == id {
 		t.Fatalf("renamed plan shares fingerprint %s", id)
+	}
+	h := ot.HashBytes(raw)
+	if want := fmt.Sprintf("%016x%016x", h[0], h[1]); FingerprintBytes(raw) != want {
+		t.Fatalf("FingerprintBytes = %s, want the hash words in hex %s", FingerprintBytes(raw), want)
+	}
+}
+
+// newCells is p over new *Cell values holding the same data: cells the
+// encoder has never seen, whatever earlier tests did with the design
+// cache's shared cells.
+func newCells(p *Plan) *Plan {
+	out := relabelled(p, p.Names, p.GroupSizes)
+	for u := range p.Cells {
+		out.Cells[u] = make([]*Cell, len(p.Cells[u]))
+		for k, c := range p.Cells[u] {
+			out.Cells[u][k] = &Cell{Q: c.Q, PMF: c.PMF, Bary: c.Bary, Target: c.Target, Plans: c.Plans, H: c.H, Degenerate: c.Degenerate}
+		}
+	}
+	return out
+}
+
+// TestCellFragmentMemo pins the second-encode rule: a cell's first encode
+// stores nothing, its second stores its fragment, later ones append that
+// copy; a plan sharing the cells under other names and group sizes, or
+// one failing on a poisoned header, encodes as encoding/json does
+// throughout. (TestCanonicalMatchesReflectionEncoder's relabelled plans
+// share memoized cells too.)
+func TestCellFragmentMemo(t *testing.T) {
+	research, _ := paperData(t, 35, 200, 0)
+	designed, err := Design(research, Options{NQ: 12, Solver: SolverSinkhorn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newCells(designed)
+	want, err := reflectionEncode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		got, err := p.MarshalCanonical()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("encode %d: %d bytes, %v; want the oracle's %d", round, len(got), err, len(want))
+		}
+		for u := range p.Cells {
+			for k, c := range p.Cells[u] {
+				frag := c.frag.Load()
+				if !c.encoded.Load() || (frag != nil) != (round > 1) {
+					t.Fatalf("after encode %d: cell (%d, %d) encoded=%v, fragment stored=%v", round, u, k, c.encoded.Load(), frag != nil)
+				}
+				if frag != nil && !bytes.Contains(want, *frag) {
+					t.Fatalf("cell (%d, %d) stored a fragment that is not in the plan's bytes", u, k)
+				}
+			}
+		}
+	}
+	sizes := map[dataset.Group]int{{U: 0, S: 0}: 1, {U: 0, S: 1}: 22, {U: 1, S: 0}: 333, {U: 1, S: 1}: 4444}
+	checkMatchesReflection(t, "renamed", relabelled(p, []string{"first", "second"}, sizes))
+
+	// A poisoned header fails the plan, and the cells still store their
+	// (correct) fragments for the next plan over them.
+	fresh := newCells(designed)
+	bad := relabelled(fresh, fresh.Names, fresh.GroupSizes)
+	bad.Opts.T = math.NaN()
+	for range 3 {
+		checkMatchesReflectionOnce(t, "NaN t", bad)
+	}
+	if fresh.Cell(0, 0).frag.Load() == nil {
+		t.Fatal("cells of a plan failing on its header stored no fragment")
+	}
+	checkMatchesReflection(t, "after a failed header", fresh)
+}
+
+// TestNonFiniteCellNeverMemoizes: a cell holding a NaN fails every encode
+// with the same error and stores nothing, neither flag nor fragment.
+func TestNonFiniteCellNeverMemoizes(t *testing.T) {
+	research, _ := paperData(t, 33, 200, 0)
+	p, err := Design(research, Options{NQ: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := poisonedPlans(t, p, math.NaN())["pmf"]
+	c := bad.Cell(0, 0)
+	for round := 1; round <= 3; round++ {
+		if _, err := bad.MarshalCanonical(); err == nil || err.Error() != "json: unsupported value: NaN" {
+			t.Fatalf("encode %d: error %v, want json: unsupported value: NaN", round, err)
+		}
+		if c.encoded.Load() || c.frag.Load() != nil {
+			t.Fatalf("encode %d memoized a cell holding NaN", round)
+		}
+	}
+}
+
+// TestConcurrentEncodesShareCells runs WriteJSON and MarshalCanonical on
+// one plan over never-encoded cells from several goroutines at once (run
+// it under -race): racing first and second encodes may both store a
+// fragment, and every encode still matches the oracle.
+func TestConcurrentEncodesShareCells(t *testing.T) {
+	research, _ := paperData(t, 36, 200, 0)
+	designed, err := Design(research, Options{NQ: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newCells(designed)
+	want, err := reflectionEncode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				got, err := p.MarshalCanonical()
+				if g%2 == 0 {
+					var buf bytes.Buffer
+					err = p.WriteJSON(&buf)
+					got = buf.Bytes()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d: encode differs from the oracle", g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if id, _ := p.Fingerprint(); id != FingerprintBytes(want) {
+		t.Fatalf("fingerprint %s, want %s", id, FingerprintBytes(want))
+	}
+}
+
+// TestRepeatFingerprintAllocs pins what a repeated design pays to
+// fingerprint a new plan over memoized cells: the output buffer, the id
+// text and the pointer the plan records it through — nothing per cell
+// and nothing for the header.
+func TestRepeatFingerprintAllocs(t *testing.T) {
+	research, _ := paperData(t, 37, 200, 0)
+	p, err := Design(research, Options{NQ: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := reflectionEncode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := p.MarshalCanonical(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 20
+	plans := make([]*Plan, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range plans {
+		plans[i] = relabelled(p, p.Names, p.GroupSizes)
+	}
+	wantID, next := FingerprintBytes(want), 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		id, err := plans[next].Fingerprint()
+		next++
+		if err != nil || id != wantID {
+			t.Fatalf("Fingerprint = %s, %v, want %s", id, err, wantID)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("repeat Fingerprint allocates %v times, want 3 (buffer, id, its record)", allocs)
 	}
 }

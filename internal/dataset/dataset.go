@@ -169,6 +169,51 @@ func (t *Table) GroupColumn(g Group, k int) []float64 {
 	return out
 }
 
+// GroupColumns splits the table into the feature columns of the four
+// labelled groups: cols[u][s][k] holds what GroupColumn(Group{U: u, S: s},
+// k) returns — the same values in record order, nil for an empty group —
+// with records of unknown s (or labels outside {0,1}) skipped. It reads
+// the features once, where a GroupColumn per (u, s, k) reads every record
+// 4·d times; each group's d columns are carved from one allocation.
+func (t *Table) GroupColumns() (cols [2][2][][]float64) {
+	var n [2][2]int
+	for _, r := range t.records {
+		if labelled(r) {
+			n[r.U][r.S]++
+		}
+	}
+	var next [2][2]int
+	for u := range cols {
+		for s := range cols[u] {
+			cols[u][s] = make([][]float64, t.dim)
+			size := n[u][s]
+			if size == 0 {
+				continue
+			}
+			buf := make([]float64, size*t.dim)
+			for k := range cols[u][s] {
+				cols[u][s][k] = buf[k*size : (k+1)*size : (k+1)*size]
+			}
+		}
+	}
+	for _, r := range t.records {
+		if !labelled(r) {
+			continue
+		}
+		g, i := cols[r.U][r.S], next[r.U][r.S]
+		next[r.U][r.S]++
+		for k, col := range g {
+			col[i] = r.X[k]
+		}
+	}
+	return cols
+}
+
+// labelled reports whether r belongs to one of the four (u, s) groups.
+func labelled(r Record) bool {
+	return (r.U == 0 || r.U == 1) && (r.S == 0 || r.S == 1)
+}
+
 // UColumn extracts feature k of every record with the given u, regardless
 // of s — the pooled column that Algorithm 1 line 4 ranges over.
 func (t *Table) UColumn(u, k int) []float64 {

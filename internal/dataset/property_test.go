@@ -116,3 +116,44 @@ func TestPropertyCountsConsistent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPropertyGroupColumnsMatchGroupColumn: the one-pass split holds, for
+// every (u, s, k), exactly what GroupColumn returns — values, record order,
+// nil for an empty group — on random tables with unknown-s records, and
+// with records relabelled outside {0,1} through Records, which both skip.
+func TestPropertyGroupColumnsMatchGroupColumn(t *testing.T) {
+	err := quick.Check(func(seed uint64, odd uint8) bool {
+		tbl := randomTable(seed)
+		recs := tbl.Records()
+		if i := int(odd) % (len(recs) + 1); i < len(recs) {
+			recs[i].S = 2
+		}
+		if i := int(odd/2) % (len(recs) + 1); i < len(recs) {
+			recs[i].U = 3
+		}
+		cols := tbl.GroupColumns()
+		for u := 0; u < 2; u++ {
+			for s := 0; s < 2; s++ {
+				if len(cols[u][s]) != tbl.Dim() {
+					return false
+				}
+				for k := 0; k < tbl.Dim(); k++ {
+					want := tbl.GroupColumn(Group{U: u, S: s}, k)
+					got := cols[u][s][k]
+					if (got == nil) != (want == nil) || len(got) != len(want) || cap(got) != len(got) {
+						return false
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 200})
+	if err != nil {
+		t.Error(err)
+	}
+}

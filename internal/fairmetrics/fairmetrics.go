@@ -176,12 +176,12 @@ func Compute(t *dataset.Table, cfg Config) (*Result, error) {
 			}
 		}
 	}
+	cols := t.GroupColumns()
 	details := make([]Detail, len(jobs))
 	errs := make([]error, len(jobs))
 	run := func(j int) {
 		job := jobs[j]
-		x0 := t.GroupColumn(dataset.Group{U: job.u, S: 0}, job.k)
-		x1 := t.GroupColumn(dataset.Group{U: job.u, S: 1}, job.k)
+		x0, x1 := cols[job.u][0][job.k], cols[job.u][1][job.k]
 		if len(x0) == 0 || len(x1) == 0 {
 			errs[j] = fmt.Errorf("fairmetrics: u=%d population lacks an s-class (n0=%d, n1=%d)", job.u, len(x0), len(x1))
 			return
@@ -443,14 +443,14 @@ func MMDPerFeature(t *dataset.Table, opts divergence.MMDOptions) ([]float64, err
 	if total == 0 {
 		return nil, errors.New("fairmetrics: no labelled records")
 	}
+	cols := t.GroupColumns()
 	out := make([]float64, t.Dim())
 	for k := 0; k < t.Dim(); k++ {
 		for u := 0; u < 2; u++ {
 			if nU[u] == 0 {
 				continue
 			}
-			x0 := t.GroupColumn(dataset.Group{U: u, S: 0}, k)
-			x1 := t.GroupColumn(dataset.Group{U: u, S: 1}, k)
+			x0, x1 := cols[u][0][k], cols[u][1][k]
 			if len(x0) < 2 || len(x1) < 2 {
 				return nil, fmt.Errorf("fairmetrics: u=%d population too small for MMD (n0=%d, n1=%d)", u, len(x0), len(x1))
 			}

@@ -160,6 +160,7 @@ func CorrelationGap(t *dataset.Table) (float64, error) {
 		return 0, errors.New("fairmetrics: no labelled records")
 	}
 	pairs := t.Dim() * (t.Dim() - 1) / 2
+	cols := t.GroupColumns()
 	gap := 0.0
 	for u := 0; u < 2; u++ {
 		if nU[u] == 0 {
@@ -168,8 +169,8 @@ func CorrelationGap(t *dataset.Table) (float64, error) {
 		sum := 0.0
 		for j := 0; j < t.Dim(); j++ {
 			for k := j + 1; k < t.Dim(); k++ {
-				r0 := stat.Correlation(t.GroupColumn(dataset.Group{U: u, S: 0}, j), t.GroupColumn(dataset.Group{U: u, S: 0}, k))
-				r1 := stat.Correlation(t.GroupColumn(dataset.Group{U: u, S: 1}, j), t.GroupColumn(dataset.Group{U: u, S: 1}, k))
+				r0 := stat.Correlation(cols[u][0][j], cols[u][0][k])
+				r1 := stat.Correlation(cols[u][1][j], cols[u][1][k])
 				if math.IsNaN(r0) || math.IsNaN(r1) {
 					return 0, fmt.Errorf("fairmetrics: degenerate correlation in u=%d pair (%d,%d)", u, j, k)
 				}
@@ -197,17 +198,18 @@ func CorrelationDamage(before, after *dataset.Table) (float64, error) {
 		return 0, errors.New("fairmetrics: correlation damage needs at least two features")
 	}
 	pairs := before.Dim() * (before.Dim() - 1) / 2
+	bcols, acols := before.GroupColumns(), after.GroupColumns()
 	sum, groups := 0.0, 0
 	for _, g := range dataset.Groups() {
-		b0 := before.GroupColumn(g, 0)
-		if len(b0) < 3 {
+		b, a := bcols[g.U][g.S], acols[g.U][g.S]
+		if len(b[0]) < 3 {
 			continue
 		}
 		groups++
 		for j := 0; j < before.Dim(); j++ {
 			for k := j + 1; k < before.Dim(); k++ {
-				rb := stat.Correlation(before.GroupColumn(g, j), before.GroupColumn(g, k))
-				ra := stat.Correlation(after.GroupColumn(g, j), after.GroupColumn(g, k))
+				rb := stat.Correlation(b[j], b[k])
+				ra := stat.Correlation(a[j], a[k])
 				if math.IsNaN(rb) || math.IsNaN(ra) {
 					continue // constant column in this group: no dependence to damage
 				}

@@ -72,9 +72,10 @@ type Artefacts[T any] struct {
 	// fingerprint with them (a value that already knows its hash saves
 	// Put hashing the buffer again); decode validates and deserializes
 	// them again and must fail loudly on corrupted input: the store trusts
-	// it as the read-path gate.
+	// it as the read-path gate. decode is handed the id the bytes were
+	// just verified to hash to (a value that records its hash keeps it).
 	encode func(T) ([]byte, string, error)
-	decode func([]byte) (T, error)
+	decode func(raw []byte, id string) (T, error)
 	opts   Options
 
 	mu    sync.Mutex
@@ -104,8 +105,8 @@ type cacheEntry[T any] struct {
 // OpenArtefacts creates (if needed) and opens an artefact namespace rooted
 // at dir. kind names the artefact in errors; encode produces the bytes
 // every Put stores, with their fingerprint, and decode gates every disk
-// read.
-func OpenArtefacts[T any](dir, kind string, encode func(T) ([]byte, string, error), decode func([]byte) (T, error), opts Options) (*Artefacts[T], error) {
+// read, given the bytes and the fingerprint they were verified against.
+func OpenArtefacts[T any](dir, kind string, encode func(T) ([]byte, string, error), decode func(raw []byte, id string) (T, error), opts Options) (*Artefacts[T], error) {
 	if dir == "" {
 		return nil, errors.New("planstore: empty directory")
 	}
@@ -346,7 +347,7 @@ func (a *Artefacts[T]) loadDisk(id string) (T, error) {
 	if got := fingerprint(raw); got != id {
 		return zero, &loadError{corrupt: true, err: fmt.Errorf("planstore: %s %s: content fingerprint is %s (file corrupted or misnamed)", a.kind, id, got)}
 	}
-	value, err := a.decode(raw)
+	value, err := a.decode(raw, id)
 	if err != nil {
 		return zero, &loadError{corrupt: true, err: fmt.Errorf("planstore: %s %s: %w", a.kind, id, err)}
 	}

@@ -134,9 +134,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		// Recorded by MarshalCanonical (or before it): no second hash.
 		id, err := plan.Fingerprint()
 		return raw, id, err
-	}, func(raw []byte) (*core.Plan, error) {
-		return core.ReadPlan(bytes.NewReader(raw))
-	}, opts)
+	}, core.ReadStoredPlan, opts)
 }
 
 // CalibrationStore is the blind-calibration namespace of an artefact
@@ -153,7 +151,7 @@ func OpenCalibrations(root string, opts Options) (*CalibrationStore, error) {
 			return nil, "", errors.New("planstore: nil calibration")
 		}
 		return hashed(cal.MarshalCanonical())
-	}, func(raw []byte) (*blind.Calibration, error) {
+	}, func(raw []byte, _ string) (*blind.Calibration, error) {
 		return blind.ReadCalibration(bytes.NewReader(raw))
 	}, opts)
 }
@@ -181,7 +179,7 @@ func OpenResearch(root string, opts Options) (*ResearchStore, error) {
 			return nil, "", err
 		}
 		return hashed(buf.Bytes(), nil)
-	}, func(raw []byte) (*dataset.Table, error) {
+	}, func(raw []byte, _ string) (*dataset.Table, error) {
 		return dataset.ReadCSV(bytes.NewReader(raw))
 	}, opts)
 }

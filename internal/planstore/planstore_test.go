@@ -2,6 +2,7 @@ package planstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -364,6 +365,104 @@ func TestPutSeedsFingerprint(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Fingerprint of a stored plan allocates %v times, want 0", allocs)
+	}
+}
+
+// TestLoadedPlanKeepsFingerprint: a plan Get decodes from disk (a warm
+// start, or after an LRU eviction) answers Fingerprint with the id the
+// read path verified — its first call encodes nothing and allocates
+// nothing — and can be stored again.
+func TestLoadedPlanKeepsFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := st.Put(designTestPlan(t, 8, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	loaded := make([]*core.Plan, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range loaded {
+		cold, err := Open(dir, Options{}) // an empty LRU: Get decodes the file
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded[i], err = cold.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		if got := cold.Stats().DiskHits; got != 1 {
+			t.Fatalf("Get on a reopened store made %d disk hits, want 1", got)
+		}
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		fp, err := loaded[next].Fingerprint()
+		next++
+		if err != nil || fp != id {
+			t.Fatalf("Fingerprint of a loaded plan = %s, %v, want %s", fp, err, id)
+		}
+	}); allocs != 0 {
+		t.Fatalf("first Fingerprint of a loaded plan allocates %v times, want 0", allocs)
+	}
+	// Re-storing a loaded plan checks its id against its canonical bytes
+	// once; a file the store wrote passes.
+	if got, created, err := st.Put(loaded[0]); err != nil || got != id || created {
+		t.Fatalf("re-Put of a loaded plan = %s, created %v, %v; want the duplicate %s", got, created, err, id)
+	}
+}
+
+// TestLoadedNonCanonicalPlan pins a correctly named file that is not
+// canonical JSON (here a stored plan re-indented and filed under the hash
+// of the new bytes), which only a hand can place: it loads, and its plan
+// answers to the id it is stored under — so no encode ran. WriteJSON
+// serves the canonical bytes, whose own hash differs, so MarshalCanonical
+// and with it Put refuse the plan: even once the file is gone, its
+// canonical bytes are never committed under the id, where the read path
+// would quarantine them as misnamed.
+func TestLoadedNonCanonicalPlan(t *testing.T) {
+	canonical, err := designTestPlan(t, 9, 16).MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, canonical, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	id := core.FingerprintBytes(indented.Bytes())
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, id+".json"), indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := st.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, err := plan.Fingerprint(); err != nil || fp != id {
+		t.Fatalf("Fingerprint = %s, %v, want the stored id %s", fp, err, id)
+	}
+	var served bytes.Buffer
+	if err := plan.WriteJSON(&served); err != nil || !bytes.Equal(served.Bytes(), canonical) {
+		t.Fatalf("WriteJSON of the loaded plan: %d bytes, %v; want the %d canonical bytes", served.Len(), err, len(canonical))
+	}
+	want := "core: plan stored as " + id + " is not canonical JSON (its canonical bytes hash to " + core.FingerprintBytes(canonical) + ")"
+	for _, removed := range []bool{false, true} {
+		if removed {
+			if err := os.Remove(filepath.Join(dir, id+".json")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, _, err := st.Put(plan); err == nil || err.Error() != want {
+			t.Fatalf("re-Put (file removed: %v) = %s, %v; want error %q", removed, got, err, want)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("refused Puts left %d entries (%v)", len(entries), err)
 	}
 }
 

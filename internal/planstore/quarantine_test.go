@@ -14,7 +14,9 @@ import (
 // rawEncoder and rawDecoder store bytes as-is; corruption tests rely on
 // the fingerprint check, not the decoder.
 func rawEncoder(v []byte) ([]byte, string, error) { return v, fingerprint(v), nil }
-func rawDecoder(raw []byte) ([]byte, error)       { return append([]byte(nil), raw...), nil }
+func rawDecoder(raw []byte, _ string) ([]byte, error) {
+	return append([]byte(nil), raw...), nil
+}
 
 // openRaw opens a fresh Artefacts over dir with an empty cache, so Gets
 // are forced to the disk path.
@@ -90,7 +92,7 @@ func TestGetQuarantinesDecodeFailure(t *testing.T) {
 	dir := t.TempDir()
 	decodeErr := errors.New("structurally invalid")
 	open := func() *Artefacts[[]byte] {
-		a, err := OpenArtefacts(dir, "plan", rawEncoder, func(raw []byte) ([]byte, error) {
+		a, err := OpenArtefacts(dir, "plan", rawEncoder, func(raw []byte, _ string) ([]byte, error) {
 			if bytes.Contains(raw, []byte("poison")) {
 				return nil, decodeErr
 			}
