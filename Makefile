@@ -152,9 +152,19 @@ bench-check:
 
 # Non-test Go lines tracked outside perfbench/: the size number each change
 # reports next to its bench deltas (ROADMAP.md). Counts committed or staged
-# files only.
+# files only. `make loc BASE=<rev>` prints the count at <rev>, the count at
+# HEAD and the delta between them, both read from commits.
+BASE ?=
+LOC_PATHSPEC = -- '*.go' ':(exclude)perfbench/' ':(exclude)*_test.go'
 loc:
+ifeq ($(BASE),)
 	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test\.go$$' | xargs cat | wc -l
+else
+	@git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null || { echo "loc: unknown revision $(BASE)" >&2; exit 1; }; \
+	count() { git grep -c '' "$$1" $(LOC_PATHSPEC) | awk -F: '{ n += $$NF } END { print n + 0 }'; }; \
+	base=$$(count '$(BASE)'); head=$$(count HEAD); \
+	printf '%s: %d\nHEAD: %d\ndelta: %+d\n' '$(BASE)' "$$base" "$$head" "$$((head - base))"
+endif
 
 # Stage-level micro-benchmarks (design, repair, solvers, metric, the
 # canonical plan encoder and the alias-slot sampler build on perfbench's

@@ -13,11 +13,9 @@ import (
 	"otfair/internal/rng"
 )
 
-// newPair builds the batched (default) repairer and a same-seed reference
-// repairer whose per-record methods the tests replay directly. For the
-// posterior methods the reference gets the QDA's own Posterior through
-// Options — which must disable span batching (a caller-supplied func may be
-// stateful) while evaluating identical values.
+// newPair builds two same-seed repairers: batched, whose span paths the
+// tests drive, and scalar, whose RepairRecord the tests replay record by
+// record — one posterior per record, each a length-1 batch.
 func newPair(t *testing.T, seed uint64, method Method) (batched, scalar *Repairer, research, archive *dataset.Table) {
 	t.Helper()
 	plan, research, archive := designOnScenario(t, seed, 400, 3000)
@@ -29,20 +27,9 @@ func newPair(t *testing.T, seed uint64, method Method) (batched, scalar *Repaire
 	if method != MethodPooled && batched.bp == nil {
 		t.Fatal("default repairer did not arm the batched posterior")
 	}
-	opts := Options{Method: method}
-	if method != MethodPooled {
-		qda, err := NewQDA(research)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Posterior = qda.Posterior
-	}
-	scalar, err = New(plan, research, rng.New(seed), opts)
+	scalar, err = New(plan, research, rng.New(seed), Options{Method: method})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if method != MethodPooled && scalar.bp != nil {
-		t.Fatal("custom-posterior repairer armed the batched path")
 	}
 	return batched, scalar, research, archive
 }

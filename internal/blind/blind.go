@@ -19,9 +19,14 @@
 //     (Eq. 10's mixture) to the barycentric target — group-blind transport
 //     in the sense of [37]. Needs no posterior model at all.
 //
-// The posterior for the first three methods defaults to a QDA fitted on the
-// labelled research set (supervised, streaming-friendly); any other source
-// can be plugged in through Options.Posterior.
+// The posterior for the first three methods is a QDA fitted on the
+// labelled research set (supervised, streaming-friendly), evaluated in
+// blocks by BatchPosterior.
+//
+// Every repairer is built the one way the serving layer builds it: a
+// Calibration (the fitted posterior and pooled marginals) bound to the
+// plan's samplers by NewCalibrated. New fits the parts of that calibration
+// its method needs from the research table.
 package blind
 
 import (
@@ -82,16 +87,10 @@ func ParseMethod(name string) (Method, error) {
 	}
 }
 
-// PosteriorFunc supplies Pr[s = 1 | x, u] for one record.
-type PosteriorFunc func(dataset.Record) (float64, error)
-
 // Options configures a blind Repairer.
 type Options struct {
 	// Method selects the label-handling strategy (default MethodHard).
 	Method Method
-	// Posterior overrides the posterior source for the hard/draw/mix
-	// methods. Nil means "fit a QDA on the research table".
-	Posterior PosteriorFunc
 	// Repair is passed through to the underlying Algorithm-2 repairer.
 	Repair core.RepairOptions
 }
@@ -143,59 +142,57 @@ func (s Stats) MeanConfidence() float64 {
 // Repairer repairs records with unknown s. It is not safe for concurrent
 // use: it owns an RNG stream, like core.Repairer.
 type Repairer struct {
-	method    Method
-	posterior PosteriorFunc
-	inner     *core.Repairer
-	r         *rng.RNG
-	stats     Stats
-	dim       int
-	// bp is the batched evaluator over the default QDA posterior, set only
-	// when the posterior was NOT overridden through Options.Posterior. When
-	// present, every posterior runs through the vec-batched fast path —
-	// whole blocks in RepairSpan, single records in RepairRecord — which
-	// is bit-identical to the scalar posterior, so outputs are
-	// byte-identical; a custom posterior may be stateful, so it always
-	// runs record by record.
+	method Method
+	inner  *core.Repairer
+	r      *rng.RNG
+	stats  Stats
+	dim    int
+	// bp is the batched evaluator over the calibration's QDA posterior
+	// (nil on a labelled-serving repairer and for MethodPooled). Every
+	// posterior runs through it — whole blocks in RepairSpan, single
+	// records in RepairRecord — bit-identical to QDA.Posterior.
 	bp *BatchPosterior
 }
 
 // New builds a blind repairer from a designed labelled plan and the research
-// table the plan was designed on. The research table is needed to fit the
-// default QDA posterior (hard/draw/mix) or the pooled marginals
-// (MethodPooled).
+// table the plan was designed on. It fits the part of a Calibration its
+// method needs — the QDA posterior (hard/draw/mix, which need every (u, s)
+// group labelled) or the pooled marginals (MethodPooled, which reads no s
+// label) — and binds it through NewCalibrated, the serving layer's path.
 func New(plan *core.Plan, research *dataset.Table, r *rng.RNG, opts Options) (*Repairer, error) {
-	if plan == nil {
-		return nil, errors.New("blind: nil plan")
+	if err := checkResearch(plan, research); err != nil {
+		return nil, err
 	}
 	if r == nil {
 		return nil, errors.New("blind: nil rng")
 	}
+	// This calibration never leaves the repairer, so it carries neither a
+	// plan id nor a confidence baseline.
+	cal := &Calibration{dim: plan.Dim}
 	var (
 		smp Samplers
-		bp  *BatchPosterior
 		err error
 	)
 	switch opts.Method {
 	case MethodHard, MethodDraw, MethodMix:
-		if opts.Posterior == nil {
-			qda, err := NewQDA(research)
-			if err != nil {
-				return nil, err
-			}
-			opts.Posterior, bp = qda.Posterior, qda.Batch()
+		if cal.qda, err = NewQDA(research); err != nil {
+			return nil, err
 		}
 		smp.Labelled, err = core.NewPlanSampler(plan)
 	case MethodPooled:
-		pooled, perr := PooledPlan(plan, research)
-		if perr != nil {
-			return nil, perr
+		if cal.pooled, err = fitPooled(plan, research); err != nil {
+			return nil, err
+		}
+		var pooled *core.Plan
+		if pooled, err = cal.PooledPlan(plan); err != nil {
+			return nil, err
 		}
 		smp.Pooled, err = core.NewPlanSampler(pooled)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return newRepairer(plan.Dim, smp, bp, r, opts)
+	return NewCalibrated(cal, smp, r, opts)
 }
 
 // Samplers bundles the precomputed draw state a calibrated blind repairer
@@ -217,13 +214,12 @@ var ErrNoPosterior = errors.New("blind: record has no s label and no posterior i
 // constructor. The RNG consumption per record is identical to New's, so a
 // calibrated repairer is byte-identical to a research-fitted one at the
 // same seed when the calibration was fitted on the same research table.
-// Options.Posterior still overrides the calibration's QDA when set; the
-// method's sampler must be present in smp.
+// The method's sampler must be present in smp.
 //
 // A nil calibration is labelled serving: records carrying an observed s
 // are repaired by the labelled sampler with exactly the draws
-// core.Repairer.RepairRecord makes, while an unlabelled record (absent an
-// Options.Posterior) fails with ErrNoPosterior.
+// core.Repairer.RepairRecord makes, while an unlabelled record fails with
+// ErrNoPosterior.
 func NewCalibrated(cal *Calibration, smp Samplers, r *rng.RNG, opts Options) (*Repairer, error) {
 	if r == nil {
 		return nil, errors.New("blind: nil rng")
@@ -234,16 +230,13 @@ func NewCalibrated(cal *Calibration, smp Samplers, r *rng.RNG, opts Options) (*R
 		}
 		return newRepairer(smp.Labelled.Plan().Dim, smp, nil, r, opts)
 	}
-	var bp *BatchPosterior
-	if opts.Posterior == nil {
-		opts.Posterior, bp = cal.Posterior, cal.QDA().Batch()
-	}
-	return newRepairer(cal.dim, smp, bp, r, opts)
+	return newRepairer(cal.dim, smp, cal.qda, r, opts)
 }
 
 // newRepairer binds the method's sampler from smp — which must match dim —
-// to r. bp, when non-nil, is the batched evaluator of opts.Posterior.
-func newRepairer(dim int, smp Samplers, bp *BatchPosterior, r *rng.RNG, opts Options) (*Repairer, error) {
+// to r. qda, when non-nil, is the posterior the hard/draw/mix methods
+// impute with.
+func newRepairer(dim int, smp Samplers, qda *QDA, r *rng.RNG, opts Options) (*Repairer, error) {
 	rp := &Repairer{method: opts.Method, r: r, dim: dim}
 	var sampler *core.PlanSampler
 	switch opts.Method {
@@ -251,7 +244,10 @@ func newRepairer(dim int, smp Samplers, bp *BatchPosterior, r *rng.RNG, opts Opt
 		if smp.Labelled == nil {
 			return nil, errors.New("blind: method needs the labelled sampler")
 		}
-		sampler, rp.posterior, rp.bp = smp.Labelled, opts.Posterior, bp
+		sampler = smp.Labelled
+		if qda != nil {
+			rp.bp = qda.Batch()
+		}
 	case MethodPooled:
 		if smp.Pooled == nil {
 			return nil, errors.New("blind: pooled method needs the pooled sampler")
@@ -283,18 +279,13 @@ func (rp *Repairer) Diagnostics() core.Diagnostics { return rp.inner.Diagnostics
 func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 	done, err := rp.pickKnown(rec)
 	if err == nil && !done {
-		var gamma [1]float64
-		switch {
-		case rp.bp != nil:
-			// A length-1 batch is bit-identical to the scalar QDA posterior
-			// and skips its per-record prior logs.
-			err = rp.bp.Posteriors([]dataset.Record{rec}, gamma[:])
-		case rp.posterior != nil:
-			gamma[0], err = rp.posterior(rec)
-		default:
+		if rp.bp == nil {
 			return dataset.Record{}, ErrNoPosterior
 		}
-		if err != nil {
+		// A length-1 batch is bit-identical to the scalar QDA posterior
+		// and skips its per-record prior logs.
+		var gamma [1]float64
+		if err = rp.bp.Posteriors([]dataset.Record{rec}, gamma[:]); err != nil {
 			err = fmt.Errorf("blind: posterior: %w", err)
 		} else {
 			err = rp.pickImputed(rec, gamma[0])
@@ -432,10 +423,10 @@ const blindSpan = 1024
 // serving-engine path. It works in blocks of blindSpan records, polling
 // ctx between blocks. A block runs through BatchPosterior + repairBatch
 // when it can: every record valid, and the block's unlabelled records (if
-// any) covered by the default QDA posterior. That path is byte-identical
-// to the per-record sequence (identical RNG consumption and stats order).
-// Any other block — a custom posterior, no posterior at all, or an
-// invalid record — takes the scalar loop, so error positions and partial
+// any) covered by the calibration's QDA posterior. That path is
+// byte-identical to the per-record sequence (identical RNG consumption and
+// stats order). Any other block — unlabelled records and no posterior, or
+// an invalid record — takes the scalar loop, so error positions and partial
 // progress match RepairRecord exactly. base offsets the record indices in
 // error messages, so a caller feeding spans of a larger input reports
 // absolute positions.

@@ -2,6 +2,7 @@ package blind
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"otfair/internal/core"
@@ -91,15 +92,20 @@ func TestNewErrors(t *testing.T) {
 		t.Error("pooled without research: want error")
 	}
 	if _, err := New(plan, nil, r, Options{Method: MethodHard}); err == nil {
-		t.Error("hard without research or posterior: want error")
+		t.Error("hard without research: want error")
 	}
 	if _, err := New(plan, research, r, Options{Method: Method(42)}); err == nil {
 		t.Error("unknown method: want error")
 	}
-	// A custom posterior removes the research-table requirement.
-	post := func(dataset.Record) (float64, error) { return 0.5, nil }
-	if _, err := New(plan, nil, r, Options{Method: MethodDraw, Posterior: post}); err != nil {
-		t.Errorf("custom posterior without research: %v", err)
+	// A research table of the wrong dimension fails at construction for
+	// every method, not at the first unlabelled record.
+	wrongDim := dataset.MustTable(3, nil)
+	_ = wrongDim.Append(dataset.Record{X: []float64{1, 2, 3}, S: 0, U: 0})
+	for _, m := range []Method{MethodHard, MethodDraw, MethodMix, MethodPooled} {
+		_, err := New(plan, wrongDim, r, Options{Method: m})
+		if err == nil || !strings.Contains(err.Error(), "research dimension 3 does not match plan 2") {
+			t.Errorf("%v with a 3-feature research table: got %v", m, err)
+		}
 	}
 }
 
@@ -117,16 +123,28 @@ func TestRepairRecordValidation(t *testing.T) {
 	}
 }
 
+// TestBadPosteriorSurfaces feeds posteriors outside [0,1] to the block
+// repair: each must fail its record before any draw is made or any
+// imputation counted.
 func TestBadPosteriorSurfaces(t *testing.T) {
 	plan, research, _ := designOnScenario(t, 5, 400, 100)
-	bad := func(dataset.Record) (float64, error) { return 1.5, nil }
-	rp, err := New(plan, research, rng.New(6), Options{Method: MethodDraw, Posterior: bad})
+	rp, err := New(plan, research, rng.New(6), Options{Method: MethodDraw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := dataset.Record{X: []float64{0, 0}, U: 0, S: dataset.SUnknown}
-	if _, err := rp.RepairRecord(rec); err == nil {
-		t.Error("out-of-range posterior: want error")
+	recs := []dataset.Record{{X: []float64{0, 0}, U: 0, S: dataset.SUnknown}}
+	out := make([]dataset.Record, 1)
+	for _, gamma := range []float64{1.5, -0.25, math.NaN()} {
+		n, err := rp.repairBatch(0, recs, []float64{gamma}, out)
+		if err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("posterior %v: got %v, want an out-of-range error", gamma, err)
+		}
+		if n != 0 {
+			t.Errorf("posterior %v: completed %d records, want 0", gamma, n)
+		}
+	}
+	if st := rp.Stats(); st.Imputed != 0 || st.ConfidenceSum != 0 {
+		t.Errorf("rejected posteriors were counted: %+v", st)
 	}
 }
 
@@ -491,18 +509,43 @@ func TestStatsMeanConfidence(t *testing.T) {
 	}
 }
 
+// TestPooledPlanErrors pins the research-table contract of the pooled
+// method: it rejects a missing or mis-sized table, and since the pooled
+// marginals read no s label, an s-unlabelled research table repairs
+// exactly like the labelled one.
 func TestPooledPlanErrors(t *testing.T) {
-	plan, research, _ := designOnScenario(t, 23, 400, 100)
-	if _, err := PooledPlan(nil, research); err == nil {
+	plan, research, archive := designOnScenario(t, 23, 400, 100)
+	if _, err := New(nil, research, rng.New(1), Options{Method: MethodPooled}); err == nil {
 		t.Error("nil plan: want error")
 	}
-	if _, err := PooledPlan(plan, nil); err == nil {
+	if _, err := New(plan, nil, rng.New(1), Options{Method: MethodPooled}); err == nil {
 		t.Error("nil research: want error")
 	}
 	wrongDim := dataset.MustTable(3, nil)
 	_ = wrongDim.Append(dataset.Record{X: []float64{1, 2, 3}, S: 0, U: 0})
-	if _, err := PooledPlan(plan, wrongDim); err == nil {
+	if _, err := New(plan, wrongDim, rng.New(1), Options{Method: MethodPooled}); err == nil {
 		t.Error("dimension mismatch: want error")
+	}
+	labelled, err := New(plan, research, rng.New(24), Options{Method: MethodPooled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlabelled, err := New(plan, stripS(t, research), rng.New(24), Options{Method: MethodPooled})
+	if err != nil {
+		t.Fatalf("pooled with an s-unlabelled research table: %v", err)
+	}
+	want, err := labelled.RepairTable(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := unlabelled.RepairTable(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < got.Len(); i++ {
+		if !sameRecord(got.At(i), want.At(i)) {
+			t.Fatalf("record %d differs: %+v vs %+v", i, got.At(i), want.At(i))
+		}
 	}
 }
 

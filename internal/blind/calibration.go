@@ -49,14 +49,8 @@ type pooledMarginal struct {
 // marginal of every non-degenerate (u, feature) cell, and the mean MAP
 // confidence of the posterior on the research records themselves.
 func NewCalibration(plan *core.Plan, research *dataset.Table) (*Calibration, error) {
-	if plan == nil {
-		return nil, errors.New("blind: nil plan")
-	}
-	if research == nil || research.Len() == 0 {
-		return nil, errors.New("blind: empty research table")
-	}
-	if research.Dim() != plan.Dim {
-		return nil, fmt.Errorf("blind: research dimension %d does not match plan %d", research.Dim(), plan.Dim)
+	if err := checkResearch(plan, research); err != nil {
+		return nil, err
 	}
 	planID, err := plan.Fingerprint()
 	if err != nil {
@@ -66,22 +60,11 @@ func NewCalibration(plan *core.Plan, research *dataset.Table) (*Calibration, err
 	if err != nil {
 		return nil, err
 	}
-	cal := &Calibration{planID: planID, dim: plan.Dim, qda: qda}
-	for u := 0; u < 2; u++ {
-		cal.pooled[u] = make([]pooledMarginal, plan.Dim)
-		for k := 0; k < plan.Dim; k++ {
-			cell := plan.Cell(u, k)
-			if cell.Degenerate {
-				cal.pooled[u][k] = pooledMarginal{degenerate: true}
-				continue
-			}
-			pmf, h, err := pooledMarginalFor(cell, research, u, k, plan.Opts)
-			if err != nil {
-				return nil, fmt.Errorf("blind: calibrating (u=%d, k=%d): %w", u, k, err)
-			}
-			cal.pooled[u][k] = pooledMarginal{pmf: pmf, h: h}
-		}
+	pooled, err := fitPooled(plan, research)
+	if err != nil {
+		return nil, err
 	}
+	cal := &Calibration{planID: planID, dim: plan.Dim, qda: qda, pooled: pooled}
 	// Research-time confidence baseline: the mean MAP-posterior confidence
 	// over the records the posterior was fitted on. Serving reports the
 	// drift of the live mean against this number.
@@ -98,6 +81,21 @@ func NewCalibration(plan *core.Plan, research *dataset.Table) (*Calibration, err
 	return cal, nil
 }
 
+// checkResearch validates the research table a calibration (or part of
+// one) is fitted on against the plan it serves.
+func checkResearch(plan *core.Plan, research *dataset.Table) error {
+	if plan == nil {
+		return errors.New("blind: nil plan")
+	}
+	if research == nil || research.Len() == 0 {
+		return errors.New("blind: empty research table")
+	}
+	if research.Dim() != plan.Dim {
+		return fmt.Errorf("blind: research dimension %d does not match plan %d", research.Dim(), plan.Dim)
+	}
+	return nil
+}
+
 // PlanID is the content fingerprint of the plan the calibration was fitted
 // against.
 func (c *Calibration) PlanID() string { return c.planID }
@@ -112,19 +110,25 @@ func (c *Calibration) ResearchConfidence() float64 { return c.researchConfidence
 // ResearchRecords is the research-set size the calibration was fitted on.
 func (c *Calibration) ResearchRecords() int { return c.researchRecords }
 
-// Posterior returns Pr[s = 1 | x, u] for one record, from the fitted QDA.
-func (c *Calibration) Posterior(rec dataset.Record) (float64, error) {
-	return c.qda.Posterior(rec)
-}
-
-// QDA exposes the fitted posterior model.
-func (c *Calibration) QDA() *QDA { return c.qda }
-
-// PooledPlan reconstructs the group-blind pooled plan from the persisted
-// marginals, without the research table: each non-degenerate cell solves
-// one monotone transport from its stored pooled pmf to the plan's
-// barycentric target — exactly the cell PooledPlan builds from research
-// data, so the two construction paths yield identical plans.
+// PooledPlan turns the designed labelled plan into a fully group-blind
+// plan: for every non-degenerate (u, feature) cell it replaces the two
+// s-indexed plans with a single monotone transport from the calibration's
+// pooled u-conditional mixture marginal
+//
+//	f(x|u) = Σ_s Pr̂[s|u]·f(x|s,u)           (Eq. 10)
+//
+// to the same barycentric target ν the labelled plan transports to.
+// Applying it needs no s label at all — the Zhou–Marecek-style group-blind
+// transport the paper's Section VI points to ([37]). The price is that the
+// two s-conditionals are displaced by a common map, so the repair quenches
+// less of the conditional dependence than a labelled or posterior-weighted
+// one; the blind ablation experiment quantifies the gap.
+//
+// The returned plan shares the supports, barycenters and options of the
+// input; both s slots of every cell hold the identical pooled transport, so
+// core.Repairer machinery applies it unchanged whatever label a record
+// carries. It is built from the persisted marginals alone, so a
+// deserialized calibration rebuilds exactly the plan the fitted one does.
 func (c *Calibration) PooledPlan(plan *core.Plan) (*core.Plan, error) {
 	if plan == nil {
 		return nil, errors.New("blind: nil plan")

@@ -76,7 +76,7 @@ func TestCalibrationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Posterior(rec)
+		got, err := loaded.qda.Posterior(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,9 +85,8 @@ func TestCalibrationRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The reconstructed pooled plan equals the research-fitted one bit for
-	// bit — both construction paths must share one cell builder.
-	want, err := PooledPlan(plan, research)
+	// The reconstructed pooled plan equals the fresh fit's bit for bit.
+	want, err := cal.PooledPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestCalibrationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantRaw, gotRaw) {
-		t.Fatal("calibration-reconstructed pooled plan differs from the research-fitted one")
+		t.Fatal("calibration-reconstructed pooled plan differs from the fresh fit's")
 	}
 }
 

@@ -1,7 +1,6 @@
 package blind
 
 import (
-	"errors"
 	"fmt"
 
 	"otfair/internal/core"
@@ -10,80 +9,32 @@ import (
 	"otfair/internal/ot"
 )
 
-// PooledPlan turns a designed core.Plan into a fully group-blind plan: for
-// every (u, feature) cell it replaces the two s-indexed plans with a single
-// OT plan from the pooled u-conditional mixture marginal
-//
-//	f(x|u) = Σ_s Pr̂[s|u]·f(x|s,u)           (Eq. 10)
-//
-// to the same barycentric target ν the labelled plan transports to. Applying
-// it needs no s label at all — the Zhou–Marecek-style group-blind transport
-// the paper's Section VI points to ([37]). The price is that the two
-// s-conditionals are displaced by a common map, so the repair quenches less
-// of the conditional dependence than a labelled or posterior-weighted one;
-// the blind ablation experiment quantifies the gap.
-//
-// The returned plan shares the supports, barycenters and options of the
-// input; both s slots of every cell hold the identical pooled transport, so
-// core.Repairer machinery applies it unchanged whatever label a record
-// carries.
-func PooledPlan(plan *core.Plan, research *dataset.Table) (*core.Plan, error) {
-	if plan == nil {
-		return nil, errors.New("blind: nil plan")
-	}
-	if research == nil || research.Len() == 0 {
-		return nil, errors.New("blind: empty research table")
-	}
-	if research.Dim() != plan.Dim {
-		return nil, fmt.Errorf("blind: research dimension %d does not match plan %d", research.Dim(), plan.Dim)
-	}
-	out := &core.Plan{
-		Dim:        plan.Dim,
-		Names:      append([]string(nil), plan.Names...),
-		Opts:       plan.Opts,
-		GroupSizes: plan.GroupSizes,
-	}
+// fitPooled estimates the pooled u-conditional marginal of Eq. (10) on the
+// support grid of every non-degenerate (u, feature) cell of plan: the KDE
+// of the research column pooled over s, and the bandwidth it was smoothed
+// with. It reads no s label.
+func fitPooled(plan *core.Plan, research *dataset.Table) ([2][]pooledMarginal, error) {
+	var out [2][]pooledMarginal
 	for u := 0; u < 2; u++ {
-		out.Cells[u] = make([]*core.Cell, plan.Dim)
+		out[u] = make([]pooledMarginal, plan.Dim)
 		for k := 0; k < plan.Dim; k++ {
-			cell, err := pooledCell(plan.Cell(u, k), research, u, k, plan.Opts)
-			if err != nil {
-				return nil, fmt.Errorf("blind: pooling (u=%d, k=%d): %w", u, k, err)
+			cell := plan.Cell(u, k)
+			if cell.Degenerate {
+				out[u][k] = pooledMarginal{degenerate: true}
+				continue
 			}
-			out.Cells[u][k] = cell
+			est, err := kde.New(research.UColumn(u, k), plan.Opts.Kernel, plan.Opts.Bandwidth)
+			if err != nil {
+				return out, fmt.Errorf("blind: calibrating (u=%d, k=%d): pooled KDE: %w", u, k, err)
+			}
+			pmf, err := est.GridPMF(cell.Q)
+			if err != nil {
+				return out, fmt.Errorf("blind: calibrating (u=%d, k=%d): pooled interpolation: %w", u, k, err)
+			}
+			out[u][k] = pooledMarginal{pmf: pmf, h: est.Bandwidth()}
 		}
 	}
 	return out, nil
-}
-
-// pooledCell rebuilds one cell around the pooled u-marginal.
-func pooledCell(c *core.Cell, research *dataset.Table, u, k int, opts core.Options) (*core.Cell, error) {
-	if c.Degenerate {
-		return c, nil
-	}
-	pmf, h, err := pooledMarginalFor(c, research, u, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	return pooledCellFromPMF(c, pmf, h)
-}
-
-// pooledMarginalFor estimates the pooled u-conditional marginal of Eq. (10)
-// on the cell's support grid, returning the pmf and the KDE bandwidth it
-// was smoothed with. Calibration fitting persists exactly this pair, so a
-// calibration-reconstructed pooled plan is identical to a research-fitted
-// one.
-func pooledMarginalFor(c *core.Cell, research *dataset.Table, u, k int, opts core.Options) ([]float64, float64, error) {
-	pooled := research.UColumn(u, k)
-	est, err := kde.New(pooled, opts.Kernel, opts.Bandwidth)
-	if err != nil {
-		return nil, 0, fmt.Errorf("pooled KDE: %w", err)
-	}
-	pmf, err := est.GridPMF(c.Q)
-	if err != nil {
-		return nil, 0, fmt.Errorf("pooled interpolation: %w", err)
-	}
-	return pmf, est.Bandwidth(), nil
 }
 
 // pooledCellFromPMF assembles the group-blind cell from an already

@@ -283,12 +283,25 @@ func (rp *Repairer) pickRecord(rec dataset.Record) error {
 	return nil
 }
 
-// repairSpan repairs recs (each of the plan's dimension) into out, carving
-// every output feature vector from xs (len(recs)·Dim floats), in blocks of
-// repairBlock records. On error the output is incomplete and the queue is
-// emptied. base offsets the record indices in error messages.
-func (rp *Repairer) repairSpan(base int, recs, out []dataset.Record, xs []float64) error {
+// RepairTable repairs every record of a table in order, returning a new
+// table with identical labels — cardinality preservation is structural.
+// It picks repairBlock records at a time and carves every output feature
+// vector from one backing allocation.
+func (rp *Repairer) RepairTable(t *dataset.Table) (*dataset.Table, error) {
+	if t == nil {
+		return nil, errors.New("core: nil table")
+	}
 	d := rp.plan.Dim
+	if t.Dim() != d {
+		return nil, fmt.Errorf("core: table dimension %d does not match plan %d", t.Dim(), d)
+	}
+	out, err := dataset.NewTable(d, t.Names())
+	if err != nil {
+		return nil, err
+	}
+	recs := t.Records()
+	repaired := make([]dataset.Record, len(recs))
+	xs := make([]float64, len(recs)*d)
 	for lo := 0; lo < len(recs); lo += repairBlock {
 		hi := min(lo+repairBlock, len(recs))
 		rp.Reserve((hi - lo) * d)
@@ -296,31 +309,11 @@ func (rp *Repairer) repairSpan(base int, recs, out []dataset.Record, xs []float6
 			rec := recs[i]
 			if err := rp.pickRecord(rec); err != nil {
 				rp.Resolve(nil)
-				return fmt.Errorf("core: record %d: %w", base+i, err)
+				return nil, fmt.Errorf("core: record %d: %w", i, err)
 			}
-			out[i] = dataset.Record{X: xs[i*d : (i+1)*d : (i+1)*d], S: rec.S, U: rec.U}
+			repaired[i] = dataset.Record{X: xs[i*d : (i+1)*d : (i+1)*d], S: rec.S, U: rec.U}
 		}
 		rp.Resolve(xs[lo*d : hi*d])
-	}
-	return nil
-}
-
-// RepairTable repairs every record of a table in order, returning a new
-// table with identical labels — cardinality preservation is structural.
-func (rp *Repairer) RepairTable(t *dataset.Table) (*dataset.Table, error) {
-	if t == nil {
-		return nil, errors.New("core: nil table")
-	}
-	if t.Dim() != rp.plan.Dim {
-		return nil, fmt.Errorf("core: table dimension %d does not match plan %d", t.Dim(), rp.plan.Dim)
-	}
-	out, err := dataset.NewTable(t.Dim(), t.Names())
-	if err != nil {
-		return nil, err
-	}
-	repaired := make([]dataset.Record, t.Len())
-	if err := rp.repairSpan(0, t.Records(), repaired, make([]float64, t.Len()*t.Dim())); err != nil {
-		return nil, err
 	}
 	for i, rec := range repaired {
 		if err := out.Append(rec); err != nil {

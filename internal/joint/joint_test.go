@@ -487,43 +487,6 @@ func TestJointReadPlanRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestJointRepairStreamMatchesTable(t *testing.T) {
-	research, archive := paperTables(t, 20, 400, 120)
-	plan, err := Design(research, Options{NQ: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewRepairer(plan, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTable, err := a.RepairTable(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRepairer(plan, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []dataset.Record
-	n, err := b.RepairStream(dataset.NewSliceStream(archive), func(r dataset.Record) error {
-		got = append(got, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != archive.Len() {
-		t.Fatalf("stream repaired %d, want %d", n, archive.Len())
-	}
-	for i, rec := range got {
-		want := viaTable.At(i)
-		if rec.X[0] != want.X[0] || rec.X[1] != want.X[1] {
-			t.Fatalf("record %d: stream %v vs table %v", i, rec.X, want.X)
-		}
-	}
-}
-
 func TestJointThreeDimensional(t *testing.T) {
 	// d = 3: 8³ = 512 product states. Verifies the design and repair are
 	// not hard-wired to d = 2 and that the MaxStates guard sizes correctly.

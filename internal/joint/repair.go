@@ -3,7 +3,6 @@ package joint
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"otfair/internal/dataset"
@@ -237,33 +236,6 @@ func (rp *Repairer) nearestMassiveRow(cell *Cell, s, row int) int {
 		}
 	}
 	return best
-}
-
-// RepairStream consumes a record stream and emits repaired records to sink
-// with O(1) memory, mirroring core.Repairer.RepairStream for the torrent
-// deployment mode.
-func (rp *Repairer) RepairStream(in dataset.Stream, sink func(dataset.Record) error) (int, error) {
-	if in.Dim() != rp.plan.Dim {
-		return 0, fmt.Errorf("joint: stream dimension %d does not match plan %d", in.Dim(), rp.plan.Dim)
-	}
-	n := 0
-	for {
-		rec, err := in.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		repaired, err := rp.RepairRecord(rec)
-		if err != nil {
-			return n, fmt.Errorf("joint: stream record %d: %w", n, err)
-		}
-		if err := sink(repaired); err != nil {
-			return n, err
-		}
-		n++
-	}
 }
 
 // RepairTable repairs every record of a table in order, returning a new

@@ -6,8 +6,8 @@ import (
 )
 
 // TestZeroAllocHotPath pins the overhead contract from DESIGN.md: every
-// per-observation operation — counter adds, histogram observes (shared and
-// Local), Local flushes, and trace stage recording — performs zero heap
+// per-observation operation — counter adds, histogram observes and trace
+// stage recording — performs zero heap
 // allocations. These are the primitives that sit on the 2.3 M rec/s repair
 // hot paths; any regression here fails the build.
 func TestZeroAllocHotPath(t *testing.T) {
@@ -26,27 +26,14 @@ func TestZeroAllocHotPath(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { h.ObserveDuration(time.Millisecond) }); n != 0 {
 		t.Errorf("Histogram.ObserveDuration allocs = %v, want 0", n)
 	}
-	l := h.Local()
-	if n := testing.AllocsPerRun(1000, func() { l.Observe(0.003) }); n != 0 {
-		t.Errorf("Local.Observe allocs = %v, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		l.Observe(1)
-		l.Flush()
-	}); n != 0 {
-		t.Errorf("Local.Observe+Flush allocs = %v, want 0", n)
-	}
 
 	// Nil (uninstrumented) paths must also be free.
 	var nc *Counter
 	var nh *Histogram
-	var nl *Local
 	var ntr *Trace
 	if n := testing.AllocsPerRun(1000, func() {
 		nc.Add(1)
 		nh.Observe(1)
-		nl.Observe(1)
-		nl.Flush()
 		ntr.Add(StageDecode, 1)
 		ntr.Begin(StageFlush)
 		ntr.End(StageFlush)

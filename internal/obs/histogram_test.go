@@ -95,9 +95,9 @@ func TestNewHistogramRejectsUnsorted(t *testing.T) {
 
 // TestHistogramConcurrentMergeInvariance is the core correctness test:
 // recording the same multiset of observations through (a) direct atomic
-// Observe from many goroutines, and (b) per-shard Local recorders flushed
-// in arbitrary interleavings, must produce identical bucket counts, total
-// count, and (exactly, since we use integer-valued floats) sum.
+// Observe from many goroutines and (b) one goroutine observing them in
+// order must produce identical bucket counts, total count, and (exactly,
+// since we use integer-valued floats) sum.
 func TestHistogramConcurrentMergeInvariance(t *testing.T) {
 	bounds := DefLatencyBuckets()
 	const shards, perShard = 8, 5000
@@ -125,53 +125,24 @@ func TestHistogramConcurrentMergeInvariance(t *testing.T) {
 	}
 	wg.Wait()
 
-	local := NewHistogram(bounds)
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			l := local.Local()
-			for i, v := range obs[s] {
-				l.Observe(v)
-				if i%997 == 0 {
-					l.Flush() // interleaved partial flushes
-				}
-			}
-			l.Flush()
-		}(s)
+	serial := NewHistogram(bounds)
+	for s := range obs {
+		for _, v := range obs[s] {
+			serial.Observe(v)
+		}
 	}
-	wg.Wait()
 
-	a, b := direct.Snapshot(), local.Snapshot()
+	a, b := direct.Snapshot(), serial.Snapshot()
 	if a.Count != b.Count || a.Count != shards*perShard {
-		t.Fatalf("count mismatch: direct=%d local=%d want=%d", a.Count, b.Count, shards*perShard)
+		t.Fatalf("count mismatch: direct=%d serial=%d want=%d", a.Count, b.Count, shards*perShard)
 	}
 	if a.Sum != b.Sum {
-		t.Fatalf("sum mismatch: direct=%v local=%v", a.Sum, b.Sum)
+		t.Fatalf("sum mismatch: direct=%v serial=%v", a.Sum, b.Sum)
 	}
 	for i := range a.Counts {
 		if a.Counts[i] != b.Counts[i] {
-			t.Fatalf("bucket %d mismatch: direct=%d local=%d", i, a.Counts[i], b.Counts[i])
+			t.Fatalf("bucket %d mismatch: direct=%d serial=%d", i, a.Counts[i], b.Counts[i])
 		}
-	}
-}
-
-func TestLocalFlushResets(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
-	l := h.Local()
-	l.Observe(0.5)
-	l.Observe(1.5)
-	l.Flush()
-	l.Flush() // second flush must be a no-op
-	s := h.Snapshot()
-	if s.Count != 2 || s.Sum != 2.0 {
-		t.Fatalf("after flush: count=%d sum=%v", s.Count, s.Sum)
-	}
-	l.Observe(3)
-	l.Flush()
-	s = h.Snapshot()
-	if s.Count != 3 || s.Counts[2] != 1 {
-		t.Fatalf("after reuse: count=%d +Inf=%d", s.Count, s.Counts[2])
 	}
 }
 
@@ -179,13 +150,6 @@ func TestNilHistogramSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if l := h.Local(); l != nil {
-		t.Fatal("nil histogram Local() should be nil")
-	}
-	var l *Local
-	l.Observe(1)
-	l.ObserveDuration(time.Second)
-	l.Flush()
 	s := h.Snapshot()
 	if s.Count != 0 {
 		t.Fatal("nil snapshot not empty")
@@ -265,59 +229,4 @@ func TestCounterGaugeNilSafe(t *testing.T) {
 	if gg.Load() != 7 {
 		t.Fatalf("gauge = %d, want 7", gg.Load())
 	}
-}
-
-// Local is an unsynchronized recorder bound to one histogram, for one
-// goroutine (a shard, a request) to batch observations without touching
-// the shared atomics. Flush folds the batch into the shared histogram —
-// one atomic add per nonzero bucket plus two for count and sum — and
-// resets the recorder for reuse. A nil *Local is the uninstrumented no-op.
-//
-//otfair:nilsafe nil local follows its nil parent histogram through uninstrumented runs
-type Local struct {
-	h      *Histogram
-	counts []uint64
-	count  uint64
-	sum    float64
-}
-
-// Local returns a new per-shard recorder (nil on a nil histogram, so the
-// whole recording path stays nil-safe).
-func (h *Histogram) Local() *Local {
-	if h == nil {
-		return nil
-	}
-	return &Local{h: h, counts: make([]uint64, len(h.counts))}
-}
-
-// Observe records one value into the local batch. No synchronization, no
-// atomics: this is the per-record path.
-func (l *Local) Observe(v float64) {
-	if l == nil {
-		return
-	}
-	l.counts[l.h.bucketIndex(v)]++
-	l.count++
-	l.sum += v
-}
-
-// ObserveDuration records a duration in seconds.
-func (l *Local) ObserveDuration(d time.Duration) { l.Observe(d.Seconds()) }
-
-// Flush merges the batch into the shared histogram and resets the
-// recorder. Merge order across shards does not matter: every fold is a
-// commutative atomic add, which is what the merge-invariance test pins.
-func (l *Local) Flush() {
-	if l == nil || l.count == 0 {
-		return
-	}
-	for i, c := range l.counts {
-		if c != 0 {
-			l.h.counts[i].Add(c)
-			l.counts[i] = 0
-		}
-	}
-	l.h.count.Add(l.count)
-	l.h.addSum(l.sum)
-	l.count, l.sum = 0, 0
 }

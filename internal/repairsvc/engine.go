@@ -22,10 +22,11 @@
 //     (calibrated) RepairTable / RepairStream with the same seed and
 //     method — the property the serve-path equivalence tests pin.
 //   - Workers > 1 shards a table contiguously with per-shard streams
-//     r.Split(w), byte-identical to core.RepairTableParallel on labelled
-//     tables; streams are repaired in chunks with per-(chunk, shard)
-//     streams, reproducible for a fixed (seed, workers, chunk size)
-//     regardless of scheduling.
+//     r.Split(w), byte-identical on labelled tables to one core.Repairer
+//     per shard on that shard's stream; streams are repaired in chunks
+//     with per-(chunk, shard) streams, reproducible for a fixed (seed,
+//     workers, chunk size) regardless of scheduling. RepairTable is the
+//     repository's one sharded table path.
 //
 // The shard/chunk machinery — the split formulas, the clamp rule, the
 // serial drain — lives in internal/shardrun, its one owner.
@@ -249,9 +250,9 @@ func (e *Engine) check(r *rng.RNG, dim int) error {
 // passes blind.MethodHard, the zero value. With Workers == 1 it is
 // byte-identical to the reference repairer's RepairTable on the same RNG;
 // with Workers == w > 1 it shards contiguously on Split(w) streams via
-// shardrun.TableObs — byte-identical to core.RepairTableParallel with w
-// workers on labelled tables, including its clamp to a single Split(0)
-// shard on tables smaller than w.
+// shardrun.TableObs — on labelled tables, byte-identical to one
+// core.Repairer per shard on its split stream, including the clamp to a
+// single Split(0) shard on tables smaller than w.
 func (e *Engine) RepairTable(r *rng.RNG, method blind.Method, t *dataset.Table) (*dataset.Table, blind.Stats, core.Diagnostics, error) {
 	return e.RepairTableContext(context.Background(), r, method, t)
 }

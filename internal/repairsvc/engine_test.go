@@ -2,6 +2,7 @@ package repairsvc
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"otfair/internal/dataset"
 	"otfair/internal/fairmetrics"
 	"otfair/internal/rng"
+	"otfair/internal/shardrun"
 	"otfair/internal/simulate"
 )
 
@@ -97,8 +99,52 @@ func TestEngineSerialByteIdentical(t *testing.T) {
 	tablesEqual(t, streamed, want)
 }
 
-// TestEngineParallelMatchesCoreParallel pins workers=w to
-// core.RepairTableParallel with the same w.
+// shardedCoreRepair is the reference for a workers-way table repair:
+// shardrun.TableObs splits the table, and each shard's sub-table is
+// repaired by its own core.Repairer on the shard's split stream, every
+// shard over one shared sampler.
+func shardedCoreRepair(t *testing.T, plan *core.Plan, r *rng.RNG, tbl *dataset.Table, workers int) *dataset.Table {
+	t.Helper()
+	sampler, err := core.NewPlanSampler(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]*dataset.Table, shardrun.Slots(workers, tbl.Len()))
+	err = shardrun.TableObs(context.Background(), r, workers, tbl.Len(), nil, func(w int, rr *rng.RNG, lo, hi int) error {
+		rp, err := core.NewRepairerShared(sampler, rr, core.RepairOptions{})
+		if err != nil {
+			return err
+		}
+		sub, err := dataset.NewTable(tbl.Dim(), tbl.Names())
+		if err != nil {
+			return err
+		}
+		if err := sub.AppendAll(tbl.Records()[lo:hi]); err != nil {
+			return err
+		}
+		parts[w], err = rp.RepairTable(sub)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := dataset.NewTable(tbl.Dim(), tbl.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range parts {
+		if p == nil {
+			continue // slot of a shard the clamp dropped
+		}
+		if err := out.AppendAll(p.Records()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestEngineParallelMatchesCoreParallel pins workers=w to w contiguous
+// shards, each repaired by a core.Repairer on its own split stream.
 func TestEngineParallelMatchesCoreParallel(t *testing.T) {
 	plan, _, archive := testData(t, 2, 300, 2000, 40)
 	// The 1-record table exercises the worker clamp: both paths must fall
@@ -120,12 +166,103 @@ func TestEngineParallelMatchesCoreParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := core.RepairTableParallel(plan, rng.New(3), core.RepairOptions{}, tbl, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tablesEqual(t, got, want)
+			tablesEqual(t, got, shardedCoreRepair(t, plan, rng.New(3), tbl, workers))
 		}
+	}
+}
+
+// TestEngineParallelTableMatchesQuality checks the sharded table path
+// end to end: every value repaired, labels kept record for record, and
+// the repair actually removing the dependence.
+func TestEngineParallelTableMatchesQuality(t *testing.T) {
+	plan, _, archive := testData(t, 41, 500, 6000, 50)
+	engine, err := NewEngine(plan, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, diag, err := engine.RepairTable(rng.New(5), blind.MethodHard, archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != archive.Len() {
+		t.Fatalf("len %d != %d", out.Len(), archive.Len())
+	}
+	if diag.Repaired != int64(archive.Len()*archive.Dim()) {
+		t.Errorf("diag repaired = %d", diag.Repaired)
+	}
+	for i := 0; i < out.Len(); i++ {
+		if out.At(i).S != archive.At(i).S || out.At(i).U != archive.At(i).U {
+			t.Fatalf("record %d: labels scrambled", i)
+		}
+	}
+
+	cfg := fairmetrics.Config{Estimator: fairmetrics.EstimatorPlugin}
+	before, err := fairmetrics.E(archive, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := fairmetrics.E(out, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(after < before/3) {
+		t.Errorf("parallel table repair too weak: E %.4f -> %.4f", before, after)
+	}
+}
+
+// TestEngineParallelTableDeterministic: the same seed and worker count
+// reproduce the same bytes, on one engine and on a second one built
+// from the same plan.
+func TestEngineParallelTableDeterministic(t *testing.T) {
+	plan, _, archive := testData(t, 42, 300, 2000, 40)
+	repair := func(engine *Engine) *dataset.Table {
+		t.Helper()
+		out, _, _, err := engine.RepairTable(rng.New(7), blind.MethodHard, archive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, err := NewEngine(plan, Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewEngine(plan, Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := repair(a)
+	tablesEqual(t, repair(a), first)
+	tablesEqual(t, repair(b), first)
+}
+
+// TestEngineRepairTableValidation: bad arguments fail before any shard
+// runs, and an unlabelled record inside a shard of a labelled engine
+// fails the whole table with the shard's error.
+func TestEngineRepairTableValidation(t *testing.T) {
+	plan, _, archive := testData(t, 44, 200, 50, 20)
+	if _, err := NewEngine(nil, Options{Workers: 2}); err == nil {
+		t.Error("nil plan accepted")
+	}
+	engine, err := NewEngine(plan, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := engine.RepairTable(nil, blind.MethodHard, archive); err == nil {
+		t.Error("nil rng accepted")
+	}
+	if _, _, _, err := engine.RepairTable(rng.New(1), blind.MethodHard, nil); err == nil {
+		t.Error("nil table accepted")
+	}
+	if _, _, _, err := engine.RepairTable(rng.New(1), blind.MethodHard, dataset.MustTable(5, nil)); err == nil {
+		t.Error("dimension mismatch accepted")
+	}
+	out, _, _, err := engine.RepairTable(rng.New(1), blind.MethodHard, archive.DropS())
+	if !errors.Is(err, blind.ErrNoPosterior) {
+		t.Errorf("unlabelled records: got %v, want blind.ErrNoPosterior", err)
+	}
+	if out != nil {
+		t.Error("a failed table repair returned a table")
 	}
 }
 

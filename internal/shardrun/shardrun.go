@@ -1,18 +1,17 @@
 // Package shardrun is the deterministic chunked-shard runner under every
-// batched repair path: the serving engine (repairsvc.Engine, labelled and
-// s-unlabelled streams alike) and core.RepairTableParallel. Algorithm 2
-// treats every archival record independently, so all of them batch the
-// same way — records fanned across contiguous shards on split RNG
-// streams — and the determinism-critical split formulas live here, in
-// one place; shardrun depends only on internal/rng.
+// batched repair path: the serving engine's tables and streams
+// (repairsvc.Engine, labelled and s-unlabelled alike). Algorithm 2 treats
+// every archival record independently, so all of them batch the same
+// way — records fanned across contiguous shards on split RNG streams —
+// and the determinism-critical split formulas live here, in one place;
+// shardrun depends only on internal/rng.
 //
 // Determinism contract, pinned by the engine's differential tests:
 //
 //   - Table mode fans [0, n) across contiguous shards; shard w covers
 //     [w·n/W, (w+1)·n/W) and draws from r.Split(w), where W is the worker
 //     count clamped to n. A table smaller than two shards collapses to ONE
-//     shard covering everything on r.Split(0) — the clamp rule
-//     core.RepairTableParallel established.
+//     shard covering everything on r.Split(0).
 //   - Stream mode reads chunks of Options.ChunkSize; shard w of chunk c
 //     draws from r.Split(c·W + w) with W the configured (unclamped) worker
 //     count, so the stream of a fixed (seed, workers, chunk size) is

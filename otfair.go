@@ -182,13 +182,6 @@ func DesignQuantile(research *Table, amount float64) (*QuantilePlan, error) {
 	return core.DesignQuantile(research, amount)
 }
 
-// RepairTableParallel repairs a table across worker goroutines with
-// deterministic per-shard randomness; the batch-backfill variant of
-// Algorithm 2.
-func RepairTableParallel(plan *Plan, r *RNG, opts RepairOptions, t *Table, workers int) (*Table, Diagnostics, error) {
-	return core.RepairTableParallel(plan, r, opts, t, workers)
-}
-
 // ComputeMetric evaluates the full stratified E metric (Definition 2.4,
 // Eq. 3) on the labelled records of a table.
 func ComputeMetric(t *Table, cfg MetricConfig) (*MetricResult, error) {
@@ -249,7 +242,8 @@ type (
 	// BlindRepairer repairs records with unknown s by posterior imputation
 	// or group-blind pooled transport.
 	BlindRepairer = blind.Repairer
-	// BlindOptions selects the label-free strategy and posterior source.
+	// BlindOptions selects the label-free strategy and passes the
+	// Algorithm-2 repair options through.
 	BlindOptions = blind.Options
 	// BlindMethod enumerates the label-free strategies.
 	BlindMethod = blind.Method
@@ -276,7 +270,12 @@ const (
 )
 
 // NewBlindRepairer builds a repairer for s|u-unlabelled archives from the
-// labelled plan and the research table it was designed on.
+// labelled plan and the research table it was designed on. It fits what
+// its method needs of a Calibration — the QDA posterior (hard, draw, mix;
+// every (u, s) research group labelled) or the pooled marginals (pooled;
+// no s label read) — and binds it the way WithCalibration does: with a
+// calibration fitted on the same research table, a one-worker
+// BatchRepairer repairs byte-identically at the same seed and method.
 func NewBlindRepairer(plan *Plan, research *Table, r *RNG, opts BlindOptions) (*BlindRepairer, error) {
 	return blind.New(plan, research, r, opts)
 }

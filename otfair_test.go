@@ -204,7 +204,11 @@ func TestPublicAPIParallelRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, diag, err := otfair.RepairTableParallel(plan, otfair.NewRNG(14), otfair.RepairOptions{}, archive, 4)
+	engine, err := otfair.NewBatchRepairer(plan, otfair.BatchOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, diag, err := engine.RepairTable(otfair.NewRNG(14), otfair.BlindHard, archive)
 	if err != nil {
 		t.Fatal(err)
 	}
