@@ -169,8 +169,10 @@ endif
 # Stage-level micro-benchmarks (design, repair, solvers, metric, the
 # canonical plan encoder and the alias-slot sampler build on perfbench's
 # two plan shapes, kernels, and the decimal parser under both /v1/repair
-# decoders against strconv).
+# decoders against strconv), and the repeated-design layer: POST /v1/plans
+# through the handler over four cached research sets, with allocations.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkDesign$$|BenchmarkRepairTable$$|BenchmarkSolvers|BenchmarkEMetric$$|BenchmarkPlanSerialization|BenchmarkPlanSamplerBuild' -benchtime 10x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPlansPostRepeat$$' -benchtime 1000x .
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/vec/
 	$(GO) test -run '^$$' -bench 'BenchmarkParse$$' -benchtime 1000000x ./internal/atof/

@@ -20,6 +20,8 @@ import (
 	"otfair"
 	"otfair/internal/planstore"
 	"otfair/internal/repairsvc"
+	"otfair/internal/rng"
+	"otfair/internal/simulate"
 )
 
 // benchServeState designs one plan and archive for the throughput benches.
@@ -227,3 +229,53 @@ func benchServeOverload(b *testing.B, mult int) {
 func BenchmarkServeOverload1x(b *testing.B) { benchServeOverload(b, 1) }
 func BenchmarkServeOverload2x(b *testing.B) { benchServeOverload(b, 2) }
 func BenchmarkServeOverload4x(b *testing.B) { benchServeOverload(b, 4) }
+
+// BenchmarkPlansPostRepeat is the design layer of perfbench's
+// design_repeat workload: POST /v1/plans through the fairserved handler,
+// cycling over four 2 000-record research sets at monotone n_Q=100. Every
+// set is designed once before the clock starts, so each timed request
+// decodes the research CSV, hits the design-cell cache on every cell and
+// makes a duplicate store put. Allocations are reported per request.
+func BenchmarkPlansPostRepeat(b *testing.B) {
+	s, err := simulate.NewSampler(simulate.Paper())
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := make([][]byte, 4)
+	for i := range bodies {
+		research, err := s.Table(rng.New(uint64(i)+1), 2000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := research.WriteCSV(&buf); err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = buf.Bytes()
+	}
+	store, err := planstore.Open(b.TempDir(), planstore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	handler, err := repairsvc.NewServer(store, repairsvc.ServerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func(body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/plans?nq=100&solver=monotone", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "text/csv")
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("design: %d %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, body := range bodies {
+		post(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i%len(bodies)])
+	}
+}

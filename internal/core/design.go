@@ -79,22 +79,35 @@ type Plan struct {
 	unchecked   atomic.Bool
 }
 
-// Design implements Algorithm 1: for every u ∈ {0,1} and feature k it
-// builds the interpolated support, estimates the two s-conditional pmfs by
-// KDE, computes the W2 barycentric target, and solves the two OT plans.
-// The research table must contain all four (u,s) groups.
+// Design implements Algorithm 1 over a research table: DesignColumns on
+// the table's group columns.
 func Design(research *dataset.Table, opts Options) (*Plan, error) {
-	if research == nil || research.Len() == 0 {
+	if research == nil {
+		return nil, errors.New("core: empty research table")
+	}
+	return DesignColumns(&dataset.ResearchColumns{
+		Names:   research.Names(),
+		Records: research.Len(),
+		Cols:    research.GroupColumns(),
+	}, opts)
+}
+
+// DesignColumns implements Algorithm 1: for every u ∈ {0,1} and feature k
+// it builds the interpolated support, estimates the two s-conditional
+// pmfs by KDE, computes the W2 barycentric target, and solves the two OT
+// plans. The research set must contain all four (u,s) groups.
+func DesignColumns(research *dataset.ResearchColumns, opts Options) (*Plan, error) {
+	if research == nil || research.Records == 0 {
 		return nil, errors.New("core: empty research table")
 	}
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	cols := research.GroupColumns()
+	dim, cols := len(research.Names), research.Cols
 	plan := &Plan{
-		Dim:        research.Dim(),
-		Names:      append([]string(nil), research.Names()...),
+		Dim:        dim,
+		Names:      append([]string(nil), research.Names...),
 		Opts:       opts,
 		GroupSizes: make(map[dataset.Group]int, 4),
 	}
@@ -106,8 +119,8 @@ func Design(research *dataset.Table, opts Options) (*Plan, error) {
 		plan.GroupSizes[g] = n
 	}
 	for u := 0; u < 2; u++ {
-		plan.Cells[u] = make([]*Cell, research.Dim())
-		for k := 0; k < research.Dim(); k++ {
+		plan.Cells[u] = make([]*Cell, dim)
+		for k := 0; k < dim; k++ {
 			cell, err := DesignCell(cols[u][0][k], cols[u][1][k], opts)
 			if err != nil {
 				return nil, fmt.Errorf("core: designing (u=%d, k=%d): %w", u, k, err)

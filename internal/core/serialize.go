@@ -91,17 +91,22 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // A plan read from a store (ReadStoredPlan) has its first call check the
 // id it was read under instead, and fail if the bytes hash otherwise, so
 // its bytes are never stored under that id.
-func (p *Plan) MarshalCanonical() ([]byte, error) {
-	raw, err := p.appendCanonical(nil)
+func (p *Plan) MarshalCanonical() ([]byte, error) { return p.AppendCanonical(nil) }
+
+// AppendCanonical is MarshalCanonical appending to b: it returns b
+// extended by the canonical bytes, and records or checks the fingerprint
+// of those bytes alone as MarshalCanonical does.
+func (p *Plan) AppendCanonical(b []byte) ([]byte, error) {
+	raw, err := p.appendCanonical(b)
 	if err != nil {
 		return nil, err
 	}
-	switch id := p.fingerprint.Load(); {
+	switch id, own := p.fingerprint.Load(), raw[len(b):]; {
 	case id == nil:
-		h := FingerprintBytes(raw)
+		h := FingerprintBytes(own)
 		p.fingerprint.Store(&h)
 	case p.unchecked.Load():
-		if got := FingerprintBytes(raw); got != *id {
+		if got := FingerprintBytes(own); got != *id {
 			return nil, fmt.Errorf("core: plan stored as %s is not canonical JSON (its canonical bytes hash to %s)", *id, got)
 		}
 		p.unchecked.Store(false)
@@ -115,14 +120,19 @@ func (p *Plan) MarshalCanonical() ([]byte, error) {
 // content (including options) share a fingerprint; any semantic change
 // yields a new one. A plan the store has Put, or that was fingerprinted
 // before, returns the hash MarshalCanonical recorded without encoding
-// again (a Plan is immutable, see its doc).
+// again (a Plan is immutable, see its doc); a first call hashes the plan
+// through a pooled buffer.
 func (p *Plan) Fingerprint() (string, error) {
 	if id := p.fingerprint.Load(); id != nil {
 		return *id, nil
 	}
-	if _, err := p.MarshalCanonical(); err != nil {
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	raw, err := p.AppendCanonical((*bp)[:0])
+	if err != nil {
 		return "", err
 	}
+	*bp = raw
 	return *p.fingerprint.Load(), nil
 }
 

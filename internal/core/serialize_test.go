@@ -447,9 +447,9 @@ func TestConcurrentEncodesShareCells(t *testing.T) {
 }
 
 // TestRepeatFingerprintAllocs pins what a repeated design pays to
-// fingerprint a new plan over memoized cells: the output buffer, the id
-// text and the pointer the plan records it through — nothing per cell
-// and nothing for the header.
+// fingerprint a new plan over memoized cells: the id text and the pointer
+// the plan records it through — the encoding goes through a pooled
+// buffer, and there is nothing per cell and nothing for the header.
 func TestRepeatFingerprintAllocs(t *testing.T) {
 	research, _ := paperData(t, 37, 200, 0)
 	p, err := Design(research, Options{NQ: 12})
@@ -465,7 +465,11 @@ func TestRepeatFingerprintAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const runs = 20
+	// Under -race, sync.Pool drops a quarter of its Puts, and the encode
+	// after a drop allocates the buffer again (two allocations). Over 200
+	// runs that averages half an allocation, which AllocsPerRun's integer
+	// mean rounds away, so the pin is exact with and without -race.
+	const runs = 200
 	plans := make([]*Plan, runs+1) // AllocsPerRun calls once more to warm up
 	for i := range plans {
 		plans[i] = relabelled(p, p.Names, p.GroupSizes)
@@ -478,7 +482,7 @@ func TestRepeatFingerprintAllocs(t *testing.T) {
 			t.Fatalf("Fingerprint = %s, %v, want %s", id, err, wantID)
 		}
 	})
-	if allocs != 3 {
-		t.Fatalf("repeat Fingerprint allocates %v times, want 3 (buffer, id, its record)", allocs)
+	if allocs != 2 {
+		t.Fatalf("repeat Fingerprint allocates %v times, want 2 (id, its record)", allocs)
 	}
 }

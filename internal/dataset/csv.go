@@ -95,6 +95,65 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	}
 }
 
+// ResearchColumns is a research set held as the feature columns of its
+// four labelled (u, s) groups, the form Algorithm 1 reads it in.
+type ResearchColumns struct {
+	// Names are the feature names, one per column of a group.
+	Names []string
+	// Records counts every record of the set, those of unknown s included.
+	Records int
+	// Cols[u][s][k] is feature k of group (u, s) in record order, as
+	// Table.GroupColumns returns it: d columns per group, nil for an
+	// empty group.
+	Cols [2][2][][]float64
+}
+
+// ReadResearchColumns reads a research set in the WriteCSV layout straight
+// into its group columns, with no table and no per-record feature vector
+// in between. It accepts and rejects exactly the bytes ReadCSV does, with
+// the same error text, and its Cols equal ReadCSV(r).GroupColumns().
+func ReadResearchColumns(r io.Reader) (*ResearchColumns, error) {
+	rows, header, err := newRowReader(r, "line")
+	if err != nil {
+		return nil, fmt.Errorf("dataset: reading header: %w", err)
+	}
+	if !validHeader(header) {
+		return nil, fmt.Errorf("dataset: header must start with s,u followed by features, got %v", header)
+	}
+	rc := &ResearchColumns{Names: header[2:]}
+	for u := range rc.Cols {
+		for s := range rc.Cols[u] {
+			rc.Cols[u][s] = make([][]float64, rows.dim)
+		}
+	}
+	x := make([]float64, rows.dim)
+	for {
+		line, err := rows.nextRow()
+		if err == io.EOF {
+			return rc, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		rec, err := rows.parseRow(line, x)
+		if err != nil {
+			return nil, err
+		}
+		// Table.Append's check, so a record is refused as ReadCSV refuses it.
+		if err := rec.Validate(rows.dim); err != nil {
+			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
+		}
+		rc.Records++
+		if rec.S == SUnknown {
+			continue
+		}
+		g := rc.Cols[rec.U][rec.S]
+		for k, v := range x {
+			g[k] = append(g[k], v)
+		}
+	}
+}
+
 // validHeader reports whether a header row is "s,u" and at least one
 // feature name.
 func validHeader(header []string) bool {
@@ -162,19 +221,37 @@ func newRowReader(r io.Reader, what string) (*rowReader, []string, error) {
 var errLongLine = errors.New("dataset: line longer than the read buffer")
 
 // next returns the next record and the physical line its row starts on,
-// or io.EOF after the last row.
+// or io.EOF after the last row. The record's X is carved from the slab.
 func (rr *rowReader) next() (Record, int, error) {
+	line, err := rr.nextRow()
+	if err != nil {
+		return Record{}, line, err
+	}
+	if len(rr.slab) < rr.dim {
+		rr.slab = make([]float64, rr.dim*slabRecords)
+	}
+	rec, err := rr.parseRow(line, rr.slab[:rr.dim:rr.dim])
+	if err != nil {
+		return Record{}, line, err
+	}
+	rr.slab = rr.slab[rr.dim:]
+	return rec, line, nil
+}
+
+// nextRow cuts the next row into rr.fields and returns the physical line
+// it starts on, or io.EOF after the last row.
+func (rr *rowReader) nextRow() (int, error) {
 	for {
 		content, size, err := rr.peekLine()
 		if err == io.EOF {
-			return Record{}, 0, io.EOF
+			return 0, io.EOF
 		}
 		if err == errLongLine || err == nil && !rr.split(content) {
 			return rr.readCSVRow()
 		}
 		line := rr.scanned + rr.csvLine + 1
 		if err != nil {
-			return Record{}, line, fmt.Errorf("dataset: %s %d: %w", rr.what, line, err)
+			return line, fmt.Errorf("dataset: %s %d: %w", rr.what, line, err)
 		}
 		// The line is buffered, so Discard cannot fail, and the fields
 		// stay valid until the next read.
@@ -184,11 +261,10 @@ func (rr *rowReader) next() (Record, int, error) {
 			continue // a blank line, which encoding/csv skips too
 		}
 		if len(rr.fields) != rr.dim+2 {
-			return Record{}, line, fmt.Errorf("dataset: %s %d: %w", rr.what, line,
+			return line, fmt.Errorf("dataset: %s %d: %w", rr.what, line,
 				&csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount})
 		}
-		rec, err := rr.parseRow(line)
-		return rec, line, err
+		return line, nil
 	}
 }
 
@@ -271,12 +347,12 @@ func trimLeftSpace(f []byte) []byte {
 	return f
 }
 
-// readCSVRow reads the next row with encoding/csv, renumbering its lines
-// past the ones the scanner consumed.
-func (rr *rowReader) readCSVRow() (Record, int, error) {
+// readCSVRow reads the next row with encoding/csv into rr.fields,
+// renumbering its lines past the ones the scanner consumed.
+func (rr *rowReader) readCSVRow() (int, error) {
 	row, err := rr.cr.Read()
 	if err == io.EOF {
-		return Record{}, 0, io.EOF
+		return 0, io.EOF
 	}
 	if err != nil {
 		line := rr.scanned + rr.csvLine + 1
@@ -286,7 +362,7 @@ func (rr *rowReader) readCSVRow() (Record, int, error) {
 			renumbered.Line += rr.scanned
 			err, line = &renumbered, renumbered.StartLine
 		}
-		return Record{}, line, fmt.Errorf("dataset: %s %d: %w", rr.what, line, err)
+		return line, fmt.Errorf("dataset: %s %d: %w", rr.what, line, err)
 	}
 	// The row's fields hold every line break it spans: a quoted field
 	// keeps each one as a single '\n'.
@@ -296,9 +372,7 @@ func (rr *rowReader) readCSVRow() (Record, int, error) {
 	for _, f := range row {
 		rr.fields = append(rr.fields, []byte(f))
 	}
-	line := rr.scanned + first
-	rec, err := rr.parseRow(line)
-	return rec, line, err
+	return rr.scanned + first, nil
 }
 
 // newlines counts the line breaks inside a row's fields.
@@ -311,13 +385,11 @@ func newlines(row []string) int {
 }
 
 // parseRow decodes rr.fields, a row of the header's field count as
-// encoding/csv returns it. The errors quote a field as it stands there.
-func (rr *rowReader) parseRow(line int) (Record, error) {
+// encoding/csv returns it, into a record whose features are written to x
+// (dim long). The errors quote a field as it stands there.
+func (rr *rowReader) parseRow(line int, x []float64) (Record, error) {
 	row := rr.fields
-	if len(rr.slab) < rr.dim {
-		rr.slab = make([]float64, rr.dim*slabRecords)
-	}
-	rec := Record{X: rr.slab[:rr.dim:rr.dim]}
+	rec := Record{X: x}
 	sField := bytes.TrimSpace(row[0])
 	if len(sField) == 0 || len(sField) == 1 && sField[0] == '?' {
 		rec.S = SUnknown
@@ -340,7 +412,6 @@ func (rr *rowReader) parseRow(line int) (Record, error) {
 		}
 		rec.X[k] = v
 	}
-	rr.slab = rr.slab[rr.dim:]
 	return rec, nil
 }
 

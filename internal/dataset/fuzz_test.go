@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,4 +200,56 @@ func FuzzCSVStream(f *testing.F) {
 		}
 		sameRecords(t, "round trip", back.Records(), table.Records())
 	})
+}
+
+// FuzzResearchColumns is a differential target: ReadResearchColumns must
+// accept and reject exactly the bytes ReadCSV does, with the same error
+// text, and on accepted bytes hold the record count, names and group
+// columns — features compared bitwise, an empty group's columns nil — of
+// ReadCSV's table and its GroupColumns. Its seeds under
+// testdata/fuzz/FuzzResearchColumns are FuzzResearchSet's research CSVs
+// (internal/researchfeed).
+func FuzzResearchColumns(f *testing.F) {
+	// Every group, unknown s, a quoted row read by encoding/csv, -0.
+	f.Add([]byte("s,u,a,b\n0,0,1,2\n,1,3,4\n1,0,5,6\n\"1\",1,7,8\n?,0,9,1e3\n0,1,-0,0.5\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rc, err := ReadResearchColumns(bytes.NewReader(data))
+		tbl, wantErr := ReadCSV(bytes.NewReader(data))
+		sameError(t, "ReadResearchColumns", err, wantErr)
+		if err != nil {
+			return
+		}
+		if rc.Records != tbl.Len() {
+			t.Fatalf("%d records, ReadCSV %d", rc.Records, tbl.Len())
+		}
+		if !slices.Equal(rc.Names, tbl.Names()) {
+			t.Fatalf("names %q, ReadCSV %q", rc.Names, tbl.Names())
+		}
+		sameColumns(t, rc.Cols, tbl.GroupColumns())
+	})
+}
+
+// sameColumns fails t unless got and want have the same shape, nil-ness
+// and bitwise-equal values.
+func sameColumns(t *testing.T, got, want [2][2][][]float64) {
+	t.Helper()
+	for u := range want {
+		for s := range want[u] {
+			g, w := got[u][s], want[u][s]
+			if len(g) != len(w) {
+				t.Fatalf("group (u=%d,s=%d): %d columns, want %d", u, s, len(g), len(w))
+			}
+			for k := range w {
+				if (g[k] == nil) != (w[k] == nil) || len(g[k]) != len(w[k]) {
+					t.Fatalf("group (u=%d,s=%d) column %d: %d values (nil %v), want %d (nil %v)",
+						u, s, k, len(g[k]), g[k] == nil, len(w[k]), w[k] == nil)
+				}
+				for i := range w[k] {
+					if math.Float64bits(g[k][i]) != math.Float64bits(w[k][i]) {
+						t.Fatalf("group (u=%d,s=%d) column %d value %d: %v, want %v", u, s, k, i, g[k][i], w[k][i])
+					}
+				}
+			}
+		}
+	}
 }

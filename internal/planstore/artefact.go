@@ -68,13 +68,14 @@ func (e *CorruptArtefactError) Unwrap() error { return e.Err }
 type Artefacts[T any] struct {
 	dir  string
 	kind string // artefact noun for error messages ("plan", "calibration")
-	// encode serializes a value to its canonical bytes and returns their
-	// fingerprint with them (a value that already knows its hash saves
-	// Put hashing the buffer again); decode validates and deserializes
-	// them again and must fail loudly on corrupted input: the store trusts
-	// it as the read-path gate. decode is handed the id the bytes were
-	// just verified to hash to (a value that records its hash keeps it).
-	encode func(T) ([]byte, string, error)
+	// encode appends a value's canonical bytes to dst, a pooled buffer
+	// Put owns, and returns the extended buffer with the bytes'
+	// fingerprint (a value that already knows its hash saves Put hashing
+	// the buffer again); decode validates and deserializes them again and
+	// must fail loudly on corrupted input: the store trusts it as the
+	// read-path gate. decode is handed the id the bytes were just verified
+	// to hash to (a value that records its hash keeps it).
+	encode func(dst []byte, v T) ([]byte, string, error)
 	decode func(raw []byte, id string) (T, error)
 	opts   Options
 
@@ -103,10 +104,11 @@ type cacheEntry[T any] struct {
 }
 
 // OpenArtefacts creates (if needed) and opens an artefact namespace rooted
-// at dir. kind names the artefact in errors; encode produces the bytes
-// every Put stores, with their fingerprint, and decode gates every disk
-// read, given the bytes and the fingerprint they were verified against.
-func OpenArtefacts[T any](dir, kind string, encode func(T) ([]byte, string, error), decode func(raw []byte, id string) (T, error), opts Options) (*Artefacts[T], error) {
+// at dir. kind names the artefact in errors; encode appends the bytes
+// every Put stores to the buffer it is handed and returns them with their
+// fingerprint, and decode gates every disk read, given the bytes and the
+// fingerprint they were verified against.
+func OpenArtefacts[T any](dir, kind string, encode func(dst []byte, v T) ([]byte, string, error), decode func(raw []byte, id string) (T, error), opts Options) (*Artefacts[T], error) {
 	if dir == "" {
 		return nil, errors.New("planstore: empty directory")
 	}
@@ -158,16 +160,23 @@ func (a *Artefacts[T]) path(id string) string {
 	return filepath.Join(a.dir, id+".json")
 }
 
+// putBufs recycles the buffers Put encodes artefacts into: a duplicate
+// Put — every repeated design — hashes its bytes there and writes none.
+var putBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Put persists an artefact, returning its content fingerprint and whether
 // this call created the entry. The fingerprint is the one the encode step
 // returns with the bytes — for a plan, plan.Fingerprint(), hashed once
 // per plan — and v is kept hot in the LRU. Storing content the store
 // already holds is a cheap no-op (created == false).
 func (a *Artefacts[T]) Put(v T) (id string, created bool, err error) {
-	raw, id, err := a.encode(v)
+	bp := putBufs.Get().(*[]byte)
+	defer putBufs.Put(bp)
+	raw, id, err := a.encode((*bp)[:0], v)
 	if err != nil {
 		return "", false, err
 	}
+	*bp = raw
 	path := a.path(id)
 	// Content-addressed: an existing file with this name holds these bytes
 	// already (or a corruption the decoder will catch loudly). Refreshing

@@ -123,15 +123,15 @@ type Store = Artefacts[*core.Plan]
 
 // Open creates (if needed) and opens a plan store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
-	return OpenArtefacts(dir, "plan", func(plan *core.Plan) ([]byte, string, error) {
+	return OpenArtefacts(dir, "plan", func(dst []byte, plan *core.Plan) ([]byte, string, error) {
 		if plan == nil {
 			return nil, "", errors.New("planstore: nil plan")
 		}
-		raw, err := plan.MarshalCanonical()
+		raw, err := plan.AppendCanonical(dst)
 		if err != nil {
 			return nil, "", err
 		}
-		// Recorded by MarshalCanonical (or before it): no second hash.
+		// Recorded by AppendCanonical (or before it): no second hash.
 		id, err := plan.Fingerprint()
 		return raw, id, err
 	}, core.ReadStoredPlan, opts)
@@ -146,11 +146,15 @@ type CalibrationStore = Artefacts[*blind.Calibration]
 // under a store root — typically the same directory a plan Store is rooted
 // at, so one -store flag provisions both tiers.
 func OpenCalibrations(root string, opts Options) (*CalibrationStore, error) {
-	return OpenArtefacts(filepath.Join(root, "calibrations"), "calibration", func(cal *blind.Calibration) ([]byte, string, error) {
+	return OpenArtefacts(filepath.Join(root, "calibrations"), "calibration", func(dst []byte, cal *blind.Calibration) ([]byte, string, error) {
 		if cal == nil {
 			return nil, "", errors.New("planstore: nil calibration")
 		}
-		return hashed(cal.MarshalCanonical())
+		buf := bytes.NewBuffer(dst)
+		if err := cal.WriteJSON(buf); err != nil {
+			return nil, "", err
+		}
+		return hashed(buf.Bytes(), nil)
 	}, func(raw []byte, _ string) (*blind.Calibration, error) {
 		return blind.ReadCalibration(bytes.NewReader(raw))
 	}, opts)
@@ -170,12 +174,12 @@ type ResearchStore = Artefacts[*dataset.Table]
 // a store root — typically the same directory the plan Store is rooted
 // at, so one -store flag provisions every tier.
 func OpenResearch(root string, opts Options) (*ResearchStore, error) {
-	return OpenArtefacts(filepath.Join(root, "research"), "research set", func(tbl *dataset.Table) ([]byte, string, error) {
+	return OpenArtefacts(filepath.Join(root, "research"), "research set", func(dst []byte, tbl *dataset.Table) ([]byte, string, error) {
 		if tbl == nil || tbl.Len() == 0 {
 			return nil, "", errors.New("planstore: empty research set")
 		}
-		var buf bytes.Buffer
-		if err := tbl.WriteCSV(&buf); err != nil {
+		buf := bytes.NewBuffer(dst)
+		if err := tbl.WriteCSV(buf); err != nil {
 			return nil, "", err
 		}
 		return hashed(buf.Bytes(), nil)

@@ -13,7 +13,7 @@ import (
 
 // rawEncoder and rawDecoder store bytes as-is; corruption tests rely on
 // the fingerprint check, not the decoder.
-func rawEncoder(v []byte) ([]byte, string, error) { return v, fingerprint(v), nil }
+func rawEncoder(dst, v []byte) ([]byte, string, error) { return append(dst, v...), fingerprint(v), nil }
 func rawDecoder(raw []byte, _ string) ([]byte, error) {
 	return append([]byte(nil), raw...), nil
 }

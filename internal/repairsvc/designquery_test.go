@@ -84,6 +84,43 @@ func TestPlansPostRejectsNonConvergedSinkhorn(t *testing.T) {
 	assertStoreEmpty(t, store)
 }
 
+// unreadBody is a request body that records whether anything read it.
+type unreadBody struct{ read bool }
+
+func (b *unreadBody) Read([]byte) (int, error) {
+	b.read = true
+	return 0, io.EOF
+}
+
+// TestPlansPostRefusesQueryBeforeBody: a design request with a bad query
+// is a 400 before the research body is read, so a client that got a
+// parameter wrong is not made to upload (and the server to parse) the
+// whole set first. Nothing is stored.
+func TestPlansPostRefusesQueryBeforeBody(t *testing.T) {
+	store, err := planstore.Open(t.TempDir(), planstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(store, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"nq=abc", "nq=4097&solver=sinkhorn", "solver=bogus", "t=x", "kernel=nope"} {
+		body := &unreadBody{}
+		req := httptest.NewRequest(http.MethodPost, "/v1/plans?"+query, body)
+		req.Header.Set("Content-Type", "text/csv")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d %s, want 400", query, rec.Code, rec.Body.Bytes())
+		}
+		if body.read {
+			t.Errorf("%s: the body was read before the query was refused", query)
+		}
+	}
+	assertStoreEmpty(t, store)
+}
+
 // FuzzDesignOptionsFromQuery drives the design-query parser with arbitrary
 // query strings: it must never panic, and no query it accepts may carry
 // an nq above maxQueryNQ.

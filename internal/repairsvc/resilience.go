@@ -107,34 +107,71 @@ type resilienceCounters struct {
 
 // spoolChunk is the reservation granularity of the byte-budget spool
 // copy: small enough that concurrent spools interleave fairly, large
-// enough that the gate mutex is not contended per read.
+// enough that the gate mutex is not contended per read. It is also the
+// most of a body held in memory: a request's pooled buffer is one chunk.
 const spoolChunk = 256 << 10
 
-// spoolBody copies the request body into the spool, reserving the byte
-// budget chunk by chunk as the copy progresses (Content-Length is
+// errSpoolFile marks a failure of the spool file itself — creating,
+// writing or rewinding it — a server fault, not a bad request.
+var errSpoolFile = errors.New("repairsvc: spool file")
+
+// spoolBody reads the request body into b, reserving the byte budget
+// chunk by chunk as the copy progresses (Content-Length is
 // client-supplied and absent on chunked uploads, so the only honest
-// accounting is of bytes actually landed). It returns the bytes
-// reserved — the caller must free them when the request completes —
-// and errShed when the budget runs out mid-copy.
-func (s *Server) spoolBody(spool *bodySpool, body io.Reader) (reserved int64, err error) {
+// accounting is of bytes actually landed). Each chunk is read into b's
+// pooled buffer: a body that ends within the first chunk stays there, and
+// a longer one is written out chunk by chunk to an unlinked spool file,
+// rewound for reading. It returns the bytes reserved — the caller must
+// free them when the request completes — and errShed when the budget runs
+// out mid-copy.
+func (s *Server) spoolBody(b *requestBody, body io.Reader) (reserved int64, err error) {
+	buf := *b.buf
 	for {
 		if !s.gate.reserve(spoolChunk) {
 			return reserved, errShed
 		}
 		reserved += spoolChunk
-		n, cerr := io.CopyN(spool, body, spoolChunk)
+		n, rerr := fill(body, buf)
 		if n < spoolChunk {
 			// Short chunk (EOF or error): return the unused reservation.
-			s.gate.free(spoolChunk - n)
-			reserved -= spoolChunk - n
+			s.gate.free(spoolChunk - int64(n))
+			reserved -= spoolChunk - int64(n)
 		}
-		if cerr == io.EOF {
+		ended := rerr == io.EOF
+		if rerr != nil && !ended {
+			return reserved, rerr
+		}
+		if ended && b.file == nil {
+			b.mem.Reset(buf[:n])
 			return reserved, nil
 		}
-		if cerr != nil {
-			return reserved, cerr
+		if b.file == nil {
+			if b.file, err = newBodySpool(); err != nil {
+				return reserved, fmt.Errorf("%w: %w", errSpoolFile, err)
+			}
+		}
+		if _, err := b.file.Write(buf[:n]); err != nil {
+			return reserved, fmt.Errorf("%w: %w", errSpoolFile, err)
+		}
+		if ended {
+			if _, err := b.file.Seek(0, io.SeekStart); err != nil {
+				return reserved, fmt.Errorf("%w: %w", errSpoolFile, err)
+			}
+			return reserved, nil
 		}
 	}
+}
+
+// fill reads body into buf until buf is full or the read fails; err is
+// io.EOF when the body ended. Unlike io.ReadFull it keeps a body's own
+// io.ErrUnexpectedEOF (a truncated upload) apart from a clean end.
+func fill(body io.Reader, buf []byte) (n int, err error) {
+	for n < len(buf) && err == nil {
+		var m int
+		m, err = body.Read(buf[n:])
+		n += m
+	}
+	return n, err
 }
 
 // shed writes the 429 every gate refusal maps to, with the Retry-After

@@ -1,11 +1,11 @@
 package repairsvc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"mime"
 	"net/http"
@@ -68,9 +68,11 @@ type ServerOptions struct {
 	// (default 64, -1 = unlimited). Excess load is shed with 429 and a
 	// Retry-After hint instead of queueing without bound.
 	MaxInflight int
-	// MaxQueuedBytes bounds the total request-body bytes spooled to disk
-	// across all admitted repair requests (default 4 GiB, -1 = unlimited).
-	// A spool that would exceed it is shed with 429 mid-upload.
+	// MaxQueuedBytes bounds the total request-body bytes spooled across
+	// all admitted repair requests (default 4 GiB, -1 = unlimited). A body
+	// is held in memory up to one chunk, else spooled to disk; either way
+	// its bytes count here. A spool that would exceed it is shed with 429
+	// mid-upload.
 	MaxQueuedBytes int64
 	// DefaultDeadline is the server-wide per-request repair budget
 	// (0 = none). Requests may tighten or set it with ?deadline_ms=; a
@@ -229,6 +231,8 @@ func errStatusOr(err error, fallback int) int {
 		return http.StatusBadRequest
 	case errors.Is(err, errCalibrationMismatch):
 		return http.StatusConflict
+	case errors.Is(err, errSpoolFile):
+		return http.StatusInternalServerError
 	default:
 		return fallback
 	}
@@ -790,17 +794,18 @@ func (s *Server) handlePlansPost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case ct == "text/csv" || ct == "":
-		research, rerr := dataset.ReadCSV(r.Body)
-		if rerr != nil {
-			httpError(w, errStatusOr(rerr, http.StatusBadRequest), "invalid research csv: %v", rerr)
-			return
-		}
+		// The query is refused before the body is read.
 		opts, oerr := designOptionsFromQuery(r)
 		if oerr != nil {
 			httpError(w, http.StatusBadRequest, "%v", oerr)
 			return
 		}
-		plan, err = core.Design(research, opts)
+		research, rerr := dataset.ReadResearchColumns(r.Body)
+		if rerr != nil {
+			httpError(w, errStatusOr(rerr, http.StatusBadRequest), "invalid research csv: %v", rerr)
+			return
+		}
+		plan, err = core.DesignColumns(research, opts)
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, "design failed: %v", err)
 			return
@@ -989,18 +994,15 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// Spool the request body before writing any response byte. Go's
 	// HTTP/1.1 server tears down the request body on the first response
 	// write, and half-duplex clients (curl) deadlock on true bidirectional
-	// streams anyway; a disk spool keeps memory O(1) in records while the
-	// response still streams out as repair progresses.
+	// streams anyway. A body is held in memory up to one chunk, else
+	// spooled to disk, so memory stays O(1) in records while the response
+	// still streams out as repair progresses.
 	tr.Begin(obs.StageSpool)
-	spool, err := newBodySpool()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "spooling request: %v", err)
-		return
-	}
+	spool := newRequestBody()
 	defer spool.Close()
 	// The spool draws on the server-wide queued-bytes budget for the
-	// request's whole lifetime (the bytes occupy the disk until the spool
-	// closes, not just while they upload).
+	// request's whole lifetime (the bytes occupy memory or disk until the
+	// spool closes, not just while they upload).
 	reserved, err := s.spoolBody(spool, r.Body)
 	defer s.gate.free(reserved)
 	if err != nil {
@@ -1009,10 +1011,6 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		httpError(w, errStatusOr(err, http.StatusBadRequest), "reading request: %v", err)
-		return
-	}
-	if _, err := spool.Seek(0, io.SeekStart); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	tr.End(obs.StageSpool)
@@ -1117,6 +1115,50 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.End(obs.StageFlush)
+}
+
+// spoolBufs recycles the spoolChunk-byte first-chunk buffers of request
+// bodies. A request holds one from newRequestBody to Close, so the memory
+// they take is bounded by the concurrent repairs times one chunk.
+var spoolBufs = sync.Pool{New: func() any {
+	buf := make([]byte, spoolChunk)
+	return &buf
+}}
+
+// requestBody is a spooled repair request body, read back from its start:
+// from a pooled buffer when the body ends within the first chunk, from an
+// unlinked bodySpool file otherwise (see Server.spoolBody).
+type requestBody struct {
+	buf  *[]byte
+	mem  bytes.Reader
+	file *bodySpool
+}
+
+func newRequestBody() *requestBody {
+	return &requestBody{buf: spoolBufs.Get().(*[]byte)}
+}
+
+func (b *requestBody) Read(p []byte) (int, error) {
+	if b.file != nil {
+		return b.file.Read(p)
+	}
+	return b.mem.Read(p)
+}
+
+// Close closes the spool file, if there is one, and returns the buffer to
+// the pool: nothing may read the body after it.
+func (b *requestBody) Close() error {
+	var err error
+	if b.file != nil {
+		err = b.file.Close()
+		b.file = nil
+	}
+	b.mem.Reset(nil)
+	if b.buf != nil {
+		spoolBufs.Put(b.buf)
+		b.buf = nil
+	}
+	return err
 }
 
 // bodySpool is a request-body spool file whose directory entry is unlinked
