@@ -9,15 +9,15 @@ import (
 )
 
 // runLabelEst implements `fairrepair labelest`: estimate ŝ|u labels for an
-// archival CSV whose protected attributes are missing, anchored on a
-// labelled research CSV (Section IV requirement 5 of the paper).
+// archival CSV whose protected attributes are missing (Section IV
+// requirement 5 of the paper). Each record gets the MAP label of the QDA
+// posterior fitted on the labelled research CSV.
 func runLabelEst(args []string) error {
 	fs := flag.NewFlagSet("labelest", flag.ExitOnError)
 	var (
 		researchPath = fs.String("research", "", "labelled research CSV (required)")
 		inPath       = fs.String("in", "", "archival CSV with missing s labels (required)")
 		outPath      = fs.String("out", "", "output CSV with estimated labels (required)")
-		seed         = fs.Uint64("seed", 1, "EM initialisation seed")
 	)
 	fs.Parse(args)
 	if *researchPath == "" || *inPath == "" || *outPath == "" {
@@ -41,13 +41,16 @@ func runLabelEst(args []string) error {
 	if err != nil {
 		return err
 	}
-	est, err := otfair.NewLabelEstimator(research, archive, otfair.NewRNG(*seed), otfair.LabelOptions{})
+	qda, err := otfair.NewQDA(research)
 	if err != nil {
 		return err
 	}
-	labelled, err := est.Label(archive)
-	if err != nil {
-		return err
+	labelled := archive.Clone()
+	for i := range labelled.Records() {
+		rec := &labelled.Records()[i]
+		if rec.S, err = qda.Classify(*rec); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
 	}
 	out, err := os.Create(*outPath)
 	if err != nil {
@@ -66,7 +69,7 @@ func runLabelEst(args []string) error {
 	}
 	fmt.Printf("labelled %d records -> %s\n", labelled.Len(), *outPath)
 	if known > 0 {
-		acc, err := est.Accuracy(archive)
+		acc, err := qda.Accuracy(archive)
 		if err == nil {
 			fmt.Printf("agreement with the %d pre-labelled records: %.3f\n", known, acc)
 		}

@@ -71,7 +71,7 @@ commands:
   blindrepair  repair an archive whose s labels are missing (hard/draw/mix/pooled)
   monitor      screen an archival CSV against a plan for distribution drift
   evaluate     report the E fairness metric of a CSV
-  labelest     estimate missing s labels for an archive from research data
+  labelest     label an archive's missing s by the research-fitted QDA
   inspect      print a saved plan's structure and transport costs
 
 run "fairrepair <command> -h" for flags

@@ -57,25 +57,6 @@ func main() {
 	researchY := income[:nR]
 	archiveY := income[nR:]
 
-	// The archive's protected attributes were never recorded: estimate
-	// ŝ|u with per-u Gaussian mixtures anchored on the research groups
-	// (Section IV, requirement 5).
-	blind := archive.DropS()
-	est, err := otfair.NewLabelEstimator(research, blind, otfair.NewRNG(5), otfair.LabelOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	acc, err := est.Accuracy(archive)
-	if err != nil {
-		log.Fatal(err)
-	}
-	labelled, err := est.Label(blind)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("estimated s|u labels for %d archival rows (accuracy vs ground truth: %.3f)\n",
-		labelled.Len(), acc)
-
 	// Design on research, repair the archive. Age and hours are integer
 	// valued with a heavy atom at 40 h, so kernel dithering is on.
 	plan, err := otfair.Design(research, otfair.DesignOptions{NQ: 250})
@@ -83,11 +64,31 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := otfair.RepairOptions{KernelDither: true, Jitter: true}
-	rep, err := otfair.NewRepairer(plan, otfair.NewRNG(6), opts)
+
+	// The archive's protected attributes were never recorded: repair each
+	// record under the MAP label ŝ|u of the QDA posterior fitted on the
+	// research groups (Section IV, requirement 5).
+	qda, err := otfair.NewQDA(research)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repairedEst, err := rep.RepairTable(labelled)
+	acc, err := qda.Accuracy(archive)
+	if err != nil {
+		log.Fatal(err)
+	}
+	blindRep, err := otfair.NewBlindRepairer(plan, research, otfair.NewRNG(5),
+		otfair.BlindOptions{Method: otfair.BlindHard, Repair: opts})
+	if err != nil {
+		log.Fatal(err)
+	}
+	repairedEst, err := blindRep.RepairTable(archive.DropS())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("estimated s|u labels for %d archival rows (accuracy vs ground truth: %.3f)\n",
+		repairedEst.Len(), acc)
+
+	rep, err := otfair.NewRepairer(plan, otfair.NewRNG(6), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -139,10 +139,9 @@ func (g *gaussian) logPDF(x []float64) float64 {
 
 // QDA is a supervised quadratic-discriminant posterior Pr[s | x, u] fitted on
 // the labelled research set: one full-covariance Gaussian per (u, s) group
-// plus the empirical class priors Pr[s|u]. Unlike the unsupervised
-// mixture.LabelEstimator — which needs the archive up front to fit its EM
-// mixture — QDA is learned entirely at design time, so it can soft-label an
-// unbounded archival stream record by record.
+// plus the empirical class priors Pr[s|u]. It is learned entirely at design
+// time, so it can soft-label an unbounded archival stream record by record;
+// it is the one ŝ|u label estimator (Classify is its MAP rule).
 type QDA struct {
 	comp  [2][2]*gaussian
 	prior [2][2]float64 // prior[u][s] = Pr̂[s|u]

@@ -258,7 +258,8 @@ func jitter(grid []float64, j int, u float64) float64 {
 
 // RepairRecord repairs every feature of one labelled record, returning a
 // new record (the input is not mutated). Records with unknown S are
-// rejected: estimate labels first (internal/mixture) or drop the record.
+// rejected: repair them with internal/blind, which labels each record from
+// the research-fitted QDA posterior, or drop the record.
 func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 	out := dataset.Record{X: make([]float64, len(rec.X)), S: rec.S, U: rec.U}
 	if err := rp.pickRecord(rec); err != nil {

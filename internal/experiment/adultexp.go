@@ -5,11 +5,11 @@ import (
 	"math"
 
 	"otfair/internal/adult"
+	"otfair/internal/blind"
 	"otfair/internal/classify"
 	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/fairmetrics"
-	"otfair/internal/mixture"
 	"otfair/internal/rng"
 )
 
@@ -288,8 +288,8 @@ func Downstream(cfg AdultConfig) (*Table, error) {
 }
 
 // LabelEstimation quantifies the cost of estimating ŝ|u for unlabelled
-// archives (experiment X4): repair quality with true labels vs GMM-EM
-// estimated labels, plus the estimator's accuracy.
+// archives (experiment X4): repair quality with true labels vs labels
+// estimated by the research-fitted QDA posterior, plus its accuracy.
 func LabelEstimation(cfg AdultConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 	stats, err := RunMC(cfg.Reps, cfg.Workers, cfg.Seed+13, func(rep int, r *rng.RNG) (map[string]float64, error) {
@@ -323,37 +323,28 @@ func LabelEstimation(cfg AdultConfig) (*Table, error) {
 		}
 		out["true-labels/E"] = eTrue
 
-		// Estimated labels: drop S, estimate via per-u GMM anchored on the
-		// research groups, repair with ŝ, then score E against TRUE labels
-		// (fairness is judged on the real protected attribute).
-		blind := archive.DropS()
-		est, err := mixture.NewLabelEstimator(research, blind, r.Split(2), mixture.Options{})
+		// Estimated labels: drop S and repair each record under the MAP
+		// label ŝ of the research-fitted QDA posterior (the blind hard
+		// method), then score E against TRUE labels (fairness is judged on
+		// the real protected attribute).
+		qda, err := blind.NewQDA(research)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := est.Accuracy(archive)
+		acc, err := qda.Accuracy(archive)
 		if err != nil {
 			return nil, err
 		}
 		out["estimated-labels/accuracy"] = acc
-		labelled, err := est.Label(blind)
+		repEst, err := blind.New(plan, research, r.Split(2), blind.Options{Method: blind.MethodHard, Repair: adultRepairOptions})
 		if err != nil {
 			return nil, err
 		}
-		repEst, err := core.NewRepairer(plan, r.Split(3), adultRepairOptions)
+		repairedEst, err := repEst.RepairTable(archive.DropS())
 		if err != nil {
 			return nil, err
 		}
-		repairedEst, err := repEst.RepairTable(labelled)
-		if err != nil {
-			return nil, err
-		}
-		// Restore true labels for scoring.
-		scored := repairedEst.Clone()
-		for i := range scored.Records() {
-			scored.Records()[i].S = archive.At(i).S
-		}
-		eEst, err := fairmetrics.E(scored, cfg.Metric)
+		eEst, err := fairmetrics.E(reattachTrueS(repairedEst, archive), cfg.Metric)
 		if err != nil {
 			return nil, err
 		}
@@ -365,7 +356,7 @@ func LabelEstimation(cfg AdultConfig) (*Table, error) {
 	}
 	get := func(key string) Cell { return FromStat(stats[key]) }
 	return &Table{
-		Title:  "Label estimation sensitivity (X4): repairing with true vs GMM-estimated s|u labels",
+		Title:  "Label estimation sensitivity (X4): repairing with true vs QDA-estimated s|u labels",
 		Note:   fmt.Sprintf("E scored against true protected labels; %d replicates.", cfg.Reps),
 		Header: []string{"Condition", "E (archive)", "Label accuracy"},
 		Rows: []Row{

@@ -277,15 +277,15 @@ func TestLabelEstimationTable(t *testing.T) {
 	if trueLabels >= unrepaired {
 		t.Errorf("true-label repair did not reduce E: %v vs %v", trueLabels, unrepaired)
 	}
-	// The Adult gender groups overlap heavily in (age, hours), so GMM-EM
-	// label recovery is weak (near chance) — that is the experiment's
-	// finding; the repair with such labels must at least not inflate
-	// dependence catastrophically.
-	if acc <= 0.2 || acc > 1 {
-		t.Errorf("label accuracy = %v", acc)
+	// The Adult gender groups overlap heavily in (age, hours), so even the
+	// research-fitted QDA labels only ~0.68 of the archive correctly (the
+	// s = 1 share is ~0.66); a repair under those labels must still lower
+	// E.
+	if acc < 0.6 || acc > 1 {
+		t.Errorf("label accuracy = %v, want at least 0.6", acc)
 	}
-	if estLabels > unrepaired*1.5 {
-		t.Errorf("estimated-label repair blew up E: %v vs unrepaired %v", estLabels, unrepaired)
+	if estLabels >= unrepaired {
+		t.Errorf("estimated-label repair did not reduce E: %v vs unrepaired %v", estLabels, unrepaired)
 	}
 }
 

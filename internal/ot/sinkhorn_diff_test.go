@@ -5,9 +5,57 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"otfair/internal/vec"
 )
+
+// logSumExp computes log Σ exp(x_i) shifted by the maximum; −Inf for
+// empty input or all-(−Inf) entries.
+func logSumExp(xs []float64) float64 {
+	max := math.Inf(-1)
+	for _, x := range xs {
+		if x > max {
+			max = x
+		}
+	}
+	if math.IsInf(max, -1) {
+		return max
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += math.Exp(x - max)
+	}
+	return max + math.Log(s)
+}
+
+// TestLogSumExp holds the oracle's log-sum-exp to the unshifted sum where
+// that cannot overflow, and to max + log n on equal entries where it does.
+func TestLogSumExp(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 50; trial++ {
+		x := make([]float64, 1+r.Intn(200))
+		naive := 0.0
+		for i := range x {
+			x[i] = r.NormFloat64() * 5
+			naive += math.Exp(x[i])
+		}
+		if got, want := logSumExp(x), math.Log(naive); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+			t.Fatalf("logSumExp = %v, want %v", got, want)
+		}
+	}
+	big := []float64{1000, 1000, 1000, 1000}
+	if got, want := logSumExp(big), 1000+math.Log(4); math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("logSumExp(1000 ×4) = %v, want %v", got, want)
+	}
+}
+
+func TestLogSumExpEmptyAndInf(t *testing.T) {
+	if v := logSumExp(nil); !math.IsInf(v, -1) {
+		t.Fatalf("logSumExp(nil) = %v", v)
+	}
+	negInf := []float64{math.Inf(-1), math.Inf(-1)}
+	if v := logSumExp(negInf); !math.IsInf(v, -1) {
+		t.Fatalf("logSumExp(-inf) = %v", v)
+	}
+}
 
 // sinkhornReference is a verbatim copy of the seed (pre-vec) solver: dense
 // closure-based cost access, per-iteration full-plan re-materialization for
@@ -53,13 +101,13 @@ func sinkhornReference(a, b []float64, cost *CostMatrix, opts SinkhornOptions) (
 			for j := 0; j < mm; j++ {
 				buf[j] = (g[j] - costAt(i, j)) / eps
 			}
-			f[i] = eps * (logA[i] - vec.LogSumExp(buf))
+			f[i] = eps * (logA[i] - logSumExp(buf))
 		}
 		for j := 0; j < mm; j++ {
 			for i := 0; i < nn; i++ {
 				bufN[i] = (f[i] - costAt(i, j)) / eps
 			}
-			g[j] = eps * (logB[j] - vec.LogSumExp(bufN))
+			g[j] = eps * (logB[j] - logSumExp(bufN))
 		}
 		errL1 = 0
 		for i := 0; i < nn; i++ {

@@ -48,8 +48,8 @@ type AliasBuilder struct {
 // non-negative weight vector w, labelling category i with labels[i], and
 // appends its len(w) slots to dst, returning the extended slice. Callers
 // that keep subslices of dst across calls size its capacity up front. It
-// panics on empty, negative, NaN or zero-total weights for the same reason
-// Categorical does.
+// panics on empty, negative, NaN or zero-total weights: a zero-mass row of
+// an OT plan is a design bug upstream that must not be masked here.
 func (b *AliasBuilder) Append(dst []AliasSlot, w []float64, labels []int32) []AliasSlot {
 	n := len(w)
 	if n == 0 {

@@ -101,40 +101,5 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.src.Float64() < p
 }
 
-// Categorical draws an index from the (possibly unnormalized) non-negative
-// weight vector w by inversion. It panics if the total mass is not positive
-// or if any weight is negative or NaN: a zero-mass row of an OT plan is a
-// design bug upstream that must not be masked here.
-//
-// For repeated draws from the same weights prefer NewAlias, which is O(1)
-// per draw after O(n) setup; Categorical is O(n) per draw.
-func (r *RNG) Categorical(w []float64) int {
-	total := 0.0
-	for _, wi := range w {
-		if wi < 0 || math.IsNaN(wi) {
-			panic("rng: Categorical called with negative or NaN weight")
-		}
-		total += wi
-	}
-	if total <= 0 {
-		panic("rng: Categorical called with zero total mass")
-	}
-	u := r.src.Float64() * total
-	acc := 0.0
-	for i, wi := range w {
-		acc += wi
-		if u < acc {
-			return i
-		}
-	}
-	// Floating-point slack: return the last strictly positive weight.
-	for i := len(w) - 1; i >= 0; i-- {
-		if w[i] > 0 {
-			return i
-		}
-	}
-	return len(w) - 1
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }

@@ -114,6 +114,40 @@ func TestBernoulliClamps(t *testing.T) {
 	}
 }
 
+// Categorical draws an index from the (possibly unnormalized) non-negative
+// weight vector w by inversion. It panics if the total mass is not positive
+// or if any weight is negative or NaN: a zero-mass row of an OT plan is a
+// design bug upstream that must not be masked here.
+//
+// It is the O(n)-per-draw inversion oracle the alias tables are held to.
+func (r *RNG) Categorical(w []float64) int {
+	total := 0.0
+	for _, wi := range w {
+		if wi < 0 || math.IsNaN(wi) {
+			panic("rng: Categorical called with negative or NaN weight")
+		}
+		total += wi
+	}
+	if total <= 0 {
+		panic("rng: Categorical called with zero total mass")
+	}
+	u := r.src.Float64() * total
+	acc := 0.0
+	for i, wi := range w {
+		acc += wi
+		if u < acc {
+			return i
+		}
+	}
+	// Floating-point slack: return the last strictly positive weight.
+	for i := len(w) - 1; i >= 0; i-- {
+		if w[i] > 0 {
+			return i
+		}
+	}
+	return len(w) - 1
+}
+
 func TestCategoricalFrequencies(t *testing.T) {
 	r := New(17)
 	w := []float64{1, 2, 3, 4}

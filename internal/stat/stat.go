@@ -37,15 +37,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation; NaN if n < 2.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// PopVariance returns the population (1/n) variance; NaN on empty input.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	return vec.SumSqDev(xs, Mean(xs)) / float64(n)
-}
-
 // MinMax returns the extrema of xs. It returns an error on empty input:
 // Algorithm 1 line 4 builds the interpolation support from these values and
 // an empty (u,s) research group must fail loudly at design time.

@@ -56,17 +56,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Max returns the maximum of xs (−Inf for empty input).
-func Max(xs []float64) float64 {
-	max := math.Inf(-1)
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
 // MinMax returns the extrema of xs in one pass; (+Inf, −Inf) for empty
 // input so that callers folding several slices can chain the bounds.
 func MinMax(xs []float64) (lo, hi float64) {
@@ -104,22 +93,6 @@ func SumSqDev(xs []float64, m float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// LogSumExp computes log Σ exp(x_i) with the streaming max-then-sum scheme:
-// one pass finds the maximum, a second accumulates the shifted exponentials,
-// so no intermediate slice is materialized. Returns −Inf for empty input or
-// all-(−Inf) entries.
-func LogSumExp(xs []float64) float64 {
-	max := Max(xs)
-	if math.IsInf(max, -1) {
-		return math.Inf(-1)
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Exp(x - max)
-	}
-	return max + math.Log(s)
 }
 
 // MatVec fills dst[i] = Σ_j a[i·m+j]·x[j] for the row-major n×m matrix a,

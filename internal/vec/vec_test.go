@@ -24,15 +24,12 @@ func TestReductions(t *testing.T) {
 			x[i] = r.NormFloat64() * 3
 			y[i] = r.NormFloat64() * 3
 		}
-		sum, dot, sad, max := 0.0, 0.0, 0.0, math.Inf(-1)
+		sum, dot, sad := 0.0, 0.0, 0.0
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := range x {
 			sum += x[i]
 			dot += x[i] * y[i]
 			sad += math.Abs(x[i] - y[i])
-			if x[i] > max {
-				max = x[i]
-			}
 			if x[i] < lo {
 				lo = x[i]
 			}
@@ -43,7 +40,6 @@ func TestReductions(t *testing.T) {
 		almostEq(t, Sum(x), sum, 1e-12, "Sum")
 		almostEq(t, Dot(x, y), dot, 1e-12, "Dot")
 		almostEq(t, SumAbsDiff(x, y), sad, 1e-12, "SumAbsDiff")
-		almostEq(t, Max(x), max, 0, "Max")
 		glo, ghi := MinMax(x)
 		almostEq(t, glo, lo, 0, "MinMax lo")
 		almostEq(t, ghi, hi, 0, "MinMax hi")
@@ -72,42 +68,6 @@ func TestAxpyScale(t *testing.T) {
 		if y[i] != want[i]/2 {
 			t.Fatalf("Scale[%d] = %v", i, y[i])
 		}
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(200)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64() * 50 // wide range to stress shifting
-		}
-		// Reference: shift by true max.
-		ref := func(z []float64) float64 {
-			max := math.Inf(-1)
-			for _, v := range z {
-				if v > max {
-					max = v
-				}
-			}
-			s := 0.0
-			for _, v := range z {
-				s += math.Exp(v - max)
-			}
-			return max + math.Log(s)
-		}
-		almostEq(t, LogSumExp(x), ref(x), 1e-13, "LogSumExp")
-	}
-}
-
-func TestLogSumExpEmptyAndInf(t *testing.T) {
-	if v := LogSumExp(nil); !math.IsInf(v, -1) {
-		t.Fatalf("LogSumExp(nil) = %v", v)
-	}
-	negInf := []float64{math.Inf(-1), math.Inf(-1)}
-	if v := LogSumExp(negInf); !math.IsInf(v, -1) {
-		t.Fatalf("LogSumExp(-inf) = %v", v)
 	}
 }
 

@@ -21,8 +21,8 @@
 // (ICML 2019) is exposed as otfair.GeometricRepair for comparison.
 //
 // Everything — exact and regularized OT solvers, Wasserstein barycenters,
-// kernel density estimation, divergence estimators, mixture-model label
-// estimation — is implemented on the Go standard library; see the internal
+// kernel density estimation, divergence estimators, QDA label estimation
+// — is implemented on the Go standard library; see the internal
 // packages and DESIGN.md for the full inventory, and cmd/repro for the
 // reproduction of every table and figure in the paper.
 package otfair
@@ -38,7 +38,6 @@ import (
 	"otfair/internal/fairmetrics"
 	"otfair/internal/joint"
 	"otfair/internal/kde"
-	"otfair/internal/mixture"
 	"otfair/internal/monitor"
 	"otfair/internal/planstore"
 	"otfair/internal/repairsvc"
@@ -73,11 +72,6 @@ type (
 	MetricResult = fairmetrics.Result
 	// RNG is the deterministic random source all stochastic steps consume.
 	RNG = rng.RNG
-	// LabelEstimator assigns ŝ|u labels to unlabelled archives via
-	// per-u Gaussian mixtures anchored on the research groups.
-	LabelEstimator = mixture.LabelEstimator
-	// LabelOptions configures the mixture fit behind label estimation.
-	LabelOptions = mixture.Options
 )
 
 // SUnknown marks an unobserved protected attribute.
@@ -227,13 +221,6 @@ type AutoTuneResult = core.AutoTuneResult
 // minimal sufficient support resolution.
 func AutoTuneNQ(research *Table, r *RNG, opts AutoTuneOptions) (*AutoTuneResult, error) {
 	return core.AutoTuneNQ(research, r, opts)
-}
-
-// NewLabelEstimator fits per-u Gaussian mixtures to an archive and anchors
-// their components to the labelled research groups, providing ŝ|u labels
-// for unlabelled archival records (Section IV of the paper).
-func NewLabelEstimator(research, archive *Table, r *RNG, opts LabelOptions) (*LabelEstimator, error) {
-	return mixture.NewLabelEstimator(research, archive, r, opts)
 }
 
 // Blind repair: deployment on archives whose s labels are unobserved — the

@@ -127,11 +127,11 @@ func TestPublicAPIGeometricBaseline(t *testing.T) {
 
 func TestPublicAPILabelEstimation(t *testing.T) {
 	research, archive := buildData(t, 5, 800, 4000)
-	est, err := otfair.NewLabelEstimator(research, archive.DropS(), otfair.NewRNG(6), otfair.LabelOptions{})
+	qda, err := otfair.NewQDA(research)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := est.Accuracy(archive)
+	acc, err := qda.Accuracy(archive)
 	if err != nil {
 		t.Fatal(err)
 	}
