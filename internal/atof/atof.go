@@ -1,38 +1,37 @@
-// Package atof parses decimal text to float64 with the result and error of
-// strconv.ParseFloat(s, 64), without its general-purpose scanner on the
-// inputs the wire and CSV codecs carry.
+// Package atof reads a decimal number to float64 where it stands in a
+// codec's input, with the bits strconv.ParseFloat(s, 64) gives, without
+// its general-purpose scanner on the inputs the wire and CSV codecs carry.
 //
-// Parse makes one pass over -?digits[.digits][(e|E)[+-]digits] with at
-// most 19 significant digits, giving an exact uint64 mantissa and a base-10
-// exponent. The value is then Clinger's exact multiply or divide when both
-// operands are exact floats (mantissa below 2^53, |exponent| ≤ 22), or
-// Eisel–Lemire (Lemire, "Number Parsing at a Gigabyte per Second", arXiv
-// 2101.11408) over a table of truncated 128-bit powers of ten. Every
-// other input — other syntax, more digits, an exponent outside the table,
-// and Eisel–Lemire's halfway and out-of-range bail-outs — goes to
-// strconv.ParseFloat, so every error and every hard case comes from the
-// standard library. Each path is correctly rounded, so the value bits
-// never depend on which one ran.
+// ParsePrefix makes one pass over -?digits[.digits][(e|E)[+-]digits] at
+// the front of its input with at most 19 significant digits, giving an
+// exact uint64 mantissa, a base-10 exponent and the number's length, so a
+// codec reads a number where it stands in a row and goes on from its end.
+// The value is then Clinger's exact multiply or divide when both operands
+// are exact floats (mantissa below 2^53, |exponent| ≤ 22), or Eisel–Lemire
+// (Lemire, "Number Parsing at a Gigabyte per Second", arXiv 2101.11408)
+// over a table of truncated 128-bit powers of ten. Every other input —
+// other syntax, more digits, an exponent outside the table, and
+// Eisel–Lemire's halfway and out-of-range bail-outs — is left to the
+// caller's strconv.ParseFloat, so every error and every hard case comes
+// from the standard library. Each path is correctly rounded, so the value
+// bits never depend on which one ran.
 package atof
 
 import (
 	"math"
 	"math/big"
 	"math/bits"
-	"strconv"
 )
 
-// Parse returns strconv.ParseFloat(string(b), 64).
-func Parse(b []byte) (float64, error) {
-	if f, ok := parseFast(b); ok {
-		return f, nil
-	}
-	return strconv.ParseFloat(string(b), 64)
-}
-
-// parseFast converts b when it has the fast path's shape and the value is
-// computed exactly; !ok leaves it to strconv.
-func parseFast(b []byte) (float64, bool) {
+// ParsePrefix reads the number at the front of b when it has the fast
+// path's shape, returning the number of bytes it spans (0 when b does not
+// start with one) and, with ok, its value strconv.ParseFloat(string(b[:n]),
+// 64). What follows the number is left to the caller. A number of the
+// shape whose value the fast path does not settle — more than 19
+// significant digits, an exponent outside the table, a subnormal or
+// infinite result, a rounding Eisel–Lemire leaves open — comes back with
+// its length and !ok, for the caller to hand b[:n] to strconv.
+func ParsePrefix(b []byte) (f float64, n int, ok bool) {
 	i, neg := 0, false
 	if len(b) > 0 && b[0] == '-' {
 		i, neg = 1, true
@@ -40,15 +39,12 @@ func parseFast(b []byte) (float64, bool) {
 	// man takes the digits from the first non-zero one; nd counts them. man
 	// is exact while nd ≤ 19 (below 10^19 < 2^64) and refused beyond, where
 	// it may have wrapped.
-	var man uint64
 	start := i
 	i = skipZeros(b, i)
 	sig := i
-	for ; i < len(b) && isDigit(b[i]); i++ {
-		man = man*10 + uint64(b[i]-'0')
-	}
+	man, i := digits(b, i, 0)
 	if i == start {
-		return 0, false
+		return 0, 0, false
 	}
 	nd, exp10 := i-sig, 0
 	if i < len(b) && b[i] == '.' {
@@ -58,11 +54,9 @@ func parseFast(b []byte) (float64, bool) {
 			i = skipZeros(b, i)
 		}
 		sig = i
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			man = man*10 + uint64(b[i]-'0')
-		}
+		man, i = digits(b, i, man)
 		if i == frac {
-			return 0, false
+			return 0, 0, false
 		}
 		nd += i - sig
 		exp10 = frac - i
@@ -74,29 +68,29 @@ func parseFast(b []byte) (float64, bool) {
 			eneg = b[i] == '-'
 			i++
 		}
-		digits := i
+		expDigits := i
 		e := 0
 		for ; i < len(b) && isDigit(b[i]); i++ {
 			if e < 100000 { // saturates far outside the table, never overflows
 				e = e*10 + int(b[i]-'0')
 			}
 		}
-		if i == digits {
-			return 0, false
+		if i == expDigits {
+			return 0, 0, false
 		}
 		if eneg {
 			e = -e
 		}
 		exp10 += e
 	}
-	if i != len(b) || nd > 19 {
-		return 0, false
+	if nd > 19 {
+		return 0, i, false
 	}
 	if man == 0 {
 		if neg {
-			return math.Copysign(0, -1), true
+			return math.Copysign(0, -1), i, true
 		}
-		return 0, true
+		return 0, i, true
 	}
 	if man < 1<<53 && -22 <= exp10 && exp10 <= 22 {
 		f := float64(man)
@@ -108,9 +102,20 @@ func parseFast(b []byte) (float64, bool) {
 		if neg {
 			f = -f
 		}
-		return f, true
+		return f, i, true
 	}
-	return eiselLemire(man, exp10, neg)
+	f, ok = eiselLemire(man, exp10, neg)
+	return f, i, ok
+}
+
+// digits appends the run of decimal digits at b[i:] to man and returns man
+// and the end of the run. Past 19 digits man wraps; the caller refuses such
+// a mantissa.
+func digits(b []byte, i int, man uint64) (uint64, int) {
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	return man, i
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }

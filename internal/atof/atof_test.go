@@ -1,11 +1,23 @@
 package atof
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"strconv"
+	"strings"
 	"testing"
 )
+
+// Parse reads a whole field as the codecs do: ParsePrefix when it spans b
+// and settles the value, else strconv.ParseFloat(string(b), 64). The
+// tests hold it to strconv bit for bit and error for error.
+func Parse(b []byte) (float64, error) {
+	if f, n, ok := ParsePrefix(b); ok && n == len(b) {
+		return f, nil
+	}
+	return strconv.ParseFloat(string(b), 64)
+}
 
 // edgeCases are the inputs each side of every branch in Parse: signed
 // zeros, leading zeros, the 19-digit mantissa limit, Clinger's bounds,
@@ -53,8 +65,8 @@ func TestParseEdgeCases(t *testing.T) {
 // never reach strconv, so the speed-up cannot silently vanish.
 func TestParseFastPathTakesTheCodecShapes(t *testing.T) {
 	for _, in := range []string{"3.5417826412806617", "-0.16243453636632417", "1.5e-05", "2.5e+21", "0", "-0", "7", "1e22", "1e-30"} {
-		if _, ok := parseFast([]byte(in)); !ok {
-			t.Errorf("parseFast(%q) fell back to strconv", in)
+		if _, n, ok := ParsePrefix([]byte(in)); !ok || n != len(in) {
+			t.Errorf("ParsePrefix(%q) = %d bytes, %v: fell back to strconv", in, n, ok)
 		}
 	}
 }
@@ -87,6 +99,49 @@ func TestParseMatchesStrconvOnFormattedValues(t *testing.T) {
 	for range 20000 {
 		s := strconv.FormatUint(r.Uint64()>>r.IntN(64), 10) + "e" + strconv.Itoa(r.IntN(160)-80)
 		checkMatchesStrconv(t, s)
+	}
+}
+
+// TestParseDigitRuns walks the digit runs across the 19-digit mantissa
+// limit: runs of 1 to 20 in the integer and the fraction part, leading
+// zeros before and after the point, '/' (0x2F) and ':' (0x3A) — the bytes
+// either side of the digits — inside a run or right after one, signed
+// zeros and exponents. Parse must match strconv, and ParsePrefix must
+// stop where the number does when text follows it.
+func TestParseDigitRuns(t *testing.T) {
+	const run = "98765432109876543210"
+	var ins []string
+	for n := 1; n <= 20; n++ {
+		ins = append(ins, run[:n], "-"+run[:n], "1."+run[:n], "0."+run[:n], run[:n]+".5", run[:n]+"."+run[:n])
+		zeros := strings.Repeat("0", n)
+		ins = append(ins, zeros+"12", zeros+"1.5", "0."+zeros+"123", "-0."+zeros, zeros+"."+zeros+"7")
+		for _, exp := range []string{"e5", "E-7", "e+22", "e-300", "e400"} {
+			ins = append(ins, run[:n]+exp, "3."+run[:n]+exp)
+		}
+	}
+	for w := 0; w <= 9; w++ {
+		for _, c := range []string{"/", ":"} {
+			ins = append(ins, run[:w]+c+run[:8], "1."+run[:w]+c+"9", run[:8]+c)
+		}
+	}
+	ins = append(ins, "-0", "-0.0", "-00000000.00000000", "0e0", "-0e-5")
+	for _, in := range ins {
+		checkMatchesStrconv(t, in)
+		_, inErr := strconv.ParseFloat(in, 64)
+		whole := inErr == nil || errors.Is(inErr, strconv.ErrRange)
+		for _, tail := range []string{"", ",", "/", ":", " ", "\n", "x12345678"} {
+			f, n, ok := ParsePrefix([]byte(in + tail))
+			if n == 0 || n > len(in) || whole && n != len(in) {
+				if n != 0 || ok || whole {
+					t.Errorf("ParsePrefix(%q) = %d bytes, ok %v; strconv takes %q: %v", in+tail, n, ok, in, inErr)
+				}
+				continue
+			}
+			want, err := strconv.ParseFloat(in[:n], 64)
+			if ok && (err != nil || math.Float64bits(f) != math.Float64bits(want)) {
+				t.Errorf("ParsePrefix(%q) = %v over %d bytes; strconv gives %v, %v", in+tail, f, n, want, err)
+			}
+		}
 	}
 }
 

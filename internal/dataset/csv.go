@@ -9,7 +9,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"unicode/utf8"
+	"sync"
 
 	"otfair/internal/atof"
 )
@@ -74,6 +74,7 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading header: %w", err)
 	}
+	defer rows.release()
 	if !validHeader(header) {
 		return nil, fmt.Errorf("dataset: header must start with s,u followed by features, got %v", header)
 	}
@@ -81,8 +82,9 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var rec Record
 	for {
-		rec, line, err := rows.next()
+		line, err := rows.next(&rec)
 		if err == io.EOF {
 			return t, nil
 		}
@@ -117,6 +119,7 @@ func ReadResearchColumns(r io.Reader) (*ResearchColumns, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading header: %w", err)
 	}
+	defer rows.release()
 	if !validHeader(header) {
 		return nil, fmt.Errorf("dataset: header must start with s,u followed by features, got %v", header)
 	}
@@ -126,16 +129,12 @@ func ReadResearchColumns(r io.Reader) (*ResearchColumns, error) {
 			rc.Cols[u][s] = make([][]float64, rows.dim)
 		}
 	}
-	x := make([]float64, rows.dim)
+	rec := Record{X: make([]float64, rows.dim)}
 	for {
-		line, err := rows.nextRow()
+		line, err := rows.read(&rec)
 		if err == io.EOF {
 			return rc, nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		rec, err := rows.parseRow(line, x)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +147,7 @@ func ReadResearchColumns(r io.Reader) (*ResearchColumns, error) {
 			continue
 		}
 		g := rc.Cols[rec.U][rec.S]
-		for k, v := range x {
+		for k, v := range rec.X {
 			g[k] = append(g[k], v)
 		}
 	}
@@ -164,23 +163,32 @@ func validHeader(header []string) bool {
 // included, to be scanned; a longer one is read by encoding/csv.
 const rowBufSize = 64 << 10
 
+// readBufs holds the row readers' read buffers between bodies, so a
+// server decoding one request body after another does not allocate a
+// fresh buffer for each.
+var readBufs = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, rowBufSize) }}
+
 // slabRecords is the number of records' features one chunk holds.
 const slabRecords = 64
 
 // rowReader reads the data rows of the WriteCSV layout. It accepts exactly
 // the bytes encoding/csv accepts (TrimLeadingSpace, a field count fixed by
 // the header), yields the same records and fails with the same error text,
-// but splits a row itself whenever it can:
+// but reads a row itself whenever it can:
 //
-//   - a row whose bytes are all ASCII and hold no '"' is scanned in place
-//     in the read buffer: split on ',', with "\r\n" read as "\n", blank
-//     lines skipped and a final line without a newline still read;
-//   - any other row — a quote, a non-ASCII byte (where encoding/csv trims
-//     Unicode space), a row longer than the buffer — is read by
-//     encoding/csv, which shares the buffer, so the choice is made per row
-//     and never changes a result.
+//   - a row that fits in the read buffer is decoded in one pass where it
+//     stands in the buffer (scanRow): labels and features read left to
+//     right, each number by atof.ParsePrefix, with "\r\n" read as "\n",
+//     blank lines skipped and a final line without a newline still read;
+//   - any row that pass refuses — a quote, a non-ASCII byte, other space
+//     around a field, an unusual label or number, a wrong field count, a
+//     row longer than the buffer — is read by encoding/csv, which shares
+//     the buffer, and decoded by parseRow, the one path that words a bad
+//     row's error.
 //
-// Errors name the physical line a row starts on.
+// The choice is made per row and never changes a result. Errors name the
+// physical line a row starts on. The read buffer comes from readBufs and
+// goes back on release.
 type rowReader struct {
 	br  *bufio.Reader
 	cr  *csv.Reader
@@ -191,7 +199,6 @@ type rowReader struct {
 	// line encoding/csv consumed, in its own numbering, which cannot see
 	// the scanned ones: a line's physical number is the sum.
 	scanned, csvLine int
-	fields           [][]byte
 	// slab is the unused tail of the current feature chunk. Each record's
 	// X is carved from it and handed out exactly once: records outlive
 	// next (tables, and the serving layer's record windows, keep them), so
@@ -201,71 +208,144 @@ type rowReader struct {
 
 // newRowReader reads the header row with encoding/csv and returns a reader
 // over the rows after it. The header sets the field count every row must
-// have; the caller checks its shape.
+// have; the caller checks its shape, and releases the reader when done.
 func newRowReader(r io.Reader, what string) (*rowReader, []string, error) {
-	br := bufio.NewReaderSize(r, rowBufSize)
+	br := readBufs.Get().(*bufio.Reader)
+	br.Reset(r)
 	// csv.NewReader keeps a *bufio.Reader of at least 4096 bytes instead
 	// of wrapping it, so the scanner and encoding/csv read one buffer.
 	cr := csv.NewReader(br)
 	cr.TrimLeadingSpace = true
+	rows := &rowReader{br: br, cr: cr, what: what}
 	header, err := cr.Read()
 	if err != nil {
+		rows.release()
 		return nil, nil, err
 	}
 	first, _ := cr.FieldPos(0)
-	rows := &rowReader{br: br, cr: cr, dim: len(header) - 2, what: what, csvLine: first + newlines(header)}
+	rows.dim, rows.csvLine = len(header)-2, first+newlines(header)
 	return rows, header, nil
+}
+
+// release hands the read buffer back to readBufs. The reader is unusable
+// after; the records it returned hold no reference to the buffer.
+func (rr *rowReader) release() {
+	if rr.br == nil {
+		return
+	}
+	rr.br.Reset(nil)
+	readBufs.Put(rr.br)
+	rr.br, rr.cr = nil, nil
 }
 
 // errLongLine reports a line that does not fit in the read buffer.
 var errLongLine = errors.New("dataset: line longer than the read buffer")
 
-// next returns the next record and the physical line its row starts on,
-// or io.EOF after the last row. The record's X is carved from the slab.
-func (rr *rowReader) next() (Record, int, error) {
-	line, err := rr.nextRow()
-	if err != nil {
-		return Record{}, line, err
-	}
+// next reads the next record into rec, its X carved from the slab, and
+// returns the physical line its row starts on, or io.EOF after the last
+// row.
+func (rr *rowReader) next(rec *Record) (int, error) {
 	if len(rr.slab) < rr.dim {
 		rr.slab = make([]float64, rr.dim*slabRecords)
 	}
-	rec, err := rr.parseRow(line, rr.slab[:rr.dim:rr.dim])
-	if err != nil {
-		return Record{}, line, err
+	rec.X = rr.slab[:rr.dim:rr.dim]
+	line, err := rr.read(rec)
+	if err == nil {
+		rr.slab = rr.slab[rr.dim:]
 	}
-	rr.slab = rr.slab[rr.dim:]
-	return rec, line, nil
+	return line, err
 }
 
-// nextRow cuts the next row into rr.fields and returns the physical line
-// it starts on, or io.EOF after the last row.
-func (rr *rowReader) nextRow() (int, error) {
+// read decodes the next row into rec — its labels, and its features into
+// rec.X (dim long) — and returns the physical line the row starts on, or
+// io.EOF after the last row. The record is passed by pointer down to the
+// row decoders, so no call copies it on the way back.
+func (rr *rowReader) read(rec *Record) (int, error) {
 	for {
 		content, size, err := rr.peekLine()
 		if err == io.EOF {
 			return 0, io.EOF
 		}
-		if err == errLongLine || err == nil && !rr.split(content) {
-			return rr.readCSVRow()
+		if err == errLongLine {
+			return rr.readCSVRow(rec)
 		}
 		line := rr.scanned + rr.csvLine + 1
 		if err != nil {
 			return line, fmt.Errorf("dataset: %s %d: %w", rr.what, line, err)
 		}
-		// The line is buffered, so Discard cannot fail, and the fields
-		// stay valid until the next read.
-		_, _ = rr.br.Discard(size)
-		rr.scanned++
 		if len(content) == 0 {
+			rr.consume(size)
 			continue // a blank line, which encoding/csv skips too
 		}
-		if len(rr.fields) != rr.dim+2 {
-			return line, fmt.Errorf("dataset: %s %d: %w", rr.what, line,
-				&csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount})
+		if !scanRow(content, rec) {
+			return rr.readCSVRow(rec)
 		}
+		rr.consume(size)
 		return line, nil
 	}
+}
+
+// consume discards a scanned line of size bytes. The line is buffered, so
+// Discard cannot fail.
+func (rr *rowReader) consume(size int) {
+	_, _ = rr.br.Discard(size)
+	rr.scanned++
+}
+
+// scanRow decodes a row of the common shape in one left-to-right pass:
+// fields split by ',' with only ' ' around them, an s that is one digit,
+// '?' or empty, a one-digit u, and dim features that atof.ParsePrefix
+// converts. It writes the labels into rec and the features into rec.X,
+// reporting false for any other row — a '"', a non-ASCII byte, other space,
+// a longer label, a number ParsePrefix leaves to strconv, a wrong field
+// count — which read then hands to encoding/csv and parseRow. A row it
+// takes decodes to the record that path gives: the text it reads is
+// exactly the trimmed field, and ParsePrefix's value is strconv's.
+func scanRow(b []byte, rec *Record) bool {
+	rec.S = SUnknown
+	i := skipSpace(b, 0)
+	if i < len(b) {
+		if c := b[i]; isDigit(c) {
+			rec.S = int(c - '0')
+			i++
+		} else if c == '?' {
+			i++
+		}
+	}
+	i = skipSpace(b, i)
+	if i == len(b) || b[i] != ',' {
+		return false
+	}
+	i = skipSpace(b, i+1)
+	if i == len(b) || !isDigit(b[i]) {
+		return false
+	}
+	rec.U = int(b[i] - '0')
+	i = skipSpace(b, i+1)
+	for k := range rec.X {
+		if i == len(b) || b[i] != ',' {
+			return false
+		}
+		i = skipSpace(b, i+1)
+		v, n, ok := atof.ParsePrefix(b[i:])
+		if !ok {
+			return false
+		}
+		rec.X[k] = v
+		i = skipSpace(b, i+n)
+	}
+	return i == len(b)
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// skipSpace returns the index of the first byte from b[i] on that is not
+// ' '.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && b[i] == ' ' {
+		i++
+	}
+	return i
 }
 
 // peekLine returns the next line in the buffer without consuming it: its
@@ -303,53 +383,9 @@ func (rr *rowReader) peekLine() (content []byte, size int, err error) {
 	}
 }
 
-// Byte classes for split: a field separator, and a byte that sends the
-// row to encoding/csv ('"' and every non-ASCII byte).
-const (
-	byteComma = 1
-	byteCSV   = 2
-)
-
-var rowBytes = func() (class [256]uint8) {
-	class[','] = byteComma
-	class['"'] = byteCSV
-	for c := utf8.RuneSelf; c < len(class); c++ {
-		class[c] = byteCSV
-	}
-	return class
-}()
-
-// split cuts a scannable row into rr.fields, leading space trimmed as
-// encoding/csv trims it, reporting false for a row the scanner leaves to
-// encoding/csv: one with a '"' or a non-ASCII byte.
-func (rr *rowReader) split(b []byte) bool {
-	rr.fields = rr.fields[:0]
-	start := 0
-	for i, c := range b {
-		if class := rowBytes[c]; class != 0 {
-			if class == byteCSV {
-				return false
-			}
-			rr.fields = append(rr.fields, trimLeftSpace(b[start:i]))
-			start = i + 1
-		}
-	}
-	rr.fields = append(rr.fields, trimLeftSpace(b[start:]))
-	return true
-}
-
-// trimLeftSpace trims the ASCII bytes unicode.IsSpace accepts from the
-// front of an ASCII field.
-func trimLeftSpace(f []byte) []byte {
-	for len(f) > 0 && (f[0] == ' ' || '\t' <= f[0] && f[0] <= '\r') {
-		f = f[1:]
-	}
-	return f
-}
-
-// readCSVRow reads the next row with encoding/csv into rr.fields,
-// renumbering its lines past the ones the scanner consumed.
-func (rr *rowReader) readCSVRow() (int, error) {
+// readCSVRow reads the next row with encoding/csv, renumbering its lines
+// past the ones the scanner consumed, and parses it into rec.
+func (rr *rowReader) readCSVRow(rec *Record) (int, error) {
 	row, err := rr.cr.Read()
 	if err == io.EOF {
 		return 0, io.EOF
@@ -368,11 +404,8 @@ func (rr *rowReader) readCSVRow() (int, error) {
 	// keeps each one as a single '\n'.
 	first, _ := rr.cr.FieldPos(0)
 	rr.csvLine = first + newlines(row)
-	rr.fields = rr.fields[:0]
-	for _, f := range row {
-		rr.fields = append(rr.fields, []byte(f))
-	}
-	return rr.scanned + first, nil
+	line := rr.scanned + first
+	return line, parseRow(line, row, rec)
 }
 
 // newlines counts the line breaks inside a row's fields.
@@ -384,42 +417,34 @@ func newlines(row []string) int {
 	return n
 }
 
-// parseRow decodes rr.fields, a row of the header's field count as
-// encoding/csv returns it, into a record whose features are written to x
-// (dim long). The errors quote a field as it stands there.
-func (rr *rowReader) parseRow(line int, x []float64) (Record, error) {
-	row := rr.fields
-	rec := Record{X: x}
-	sField := bytes.TrimSpace(row[0])
-	if len(sField) == 0 || len(sField) == 1 && sField[0] == '?' {
+// parseRow decodes row, a row of the header's field count as encoding/csv
+// returns it, into rec: its labels, and its features into rec.X (dim
+// long). It reads every row scanRow refuses, so it alone words a bad row's
+// error, quoting a field as it stands there; each field is trimmed and
+// converted as strconv reads it, so a row decodes to what scanRow would
+// give.
+func parseRow(line int, row []string, rec *Record) error {
+	sField := strings.TrimSpace(row[0])
+	if sField == "" || sField == "?" {
 		rec.S = SUnknown
 	} else {
-		s, err := atoi(sField)
+		s, err := strconv.Atoi(sField)
 		if err != nil {
-			return Record{}, fmt.Errorf("dataset: line %d: bad s %q", line, row[0])
+			return fmt.Errorf("dataset: line %d: bad s %q", line, row[0])
 		}
 		rec.S = s
 	}
-	u, err := atoi(bytes.TrimSpace(row[1]))
+	u, err := strconv.Atoi(strings.TrimSpace(row[1]))
 	if err != nil {
-		return Record{}, fmt.Errorf("dataset: line %d: bad u %q", line, row[1])
+		return fmt.Errorf("dataset: line %d: bad u %q", line, row[1])
 	}
 	rec.U = u
 	for k := range rec.X {
-		v, err := atof.Parse(bytes.TrimSpace(row[2+k]))
+		v, err := strconv.ParseFloat(strings.TrimSpace(row[2+k]), 64)
 		if err != nil {
-			return Record{}, fmt.Errorf("dataset: line %d: bad feature %d %q", line, k, row[2+k])
+			return fmt.Errorf("dataset: line %d: bad feature %d %q", line, k, row[2+k])
 		}
 		rec.X[k] = v
 	}
-	return rec, nil
-}
-
-// atoi is strconv.Atoi on a field, without the call for the one-digit
-// labels every WriteCSV row carries.
-func atoi(f []byte) (int, error) {
-	if len(f) == 1 && '0' <= f[0] && f[0] <= '9' {
-		return int(f[0] - '0'), nil
-	}
-	return strconv.Atoi(string(f))
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -392,5 +393,95 @@ func TestCSVStreamNextAllocs(t *testing.T) {
 	}
 	if perRecord := allocs / float64(n); perRecord > 0.05 {
 		t.Errorf("CSVStream.Next: %.3f allocations per record, want <= 0.05", perRecord)
+	}
+}
+
+// TestCSVErrorsMidStreamKeepTheirLine puts each kind of row the one-pass
+// scan hands back after 62 lines it takes (CRLF ends, a blank line, a
+// quoted row, space around fields): the bad row must be reported at its
+// physical line, 64, by ReadCSV, ReadResearchColumns and CSVStream.
+func TestCSVErrorsMidStreamKeepTheirLine(t *testing.T) {
+	head := "s,u,x,y\r\n" + strings.Repeat("0,1,1.25,-3.5\r\n", 40) + "\r\n\"1\",0,2,3\r\n" +
+		strings.Repeat(" 1 , 0 , 2.5 , 4 \n", 20)
+	tail := strings.Repeat("1,1,7,8\n", 5)
+	for _, c := range []struct {
+		row, table, stream string
+	}{
+		{"0,0,1e400,1",
+			`dataset: line 64: bad feature 0 "1e400"`,
+			`dataset: line 64: bad feature 0 "1e400"`},
+		{"0,0,1,2,3",
+			"dataset: line 64: record on line 64: wrong number of fields",
+			"dataset: stream line 64: record on line 64: wrong number of fields"},
+		{"0,x,1,2",
+			`dataset: line 64: bad u "x"`,
+			`dataset: line 64: bad u "x"`},
+		{"0,0,1\t\v,zz",
+			`dataset: line 64: bad feature 1 "zz"`,
+			`dataset: line 64: bad feature 1 "zz"`},
+		{"0,0,1\"x,2",
+			`dataset: line 64: parse error on line 64, column 6: bare " in non-quoted-field`,
+			`dataset: stream line 64: parse error on line 64, column 6: bare " in non-quoted-field`},
+		{"12,0,1,2",
+			"dataset: line 64: dataset: invalid S label 12",
+			""},
+	} {
+		in := head + c.row + "\n" + tail
+		if _, err := ReadCSV(strings.NewReader(in)); err == nil || err.Error() != c.table {
+			t.Errorf("ReadCSV(... %q ...) = %v, want %s", c.row, err, c.table)
+		}
+		if _, err := ReadResearchColumns(strings.NewReader(in)); err == nil || err.Error() != c.table {
+			t.Errorf("ReadResearchColumns(... %q ...) = %v, want %s", c.row, err, c.table)
+		}
+		s, err := NewCSVStream(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; err == nil; n++ {
+			_, err = s.Next()
+		}
+		if want := c.stream; want == "" && err != io.EOF || want != "" && err.Error() != want {
+			t.Errorf("CSVStream(... %q ...) = %v after %d records, want %q", c.row, err, n-1, want)
+		}
+	}
+}
+
+// TestReadBufferReused pins that a body decoded after another takes the
+// read buffer the first one handed back, on the error paths too: each
+// read allocates well under one buffer. (Under the race detector a pool
+// drops a quarter of what it is handed, which this bound still allows.)
+func TestReadBufferReused(t *testing.T) {
+	good := []byte("s,u,x\n0,0,1\n1,1,2\n")
+	bad := []byte("s,u,x\n0,0,1\n1,1,oops\n")
+	reads := []func(){
+		func() { _, _ = ReadCSV(bytes.NewReader(good)) },
+		func() { _, _ = ReadCSV(bytes.NewReader(bad)) },
+		func() { _, _ = ReadResearchColumns(bytes.NewReader(good)) },
+		func() { _, _ = ReadResearchColumns(bytes.NewReader(bad)) },
+		func() { _, _ = NewCSVStream(bytes.NewReader([]byte("nope\n"))) },
+		func() {
+			s, err := NewCSVStream(bytes.NewReader(good))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = s.Next()
+			s.Close()
+		},
+	}
+	for _, read := range reads {
+		read()
+	}
+	const rounds = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		for _, read := range reads {
+			read()
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(reads)); perRead >= rowBufSize/2 {
+		t.Errorf("%d bytes allocated per read, want < %d (a %d-byte read buffer each time?)", perRead, rowBufSize/2, rowBufSize)
 	}
 }

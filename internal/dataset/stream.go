@@ -38,7 +38,8 @@ func (s *SliceStream) Next() (Record, error) {
 func (s *SliceStream) Dim() int { return s.table.Dim() }
 
 // CSVStream parses records incrementally from a CSV reader in the WriteCSV
-// layout, holding only one buffer of input in memory at a time.
+// layout, holding only one buffer of input in memory at a time. Close
+// hands that buffer back for the next stream.
 type CSVStream struct {
 	rows *rowReader
 }
@@ -51,6 +52,7 @@ func NewCSVStream(r io.Reader) (*CSVStream, error) {
 		return nil, fmt.Errorf("dataset: reading stream header: %w", err)
 	}
 	if !validHeader(header) {
+		rows.release()
 		return nil, fmt.Errorf("dataset: stream header must start with s,u, got %v", header)
 	}
 	return &CSVStream{rows: rows}, nil
@@ -58,12 +60,22 @@ func NewCSVStream(r io.Reader) (*CSVStream, error) {
 
 // Next implements Stream.
 func (s *CSVStream) Next() (Record, error) {
-	rec, _, err := s.rows.next()
-	return rec, err
+	var rec Record
+	if _, err := s.rows.next(&rec); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
 }
 
 // Dim implements Stream.
 func (s *CSVStream) Dim() int { return s.rows.dim }
+
+// Close returns the stream's read buffer for reuse by a later stream. The
+// records already returned stay valid; Next must not be called after.
+func (s *CSVStream) Close() error {
+	s.rows.release()
+	return nil
+}
 
 // Collect drains a stream into a table (for tests and small inputs; the
 // repair path proper never needs to materialize a stream).

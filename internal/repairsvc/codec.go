@@ -2,7 +2,6 @@ package repairsvc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -224,20 +223,21 @@ func (a *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// csvPipe adapts the dataset CSV layout ("s,u,<features...>").
-func (s *Server) csvPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, *lineSink, error) {
-	in, err := dataset.NewCSVStream(body)
+// csvPipe adapts the dataset CSV layout ("s,u,<features...>"). closeIn
+// hands the stream's pooled read buffer back; the caller must call it.
+func (s *Server) csvPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (in dataset.Stream, closeIn func() error, out *lineSink, err error) {
+	cs, err := dataset.NewCSVStream(body)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	out := newLineSink(w, "text/csv", plan, appendCSVFloat,
+	out = newLineSink(w, "text/csv", plan, appendCSVFloat,
 		func(w io.Writer) error {
 			return dataset.WriteCSVHeader(w, plan.Names)
 		},
 		func(b []byte, rec dataset.Record, feature featureFunc) ([]byte, error) {
 			return dataset.AppendCSVRecord(b, rec, feature), nil
 		})
-	return in, out, nil
+	return cs, cs.Close, out, nil
 }
 
 // appendCSVFloat is the CSV layout's float text, FormatFloat(x, 'g', -1, 64).
@@ -322,16 +322,21 @@ func scanWireRecord(b []byte, x []float64) (rec dataset.Record, count int, ok bo
 	}
 	i := len(head)
 	for {
-		end := scanNumber(b, i)
-		if end < 0 {
+		// atof's number shape is JSON's with leading zeros allowed,
+		// which JSON refuses.
+		v, n, settled := atof.ParsePrefix(b[i:])
+		if n == 0 || leadingZero(b[i:i+n]) {
 			return rec, 0, false
+		}
+		end := i + n
+		if !settled {
+			var err error
+			if v, err = strconv.ParseFloat(string(b[i:end]), 64); err != nil {
+				return rec, 0, false
+			}
 		}
 		// Features past len(x) are parsed too: one encoding/json rejects
 		// must fail the line as its error, not as a feature count.
-		v, err := atof.Parse(b[i:end])
-		if err != nil {
-			return rec, 0, false
-		}
 		if count < len(x) {
 			x[count] = v
 		}
@@ -376,8 +381,12 @@ func hasPrefix(b []byte, p string) bool {
 // scanInt decodes a JSON integer (no fraction or exponent) that fits an
 // int from the front of b.
 func scanInt(b []byte) (int, []byte, bool) {
-	end := scanNumber(b, 0)
-	if end < 0 || bytes.ContainsAny(b[:end], ".eE") {
+	i := 0
+	if len(b) > 0 && b[0] == '-' {
+		i = 1
+	}
+	end := skipDigits(b, i)
+	if end == i || leadingZero(b[:end]) || end < len(b) && (b[end] == '.' || b[end]|0x20 == 'e') {
 		return 0, nil, false
 	}
 	v, err := strconv.Atoi(string(b[:end]))
@@ -387,41 +396,13 @@ func scanInt(b []byte) (int, []byte, bool) {
 	return v, b[end:], true
 }
 
-// scanNumber returns the end of the JSON number starting at b[i], or -1
-// when b[i:] does not start with one. The grammar is RFC 8259's
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, stricter than
-// strconv.ParseFloat: no '+', leading zeros, bare '.', hex, inf or nan.
-func scanNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
+// leadingZero reports whether the number text num, one or more digits
+// after an optional '-', starts with a '0' followed by another digit.
+func leadingZero(num []byte) bool {
+	if num[0] == '-' {
+		num = num[1:]
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return -1
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return -1
-		}
-		i = j
-	}
-	return i
+	return len(num) > 1 && num[0] == '0' && '0' <= num[1] && num[1] <= '9'
 }
 
 func skipDigits(b []byte, i int) int {
@@ -459,11 +440,12 @@ func appendNDJSON(b []byte, rec dataset.Record, feature featureFunc) ([]byte, er
 	return append(b, "}\n"...), nil
 }
 
-// ndjsonPipe adapts newline-delimited JSON records.
-func (s *Server) ndjsonPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (dataset.Stream, *lineSink, error) {
+// ndjsonPipe adapts newline-delimited JSON records. Its closeIn has
+// nothing to hand back.
+func (s *Server) ndjsonPipe(w http.ResponseWriter, body io.Reader, plan *core.Plan) (in dataset.Stream, closeIn func() error, out *lineSink, err error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	in := &ndjsonStream{sc: sc, dim: plan.Dim}
-	out := newLineSink(w, "application/x-ndjson", plan, atof.AppendJSON, nil, appendNDJSON)
-	return in, out, nil
+	in = &ndjsonStream{sc: sc, dim: plan.Dim}
+	out = newLineSink(w, "application/x-ndjson", plan, atof.AppendJSON, nil, appendNDJSON)
+	return in, func() error { return nil }, out, nil
 }

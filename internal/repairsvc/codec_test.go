@@ -403,10 +403,11 @@ func checkEncode(t *testing.T, rec dataset.Record) {
 				}
 			}
 			w := httptest.NewRecorder()
-			_, out, err := pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
+			_, closeIn, out, err := pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer closeIn()
 			for pass, r := range writes {
 				line, lineErr, row := stdlibEncode(r)
 				if format == "csv" {
@@ -533,7 +534,7 @@ func TestSinkAllocsPerRecord(t *testing.T) {
 	plan, recs := repairedRecords(t, nq, n)
 	for _, tc := range []struct {
 		name string
-		pipe func(*Server, http.ResponseWriter, io.Reader, *core.Plan) (dataset.Stream, *lineSink, error)
+		pipe func(*Server, http.ResponseWriter, io.Reader, *core.Plan) (dataset.Stream, func() error, *lineSink, error)
 	}{
 		{"ndjson", (*Server).ndjsonPipe},
 		{"csv", (*Server).csvPipe},
@@ -541,10 +542,11 @@ func TestSinkAllocsPerRecord(t *testing.T) {
 		w := &discardResponse{h: http.Header{}}
 		var filled, slots int
 		allocs := testing.AllocsPerRun(3, func() {
-			_, out, err := tc.pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
+			_, closeIn, out, err := tc.pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer closeIn()
 			for _, rec := range recs {
 				if err := out.write(rec); err != nil {
 					t.Fatal(err)
@@ -589,17 +591,18 @@ func TestSinkBytesMatchPlainEncoders(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		pipe func(*Server, http.ResponseWriter, io.Reader, *core.Plan) (dataset.Stream, *lineSink, error)
+		pipe func(*Server, http.ResponseWriter, io.Reader, *core.Plan) (dataset.Stream, func() error, *lineSink, error)
 		want []byte
 	}{
 		{"ndjson", (*Server).ndjsonPipe, wantJSON},
 		{"csv", (*Server).csvPipe, wantCSV},
 	} {
 		w := httptest.NewRecorder()
-		_, out, err := tc.pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
+		_, closeIn, out, err := tc.pipe(nil, w, strings.NewReader("s,u,a,b\n"), plan)
 		if err != nil {
 			t.Fatal(err)
 		}
+		closeIn()
 		for _, rec := range recs {
 			if err := out.write(rec); err != nil {
 				t.Fatal(err)

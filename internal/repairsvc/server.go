@@ -1021,14 +1021,15 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	// a CSV/NDJSON body.
 	var (
 		in      dataset.Stream
+		closeIn func() error
 		out     *lineSink
 		openErr error
 	)
 	switch format {
 	case "csv":
-		in, out, openErr = s.csvPipe(tw, spool, engine.Plan())
+		in, closeIn, out, openErr = s.csvPipe(tw, spool, engine.Plan())
 	case "ndjson":
-		in, out, openErr = s.ndjsonPipe(tw, spool, engine.Plan())
+		in, closeIn, out, openErr = s.ndjsonPipe(tw, spool, engine.Plan())
 	default:
 		httpError(w, http.StatusBadRequest, "unknown format %q", format)
 		return
@@ -1037,9 +1038,10 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", openErr)
 		return
 	}
-	// The sink's pooled buffer goes back on every exit, the
-	// ErrAbortHandler panics below included.
+	// The sink's pooled buffer, and the CSV stream's read buffer, go back
+	// on every exit, the ErrAbortHandler panics below included.
 	defer out.release()
+	defer closeIn()
 
 	// One span sink feeds the observability state and encodes. The engine
 	// calls it serially from this goroutine with each span's originals and
