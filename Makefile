@@ -171,11 +171,15 @@ endif
 # two plan shapes, kernels, and the decimal parser under both /v1/repair
 # decoders against strconv), the repeated-design layer: POST /v1/plans
 # through the handler over four cached research sets, with allocations,
-# and the CSV decode layer alone: a 10 000-record /v1/repair body through
-# CSVStream and a 2 000-record research set through ReadResearchColumns.
+# the CSV decode layer alone: a 10 000-record /v1/repair body through
+# CSVStream and a 2 000-record research set through ReadResearchColumns,
+# the serial (workers=1) HTTP round trip, and the drift monitor's
+# per-record tap.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkDesign$$|BenchmarkRepairTable$$|BenchmarkSolvers|BenchmarkEMetric$$|BenchmarkPlanSerialization|BenchmarkPlanSamplerBuild' -benchtime 10x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPlansPostRepeat$$' -benchtime 1000x .
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/vec/
 	$(GO) test -run '^$$' -bench 'BenchmarkParse$$' -benchtime 1000000x ./internal/atof/
 	$(GO) test -run '^$$' -bench 'BenchmarkCSVStream$$|BenchmarkReadResearchColumns$$' -benchtime 200x ./internal/dataset/
+	$(GO) test -run '^$$' -bench 'BenchmarkServeRepairHTTPSerial$$' -benchtime 50x .
+	$(GO) test -run '^$$' -bench 'BenchmarkMonitorObserve$$' -benchtime 1000000x ./internal/monitor/

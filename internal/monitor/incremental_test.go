@@ -11,7 +11,7 @@ import (
 
 // binByEdges histograms a sample into the right-closed bins bounded by
 // edges (last bin unbounded) and normalizes to a pmf: the PSI binning the
-// counted window's binCounts must reproduce.
+// counted window's check must reproduce.
 func binByEdges(sample, edges []float64) []float64 {
 	counts := make([]float64, len(edges)+1)
 	for _, x := range sample {
@@ -73,7 +73,7 @@ func (r *referenceMonitor) observe(t *testing.T, rec dataset.Record) []Alarm {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := m.psiRef(rec.U, rec.S, k, cell)
+		ref := m.ref(rec.U, rec.S, k, cell)
 		edges := make([]float64, len(ref.edges))
 		for b, e := range ref.edges {
 			edges[b] = cell.Q[e]
@@ -105,6 +105,9 @@ func TestCountedWindowMatchesSortedReference(t *testing.T) {
 		{Window: 16, CheckEvery: 1, Cooldown: 1},
 		{Window: 64, Dither: true, Seed: 5},
 		{Window: 8, CheckEvery: 1, Cooldown: 1, Dither: true, Seed: 9},
+		// Windows that are not powers of two, where b/Window is inexact.
+		{Window: 100, CheckEvery: 7},
+		{Window: 257, CheckEvery: 1, Cooldown: 1},
 	} {
 		got, err := New(plan, opts)
 		if err != nil {

@@ -136,15 +136,23 @@ type cellState struct {
 	ksRatio, psiRatio float64
 }
 
-// psiRef is the coarse-binned reference one cell's PSI compares against:
-// roughly equal-expected-mass bins, the industry convention that keeps the
-// index stable at rolling-window sample sizes (fine 50-state bins put ~5
-// observations in each and the index never settles).
-type psiRef struct {
-	// edges are grid indices: bin b is right-closed at Q[edges[b]]; the
-	// last bin is unbounded.
+// cellRef is what one cell's checks compare against, built at its first
+// check: the reference CDF, the coarse-binned PSI reference and both alarm
+// thresholds, which depend only on the options and the research group size
+// because a check only runs on a full window.
+type cellRef struct {
+	// cum[i] is the reference mass below grid point i, summed in pmf
+	// order; cum[len(pmf)] is the total.
+	cum []float64
+	// edges and expected are the PSI reference: roughly equal-expected-mass
+	// bins, the industry convention that keeps the index stable at
+	// rolling-window sample sizes (fine 50-state bins put ~5 observations
+	// in each and the index never settles). edges are grid indices: bin b
+	// is right-closed at Q[edges[b]]; the last bin is unbounded.
 	edges    []int
 	expected []float64
+	// crit is the KS critical value and psiThr the PSI alarm threshold.
+	crit, psiThr float64
 }
 
 // Monitor watches a record stream against a designed plan. Not safe for
@@ -156,14 +164,19 @@ type Monitor struct {
 	// cellIndex(u, s, k); a cell is allocated on its first observation,
 	// so the non-nil cells are the watched ones.
 	cells []*cellState
-	psi   []*psiRef
-	rng   *rng.RNG // nil unless Options.Dither
-	seen  int64
-	fired int64
+	refs  []*cellRef
+	// frac[b] is b/Window, the empirical CDF of a full window with b
+	// values below a point; observed holds one check's PSI bin masses.
+	// Both are allocated at the first check.
+	frac     []float64
+	observed []float64
+	rng      *rng.RNG // nil unless Options.Dither
+	seen     int64
+	fired    int64
 }
 
 // cellIndex is the (u,s,feature) cell's position in Monitor.cells and
-// Monitor.psi: (2u+s)·Dim + k.
+// Monitor.refs: (2u+s)·Dim + k.
 func (m *Monitor) cellIndex(u, s, k int) int { return (2*u+s)*m.plan.Dim + k }
 
 // New builds a monitor for the plan the deployment repairs with.
@@ -182,7 +195,7 @@ func New(plan *core.Plan, opts Options) (*Monitor, error) {
 		plan:  plan,
 		opts:  opts,
 		cells: make([]*cellState, 4*plan.Dim),
-		psi:   make([]*psiRef, 4*plan.Dim),
+		refs:  make([]*cellRef, 4*plan.Dim),
 	}
 	if opts.Dither {
 		seed := opts.Seed
@@ -301,53 +314,69 @@ func (m *Monitor) Observe(rec dataset.Record) ([]Alarm, error) {
 	return alarms, nil
 }
 
-// check runs both statistics for one full window.
+// check runs both statistics for one full window in one pass over the
+// cell's grid. The empirical CDF just before and at each grid point is a
+// prefix count b of the window, read as frac[b] — the b/n the sorted-sample
+// KSAgainstPMF divides — so the KS statistic is bit-identical to it. The
+// PSI bin masses come from the same prefix counts: a sum of integer counts
+// is exact in floating point, so they match histogramming the raw window.
 func (m *Monitor) check(u, s, k int, cs *cellState) ([]Alarm, error) {
 	cell := m.plan.Cell(u, k)
 	if cell.Degenerate {
 		return nil, nil
 	}
-	ref := m.psiRef(u, s, k, cell)
-	return m.judge(u, s, k, cs, ksFromCounts(cs.counts, cell.PMF[s], cs.n), binCounts(cs.counts, ref.edges, cs.n), ref)
+	ref := m.ref(u, s, k, cell)
+	if m.frac == nil {
+		m.frac = make([]float64, m.opts.Window+1)
+		for b := range m.frac {
+			m.frac[b] = float64(b) / float64(m.opts.Window)
+		}
+		m.observed = make([]float64, psiBinCount)
+	}
+	frac, counts, cum := m.frac, cs.counts, ref.cum
+	observed := m.observed[:len(ref.edges)+1]
+	d := 0.0
+	// below counts the window values below the current grid point and
+	// binStart those below the current PSI bin.
+	below, binStart, bin := 0, 0, 0
+	for i := 0; i < len(cum)-1; i++ {
+		below += counts[2*i]
+		if diff := math.Abs(frac[below] - cum[i]); diff > d {
+			d = diff
+		}
+		below += counts[2*i+1]
+		if diff := math.Abs(frac[below] - cum[i+1]); diff > d {
+			d = diff
+		}
+		if bin < len(ref.edges) && ref.edges[bin] == i {
+			observed[bin] = frac[below-binStart]
+			binStart = below
+			bin++
+		}
+	}
+	observed[bin] = frac[cs.n-binStart]
+	return m.judge(u, s, k, cs, d, observed, ref)
 }
 
 // judge turns one window's KS statistic and PSI bin masses into drift
 // scores and alarms.
-func (m *Monitor) judge(u, s, k int, cs *cellState, ks float64, observed []float64, ref *psiRef) ([]Alarm, error) {
+func (m *Monitor) judge(u, s, k int, cs *cellState, ks float64, observed []float64, ref *cellRef) ([]Alarm, error) {
 	var alarms []Alarm
-	// The reference marginal was estimated from n_{R,u,s} research points,
-	// so it carries sampling error of its own: the threshold is the
-	// two-sample critical value with the research group as the second
-	// sample. Without recorded group sizes, fall back to the (stricter)
-	// one-sample bound.
-	crit := KSOneSampleCritical(cs.n, m.opts.Alpha)
-	if nRef := m.plan.GroupSizes[dataset.Group{U: u, S: s}]; nRef > 0 {
-		crit = KSCritical(nRef, cs.n, m.opts.Alpha)
+	if ref.crit > 0 {
+		cs.ksRatio = ks / ref.crit
 	}
-	if crit > 0 {
-		cs.ksRatio = ks / crit
-	}
-	if ks > crit {
-		alarms = append(alarms, Alarm{U: u, S: s, K: k, Kind: AlarmKS, Stat: ks, Threshold: crit, Window: cs.n, Seen: m.seen})
+	if ks > ref.crit {
+		alarms = append(alarms, Alarm{U: u, S: s, K: k, Kind: AlarmKS, Stat: ks, Threshold: ref.crit, Window: cs.n, Seen: m.seen})
 	}
 	psi, err := PSI(ref.expected, observed)
 	if err != nil {
 		return nil, err
 	}
-	// Under the null, PSI on B bins behaves like a scaled χ² with
-	// expectation ≈ B·(1/n_window + 1/n_ref): both the window and the
-	// research-estimated reference contribute sampling noise. Lift the
-	// alarm threshold by twice that expectation so small research groups
-	// do not page on their own estimation error.
-	thr := m.opts.PSIWarn + 2*float64(psiBinCount)/float64(cs.n)
-	if nRef := m.plan.GroupSizes[dataset.Group{U: u, S: s}]; nRef > 0 {
-		thr += 2 * float64(psiBinCount) / float64(nRef)
+	if ref.psiThr > 0 {
+		cs.psiRatio = psi / ref.psiThr
 	}
-	if thr > 0 {
-		cs.psiRatio = psi / thr
-	}
-	if psi > thr {
-		alarms = append(alarms, Alarm{U: u, S: s, K: k, Kind: AlarmPSI, Stat: psi, Threshold: thr, Window: cs.n, Seen: m.seen})
+	if psi > ref.psiThr {
+		alarms = append(alarms, Alarm{U: u, S: s, K: k, Kind: AlarmPSI, Stat: psi, Threshold: ref.psiThr, Window: cs.n, Seen: m.seen})
 	}
 	return alarms, nil
 }
@@ -356,18 +385,21 @@ func (m *Monitor) judge(u, s, k int, cs *cellState, ks float64, observed []float
 // decile convention).
 const psiBinCount = 10
 
-// psiRef builds (and caches) the coarse equal-mass binning of one cell's
-// design pmf.
-func (m *Monitor) psiRef(u, s, k int, cell *core.Cell) *psiRef {
+// ref builds (and caches) one cell's reference: the CDF of its design pmf,
+// the coarse equal-mass PSI binning and the alarm thresholds for a full
+// window.
+func (m *Monitor) ref(u, s, k int, cell *core.Cell) *cellRef {
 	i := m.cellIndex(u, s, k)
-	if ref := m.psi[i]; ref != nil {
+	if ref := m.refs[i]; ref != nil {
 		return ref
 	}
-	ref := &psiRef{}
+	pmf := cell.PMF[s]
+	ref := &cellRef{cum: make([]float64, len(pmf)+1)}
 	cum, binMass := 0.0, 0.0
 	bin := 1
-	for i, p := range cell.PMF[s] {
+	for i, p := range pmf {
 		cum += p
+		ref.cum[i+1] = cum
 		binMass += p
 		if cum >= float64(bin)/psiBinCount && bin < psiBinCount && i < len(cell.Q)-1 {
 			ref.edges = append(ref.edges, i)
@@ -377,7 +409,27 @@ func (m *Monitor) psiRef(u, s, k int, cell *core.Cell) *psiRef {
 		}
 	}
 	ref.expected = append(ref.expected, binMass)
-	m.psi[i] = ref
+	// The reference marginal was estimated from n_{R,u,s} research points,
+	// so it carries sampling error of its own: the KS threshold is the
+	// two-sample critical value with the research group as the second
+	// sample. Without recorded group sizes, fall back to the (stricter)
+	// one-sample bound.
+	n := m.opts.Window
+	nRef := m.plan.GroupSizes[dataset.Group{U: u, S: s}]
+	ref.crit = KSOneSampleCritical(n, m.opts.Alpha)
+	if nRef > 0 {
+		ref.crit = KSCritical(nRef, n, m.opts.Alpha)
+	}
+	// Under the null, PSI on B bins behaves like a scaled χ² with
+	// expectation ≈ B·(1/n_window + 1/n_ref): both the window and the
+	// research-estimated reference contribute sampling noise. Lift the
+	// alarm threshold by twice that expectation so small research groups
+	// do not page on their own estimation error.
+	ref.psiThr = m.opts.PSIWarn + 2*float64(psiBinCount)/float64(n)
+	if nRef > 0 {
+		ref.psiThr += 2 * float64(psiBinCount) / float64(nRef)
+	}
+	m.refs[i] = ref
 	return ref
 }
 
@@ -391,45 +443,4 @@ func gridCell(q []float64, x float64) int {
 		return 2*i + 1
 	}
 	return 2 * i
-}
-
-// ksFromCounts is KSAgainstPMF over a window of n values held as grid-cell
-// counts: the empirical CDF just before and at each grid point is a
-// prefix sum, divided by n exactly as the sorted-sample search divides its
-// index, so the statistic is bit-identical.
-func ksFromCounts(counts []int, pmf []float64, n int) float64 {
-	d, cum := 0.0, 0.0
-	below := 0 // window values below the current grid point
-	for i, p := range pmf {
-		below += counts[2*i]
-		if diff := math.Abs(float64(below)/float64(n) - cum); diff > d {
-			d = diff
-		}
-		cum += p
-		below += counts[2*i+1]
-		if diff := math.Abs(float64(below)/float64(n) - cum); diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
-// binCounts histograms a window of n values held as grid-cell counts into
-// the right-closed bins ending at Q[edges[b]] (last bin unbounded) and
-// normalizes to a pmf.
-func binCounts(counts []int, edges []int, n int) []float64 {
-	out := make([]float64, len(edges)+1)
-	c := 0
-	for b, e := range edges {
-		for ; c <= 2*e+1; c++ {
-			out[b] += float64(counts[c])
-		}
-	}
-	for ; c < len(counts); c++ {
-		out[len(edges)] += float64(counts[c])
-	}
-	for b := range out {
-		out[b] /= float64(n)
-	}
-	return out
 }

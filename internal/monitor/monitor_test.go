@@ -12,7 +12,7 @@ import (
 	"otfair/internal/simulate"
 )
 
-func designPaperPlan(t *testing.T, seed uint64, nR int) (*core.Plan, *simulate.Sampler) {
+func designPaperPlan(t testing.TB, seed uint64, nR int) (*core.Plan, *simulate.Sampler) {
 	t.Helper()
 	sampler, err := simulate.NewSampler(simulate.Paper())
 	if err != nil {
@@ -337,5 +337,72 @@ func TestDitherQuietsAtomicFeatures(t *testing.T) {
 	}
 	if raw <= dithered {
 		t.Errorf("dithering did not reduce alarms (%d → %d)", raw, dithered)
+	}
+}
+
+// TestObserveAllocs pins the steady-state tap at zero allocations: once
+// every cell's window is full and has been checked, Observe of a record
+// that raises no alarm — here every record, since the thresholds are out
+// of reach — allocates nothing, the check's KS and PSI passes included.
+func TestObserveAllocs(t *testing.T) {
+	plan, sampler := designPaperPlan(t, 3, 600)
+	for _, opts := range []Options{
+		{Window: 64, CheckEvery: 1, Alpha: 1e-300, PSIWarn: 1e6},
+		{Window: 100, CheckEvery: 1, Alpha: 1e-300, PSIWarn: 1e6, Dither: true},
+	} {
+		m, err := New(plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(7)
+		recs := make([]dataset.Record, 4000)
+		for i := range recs {
+			recs[i] = sampler.Draw(r)
+			if _, err := m.Observe(recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, cs := range m.cells {
+			if cs == nil || cs.n < len(cs.ring) || m.refs[i] == nil {
+				t.Fatalf("opts %+v: cell %d not full and checked after %d records", opts, i, len(recs))
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(500, func() {
+			alarms, err := m.Observe(recs[i%len(recs)])
+			if err != nil || len(alarms) > 0 {
+				t.Fatalf("opts %+v: Observe = %v, %v", opts, alarms, err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("opts %+v: Observe allocates %v times per record, want 0", opts, allocs)
+		}
+	}
+}
+
+// BenchmarkMonitorObserve times the drift monitor's per-record tap at the
+// default options (256-value windows checked every 64 values per cell) on
+// a stationary stream, so the windows are full and checks run.
+func BenchmarkMonitorObserve(b *testing.B) {
+	plan, sampler := designPaperPlan(b, 3, 600)
+	m, err := New(plan, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(7)
+	recs := make([]dataset.Record, 8192)
+	for i := range recs {
+		recs[i] = sampler.Draw(r)
+		if _, err := m.Observe(recs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Observe(recs[i%len(recs)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -331,10 +331,16 @@ type planState struct {
 // originals, the repaired window their repairs, and the alarm ring keeps
 // the most recent maxAlarms. The drift watcher has its own lock and only
 // copies records its reservoir admits, so it is fed after mu is released.
+// A repair keeps its original's s, so the labelled records the monitor
+// pass counts are those of both spans.
 func (ps *planState) observe(orig, repaired []dataset.Record, maxAlarms int) {
 	ps.mu.Lock()
+	labelled := 0
 	for _, rec := range orig {
-		ps.original.add(rec)
+		if rec.S == dataset.SUnknown {
+			continue
+		}
+		labelled++
 		if alarms, _ := ps.mon.Observe(rec); len(alarms) > 0 {
 			ps.alarmsTotal += int64(len(alarms))
 			ps.alarms = append(ps.alarms, alarms...)
@@ -343,9 +349,8 @@ func (ps *planState) observe(orig, repaired []dataset.Record, maxAlarms int) {
 	if over := len(ps.alarms) - maxAlarms; over > 0 {
 		ps.alarms = append(ps.alarms[:0], ps.alarms[over:]...)
 	}
-	for _, rec := range repaired {
-		ps.repaired.add(rec)
-	}
+	ps.original.addSpan(orig, labelled)
+	ps.repaired.addSpan(repaired, labelled)
 	ps.mu.Unlock()
 	if ps.watch != nil {
 		for _, rec := range orig {
@@ -360,7 +365,9 @@ type blindEntry struct {
 	lastUsed uint64
 }
 
-// recordWindow is a fixed-capacity ring of labelled records.
+// recordWindow is a fixed-capacity ring of labelled records: the most
+// recent len(buf) records with a known s, record j of the stream in slot
+// j mod len(buf).
 type recordWindow struct {
 	dim  int
 	buf  []dataset.Record
@@ -372,15 +379,37 @@ func newRecordWindow(dim, capacity int) *recordWindow {
 	return &recordWindow{dim: dim, buf: make([]dataset.Record, capacity)}
 }
 
-func (w *recordWindow) add(rec dataset.Record) {
-	if rec.S == dataset.SUnknown {
+// addSpan adds the labelled records of a span holding that many, in order.
+// Only the last len(buf) of them outlast the span, so the rest are never
+// read: next moves past their slots and the kept ones land where adding
+// every record in turn would leave them.
+func (w *recordWindow) addSpan(recs []dataset.Record, labelled int) {
+	if labelled == 0 {
 		return
 	}
-	w.buf[w.next] = rec
-	w.next++
-	if w.next == len(w.buf) {
-		w.next = 0
-		w.full = true
+	if skip := labelled - len(w.buf); skip > 0 {
+		start, kept := len(recs), 0
+		for kept < len(w.buf) && start > 0 {
+			if start--; recs[start].S != dataset.SUnknown {
+				kept++
+			}
+		}
+		if w.next += skip; w.next >= len(w.buf) {
+			w.next %= len(w.buf)
+			w.full = true
+		}
+		recs = recs[start:]
+	}
+	for _, rec := range recs {
+		if rec.S == dataset.SUnknown {
+			continue
+		}
+		w.buf[w.next] = rec
+		w.next++
+		if w.next == len(w.buf) {
+			w.next = 0
+			w.full = true
+		}
 	}
 }
 

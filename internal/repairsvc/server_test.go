@@ -458,3 +458,89 @@ func TestFailedRepairKeepsWindowsPaired(t *testing.T) {
 		})
 	}
 }
+
+// TestRecordWindowSpanMatchesPerRecord feeds one metric window span by
+// span and a reference ring one record at a time: spans shorter than,
+// equal to and longer than the capacity, s-unknown records mixed in, from
+// every starting slot with the window not yet full and already full. The
+// rings must agree slot for slot, with the same next and full, and
+// materialize byte-identical tables.
+func TestRecordWindowSpanMatchesPerRecord(t *testing.T) {
+	const dim = 2
+	r := rng.New(17)
+	// addOne is the per-record reference: every labelled record takes the
+	// next slot.
+	addOne := func(w *recordWindow, rec dataset.Record) {
+		if rec.S == dataset.SUnknown {
+			return
+		}
+		w.buf[w.next] = rec
+		if w.next++; w.next == len(w.buf) {
+			w.next, w.full = 0, true
+		}
+	}
+	serial := 0
+	span := func(n int, unknownEvery int) []dataset.Record {
+		recs := make([]dataset.Record, n)
+		for i := range recs {
+			serial++
+			recs[i] = dataset.Record{X: []float64{float64(serial), -0.5 * float64(serial)}, S: r.IntN(2), U: r.IntN(2)}
+			if unknownEvery > 0 && r.IntN(unknownEvery) == 0 {
+				recs[i].S = dataset.SUnknown
+			}
+		}
+		return recs
+	}
+	for _, capacity := range []int{1, 3, 8} {
+		for _, prefill := range []int{0, capacity} {
+			for offset := 0; offset < capacity; offset++ {
+				got, want := newRecordWindow(dim, capacity), newRecordWindow(dim, capacity)
+				for _, rec := range span(prefill+offset, 0) {
+					addOne(got, rec)
+					addOne(want, rec)
+				}
+				lengths := []int{0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity, 3*capacity + 2, 5 * capacity}
+				for step, n := range lengths {
+					for _, unknownEvery := range []int{0, 2, 1} {
+						recs := span(n, unknownEvery)
+						labelled := 0
+						for _, rec := range recs {
+							if rec.S != dataset.SUnknown {
+								labelled++
+							}
+							addOne(want, rec)
+						}
+						got.addSpan(recs, labelled)
+						where := fmt.Sprintf("capacity %d prefill %d offset %d step %d (span %d, unknown 1/%d)", capacity, prefill, offset, step, n, unknownEvery)
+						if got.next != want.next || got.full != want.full {
+							t.Fatalf("%s: next %d full %v, per-record %d %v", where, got.next, got.full, want.next, want.full)
+						}
+						for i := range got.buf {
+							g, w := got.buf[i], want.buf[i]
+							if g.S != w.S || g.U != w.U || len(g.X) != len(w.X) || len(g.X) > 0 && &g.X[0] != &w.X[0] {
+								t.Fatalf("%s: slot %d holds %v, per-record %v", where, i, g, w)
+							}
+						}
+						gt, wt := got.table(), want.table()
+						if (gt == nil) != (wt == nil) {
+							t.Fatalf("%s: table %v, per-record %v", where, gt, wt)
+						}
+						if gt == nil {
+							continue
+						}
+						var gb, wb bytes.Buffer
+						if err := gt.WriteCSV(&gb); err != nil {
+							t.Fatal(err)
+						}
+						if err := wt.WriteCSV(&wb); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+							t.Fatalf("%s: table\n%s\nper-record\n%s", where, gb.Bytes(), wb.Bytes())
+						}
+					}
+				}
+			}
+		}
+	}
+}
