@@ -185,19 +185,9 @@ func main() {
 		if err != nil {
 			fatal("pruning calibrations", err)
 		}
-		// Design warm-start links (cmd/repro -store against this same
-		// directory) age out with the plans they point at.
-		ix, err := planstore.NewDesignIndex(store)
-		if err != nil {
-			fatal("opening design index", err)
-		}
-		linksRemoved, err := ix.Prune(*prune)
-		if err != nil {
-			fatal("pruning design links", err)
-		}
 		logger.Info("pruned stale artefacts",
 			slog.Int("plans", removed), slog.Int("calibrations", calsRemoved),
-			slog.Int("design_links", linksRemoved), slog.Duration("older_than", *prune))
+			slog.Duration("older_than", *prune))
 	}
 	if *prewarm {
 		plans, cals, skipped, err := handler.Prewarm()

@@ -9,11 +9,7 @@
 //	      |ablation-{solver,partial,quantile,drift,blind,blind-separation,
 //	                 joint,contu,target,individual,monitor,stopping}
 //	      [-reps N] [-seed N] [-workers N] [-estimator plugin|histogram|kde]
-//	      [-adult path/to/adult.data] [-store path/to/plans]
-//
-// With -store, every design warm-starts from (and persists to) the
-// disk-backed plan tier the serving layer shares, so repeated artefact runs
-// skip designs they have already paid for.
+//	      [-adult path/to/adult.data]
 //
 // With -exp all every experiment runs in paper order, the X1–X13 ablations
 // after the paper's own artefacts.
@@ -27,7 +23,6 @@ import (
 
 	"otfair/internal/experiment"
 	"otfair/internal/fairmetrics"
-	"otfair/internal/planstore"
 )
 
 func main() {
@@ -39,25 +34,8 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		estimator = flag.String("estimator", "plugin", "E estimator: plugin, histogram, kde")
 		adultPath = flag.String("adult", "", "optional path to a real UCI adult.data file (default: calibrated synthetic source)")
-		storeDir  = flag.String("store", "", "optional plan-store directory: designs warm-start from and persist to the disk tier the serving layer shares")
 	)
 	flag.Parse()
-
-	if *storeDir != "" {
-		store, err := planstore.Open(*storeDir, planstore.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		ix, err := planstore.NewDesignIndex(store)
-		if err != nil {
-			fatal(err)
-		}
-		experiment.SetDesignStore(ix)
-		defer func() {
-			hits, misses := ix.Stats()
-			fmt.Printf("plan store %s: %d designs warm-started, %d designed fresh\n", *storeDir, hits, misses)
-		}()
-	}
 
 	est, err := fairmetrics.ParseEstimator(*estimator)
 	if err != nil {

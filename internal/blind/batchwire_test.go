@@ -273,25 +273,54 @@ func TestBatchedStreamInvalidRecordSinksPrefix(t *testing.T) {
 // options on (jitter and kernel dither, whose draws interleave with the
 // alias draws in the RNG stream) against a RepairRecord loop at the same
 // seed, for every method. The input carries a record with an invalid s
-// label inside a batched block (it fails mid-block, after valid records
-// of the same block were drawn) and one with an invalid u (its block takes
-// the scalar path). After each failure both repairers resume on the next
-// record, so any draw the failed record left behind would show up
+// label and one with an invalid u, each failing mid-block after valid
+// records of the same block were drawn; a labelled-serving repairer (no
+// posterior bound) also meets an unlabelled record mid-block, which fails
+// with ErrNoPosterior. After each failure both repairers resume on the
+// next record, so any draw the failed record left behind would show up
 // downstream.
 func TestRepairSpanOptionsMatchRecordLoop(t *testing.T) {
 	opts := core.RepairOptions{Jitter: true, KernelDither: true}
-	for _, method := range []Method{MethodHard, MethodDraw, MethodMix, MethodPooled} {
-		t.Run(method.String(), func(t *testing.T) {
+	cases := []struct {
+		name        string
+		method      Method
+		noPosterior bool
+	}{
+		{MethodHard.String(), MethodHard, false},
+		{MethodDraw.String(), MethodDraw, false},
+		{MethodMix.String(), MethodMix, false},
+		{MethodPooled.String(), MethodPooled, false},
+		{"no-posterior", MethodDraw, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			plan, research, archive := designOnScenario(t, 47, 400, 3000)
-			span, err := New(plan, research, rng.New(47), Options{Method: method, Repair: opts})
-			if err != nil {
-				t.Fatal(err)
+			build := func() *Repairer {
+				t.Helper()
+				o := Options{Method: tc.method, Repair: opts}
+				if !tc.noPosterior {
+					rp, err := New(plan, research, rng.New(47), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rp
+				}
+				smp, err := core.NewPlanSampler(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rp, err := NewCalibrated(nil, Samplers{Labelled: smp}, rng.New(47), o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rp
 			}
-			loop, err := New(plan, research, rng.New(47), Options{Method: method, Repair: opts})
-			if err != nil {
-				t.Fatal(err)
-			}
+			span, loop := build(), build()
 			recs := mixLabels(t, archive).Records()
+			if tc.noPosterior {
+				recs = archive.Clone().Records()
+				recs[1700].S = dataset.SUnknown
+			}
 			recs[1300].S = 5
 			recs[2200].U = 7
 
@@ -312,6 +341,9 @@ func TestRepairSpanOptionsMatchRecordLoop(t *testing.T) {
 				if n != m || (errSpan == nil) != (errLoop == nil) {
 					t.Fatalf("span from %d: completed %d (err %v), loop %d (err %v)", lo, n, errSpan, m, errLoop)
 				}
+				if errSpan != nil && errSpan.Error() != fmt.Sprintf("blind: record %d: %v", lo+m, errLoop) {
+					t.Fatalf("span error %q does not name the loop's failure %q at record %d", errSpan, errLoop, lo+m)
+				}
 				for i := lo; i < lo+n; i++ {
 					if !sameRecord(got[i], want[i]) {
 						t.Fatalf("record %d differs: %+v vs %+v", i, got[i], want[i])
@@ -326,9 +358,12 @@ func TestRepairSpanOptionsMatchRecordLoop(t *testing.T) {
 				lo += n + 1
 			}
 			wantFailures := 2
-			if method == MethodPooled {
+			switch {
+			case tc.method == MethodPooled:
 				// The pooled transport never reads s.
 				wantFailures = 1
+			case tc.noPosterior:
+				wantFailures = 3
 			}
 			if failures != wantFailures {
 				t.Fatalf("%d failures, want %d", failures, wantFailures)

@@ -302,7 +302,8 @@ func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 
 // repairBatch repairs a block of records under precomputed posteriors
 // (gammas[i] pairs with recs[i] and is ignored by records that never
-// consult a posterior), writing record i's repair to out[i], and returns
+// consult a posterior; with no posterior bound an unlabelled record fails
+// with ErrNoPosterior), writing record i's repair to out[i], and returns
 // how many leading records it completed. It applies RepairRecord's exact
 // per-record sequence with the posterior supplied instead of evaluated —
 // same RNG consumption, same stats accumulation order, so when gammas[i]
@@ -320,7 +321,11 @@ func (rp *Repairer) repairBatch(base int, recs []dataset.Record, gammas []float6
 	for i, rec := range recs {
 		done, err := rp.pickKnown(rec)
 		if err == nil && !done {
-			err = rp.pickImputed(rec, gammas[i])
+			if rp.bp == nil {
+				err = ErrNoPosterior
+			} else {
+				err = rp.pickImputed(rec, gammas[i])
+			}
 		}
 		if err != nil {
 			rp.inner.Resolve(xs[:i*d])
@@ -421,15 +426,12 @@ const blindSpan = 1024
 // on error, out[:n] holds the repairs of recs[:n], each byte-identical to
 // an uninterrupted run. It is the span body of RepairTable and of every
 // serving-engine path. It works in blocks of blindSpan records, polling
-// ctx between blocks. A block runs through BatchPosterior + repairBatch
-// when it can: every record valid, and the block's unlabelled records (if
-// any) covered by the calibration's QDA posterior. That path is
-// byte-identical to the per-record sequence (identical RNG consumption and
-// stats order). Any other block — unlabelled records and no posterior, or
-// an invalid record — takes the scalar loop, so error positions and partial
-// progress match RepairRecord exactly. base offsets the record indices in
-// error messages, so a caller feeding spans of a larger input reports
-// absolute positions.
+// ctx between blocks: each block's posteriors come from one BatchPosterior
+// call and its records from repairBatch, which is byte-identical to the
+// per-record sequence of RepairRecord (identical RNG consumption, stats
+// order, error text and partial progress). base offsets the record
+// indices in error messages, so a caller feeding spans of a larger input
+// reports absolute positions.
 func (rp *Repairer) RepairSpan(ctx context.Context, base int, recs, out []dataset.Record) (int, error) {
 	if len(out) != len(recs) {
 		return 0, errors.New("blind: span length mismatch")
@@ -441,52 +443,42 @@ func (rp *Repairer) RepairSpan(ctx context.Context, base int, recs, out []datase
 		}
 		hi := min(lo+blindSpan, len(recs))
 		block, g := recs[lo:hi], gammas[:hi-lo]
-		batched, err := rp.blockPosteriors(block, g)
-		if err != nil {
+		if err := rp.blockPosteriors(block, g); err != nil {
 			return lo, fmt.Errorf("blind: posterior (span at %d): %w", base+lo, err)
 		}
-		if batched {
-			if n, err := rp.repairBatch(base+lo, block, g, out[lo:hi]); err != nil {
-				return lo + n, err
-			}
-			continue
-		}
-		for i, rec := range block {
-			o, err := rp.RepairRecord(rec)
-			if err != nil {
-				return lo + i, fmt.Errorf("blind: record %d: %w", base+lo+i, err)
-			}
-			out[lo+i] = o
+		if n, err := rp.repairBatch(base+lo, block, g, out[lo:hi]); err != nil {
+			return lo + n, err
 		}
 	}
 	return len(recs), nil
 }
 
 // blockPosteriors fills gammas[i] for every unlabelled record of a block
-// through the batched QDA evaluator and reports whether the block may run
-// through repairBatch. Labelled slots (and every slot, for the pooled
-// method) are not written — the reused buffer may carry stale values
-// there — and are ignored downstream: repairBatch never consults gamma for
-// a record that needs no posterior.
-func (rp *Repairer) blockPosteriors(recs []dataset.Record, gammas []float64) (bool, error) {
-	// Like the scalar path, only unlabelled records consult the posterior:
+// before its first invalid record (repairBatch stops there) through the
+// batched QDA evaluator; with no posterior bound it fills nothing, and
+// repairBatch fails the first unlabelled record with ErrNoPosterior.
+// Labelled slots (and every slot, for the pooled method) are not written —
+// the reused buffer may carry stale values there — and are ignored
+// downstream: repairBatch never consults gamma for a record that needs no
+// posterior.
+func (rp *Repairer) blockPosteriors(recs []dataset.Record, gammas []float64) error {
+	// Like RepairRecord, only unlabelled records consult the posterior:
 	// a mostly-labelled archive must not pay for discarded soft labels.
 	unl := 0
-	for _, rec := range recs {
+	for i, rec := range recs {
 		if (rec.U != 0 && rec.U != 1) || len(rec.X) != rp.dim {
-			return false, nil
+			recs, gammas = recs[:i], gammas[:i]
+			break
 		}
 		if rec.S == dataset.SUnknown {
 			unl++
 		}
 	}
 	switch {
-	case unl == 0 || rp.method == MethodPooled:
-		return true, nil
-	case rp.bp == nil:
-		return false, nil
+	case unl == 0 || rp.method == MethodPooled || rp.bp == nil:
+		return nil
 	case unl == len(recs):
-		return true, rp.bp.Posteriors(recs, gammas)
+		return rp.bp.Posteriors(recs, gammas)
 	}
 	// Mixed blocks gather the unlabelled subset and scatter the results.
 	sub := make([]dataset.Record, 0, unl)
@@ -499,12 +491,12 @@ func (rp *Repairer) blockPosteriors(recs []dataset.Record, gammas []float64) (bo
 	}
 	sg := make([]float64, unl)
 	if err := rp.bp.Posteriors(sub, sg); err != nil {
-		return false, err
+		return err
 	}
 	for j, i := range idx {
 		gammas[i] = sg[j]
 	}
-	return true, nil
+	return nil
 }
 
 // RepairTable repairs every record of a table in order; records may be

@@ -234,6 +234,22 @@ func TestRepairRejectsUnlabelled(t *testing.T) {
 	if _, err := rp.RepairValue(0, 0, 9, 1.0); err == nil {
 		t.Error("bad feature accepted")
 	}
+	// A NaN value fails like the labels above: before any RNG call, count
+	// or dither, so the next draw matches a twin that never saw it.
+	opts := RepairOptions{KernelDither: true, Jitter: true}
+	a, _ := NewRepairer(plan, rng.New(3), opts)
+	b, _ := NewRepairer(plan, rng.New(3), opts)
+	if _, err := a.RepairValue(0, 0, 0, math.NaN()); err == nil {
+		t.Error("NaN feature accepted")
+	}
+	if a.Diagnostics() != (Diagnostics{}) {
+		t.Errorf("NaN feature counted: %+v", a.Diagnostics())
+	}
+	va, errA := a.RepairValue(1, 1, 1, 0.3)
+	vb, errB := b.RepairValue(1, 1, 1, 0.3)
+	if errA != nil || errB != nil || math.Float64bits(va) != math.Float64bits(vb) {
+		t.Errorf("draw after a NaN: %v (%v), twin %v (%v)", va, errA, vb, errB)
+	}
 }
 
 func TestRepairClampsAndCounts(t *testing.T) {

@@ -4,7 +4,65 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"otfair/internal/rng"
+	"otfair/internal/simulate"
 )
+
+// FuzzRepairValue feeds RepairValue arbitrary float64 bits, labels and
+// feature index, with and without kernel dither and jitter, on a paper
+// plan. It must never panic: a NaN value or a bad label or feature fails
+// with an error, and any other value repairs to a finite value inside its
+// cell's support (±Inf and out-of-range values clamp to the grid ends).
+// Seeds cover NaN, ±Inf, ±0, a subnormal and both grid endpoints.
+func FuzzRepairValue(f *testing.F) {
+	smp, err := simulate.NewSampler(simulate.Paper())
+	if err != nil {
+		f.Fatal(err)
+	}
+	research, _, err := smp.ResearchArchive(rng.New(5), 300, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	plan, err := Design(research, Options{NQ: 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sampler, err := NewPlanSampler(plan)
+	if err != nil {
+		f.Fatal(err)
+	}
+	q := plan.Cell(0, 0).Q
+	for _, x := range []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, q[0], q[len(q)-1],
+	} {
+		f.Add(0, 0, 0, math.Float64bits(x), false)
+		f.Add(1, 1, 1, math.Float64bits(x), true)
+	}
+	f.Fuzz(func(t *testing.T, u, s, k int, bits uint64, smooth bool) {
+		rp, err := NewRepairerShared(sampler, rng.New(bits), RepairOptions{Jitter: smooth, KernelDither: smooth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := math.Float64frombits(bits)
+		v, err := rp.RepairValue(u, s, k, x)
+		valid := (u == 0 || u == 1) && (s == 0 || s == 1) && k >= 0 && k < plan.Dim && !math.IsNaN(x)
+		if !valid {
+			if err == nil {
+				t.Fatalf("RepairValue(%d, %d, %d, %v) = %v, want an error", u, s, k, x, v)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("RepairValue(%d, %d, %d, %v): %v", u, s, k, x, err)
+		}
+		grid := plan.Cell(u, k).Q
+		if !(v >= grid[0] && v <= grid[len(grid)-1]) {
+			t.Fatalf("RepairValue(%d, %d, %d, %v) = %v, outside the support [%v, %v]", u, s, k, x, v, grid[0], grid[len(grid)-1])
+		}
+	})
+}
 
 // FuzzReadPlan feeds arbitrary bytes to ReadPlan, the decoder behind
 // PUT /v1/plans and the plan store. It must never panic and never accept a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"otfair/internal/dataset"
@@ -146,6 +147,9 @@ func (rp *Repairer) Pick(u, s, k int, x float64) error {
 	if k < 0 || k >= rp.plan.Dim {
 		return fmt.Errorf("core: feature %d out of range %d", k, rp.plan.Dim)
 	}
+	if math.IsNaN(x) {
+		return fmt.Errorf("core: feature %d value is NaN", k)
+	}
 	c := u*rp.plan.Dim + k
 	cell := rp.sampler.cells[c]
 	rp.diag.Repaired++
@@ -156,7 +160,11 @@ func (rp *Repairer) Pick(u, s, k int, x float64) error {
 	if rp.opts.KernelDither && cell.H[s] > 0 {
 		x += cell.H[s] * kde.Sample(rp.plan.Opts.Kernel, rp.rng)
 	}
-	row := rp.sampler.rows[c][s][rp.snapToGrid(cell, x)]
+	q, clamped := SnapToGrid(cell.Q, x, rp.rng)
+	if clamped {
+		rp.diag.Clamped++
+	}
+	row := rp.sampler.rows[c][s][q]
 	if row.fallback {
 		rp.diag.EmptyRowFallbacks++
 	}
@@ -205,37 +213,33 @@ func (rp *Repairer) Resolve(dst []float64) {
 	rp.picks = rp.picks[:0]
 }
 
-// snapToGrid implements lines 5–8: locate the round-down state, then
-// randomize between the two neighbours with the interpolation ratio τ
-// (Eq. 14) as the Bernoulli probability.
-func (rp *Repairer) snapToGrid(cell *Cell, x float64) int {
-	grid := cell.Q
+// SnapToGrid implements Algorithm 2 lines 5–8 on one sorted support axis:
+// locate the round-down state, then randomize between the two neighbours
+// with the interpolation ratio τ (Eq. 14) as the Bernoulli probability,
+// drawn from r. A value outside the grid snaps to the nearer end and
+// reports clamped; one on a grid point, or at an end, makes no RNG call.
+// x must not be NaN: callers reject it first.
+func SnapToGrid(grid []float64, x float64, r *rng.RNG) (q int, clamped bool) {
 	n := len(grid)
 	switch {
 	case x <= grid[0]:
-		if x < grid[0] {
-			rp.diag.Clamped++
-		}
-		return 0
+		return 0, x < grid[0]
 	case x >= grid[n-1]:
-		if x > grid[n-1] {
-			rp.diag.Clamped++
-		}
-		return n - 1
+		return n - 1, x > grid[n-1]
 	}
 	// Largest q with grid[q] <= x.
-	q := stat.SearchGrid(grid, x)
+	q = stat.SearchGrid(grid, x)
 	if q == n || grid[q] > x {
 		q--
 	}
 	if grid[q] == x {
-		return q
+		return q, false
 	}
 	tau := (x - grid[q]) / (grid[q+1] - grid[q])
-	if rp.rng.Bernoulli(tau) {
+	if r.Bernoulli(tau) {
 		q++
 	}
-	return q
+	return q, false
 }
 
 // jitter spreads the repaired state j uniformly within its grid cell,

@@ -28,10 +28,6 @@ func AblationSolver(cfg SimConfig) (*Table, error) {
 		out := make(map[string]float64)
 		for _, solver := range solvers {
 			start := time.Now()
-			// Deliberately core.Design, not the design() warm-start hook:
-			// this ablation *measures* design cost per solver, so serving a
-			// warm-started plan from the disk tier (cmd/repro -store) would
-			// report a cache lookup as the solver's design time.
 			plan, err := core.Design(research, core.Options{NQ: cfg.NQ, Solver: solver})
 			if err != nil {
 				return nil, fmt.Errorf("%v: %w", solver, err)
@@ -100,7 +96,7 @@ func AblationQuantile(cfg SimConfig) (*Table, error) {
 		if err := record("none/archive", archive); err != nil {
 			return nil, err
 		}
-		plan, err := design(research, core.Options{NQ: cfg.NQ})
+		plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +186,7 @@ func AblationDrift(cfg SimConfig, drifts []float64) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := design(research, core.Options{NQ: cfg.NQ})
+			plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 			if err != nil {
 				return nil, err
 			}
@@ -251,7 +247,7 @@ func AblationPartial(cfg SimConfig, amounts []float64) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := design(research, core.Options{NQ: cfg.NQ, Amount: amount, AmountSet: true})
+			plan, err := core.Design(research, core.Options{NQ: cfg.NQ, Amount: amount, AmountSet: true})
 			if err != nil {
 				return nil, err
 			}

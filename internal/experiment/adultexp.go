@@ -120,7 +120,7 @@ func adultReplicate(cfg AdultConfig, r *rng.RNG) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := design(research, core.Options{NQ: cfg.NQ})
+	plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func Downstream(cfg AdultConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := design(research, core.Options{NQ: cfg.NQ})
+		plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +297,7 @@ func LabelEstimation(cfg AdultConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := design(research, core.Options{NQ: cfg.NQ})
+		plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 		if err != nil {
 			return nil, err
 		}

@@ -42,7 +42,7 @@ func AblationBlind(cfg SimConfig) (*Table, error) {
 			return nil, err
 		}
 		unlabelled := archive.DropS()
-		plan, err := design(research, core.Options{NQ: cfg.NQ})
+		plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +169,7 @@ func AblationBlindSeparation(cfg SimConfig, separations []float64) (*Figure, err
 				return nil, err
 			}
 			unlabelled := archive.DropS()
-			plan, err := design(research, core.Options{NQ: cfg.NQ})
+			plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 			if err != nil {
 				return nil, err
 			}

@@ -39,7 +39,7 @@ func AblationIndividual(cfg SimConfig, nQs []int) (*Figure, error) {
 			}
 			out := make(map[string]float64)
 
-			plan, err := design(research, core.Options{NQ: nQ})
+			plan, err := core.Design(research, core.Options{NQ: nQ})
 			if err != nil {
 				return nil, err
 			}

@@ -76,9 +76,6 @@ func jointRepairMetrics(sc simulate.Scenario, r *rng.RNG, cfg SimConfig, jointNQ
 	}
 
 	start := time.Now()
-	// Deliberately core.Design, not the design() warm-start hook: the
-	// marginal design_ms column measures the real KDE + OT cost, which a
-	// disk warm start (cmd/repro -store) would otherwise zero out.
 	mPlan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 	if err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ func AblationMonitor(cfg SimConfig, drifts []float64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := design(research, core.Options{NQ: cfg.NQ})
+			plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 			if err != nil {
 				return nil, err
 			}

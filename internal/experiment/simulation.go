@@ -65,7 +65,7 @@ func simReplicate(cfg SimConfig, r *rng.RNG) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := design(research, core.Options{NQ: cfg.NQ})
+	plan, err := core.Design(research, core.Options{NQ: cfg.NQ})
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func AblationTarget(cfg SimConfig) (*Table, error) {
 		}
 		out["none/E"] = eNone
 		for ti, target := range targets {
-			plan, err := design(research, core.Options{NQ: cfg.NQ, Target: target})
+			plan, err := core.Design(research, core.Options{NQ: cfg.NQ, Target: target})
 			if err != nil {
 				return nil, fmt.Errorf("%v: %w", target, err)
 			}

@@ -202,6 +202,9 @@ func TestRepairerValidation(t *testing.T) {
 	if _, err := rp.RepairRecord(dataset.Record{X: []float64{0}, S: 0, U: 0}); err == nil {
 		t.Error("wrong dimension accepted")
 	}
+	if _, err := rp.RepairRecord(dataset.Record{X: []float64{0, math.NaN()}, S: 0, U: 0}); err == nil {
+		t.Error("NaN feature accepted")
+	}
 	if _, err := rp.RepairTable(nil); err == nil {
 		t.Error("nil table accepted")
 	}

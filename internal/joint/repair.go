@@ -3,11 +3,12 @@ package joint
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
+	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/rng"
-	"otfair/internal/stat"
 )
 
 // Diagnostics counts boundary conditions seen while repairing.
@@ -95,51 +96,25 @@ func (rp *Repairer) RepairRecord(rec dataset.Record) (dataset.Record, error) {
 	if len(rec.X) != rp.plan.Dim {
 		return dataset.Record{}, fmt.Errorf("joint: record has %d features, want %d", len(rec.X), rp.plan.Dim)
 	}
+	for k, x := range rec.X {
+		if math.IsNaN(x) {
+			return dataset.Record{}, fmt.Errorf("joint: feature %d value is NaN", k)
+		}
+	}
 	cell := rp.plan.Cells[rec.U]
 	idx := make([]int, rp.plan.Dim)
 	for k, x := range rec.X {
-		idx[k] = rp.snapToAxis(cell.Grids[k], x)
+		q, clamped := core.SnapToGrid(cell.Grids[k], x, rp.rng)
+		if clamped {
+			rp.diag.Clamped++
+		}
+		idx[k] = q
 	}
 	row := flatIndex(cell.Grids, idx)
 	j := rp.drawTarget(cell, rec.U, rec.S, row)
 	out := dataset.Record{X: append([]float64(nil), cell.Points[j]...), S: rec.S, U: rec.U}
 	rp.diag.Repaired++
 	return out, nil
-}
-
-// snapToAxis is Algorithm 2 lines 5–8 for one coordinate.
-func (rp *Repairer) snapToAxis(grid []float64, x float64) int {
-	n := len(grid)
-	if n == 1 {
-		if x != grid[0] {
-			rp.diag.Clamped++
-		}
-		return 0
-	}
-	switch {
-	case x <= grid[0]:
-		if x < grid[0] {
-			rp.diag.Clamped++
-		}
-		return 0
-	case x >= grid[n-1]:
-		if x > grid[n-1] {
-			rp.diag.Clamped++
-		}
-		return n - 1
-	}
-	q := stat.SearchGrid(grid, x)
-	if q == n || grid[q] > x {
-		q--
-	}
-	if grid[q] == x {
-		return q
-	}
-	tau := (x - grid[q]) / (grid[q+1] - grid[q])
-	if rp.rng.Bernoulli(tau) {
-		q++
-	}
-	return q
 }
 
 // drawTarget draws the repaired product state from plan row `row`.

@@ -8,7 +8,7 @@
 // type T, given the namespace's encode and decode functions; Store,
 // CalibrationStore and ResearchStore are type aliases of its three
 // instantiations. commitFile is the one atomic write every file of the
-// store (artefacts, design links, refs) goes through, and scanDir the one
+// store (artefacts, refs) goes through, and scanDir the one
 // directory listing every namespace walk starts from.
 package planstore
 
@@ -409,22 +409,6 @@ func (a *Artefacts[T]) quarantine(id string, cause error) error {
 	return cerr
 }
 
-// Has reports whether the fingerprint exists in memory or on disk, without
-// decoding.
-func (a *Artefacts[T]) Has(id string) bool {
-	if !validID(id) {
-		return false
-	}
-	a.mu.Lock()
-	_, hot := a.cache[id]
-	a.mu.Unlock()
-	if hot {
-		return true
-	}
-	_, err := os.Stat(a.path(id))
-	return err == nil
-}
-
 // Delete removes an artefact from memory and disk. Deleting an absent
 // artefact is a no-op.
 func (a *Artefacts[T]) Delete(id string) error {
@@ -495,24 +479,6 @@ func olderThan(e os.DirEntry, cutoff time.Time) bool {
 	return err == nil && info.ModTime().Before(cutoff)
 }
 
-// pruneTemps removes the temp spools last modified before cutoff. Younger
-// ones are kept: their atomic rename may still be in flight in a
-// concurrent write, and deleting one would race the rename and fail the
-// writer; only spools older than the TTL are provably abandoned (a
-// crashed write can never be completed).
-func pruneTemps(dir string, temps []os.DirEntry, cutoff time.Time) error {
-	for _, e := range temps {
-		if !olderThan(e, cutoff) {
-			continue
-		}
-		name := e.Name()
-		if err := removeFile(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("planstore: pruning %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
 // Prune enforces an age-based retention policy: every artefact whose file
 // modification time is older than maxAge is removed from disk and dropped
 // from the LRU, and so are abandoned temp files from crashed writes and
@@ -543,8 +509,18 @@ func (a *Artefacts[T]) Prune(maxAge time.Duration) (removed int, err error) {
 		}
 		removed++
 	}
-	if err := pruneTemps(a.dir, temps, cutoff); err != nil {
-		return removed, err
+	// Only temp spools older than the TTL are provably abandoned (a crashed
+	// write can never be completed); a younger one's atomic rename may
+	// still be in flight in a concurrent write, and deleting it would race
+	// the rename and fail the writer.
+	for _, e := range temps {
+		if !olderThan(e, cutoff) {
+			continue
+		}
+		name := e.Name()
+		if err := removeFile(filepath.Join(a.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return removed, fmt.Errorf("planstore: pruning %s: %w", name, err)
+		}
 	}
 	// Sweep quarantine/ by the same age policy: quarantined bytes and
 	// their reason files are operator evidence, not live data, and must

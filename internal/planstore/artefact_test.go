@@ -51,3 +51,19 @@ func TestDiscardTempIgnoresMissingFile(t *testing.T) {
 		t.Errorf("missing temp file polluted the chain: %v", got)
 	}
 }
+
+// Has reports whether the fingerprint exists in memory or on disk, without
+// decoding.
+func (a *Artefacts[T]) Has(id string) bool {
+	if !validID(id) {
+		return false
+	}
+	a.mu.Lock()
+	_, hot := a.cache[id]
+	a.mu.Unlock()
+	if hot {
+		return true
+	}
+	_, err := os.Stat(a.path(id))
+	return err == nil
+}

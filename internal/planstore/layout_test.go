@@ -14,8 +14,9 @@ import (
 
 // TestOnDiskLayout pins the store's on-disk contract through the public
 // API: the relative path of every file each namespace writes, and the
-// bytes of design links and refs. Stores written by earlier builds must
-// keep loading, so this layout may only ever grow.
+// bytes of artefacts and refs. Stores written by earlier builds must keep
+// loading, so a namespace may be retired (a `designs/` directory of link
+// files from older builds is ignored) but never change its files.
 func TestOnDiskLayout(t *testing.T) {
 	root := t.TempDir()
 	st, err := Open(root, Options{})
@@ -30,24 +31,19 @@ func TestOnDiskLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewDesignIndex(st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	refs, err := OpenRefs(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tbl := designTestResearch(t, 90)
-	opts := core.Options{NQ: 12}
-	plan, err := ix.Design(tbl, opts)
+	plan, err := core.Design(tbl, core.Options{NQ: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	planID, created, err := st.Put(plan)
-	if err != nil || created {
-		t.Fatalf("Put of the designed plan = (%v, %v), want a duplicate", created, err)
+	planID, _, err := st.Put(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cal, err := blind.NewCalibration(plan, tbl)
 	if err != nil {
@@ -62,10 +58,6 @@ func TestOnDiskLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := refs.CompareAndSwap(planID, planID, calID); err != nil {
-		t.Fatal(err)
-	}
-	key, err := designKey(tbl, opts)
-	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,8 +80,6 @@ func TestOnDiskLayout(t *testing.T) {
 		planID + ".json",
 		"calibrations/",
 		"calibrations/" + calID + ".json",
-		"designs/",
-		"designs/" + key + ".link",
 		"refs/",
 		"refs/" + planID + ".ref",
 		"research/",
@@ -101,17 +91,11 @@ func TestOnDiskLayout(t *testing.T) {
 		t.Fatalf("store layout:\n got %q\nwant %q", got, want)
 	}
 
-	for rel, body := range map[string]string{
-		"designs/" + key + ".link": planID + "\n",
-		"refs/" + planID + ".ref":  calID + "\n",
-	} {
-		raw, err := os.ReadFile(filepath.Join(root, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(raw) != body {
-			t.Errorf("%s holds %q, want %q", rel, raw, body)
-		}
+	ref := "refs/" + planID + ".ref"
+	if raw, err := os.ReadFile(filepath.Join(root, ref)); err != nil {
+		t.Fatal(err)
+	} else if string(raw) != calID+"\n" {
+		t.Errorf("%s holds %q, want %q", ref, raw, calID+"\n")
 	}
 	// Each artefact file holds exactly the canonical bytes it is keyed by.
 	planRaw, err := plan.MarshalCanonical()

@@ -1,14 +1,14 @@
 // Package planstore is the durable artefact tier of the repair service: a
 // disk-backed, content-addressed registry of serialized deployment
-// artefacts — repair plans, blind calibrations, design links — keyed by
-// their 128-bit content fingerprint (core.FingerprintBytes), with an
+// artefacts — repair plans, blind calibrations, staged research sets —
+// keyed by their 128-bit content fingerprint (core.FingerprintBytes), with an
 // in-memory LRU of decoded values on top.
 //
 // The paper's whole deployment story is the design/apply split — Algorithm 1
 // runs once on a small research set, Algorithm 2 then repairs unbounded
 // archival torrents, possibly in other processes and long after design
-// time. The store is the boundary object: cmd/repro and repair fleets warm
-// start across process restarts by content hash, the serving layer
+// time. The store is the boundary object: repair fleets reload designed
+// plans across process restarts by content hash, the serving layer
 // (internal/repairsvc) resolves request artefact IDs through it, and because
 // the key is a content hash the store deduplicates structurally — designing
 // the same plan twice, or uploading an artefact a peer already designed, is
@@ -22,16 +22,16 @@
 // directory, each exactly the canonical serialized bytes; plans live at the
 // store root (Store), calibrations under `calibrations/`
 // (CalibrationStore), staged research sets under `research/`
-// (ResearchStore), design warm-start links under `designs/<key>.link`
-// (DesignIndex) and lineage refs under `refs/<lineage>.ref` (Refs), the
-// last two holding `<fingerprint>\n`. Every file is written through one
-// same-directory temp file, fsync and rename, so a crash mid-write can
-// never leave a live truncated entry; every load re-validates through the
-// artefact's full deserializer, so a corrupted file fails loudly instead
-// of repairing data with garbage — loudly and terminally: a file that
-// fails validation twice is moved to `quarantine/<id>.json` with a
-// `<id>.reason` note and surfaces as a typed *CorruptArtefactError until
-// the true bytes are re-stored.
+// (ResearchStore) and lineage refs under `refs/<lineage>.ref` (Refs), each
+// ref holding `<fingerprint>\n`. A `designs/` directory of design links
+// left by older builds is never read and is safe to delete. Every file is
+// written through one same-directory temp file, fsync and rename, so a
+// crash mid-write can never leave a live truncated entry; every load
+// re-validates through the artefact's full deserializer, so a corrupted
+// file fails loudly instead of repairing data with garbage — loudly and
+// terminally: a file that fails validation twice is moved to
+// `quarantine/<id>.json` with a `<id>.reason` note and surfaces as a typed
+// *CorruptArtefactError until the true bytes are re-stored.
 package planstore
 
 import (

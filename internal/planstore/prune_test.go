@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"otfair/internal/core"
 	"otfair/internal/dataset"
 	"otfair/internal/rng"
 )
@@ -78,66 +77,6 @@ func TestPruneTTLRetention(t *testing.T) {
 	if !st.Has(oldID) {
 		t.Error("re-stored plan pruned despite TTL refresh")
 	}
-}
-
-// TestDesignIndexPrune covers link retention: aged links go, fresh links
-// pointing at live plans stay, and a fresh link whose plan was pruned
-// underneath (dangling) is collected too.
-func TestDesignIndexPrune(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := NewDesignIndex(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	research := designTestResearch(t, 80)
-	if _, err := ix.Design(research, core.Options{NQ: 15}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Design(research, core.Options{NQ: 18}); err != nil {
-		t.Fatal(err)
-	}
-	links, err := os.ReadDir(filepath.Join(dir, designNamespace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(links) != 2 {
-		t.Fatalf("links = %d, want 2", len(links))
-	}
-	// Age the first link past the cutoff.
-	backdate(t, filepath.Join(dir, designNamespace, links[0].Name()), 48*time.Hour)
-	if removed, err := ix.Prune(24 * time.Hour); err != nil || removed != 1 {
-		t.Fatalf("prune aged link: removed=%d err=%v, want 1/nil", removed, err)
-	}
-	// Dangle the surviving link by deleting every plan; a fresh prune
-	// collects it regardless of age.
-	for _, id := range mustIDs(t, st) {
-		if err := st.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if removed, err := ix.Prune(24 * time.Hour); err != nil || removed != 1 {
-		t.Fatalf("prune dangling link: removed=%d err=%v, want 1/nil", removed, err)
-	}
-	left, err := os.ReadDir(filepath.Join(dir, designNamespace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("links left after pruning: %d", len(left))
-	}
-}
-
-func mustIDs(t *testing.T, st *Store) []string {
-	t.Helper()
-	ids, err := st.IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ids
 }
 
 // TestPruneCrashSafety covers the crash interactions of retention: stale
@@ -215,89 +154,6 @@ func TestPruneCrashSafety(t *testing.T) {
 	}
 }
 
-func TestDesignIndexWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := NewDesignIndex(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	research := designTestResearch(t, 70)
-	opts := core.Options{NQ: 20}
-
-	plan, err := ix.Design(research, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, m := ix.Stats(); h != 0 || m != 1 {
-		t.Errorf("first design: hits=%d misses=%d, want 0/1", h, m)
-	}
-	// Same inputs warm-start, and a fresh index over the same directory
-	// (another process) warm-starts from disk with identical canonical
-	// bytes.
-	again, err := ix.Design(research, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := ix.Stats(); h != 1 {
-		t.Error("repeat design did not hit the disk tier")
-	}
-	if again != plan {
-		t.Error("in-process warm start did not return the cached plan object")
-	}
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := NewDesignIndex(st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := ix2.Design(research, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := plan.MarshalCanonical()
-	b, _ := reloaded.MarshalCanonical()
-	if string(a) != string(b) {
-		t.Error("cross-process warm start changed the canonical plan bytes")
-	}
-	if h, m := ix2.Stats(); h != 1 || m != 0 {
-		t.Errorf("cross-process stats: hits=%d misses=%d, want 1/0", h, m)
-	}
-
-	// Different options are a different key.
-	if _, err := ix.Design(research, core.Options{NQ: 25}); err != nil {
-		t.Fatal(err)
-	}
-	if _, m := ix.Stats(); m != 2 {
-		t.Error("changed options did not re-design")
-	}
-
-	// A dangling link (plan pruned underneath) self-heals.
-	id, err := plan.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	healed, err := ix.Design(research, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hid, err := healed.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hid != id || !st.Has(id) {
-		t.Error("dangling design link did not re-create the plan")
-	}
-}
-
 // designTestResearch builds a synthetic bimodal research table for tests
 // that exercise the design inputs rather than a finished plan.
 func designTestResearch(t *testing.T, seed uint64) *dataset.Table {
@@ -322,19 +178,15 @@ func designTestResearch(t *testing.T, seed uint64) *dataset.Table {
 	return tbl
 }
 
-// TestDesignIndexPruneSurfacesTempRemovalFailure: a stale link spool that
-// cannot be removed fails the prune loudly, as it does for artefacts,
-// instead of being skipped in silence.
-func TestDesignIndexPruneSurfacesTempRemovalFailure(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+// TestPruneSurfacesTempRemovalFailure: a stale temp spool that cannot be
+// removed fails the prune loudly instead of being skipped in silence.
+func TestPruneSurfacesTempRemovalFailure(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewDesignIndex(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spool := filepath.Join(ix.dir, "0123456789abcdef0123456789abcdef.tmp-crashed")
+	spool := filepath.Join(dir, "0123456789abcdef0123456789abcdef.tmp-crashed")
 	if err := os.WriteFile(spool, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -344,14 +196,14 @@ func TestDesignIndexPruneSurfacesTempRemovalFailure(t *testing.T) {
 	removeFile = func(string) error { return rmErr }
 	defer func() { removeFile = old }()
 
-	if _, err := ix.Prune(24 * time.Hour); !errors.Is(err, rmErr) {
+	if _, err := st.Prune(24 * time.Hour); !errors.Is(err, rmErr) {
 		t.Fatalf("Prune = %v, want the temp removal failure", err)
 	}
 	removeFile = old
-	if _, err := ix.Prune(24 * time.Hour); err != nil {
+	if _, err := st.Prune(24 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(spool); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("stale link spool survived: %v", err)
+		t.Errorf("stale plan spool survived: %v", err)
 	}
 }
