@@ -13,9 +13,9 @@ BENCH_COUNT ?= 5
 # The four paper artefacts (Table I, Figure 3, Figure 4, Table II); each
 # uses a fixed experiment seed so runs are comparable across machines.
 ARTEFACTS = BenchmarkTable1$$|BenchmarkFigure3$$|BenchmarkFigure4$$|BenchmarkTable2$$
-# Serving-layer throughput (records/sec): the alias-table engine
-# (parallel and serial), the fairserved HTTP round trip (labelled CSV, and
-# blind NDJSON through a calibration), the engine bound to a blind
+# Serving-layer throughput (records/sec): the alias-table engine's table
+# path (parallel and serial), the fairserved HTTP round trip (labelled CSV,
+# and blind NDJSON through a calibration), the engine bound to a blind
 # (s-unlabelled) calibration, and the batched QDA posterior kernel under
 # the blind path.
 THROUGHPUT = BenchmarkRepairThroughput|BenchmarkServeRepairHTTP$$|BenchmarkServeRepairHTTPBlindNDJSON$$|BenchmarkBlindRepairThroughput|BenchmarkBlindPosteriorBatch$$
@@ -173,13 +173,13 @@ endif
 # through the handler over four cached research sets, with allocations,
 # the CSV decode layer alone: a 10 000-record /v1/repair body through
 # CSVStream and a 2 000-record research set through ReadResearchColumns,
-# the serial (workers=1) HTTP round trip, and the drift monitor's
-# per-record tap.
+# the HTTP round trip (perfbench repair_csv's configuration), and the
+# drift monitor's per-record tap.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkDesign$$|BenchmarkRepairTable$$|BenchmarkSolvers|BenchmarkEMetric$$|BenchmarkPlanSerialization|BenchmarkPlanSamplerBuild' -benchtime 10x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPlansPostRepeat$$' -benchtime 1000x .
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/vec/
 	$(GO) test -run '^$$' -bench 'BenchmarkParse$$' -benchtime 1000000x ./internal/atof/
 	$(GO) test -run '^$$' -bench 'BenchmarkCSVStream$$|BenchmarkReadResearchColumns$$' -benchtime 200x ./internal/dataset/
-	$(GO) test -run '^$$' -bench 'BenchmarkServeRepairHTTPSerial$$' -benchtime 50x .
+	$(GO) test -run '^$$' -bench 'BenchmarkServeRepairHTTP$$' -benchtime 50x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMonitorObserve$$' -benchtime 1000000x ./internal/monitor/

@@ -69,6 +69,8 @@ func BenchmarkRepairThroughputAliasSerial(b *testing.B) {
 
 // BenchmarkServeRepairHTTP measures the full service round trip: CSV
 // upload, streamed repair, CSV download through the fairserved handler.
+// Every request repairs serially, so this is perfbench repair_csv's
+// configuration and the one a serial records/sec target means.
 func BenchmarkServeRepairHTTP(b *testing.B) {
 	plan, _, archive := benchServeState(b, 20000)
 	srv, id := benchServer(b, plan)
@@ -79,22 +81,9 @@ func BenchmarkServeRepairHTTP(b *testing.B) {
 	benchServeRoundTrip(b, srv.URL+"/v1/repair?plan="+id+"&seed=1", "text/csv", archiveCSV.Bytes(), archive.Len())
 }
 
-// BenchmarkServeRepairHTTPSerial is the same round trip on one repair
-// worker, the configuration perfbench's repair_csv workload serves and the
-// one a serial records/sec target means.
-func BenchmarkServeRepairHTTPSerial(b *testing.B) {
-	plan, _, archive := benchServeState(b, 20000)
-	srv, id := benchServer(b, plan)
-	var archiveCSV bytes.Buffer
-	if err := archive.WriteCSV(&archiveCSV); err != nil {
-		b.Fatal(err)
-	}
-	benchServeRoundTrip(b, srv.URL+"/v1/repair?plan="+id+"&seed=1&workers=1", "text/csv", archiveCSV.Bytes(), archive.Len())
-}
-
 // BenchmarkServeRepairHTTPBlindNDJSON is the blind serving round trip:
 // s-unlabelled NDJSON upload, repair through a calibration with
-// method=draw on one worker, NDJSON download.
+// method=draw, NDJSON download.
 func BenchmarkServeRepairHTTPBlindNDJSON(b *testing.B) {
 	plan, research, archive := benchServeState(b, 20000)
 	srv, id := benchServer(b, plan)

@@ -31,8 +31,9 @@
 // per-record decode/encode timing). -pprof-addr serves net/http/pprof on a
 // separate listener so profiling never rides the serving port.
 //
-// With workers=1 the repaired bytes are identical to what the in-process
-// library produces at the same seed, so a service deployment is a drop-in
+// Every /v1/repair request repairs its records serially, in order, so the
+// repaired bytes are identical to what the in-process library produces at
+// the same seed on every host: a service deployment is a drop-in
 // replacement for embedded repair.
 //
 // -smoke runs the self-contained smoke test used by `make serve-smoke`:
@@ -66,7 +67,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	storeDir := flag.String("store", "plans", "artefact store directory (plans at the root, calibrations under calibrations/)")
-	workers := flag.Int("workers", 0, "default repair fan-out (0 = GOMAXPROCS)")
 	window := flag.Int("window", 2048, "rolling metric window (records per plan)")
 	cache := flag.Int("cache", 64, "in-memory artefact cache size (plans and calibrations each)")
 	prewarm := flag.Bool("prewarm", false, "load stored plans and calibrations into the memory tier at boot (up to -cache entries each)")
@@ -134,7 +134,6 @@ func main() {
 		fatal("opening store", err)
 	}
 	serverOpts := repairsvc.ServerOptions{
-		Workers:              *workers,
 		MetricWindow:         *window,
 		CalibrationCacheSize: *cache,
 		MaxInflight:          *maxInflight,

@@ -273,12 +273,14 @@ func TestBatchedStreamInvalidRecordSinksPrefix(t *testing.T) {
 // options on (jitter and kernel dither, whose draws interleave with the
 // alias draws in the RNG stream) against a RepairRecord loop at the same
 // seed, for every method. The input carries a record with an invalid s
-// label and one with an invalid u, each failing mid-block after valid
-// records of the same block were drawn; a labelled-serving repairer (no
-// posterior bound) also meets an unlabelled record mid-block, which fails
-// with ErrNoPosterior. After each failure both repairers resume on the
-// next record, so any draw the failed record left behind would show up
-// downstream.
+// label, one with an invalid u and an unlabelled one with a NaN feature,
+// each failing mid-block after valid records of the same block were
+// drawn; a labelled-serving repairer (no posterior bound) also meets an
+// unlabelled record mid-block, which fails with ErrNoPosterior. After each
+// failure both repairers resume on the next record, so any draw the failed
+// record left behind would show up downstream. The NaN record must fail
+// before any count or draw: a fresh repairer fed only it keeps zero stats
+// and then repairs a valid record as an untouched one does.
 func TestRepairSpanOptionsMatchRecordLoop(t *testing.T) {
 	opts := core.RepairOptions{Jitter: true, KernelDither: true}
 	cases := []struct {
@@ -323,6 +325,10 @@ func TestRepairSpanOptionsMatchRecordLoop(t *testing.T) {
 			}
 			recs[1300].S = 5
 			recs[2200].U = 7
+			nan := recs[2600]
+			nan.X = append([]float64{math.NaN()}, nan.X[1:]...)
+			nan.S = dataset.SUnknown
+			recs[2600] = nan
 
 			got := make([]dataset.Record, len(recs))
 			want := make([]dataset.Record, len(recs))
@@ -357,16 +363,32 @@ func TestRepairSpanOptionsMatchRecordLoop(t *testing.T) {
 				}
 				lo += n + 1
 			}
-			wantFailures := 2
+			wantFailures := 3
 			switch {
 			case tc.method == MethodPooled:
 				// The pooled transport never reads s.
-				wantFailures = 1
+				wantFailures = 2
 			case tc.noPosterior:
-				wantFailures = 3
+				wantFailures = 4
 			}
 			if failures != wantFailures {
 				t.Fatalf("%d failures, want %d", failures, wantFailures)
+			}
+
+			fresh, untouched := build(), build()
+			if _, err := fresh.RepairRecord(nan); err == nil || !strings.Contains(err.Error(), "NaN") {
+				t.Fatalf("RepairRecord(NaN record): err = %v, want the NaN error", err)
+			}
+			if n, err := fresh.RepairSpan(context.Background(), 0, []dataset.Record{nan}, make([]dataset.Record, 1)); n != 0 || err == nil {
+				t.Fatalf("RepairSpan(NaN record) = %d, %v: want 0 and an error", n, err)
+			}
+			if fresh.Stats() != (Stats{}) || fresh.Diagnostics() != (core.Diagnostics{}) {
+				t.Fatalf("NaN record was counted: %+v %+v", fresh.Stats(), fresh.Diagnostics())
+			}
+			a, errA := fresh.RepairRecord(recs[0])
+			b, errB := untouched.RepairRecord(recs[0])
+			if errA != nil || errB != nil || !sameRecord(a, b) {
+				t.Fatalf("repair after the NaN record %+v (%v), untouched repairer %+v (%v)", a, errA, b, errB)
 			}
 		})
 	}

@@ -337,17 +337,32 @@ func (rp *Repairer) repairBatch(base int, recs []dataset.Record, gammas []float6
 	return len(recs), nil
 }
 
+// checkRecord validates what a record needs before it is counted, drawn
+// for or handed to the posterior: a binary u, the repairer's dimension and
+// no NaN feature.
+func (rp *Repairer) checkRecord(rec dataset.Record) error {
+	if rec.U != 0 && rec.U != 1 {
+		return fmt.Errorf("blind: invalid u label %d", rec.U)
+	}
+	if len(rec.X) != rp.dim {
+		return fmt.Errorf("blind: record has %d features, want %d", len(rec.X), rp.dim)
+	}
+	for k, x := range rec.X {
+		if math.IsNaN(x) {
+			return fmt.Errorf("blind: feature %d value is NaN", k)
+		}
+	}
+	return nil
+}
+
 // pickKnown handles the posterior-free cases — validation, the pooled
 // transport, and records arriving with an observed label — picking the
 // record's draws (see core.Repairer.Pick). done reports that the record
 // is fully picked; otherwise the caller supplies a posterior and finishes
-// with pickImputed.
+// with pickImputed. An invalid record fails before any count or draw.
 func (rp *Repairer) pickKnown(rec dataset.Record) (done bool, err error) {
-	if rec.U != 0 && rec.U != 1 {
-		return false, fmt.Errorf("blind: invalid u label %d", rec.U)
-	}
-	if len(rec.X) != rp.dim {
-		return false, fmt.Errorf("blind: record has %d features, want %d", len(rec.X), rp.dim)
+	if err := rp.checkRecord(rec); err != nil {
+		return false, err
 	}
 	rp.stats.Records++
 	switch {
@@ -466,7 +481,7 @@ func (rp *Repairer) blockPosteriors(recs []dataset.Record, gammas []float64) err
 	// a mostly-labelled archive must not pay for discarded soft labels.
 	unl := 0
 	for i, rec := range recs {
-		if (rec.U != 0 && rec.U != 1) || len(rec.X) != rp.dim {
+		if rp.checkRecord(rec) != nil {
 			recs, gammas = recs[:i], gammas[:i]
 			break
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"otfair/internal/dataset"
@@ -76,6 +77,9 @@ func (qp *QuantilePlan) RepairValue(u, s, k int, x float64) (float64, error) {
 	}
 	if k < 0 || k >= qp.dim {
 		return 0, fmt.Errorf("core: feature %d out of range %d", k, qp.dim)
+	}
+	if math.IsNaN(x) {
+		return 0, fmt.Errorf("core: feature %d value is NaN", k)
 	}
 	// Mid-rank within the own group: the average of the left and right CDF
 	// limits handles ties gracefully (Feldman et al.'s rank convention).

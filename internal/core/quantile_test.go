@@ -196,6 +196,9 @@ func TestQuantileValidation(t *testing.T) {
 	if _, err := qp.RepairValue(0, 0, 9, 1); err == nil {
 		t.Error("bad feature accepted")
 	}
+	if _, err := qp.RepairValue(0, 0, 0, math.NaN()); err == nil || err.Error() != "core: feature 0 value is NaN" {
+		t.Errorf("NaN value: err = %v, want the Algorithm-2 repairers' NaN error", err)
+	}
 	if _, err := qp.RepairRecord(dataset.Record{X: []float64{1, 2}, S: dataset.SUnknown, U: 0}); err == nil {
 		t.Error("unlabelled record accepted")
 	}

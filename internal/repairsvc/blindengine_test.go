@@ -131,12 +131,12 @@ func (s *recordStream) Dim() int { return s.dim }
 
 // TestEngineSerialPrefixAcrossChunk pins the serial span loop's failure
 // contract past the first span: a stream that fails at record
-// ChunkSize+37 — an invalid record the repairer rejects, or a Next error —
+// spanSize+37 — an invalid record the repairer rejects, or a Next error —
 // delivers exactly the records before it, byte-identical to
 // blind.Repairer.RepairStream with the same seed and with the same
 // blind.Stats, and a repair error names the record's absolute index.
 func TestEngineSerialPrefixAcrossChunk(t *testing.T) {
-	const bad = shardrun.DefaultChunkSize + 37
+	const bad = spanSize + 37
 	plan, cal, research, unlabelled := blindTestData(t, 6, 300, bad+500, 30)
 	engine, err := newBlindEngine(plan, cal, Options{Workers: 1})
 	if err != nil {
@@ -228,13 +228,18 @@ func TestBlindEngineSharedSamplerByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBlindEngineParallelDeterministicAndEffective pins the workers=N modes:
-// repeatable for a fixed (seed, workers, chunk) in both table and stream
-// form, clamped correctly on tiny tables, and actually repairing — the
-// posterior-mixed repair must quench most of the measured unfairness.
+// TestBlindEngineParallelDeterministicAndEffective pins the workers=N table
+// fan-out: repeatable for a fixed (seed, workers), clamped correctly on
+// tiny tables, and actually repairing — the posterior-mixed repair must
+// quench most of the measured unfairness. A stream ignores the fan-out:
+// it repairs serially, byte-identical to a one-worker engine's.
 func TestBlindEngineParallelDeterministicAndEffective(t *testing.T) {
 	plan, cal, _, unlabelled := blindTestData(t, 3, 400, 3000, 50)
-	engine, err := newBlindEngine(plan, cal, Options{Workers: 4, ChunkSize: 512})
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := newBlindEngine(plan, cal, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,17 +260,17 @@ func TestBlindEngineParallelDeterministicAndEffective(t *testing.T) {
 		}
 		tablesEqual(t, runTable(unlabelled), runTable(unlabelled))
 		tablesEqual(t, runTable(tiny), runTable(tiny))
-		runStream := func() *dataset.Table {
+		runStream := func(e *Engine) *dataset.Table {
 			out, err := dataset.NewTable(unlabelled.Dim(), unlabelled.Names())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(5), method, dataset.NewSliceStream(unlabelled), appendSink(out)); err != nil {
+			if _, _, _, err := e.RepairStreamContext(context.Background(), rng.New(5), method, dataset.NewSliceStream(unlabelled), appendSink(out)); err != nil {
 				t.Fatal(err)
 			}
 			return out
 		}
-		tablesEqual(t, runStream(), runStream())
+		tablesEqual(t, runStream(engine), runStream(serial))
 	}
 
 	// Effectiveness, judged against the true labels: repair blind, then
@@ -364,7 +369,7 @@ func TestBlindEngineCalibrationMismatch(t *testing.T) {
 // blind path.
 func TestBlindEngineConcurrentRequests(t *testing.T) {
 	plan, cal, _, unlabelled := blindTestData(t, 7, 250, 800, 30)
-	engine, err := newBlindEngine(plan, cal, Options{Workers: 2, ChunkSize: 256})
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,12 +399,11 @@ func TestBlindEngineConcurrentRequests(t *testing.T) {
 }
 
 // TestBlindEngineRejectsNegativeOptions: the calibrated engine shares the
-// labelled one's shardrun.Options validation, so nonsensical values fail
-// with the same typed error on the blind bind path and on a per-request
-// WithWorkers override of a calibrated engine.
+// labelled one's shardrun.Options validation, so a negative fan-out fails
+// with the same typed error on the blind bind path.
 func TestBlindEngineRejectsNegativeOptions(t *testing.T) {
 	plan, cal, _, _ := blindTestData(t, 40, 250, 10, 20)
-	for _, opts := range []Options{{Workers: -1}, {ChunkSize: -1}, {Workers: -3, ChunkSize: -4096}} {
+	for _, opts := range []Options{{Workers: -1}, {Workers: -3}} {
 		_, err := newBlindEngine(plan, cal, opts)
 		var oe *shardrun.OptionError
 		if !errors.As(err, &oe) {
@@ -409,13 +413,6 @@ func TestBlindEngineRejectsNegativeOptions(t *testing.T) {
 	if _, err := newBlindEngine(plan, cal, Options{}); err != nil {
 		t.Errorf("zero options rejected: %v", err)
 	}
-	engine, err := newBlindEngine(plan, cal, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.WithWorkers(-2); err == nil {
-		t.Error("WithWorkers(-2) accepted")
-	}
 }
 
 // TestBlindEngineAbsurdFanOutStaysCheap mirrors repairsvc's: per-shard state is
@@ -423,7 +420,7 @@ func TestBlindEngineRejectsNegativeOptions(t *testing.T) {
 // balloon memory; repair still completes and stays deterministic.
 func TestBlindEngineAbsurdFanOutStaysCheap(t *testing.T) {
 	plan, cal, _, unlabelled := blindTestData(t, 41, 250, 64, 20)
-	engine, err := newBlindEngine(plan, cal, Options{Workers: 1 << 30, ChunkSize: 16})
+	engine, err := newBlindEngine(plan, cal, Options{Workers: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestServeBlindNDJSONAndMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := http.Post(srv.URL+"/v1/repair?calibration="+calID+"&method=draw&seed=1&workers=2&format=ndjson",
+	resp, err := http.Post(srv.URL+"/v1/repair?calibration="+calID+"&method=draw&seed=1&format=ndjson",
 		"application/x-ndjson", &in)
 	if err != nil {
 		t.Fatal(err)

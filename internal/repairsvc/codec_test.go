@@ -55,8 +55,9 @@ func ndjsonBody(t *testing.T, dim, n int, tail ...string) *bytes.Buffer {
 	return &buf
 }
 
-// postNDJSON sends the body with workers=1 (the serial mode, so records
-// sink one at a time and mid-stream failures happen after output started).
+// postNDJSON sends the body. Every request repairs serially, so the
+// records before a failing one reach the sink first, and a failure after
+// them lands after output started.
 // It folds transport- and read-level failures into one error: either means
 // the transfer did not complete cleanly.
 func postNDJSON(t *testing.T, url string, body io.Reader) (status int, read []byte, err error) {
@@ -115,16 +116,16 @@ func TestNDJSONOversizedRecordAborts(t *testing.T) {
 }
 
 // TestNDJSONOverlongLineNamesItsLine posts a line past the scanner's 4 MiB
-// cap after two good ones. With the default workers the stream fails while
-// the first chunk is still being read, so the client gets a clean 422 whose
-// message names the line, as every other NDJSON error does.
+// cap after two blank ones. The stream fails before any record reaches the
+// sink, so the client gets a clean 422 whose message names the line —
+// blank lines counted — as every other NDJSON error does.
 func TestNDJSONOverlongLineNamesItsLine(t *testing.T) {
 	plan, _, _ := testData(t, 72, 250, 10, 25)
 	srv, id := newTestServer(t, plan)
 	url := srv.URL + "/v1/repair?plan=" + id + "&seed=1&format=ndjson"
 
 	huge := `{"x": [0.1, ` + strings.Repeat("0,", 3*1024*1024) + `0.2], "s": 0, "u": 0}`
-	status, read, err := postNDJSON(t, url, ndjsonBody(t, plan.Dim, 2, huge))
+	status, read, err := postNDJSON(t, url, ndjsonBody(t, plan.Dim, 0, "", "", huge))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// Package repairsvc is the serving layer of the repository: a batched,
-// sharded implementation of Algorithm 2 (the Engine) and an HTTP front end
-// (the Server) that together turn a once-designed repair plan into a
+// Package repairsvc is the serving layer of the repository: a batched
+// implementation of Algorithm 2 (the Engine) and an HTTP front end (the
+// Server) that together turn a once-designed repair plan into a
 // long-running archival-repair service — the deployment mode the paper's
 // design/apply split exists for.
 //
@@ -9,27 +9,24 @@
 // multinomial of the plan into an alias table once (core.PlanSampler).
 // WithCalibration derives an engine for s-unlabelled archives (the paper's
 // Section VI case) that shares those tables and adds the calibration's
-// posterior Pr[s|x,u] and the pooled plan's sampler. Every shard runs a
-// blind.Repairer on its own rng.Split stream; a record carrying an
-// observed s consumes that stream exactly as core.Repairer.RepairRecord
-// does, and on a labelled engine an unlabelled record fails with
-// blind.ErrNoPosterior. Every path repairs through
-// blind.Repairer.RepairSpan, and a stream reaches its caller one span of
-// originals and repairs at a time. Determinism contract:
+// posterior Pr[s|x,u] and the pooled plan's sampler. A record carrying an
+// observed s consumes its RNG stream exactly as
+// core.Repairer.RepairRecord does, and on a labelled engine an unlabelled
+// record fails with blind.ErrNoPosterior. Every path repairs through
+// blind.Repairer.RepairSpan. Determinism contract:
 //
-//   - Workers == 1 consumes the caller's RNG stream directly, so output is
+//   - A stream is repaired serially, one span of originals and repairs at
+//     a time, by one repairer on the caller's RNG stream — Algorithm 2's
+//     sequential application to the off-sample data. Its output is
 //     byte-identical to core.Repairer (labelled) or blind.Repairer
-//     (calibrated) RepairTable / RepairStream with the same seed and
-//     method — the property the serve-path equivalence tests pin.
-//   - Workers > 1 shards a table contiguously with per-shard streams
-//     r.Split(w), byte-identical on labelled tables to one core.Repairer
-//     per shard on that shard's stream; streams are repaired in chunks
-//     with per-(chunk, shard) streams, reproducible for a fixed (seed,
-//     workers, chunk size) regardless of scheduling. RepairTable is the
-//     repository's one sharded table path.
-//
-// The shard/chunk machinery — the split formulas, the clamp rule, the
-// serial drain — lives in internal/shardrun, its one owner.
+//     (calibrated) RepairStream with the same seed and method, on every
+//     host — the property the serve-path equivalence tests pin.
+//   - A table at Workers == 1 consumes the caller's stream the same way.
+//     Workers > 1 shards a table contiguously with per-shard streams
+//     r.Split(w) (internal/shardrun owns the split formula and the clamp
+//     rule), byte-identical on labelled tables to one core.Repairer per
+//     shard on that shard's stream. RepairTable is the repository's one
+//     sharded table path.
 package repairsvc
 
 import (
@@ -47,38 +44,38 @@ import (
 	"otfair/internal/shardrun"
 )
 
+// spanSize is the number of records a stream repairs per span: the unit
+// read, repaired and handed to the sink at a time. It bounds a stream's
+// memory, not its output — the bytes do not depend on it.
+const spanSize = 4096
+
 // Options configures an Engine.
 type Options struct {
-	// Workers is the shard fan-out (0 = GOMAXPROCS, 1 = the serial
-	// byte-compatible mode). Negative values are rejected with a
+	// Workers is the table fan-out (0 = GOMAXPROCS, 1 = serial); streams
+	// always repair serially. Negative values are rejected with a
 	// *shardrun.OptionError.
 	Workers int
-	// ChunkSize is the number of records repaired per span in streaming
-	// mode — one parallel wave when Workers > 1 (0 =
-	// shardrun.DefaultChunkSize). Larger chunks amortize fan-out and sink
-	// overhead; smaller chunks bound latency and memory.
-	// Negative values are rejected with a *shardrun.OptionError.
-	ChunkSize int
-	// Repair is passed through to every shard repairer.
+	// Repair is passed through to every repairer.
 	Repair core.RepairOptions
-	// Fault is the fault-injection harness (nil in production): each shard
-	// consults the shard.slow and shard.panic points before repairing its
-	// span, so the soak can exercise slow workers and panic isolation.
+	// Fault is the fault-injection harness (nil in production): each table
+	// shard, and each stream span, consults the shard.slow and shard.panic
+	// points before it is repaired, so the soak can exercise slow workers
+	// and panic isolation.
 	Fault *faultinject.Injector
-	// Obs receives shard and chunk timings from the runner (nil =
-	// uninstrumented). Like Fault it never influences execution, so output
-	// is byte-identical with or without it.
+	// Obs receives shard timings from the runner (nil = uninstrumented).
+	// Like Fault it never influences execution, so output is
+	// byte-identical with or without it.
 	Obs *shardrun.Obs
 }
 
-// withDefaults validates and defaults the sharding knobs through
+// withDefaults validates and defaults the table fan-out through
 // shardrun.Options.
 func (o Options) withDefaults() (Options, error) {
-	so, err := shardrun.Options{Workers: o.Workers, ChunkSize: o.ChunkSize}.WithDefaults()
+	so, err := shardrun.Options{Workers: o.Workers}.WithDefaults()
 	if err != nil {
 		return o, err
 	}
-	o.Workers, o.ChunkSize = so.Workers, so.ChunkSize
+	o.Workers = so.Workers
 	return o, nil
 }
 
@@ -111,8 +108,7 @@ func (t Totals) MeanConfidence() float64 {
 	return t.ConfidenceSum / float64(t.Imputed)
 }
 
-// ledger is the lock-guarded Totals an engine and the engines derived from
-// it by WithWorkers account into.
+// ledger is the lock-guarded Totals an engine accounts into.
 type ledger struct {
 	mu sync.Mutex
 	t  Totals
@@ -180,22 +176,6 @@ func (e *Engine) WithCalibration(cal *blind.Calibration) (*Engine, error) {
 	}, nil
 }
 
-// WithWorkers derives an engine with a different fan-out over the same
-// plan, calibration and precomputed samplers — the per-request ?workers=
-// override path, which must not rebuild any alias table. The derived
-// engine accounts into this engine's counters.
-func (e *Engine) WithWorkers(workers int) (*Engine, error) {
-	opts := e.opts
-	opts.Workers = workers
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	d := *e
-	d.opts = opts
-	return &d, nil
-}
-
 // Plan returns the bound plan.
 func (e *Engine) Plan() *core.Plan { return e.plan }
 
@@ -226,11 +206,15 @@ func (e *Engine) account(n int, st blind.Stats, d core.Diagnostics) {
 	l.mu.Unlock()
 }
 
-// repairer builds one shard's repairer over the shared samplers, after
-// consulting the fault points every shard passes.
-func (e *Engine) repairer(r *rng.RNG, method blind.Method) (*blind.Repairer, error) {
+// faults consults the fault points every table shard and stream span
+// passes before it is repaired (no-ops without an injector).
+func (e *Engine) faults() {
 	e.opts.Fault.Delay(faultinject.ShardSlow)
 	e.opts.Fault.Panic(faultinject.ShardPanic)
+}
+
+// repairer builds one repairer over the shared samplers.
+func (e *Engine) repairer(r *rng.RNG, method blind.Method) (*blind.Repairer, error) {
 	return blind.NewCalibrated(e.cal, e.smp, r, blind.Options{Method: method, Repair: e.opts.Repair})
 }
 
@@ -280,6 +264,7 @@ func (e *Engine) RepairTableContext(ctx context.Context, r *rng.RNG, method blin
 	allStats := make([]blind.Stats, slots)
 	diags := make([]core.Diagnostics, slots)
 	span := func(w int, rr *rng.RNG, lo, hi int) error {
+		e.faults()
 		rp, err := e.repairer(rr, method)
 		if err != nil {
 			return err
@@ -321,21 +306,18 @@ func (e *Engine) RepairTableContext(ctx context.Context, r *rng.RNG, method blin
 // RepairStreamContext repairs a record stream and hands it to sink one
 // span at a time: sink(in, out) gets original records and their repairs
 // (out[i] repairs in[i]) in input order, serially, from the calling
-// goroutine, and must not retain either slice. With one worker a single
-// repairer on the caller's RNG repairs spans of up to ChunkSize records
-// with blind.Repairer.RepairSpan — byte-identical to the reference
-// repairer's RepairStream at the same seed and method — and a read or
+// goroutine, and must not retain either slice. One repairer on the
+// caller's RNG repairs spans of up to spanSize records with
+// blind.Repairer.RepairSpan — byte-identical to the reference repairer's
+// RepairStream at the same seed and method, whatever Workers is. A read or
 // repair error first sinks every record before the failing one; repair
-// errors name its absolute index. With more workers, chunks of ChunkSize
-// are repaired across per-(chunk, shard) split streams and reach the sink
-// whole or not at all.
+// errors name its absolute index.
 //
 // Cancelling ctx (the per-request deadline and client disconnect) surfaces
-// as ctx.Err() at the next RepairSpan block (at most 1 024 records) or
-// chunk boundary and only truncates the output: every delivered record is
-// byte-identical to the uncancelled run at the same seed, because the RNG
-// split formula depends on positions and chunk indices, never on where
-// the stream stops. Emitted traffic is accounted on every exit path.
+// as ctx.Err() at the next RepairSpan block (at most 1 024 records) and
+// only truncates the output: every delivered record is byte-identical to
+// the uncancelled run at the same seed. Emitted traffic is accounted on
+// every exit path.
 func (e *Engine) RepairStreamContext(ctx context.Context, r *rng.RNG, method blind.Method, in dataset.Stream, sink func(in, out []dataset.Record) error) (total int, stats blind.Stats, diag core.Diagnostics, err error) {
 	if in == nil {
 		return 0, stats, diag, errors.New("repairsvc: nil stream")
@@ -344,80 +326,44 @@ func (e *Engine) RepairStreamContext(ctx context.Context, r *rng.RNG, method bli
 		return 0, stats, diag, err
 	}
 	defer func() { e.account(total, stats, diag) }()
-	if e.opts.Workers <= 1 {
-		err = shardrun.IsolatedObs(e.opts.Obs, func() error {
-			rp, err := e.repairer(r, method)
-			if err != nil {
-				return err
+	err = shardrun.IsolatedObs(e.opts.Obs, func() error {
+		rp, err := e.repairer(r, method)
+		if err != nil {
+			return err
+		}
+		defer func() { stats, diag = rp.Stats(), rp.Diagnostics() }()
+		var span, out []dataset.Record
+		for {
+			span = span[:0]
+			var readErr error
+			for len(span) < spanSize {
+				rec, err := in.Next()
+				if err != nil {
+					readErr = err
+					break
+				}
+				span = append(span, rec)
 			}
-			defer func() { stats, diag = rp.Stats(), rp.Diagnostics() }()
-			var span, out []dataset.Record
-			for {
-				span = span[:0]
-				var readErr error
-				for len(span) < e.opts.ChunkSize {
-					rec, err := in.Next()
-					if err != nil {
-						readErr = err
-						break
-					}
-					span = append(span, rec)
-				}
-				if cap(out) < len(span) {
-					out = make([]dataset.Record, cap(span))
-				}
-				n, err := rp.RepairSpan(ctx, total, span, out[:len(span)])
-				if n > 0 {
-					if err := sink(span[:n], out[:n]); err != nil {
-						return err
-					}
-					total += n
-				}
-				switch {
-				case err != nil:
+			if cap(out) < len(span) {
+				out = make([]dataset.Record, cap(span))
+			}
+			e.faults()
+			n, err := rp.RepairSpan(ctx, total, span, out[:len(span)])
+			if n > 0 {
+				if err := sink(span[:n], out[:n]); err != nil {
 					return err
-				case readErr == io.EOF:
-					return nil
-				case readErr != nil:
-					return readErr
 				}
+				total += n
 			}
-		})
-		return total, stats, diag, err
-	}
-	// A chunk never uses more shards than it has records, so per-shard
-	// state is sized by min(Workers, ChunkSize) — a request-supplied
-	// fan-out of a billion must not balloon the allocation.
-	slots := shardrun.Slots(e.opts.Workers, e.opts.ChunkSize)
-	allStats := make([]blind.Stats, slots)
-	diags := make([]core.Diagnostics, slots)
-	so := shardrun.Options{Workers: e.opts.Workers, ChunkSize: e.opts.ChunkSize, Obs: e.opts.Obs}
-	err = shardrun.Stream(ctx, r, so, in.Next,
-		func(_ uint64, w int, rr *rng.RNG, chunk, out []dataset.Record, lo, hi int) error {
-			rp, err := e.repairer(rr, method)
-			if err != nil {
+			switch {
+			case err != nil:
 				return err
+			case readErr == io.EOF:
+				return nil
+			case readErr != nil:
+				return readErr
 			}
-			if _, err := rp.RepairSpan(ctx, lo, chunk[lo:hi], out[lo:hi]); err != nil {
-				return err
-			}
-			allStats[w], diags[w] = rp.Stats(), rp.Diagnostics()
-			return nil
-		},
-		func(chunk, out []dataset.Record) error {
-			// Merge the chunk's per-shard counters in shard-index order so
-			// the floating-point confidence sums stay bit-stable, then sink
-			// the chunk.
-			for w := range diags {
-				stats.Merge(allStats[w])
-				diag.Merge(diags[w])
-				allStats[w], diags[w] = blind.Stats{}, core.Diagnostics{}
-			}
-			if err := sink(chunk, out); err != nil {
-				return err
-			}
-			total += len(out)
-			return nil
-		})
+		}
+	})
 	return total, stats, diag, err
 }

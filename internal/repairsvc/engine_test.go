@@ -266,39 +266,47 @@ func TestEngineRepairTableValidation(t *testing.T) {
 	}
 }
 
-// TestEngineStreamDeterministicAndEffective checks the chunked parallel
-// streaming mode: reproducible for fixed (seed, workers, chunk), and the
-// output actually repairs.
+// TestEngineStreamDeterministicAndEffective checks the stream path on an
+// engine with a table fan-out: the stream still repairs serially on the
+// caller's RNG — byte-identical to core.Repairer's RepairStream at the
+// same seed, whatever Workers is — and the output actually repairs.
 func TestEngineStreamDeterministicAndEffective(t *testing.T) {
 	plan, _, archive := testData(t, 3, 400, 3000, 50)
-	engine, err := NewEngine(plan, Options{Workers: 4, ChunkSize: 512})
+	engine, err := NewEngine(plan, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *dataset.Table {
-		out, err := dataset.NewTable(archive.Dim(), archive.Names())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(5), blind.MethodHard, dataset.NewSliceStream(archive), appendSink(out)); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	got, err := dataset.NewTable(archive.Dim(), archive.Names())
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(), run()
-	tablesEqual(t, a, b)
+	if _, _, _, err := engine.RepairStreamContext(context.Background(), rng.New(5), blind.MethodHard, dataset.NewSliceStream(archive), appendSink(got)); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := core.NewRepairer(plan, rng.New(5), core.RepairOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dataset.NewTable(archive.Dim(), archive.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rp.RepairStream(dataset.NewSliceStream(archive), want.Append); err != nil {
+		t.Fatal(err)
+	}
+	tablesEqual(t, got, want)
 
 	cfg := fairmetrics.Config{Estimator: fairmetrics.EstimatorPlugin}
 	before, err := fairmetrics.E(archive, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := fairmetrics.E(a, cfg)
+	after, err := fairmetrics.E(got, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(after < before/3) {
-		t.Errorf("chunked parallel repair too weak: E %.4f -> %.4f", before, after)
+		t.Errorf("serial stream repair too weak: E %.4f -> %.4f", before, after)
 	}
 }
 
@@ -306,7 +314,7 @@ func TestEngineStreamDeterministicAndEffective(t *testing.T) {
 // under -race this certifies the shared-sampler path.
 func TestEngineConcurrentRequests(t *testing.T) {
 	plan, _, archive := testData(t, 4, 250, 800, 30)
-	engine, err := NewEngine(plan, Options{Workers: 2, ChunkSize: 256})
+	engine, err := NewEngine(plan, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,8 +134,6 @@ func newServerObs(s *Server) *serverObs {
 	om.shard = &shardrun.Obs{
 		ShardSeconds: reg.Histogram("otfair_shard_seconds",
 			"Wall time of each shard closure in the runner.", lat),
-		ChunkRecords: reg.Histogram("otfair_shard_chunk_records",
-			"Records per streamed chunk in the runner.", obs.DefSizeBuckets()),
 		Shards: reg.Counter("otfair_shards_total", "Shard closures run."),
 		Panics: reg.Counter("otfair_shard_panics_total", "Shard closures that panicked."),
 	}
@@ -271,9 +269,9 @@ func newServerObs(s *Server) *serverObs {
 			}
 			return 0
 		})
-	reg.CounterFunc("otfair_design_cache_hits_total", "Design warm-start cache hits.",
+	reg.CounterFunc("otfair_design_cache_hits_total", "In-memory design-cell cache hits (core.DesignCacheStats).",
 		func() float64 { h, _ := core.DesignCacheStats(); return float64(h) })
-	reg.CounterFunc("otfair_design_cache_misses_total", "Design warm-start cache misses.",
+	reg.CounterFunc("otfair_design_cache_misses_total", "In-memory design-cell cache misses (core.DesignCacheStats).",
 		func() float64 { _, m := core.DesignCacheStats(); return float64(m) })
 
 	version, goVersion, revision := buildInfo()

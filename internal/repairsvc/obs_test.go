@@ -61,7 +61,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	plan, _, archive := testData(t, 31, 250, 800, 30)
 	srv, id, _ := newObsTestServer(t, plan, ServerOptions{MetricWindow: 1024})
 
-	resp := postCSV(t, srv.URL+"/v1/repair?plan="+id+"&seed=3&workers=2", archive)
+	resp := postCSV(t, srv.URL+"/v1/repair?plan="+id+"&seed=3", archive)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -325,7 +325,6 @@ func TestEngineObsAllocDelta(t *testing.T) {
 	}
 	o := &shardrun.Obs{
 		ShardSeconds: obs.NewHistogram(obs.DefLatencyBuckets()),
-		ChunkRecords: obs.NewHistogram(obs.DefSizeBuckets()),
 		Shards:       &obs.Counter{},
 		Panics:       &obs.Counter{},
 	}

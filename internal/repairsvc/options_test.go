@@ -12,12 +12,11 @@ import (
 )
 
 // TestEngineRejectsNegativeOptions: option validation lives in
-// shardrun.Options.WithDefaults — nonsensical values return a typed error
-// instead of being clamped silently, at bind time and on the per-request
-// WithWorkers override alike.
+// shardrun.Options.WithDefaults — a negative fan-out returns a typed error
+// at bind time instead of being clamped silently.
 func TestEngineRejectsNegativeOptions(t *testing.T) {
 	plan, _, _ := testData(t, 40, 250, 10, 20)
-	for _, opts := range []Options{{Workers: -1}, {ChunkSize: -1}, {Workers: -3, ChunkSize: -4096}} {
+	for _, opts := range []Options{{Workers: -1}, {Workers: -3}} {
 		_, err := NewEngine(plan, opts)
 		var oe *shardrun.OptionError
 		if !errors.As(err, &oe) {
@@ -28,23 +27,15 @@ func TestEngineRejectsNegativeOptions(t *testing.T) {
 	if _, err := NewEngine(plan, Options{}); err != nil {
 		t.Errorf("zero options rejected: %v", err)
 	}
-	engine, err := NewEngine(plan, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.WithWorkers(-2); err == nil {
-		t.Error("WithWorkers(-2) accepted")
-	}
 }
 
-// TestEngineAbsurdFanOutStaysCheap: a request-supplied worker count far
-// beyond the data (the ?workers= path) must cost memory and goroutines
-// proportional to the records, not the number — per-shard state is sized
-// by shardrun.Slots. The repair itself must still complete and stay
+// TestEngineAbsurdFanOutStaysCheap: a worker count far beyond the data
+// must cost memory and goroutines proportional to the records, not the
+// number — per-shard state is sized by shardrun.Slots. The repair itself must still complete and stay
 // deterministic.
 func TestEngineAbsurdFanOutStaysCheap(t *testing.T) {
 	plan, _, archive := testData(t, 41, 250, 64, 20)
-	engine, err := NewEngine(plan, Options{Workers: 1 << 30, ChunkSize: 16})
+	engine, err := NewEngine(plan, Options{Workers: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,10 +151,10 @@ func waitCounter(t *testing.T, srv *httptest.Server, planID, key string, want fl
 // TestMidStreamDisconnect: a client that goes away mid-response aborts
 // the repair promptly on every engine × format combination; the handler
 // unwinds (no goroutine leak), the spool is reclaimed, and the
-// disconnect is counted. The shard.slow fault paces the server so the
-// cancel always lands while chunks remain — without it the repair could
-// finish before the disconnect is seen, and the test would assert
-// nothing.
+// disconnect is counted. The shard.slow fault, consulted before every
+// span of the serial stream, paces the server so the cancel always lands
+// while spans remain — without it the repair could finish before the
+// disconnect is seen, and the test would assert nothing.
 func TestMidStreamDisconnect(t *testing.T) {
 	leakCheck(t)
 	spoolDirCheck(t)
@@ -171,10 +171,10 @@ func TestMidStreamDisconnect(t *testing.T) {
 		contentType string
 		body        []byte
 	}{
-		{"labelled-csv", "plan=" + planID + "&seed=3&workers=2", "text/csv", tableCSV(t, archive)},
-		{"labelled-ndjson", "plan=" + planID + "&seed=3&workers=2&format=ndjson", "application/x-ndjson", tableNDJSON(t, archive)},
-		{"blind-csv", "calibration=" + calID + "&method=hard&seed=3&workers=2", "text/csv", tableCSV(t, unlabelled)},
-		{"blind-ndjson", "calibration=" + calID + "&method=hard&seed=3&workers=2&format=ndjson", "application/x-ndjson", tableNDJSON(t, unlabelled)},
+		{"labelled-csv", "plan=" + planID + "&seed=3", "text/csv", tableCSV(t, archive)},
+		{"labelled-ndjson", "plan=" + planID + "&seed=3&format=ndjson", "application/x-ndjson", tableNDJSON(t, archive)},
+		{"blind-csv", "calibration=" + calID + "&method=hard&seed=3", "text/csv", tableCSV(t, unlabelled)},
+		{"blind-ndjson", "calibration=" + calID + "&method=hard&seed=3&format=ndjson", "application/x-ndjson", tableNDJSON(t, unlabelled)},
 	}
 	disconnects := 0.0
 	for _, tc := range cases {
@@ -510,6 +510,29 @@ func TestBadDeadlineRejected(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("deadline_ms=%s: %s, want 400", v, resp.Status)
+		}
+	}
+}
+
+// TestBadWorkersRejected: every request repairs serially, so workers=1 is
+// the only fan-out a request may name; any other value is refused with a
+// 400 rather than ignored, since ignoring it would hide that the client's
+// bytes do not come from the fan-out it asked for.
+func TestBadWorkersRejected(t *testing.T) {
+	plan, _, archive := testData(t, 39, 250, 100, 25)
+	srv, _, planID := resilienceServer(t, plan, ServerOptions{MetricWindow: 4096})
+	for _, tc := range []struct {
+		workers string
+		want    int
+	}{{"0", http.StatusBadRequest}, {"2", http.StatusBadRequest}, {"abc", http.StatusBadRequest}, {"-1", http.StatusBadRequest}, {"1", http.StatusOK}} {
+		resp, err := http.Post(srv.URL+"/v1/repair?plan="+planID+"&workers="+tc.workers, "text/csv", bytes.NewReader(tableCSV(t, archive)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("workers=%s: %s, want %d", tc.workers, resp.Status, tc.want)
 		}
 	}
 }

@@ -31,9 +31,6 @@ import (
 
 // ServerOptions configures the HTTP front end.
 type ServerOptions struct {
-	// Workers is the default repair fan-out for requests that do not set
-	// ?workers= (0 = GOMAXPROCS).
-	Workers int
 	// MetricWindow is the per-plan rolling window (records) the /v1/metrics
 	// E estimates are computed on (default 2048).
 	MetricWindow int
@@ -637,7 +634,9 @@ func (s *Server) bindState(id string) (*planState, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine, err := NewEngine(plan, Options{Workers: s.opts.Workers, Fault: s.opts.Fault, Obs: s.om.shard})
+	// The server only streams, and streams repair serially; one worker
+	// keeps the unused table fan-out from sizing itself by GOMAXPROCS.
+	engine, err := NewEngine(plan, Options{Workers: 1, Fault: s.opts.Fault, Obs: s.om.shard})
 	if err != nil {
 		return nil, err
 	}
@@ -892,10 +891,11 @@ func (s *Server) handlePlanGet(w http.ResponseWriter, r *http.Request) {
 //	             stream may carry records with no s label
 //	method       blind method (hard, draw, mix, pooled; default hard) —
 //	             only meaningful with calibration
-//	seed         RNG seed (default 1); with workers=1 the output is
-//	             byte-identical to the in-process (blind) Repairer at the
-//	             same seed
-//	workers      shard fan-out (default: server-wide setting)
+//	seed         RNG seed (default 1); the output is byte-identical to
+//	             the in-process (blind) Repairer at the same seed, on
+//	             every host
+//	workers      accepted only as 1: every request repairs its records
+//	             serially, in order (any other value is a 400)
 //	format       csv (default) or ndjson, for both directions
 //	deadline_ms  per-request repair budget in milliseconds; overrides the
 //	             server-wide default. A blown budget aborts at the
@@ -952,6 +952,12 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		}
 		budget = time.Duration(ms) * time.Millisecond
 	}
+	// workers=1 names the one stream path; any other fan-out would promise
+	// different bytes, so it is refused rather than silently ignored.
+	if v := q.Get("workers"); v != "" && v != "1" {
+		httpError(w, http.StatusBadRequest, "bad workers %q: every request repairs serially (omit workers or send workers=1)", v)
+		return
+	}
 	if budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget)
@@ -966,8 +972,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 
 	// Choose the engine: the plan's labelled engine, or the one bound to
 	// the calibration, which repairs unlabelled records under its
-	// posterior. A ?workers= override derives an engine that accounts into
-	// the chosen one's counters.
+	// posterior.
 	var (
 		ps     *planState
 		engine *Engine
@@ -988,17 +993,6 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, errStatus(err), "%v", err)
 		return
-	}
-	if v := q.Get("workers"); v != "" {
-		n, werr := strconv.Atoi(v)
-		if werr != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "bad workers %q", v)
-			return
-		}
-		if engine, err = engine.WithWorkers(n); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 
 	seed := uint64(1)

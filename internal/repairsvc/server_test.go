@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,6 @@ import (
 	"otfair/internal/dataset"
 	"otfair/internal/planstore"
 	"otfair/internal/rng"
-	"otfair/internal/shardrun"
 )
 
 // newTestServer boots a server over a fresh store and registers the plan.
@@ -87,17 +87,20 @@ func TestServeRepairByteIdentical(t *testing.T) {
 	}
 }
 
-// TestServeRepairParallelDeterministic checks that a sharded serve repair
-// is reproducible across identical requests.
-func TestServeRepairParallelDeterministic(t *testing.T) {
+// TestServeRepairDefaultMatchesSerial: a request without ?workers= takes
+// the one serial stream path, so on a multicore host it returns exactly
+// the workers=1 bytes at the same seed — the bytes do not depend on how
+// many cores served them.
+func TestServeRepairDefaultMatchesSerial(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	plan, _, archive := testData(t, 22, 250, 1200, 30)
 	srv, id := newTestServer(t, plan)
-	url := srv.URL + "/v1/repair?plan=" + id + "&seed=5&workers=4"
-	read := func() []byte {
-		resp := postCSV(t, url, archive)
+	read := func(query string) []byte {
+		resp := postCSV(t, srv.URL+"/v1/repair?plan="+id+"&seed=5"+query, archive)
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("repair: %s", resp.Status)
+			t.Fatalf("repair%s: %s", query, resp.Status)
 		}
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -105,8 +108,8 @@ func TestServeRepairParallelDeterministic(t *testing.T) {
 		}
 		return b
 	}
-	if a, b := read(), read(); !bytes.Equal(a, b) {
-		t.Fatal("identical sharded requests returned different bytes")
+	if def, serial := read(""), read("&workers=1"); !bytes.Equal(def, serial) {
+		t.Fatal("a request without workers returned different bytes from workers=1")
 	}
 }
 
@@ -325,7 +328,7 @@ func TestServerConcurrentTraffic(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				resp := postCSV(t, fmt.Sprintf("%s/v1/repair?plan=%s&seed=%d&workers=2", srv.URL, id, g+1), archive)
+				resp := postCSV(t, fmt.Sprintf("%s/v1/repair?plan=%s&seed=%d", srv.URL, id, g+1), archive)
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("repair: %s", resp.Status)
 				}
@@ -398,10 +401,9 @@ func TestBoundPlanStateEviction(t *testing.T) {
 
 // TestFailedRepairKeepsWindowsPaired: a labelled request that aborts on an
 // s-unlabelled record leaves the original and repaired metric windows
-// holding the same records — exactly the ones delivered to the sink — at
-// every worker count, so /v1/metrics never compares E before and after
-// over different records. Serially the delivered prefix ends at the
-// failing record; chunked, the failing chunk is dropped whole.
+// holding the same records — exactly the ones delivered to the sink, the
+// prefix that ends at the failing record — so /v1/metrics never compares
+// E before and after over different records.
 func TestFailedRepairKeepsWindowsPaired(t *testing.T) {
 	const bad = 4500
 	plan, _, archive := testData(t, 41, 300, 5000, 30)
@@ -423,8 +425,9 @@ func TestFailedRepairKeepsWindowsPaired(t *testing.T) {
 		}
 		return w.next
 	}
-	for _, tc := range []struct{ workers, delivered int }{{1, bad}, {2, shardrun.DefaultChunkSize}} {
-		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+	// workers=1 and no workers parameter name the same serial path.
+	for _, tc := range []struct{ name, query string }{{"workers=1", "&workers=1"}, {"default", ""}} {
+		t.Run(tc.name, func(t *testing.T) {
 			store, err := planstore.Open(t.TempDir(), planstore.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -439,7 +442,7 @@ func TestFailedRepairKeepsWindowsPaired(t *testing.T) {
 			}
 			srv := httptest.NewServer(handler)
 			t.Cleanup(srv.Close)
-			resp := postCSV(t, fmt.Sprintf("%s/v1/repair?plan=%s&seed=3&workers=%d", srv.URL, id, tc.workers), input)
+			resp := postCSV(t, srv.URL+"/v1/repair?plan="+id+"&seed=3"+tc.query, input)
 			_, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK || rerr == nil {
@@ -452,8 +455,8 @@ func TestFailedRepairKeepsWindowsPaired(t *testing.T) {
 			ps.mu.Lock()
 			orig, rep := windowLen(ps.original), windowLen(ps.repaired)
 			ps.mu.Unlock()
-			if orig != rep || rep != tc.delivered {
-				t.Fatalf("windows hold %d original and %d repaired records, want %d of each", orig, rep, tc.delivered)
+			if orig != rep || rep != bad {
+				t.Fatalf("windows hold %d original and %d repaired records, want %d of each", orig, rep, bad)
 			}
 		})
 	}

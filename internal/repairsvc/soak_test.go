@@ -4,7 +4,7 @@ package repairsvc
 // resilience work, run under -race by `make soak`). A seeded injector
 // schedules shard delays, shard panics and store read faults while a
 // concurrent client mix — labelled and calibrated repairs, both wire
-// formats, varying worker counts, some requests with hopeless deadlines,
+// formats, some requests with hopeless deadlines,
 // some clients that vanish mid-stream — hammers one server behind a small
 // admission gate. The contract under test is the whole PR in one
 // sentence: every request that succeeds returns bytes identical to an
@@ -29,7 +29,7 @@ import (
 	"otfair/internal/obs"
 )
 
-// soakCombo is one request shape: engine × wire format × worker count.
+// soakCombo is one request shape: engine × wire format.
 type soakCombo struct {
 	name        string
 	query       string
@@ -39,17 +39,12 @@ type soakCombo struct {
 
 func soakCombos(t *testing.T, planID, calID string, labelledCSV, labelledND, blindCSV, blindND []byte) []soakCombo {
 	t.Helper()
-	var combos []soakCombo
-	for _, workers := range []int{1, 2} {
-		w := strconv.Itoa(workers)
-		combos = append(combos,
-			soakCombo{"labelled-csv-w" + w, "plan=" + planID + "&seed=7&workers=" + w, "text/csv", labelledCSV},
-			soakCombo{"labelled-ndjson-w" + w, "plan=" + planID + "&seed=7&workers=" + w + "&format=ndjson", "application/x-ndjson", labelledND},
-			soakCombo{"blind-csv-w" + w, "calibration=" + calID + "&method=hard&seed=7&workers=" + w, "text/csv", blindCSV},
-			soakCombo{"blind-ndjson-w" + w, "calibration=" + calID + "&method=hard&seed=7&workers=" + w + "&format=ndjson", "application/x-ndjson", blindND},
-		)
+	return []soakCombo{
+		{"labelled-csv", "plan=" + planID + "&seed=7", "text/csv", labelledCSV},
+		{"labelled-ndjson", "plan=" + planID + "&seed=7&format=ndjson", "application/x-ndjson", labelledND},
+		{"blind-csv", "calibration=" + calID + "&method=hard&seed=7", "text/csv", blindCSV},
+		{"blind-ndjson", "calibration=" + calID + "&method=hard&seed=7&format=ndjson", "application/x-ndjson", blindND},
 	}
-	return combos
 }
 
 // soakOutcome classifies one request.

@@ -12,7 +12,7 @@ import (
 // serving layer at registry-assembly time; any left nil are simply not
 // recorded (the obs instruments are themselves nil-safe).
 //
-// The runner observes at shard and chunk granularity, never per record —
+// The runner observes at shard granularity, never per record —
 // the granularity at which instrumentation is free relative to the work.
 //
 //otfair:nilsafe nil Obs runs the shard runner uninstrumented
@@ -20,9 +20,6 @@ type Obs struct {
 	// ShardSeconds observes each shard closure's wall time, panicking
 	// shards included (their time was spent too).
 	ShardSeconds *obs.Histogram
-	// ChunkRecords observes the record count of each chunk delivered to
-	// the drain in stream mode.
-	ChunkRecords *obs.Histogram
 	// Shards counts shard closures run; Panics counts the subset that
 	// died and were converted to *ShardPanicError.
 	Shards *obs.Counter
@@ -39,12 +36,4 @@ func (o *Obs) shardDone(d time.Duration, panicked bool) {
 	if panicked {
 		o.Panics.Inc()
 	}
-}
-
-// chunkDone records one chunk delivered to the drain.
-func (o *Obs) chunkDone(n int) {
-	if o == nil {
-		return
-	}
-	o.ChunkRecords.Observe(float64(n))
 }

@@ -3,7 +3,6 @@ package shardrun
 import (
 	"context"
 	"errors"
-	"io"
 	"testing"
 
 	"otfair/internal/obs"
@@ -13,7 +12,6 @@ import (
 func newObs() *Obs {
 	return &Obs{
 		ShardSeconds: obs.NewHistogram(obs.DefLatencyBuckets()),
-		ChunkRecords: obs.NewHistogram(obs.DefSizeBuckets()),
 		Shards:       &obs.Counter{},
 		Panics:       &obs.Counter{},
 	}
@@ -71,49 +69,9 @@ func TestObsCountsPanics(t *testing.T) {
 	}
 }
 
-func TestStreamObsChunks(t *testing.T) {
-	o := newObs()
-	const total, chunkSize, workers = 10, 4, 2
-	i := 0
-	next := func() (int, error) {
-		if i == total {
-			return 0, io.EOF
-		}
-		i++
-		return i, nil
-	}
-	var drained int
-	err := Stream(context.Background(), rng.New(3), Options{Workers: workers, ChunkSize: chunkSize, Obs: o},
-		next,
-		func(chunk uint64, shard int, r *rng.RNG, in, out []int, lo, hi int) error {
-			for j := lo; j < hi; j++ {
-				out[j] = in[j] * 2
-			}
-			return nil
-		},
-		func(_, out []int) error { drained += len(out); return nil },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drained != total {
-		t.Fatalf("drained %d, want %d", drained, total)
-	}
-	// Chunks: 4, 4, 2 -> three chunk observations summing to 10.
-	cs := o.ChunkRecords.Snapshot()
-	if cs.Count != 3 || cs.Sum != float64(total) {
-		t.Fatalf("chunk obs count=%d sum=%v, want 3/%d", cs.Count, cs.Sum, total)
-	}
-	// Shards: chunks of 4 fan to 2 shards, the tail chunk of 2 to 2.
-	if got := o.Shards.Load(); got != 6 {
-		t.Fatalf("Shards = %d, want 6", got)
-	}
-}
-
 func TestNilObsSafe(t *testing.T) {
 	var o *Obs
 	o.shardDone(0, true)
-	o.chunkDone(5)
 	if err := IsolatedObs(nil, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}

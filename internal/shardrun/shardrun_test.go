@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 	"testing"
-	"time"
 
 	"otfair/internal/rng"
 )
@@ -21,11 +18,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Workers < 1 {
 		t.Errorf("defaulted Workers = %d, want >= 1", o.Workers)
 	}
-	if o.ChunkSize != DefaultChunkSize {
-		t.Errorf("defaulted ChunkSize = %d, want %d", o.ChunkSize, DefaultChunkSize)
-	}
-	o, err = Options{Workers: 3, ChunkSize: 17}.WithDefaults()
-	if err != nil || o.Workers != 3 || o.ChunkSize != 17 {
+	o, err = Options{Workers: 3}.WithDefaults()
+	if err != nil || o.Workers != 3 {
 		t.Errorf("explicit options mangled: %+v, %v", o, err)
 	}
 }
@@ -33,7 +27,7 @@ func TestOptionsDefaults(t *testing.T) {
 // TestOptionsRejectNegative is the typed-error contract: nonsensical values
 // fail loudly instead of being clamped.
 func TestOptionsRejectNegative(t *testing.T) {
-	for _, o := range []Options{{Workers: -1}, {ChunkSize: -4096}, {Workers: -7, ChunkSize: -1}} {
+	for _, o := range []Options{{Workers: -1}, {Workers: -7}} {
 		_, err := o.WithDefaults()
 		var oe *OptionError
 		if !errors.As(err, &oe) {
@@ -147,194 +141,5 @@ func TestTableErrorPropagation(t *testing.T) {
 	})
 	if !errors.Is(err, boom) || err.Error() != "shard 2: boom" {
 		t.Fatalf("err = %v, want shard 2's", err)
-	}
-}
-
-// sliceSource yields ints one at a time, ending with io.EOF.
-func sliceSource(xs []int) func() (int, error) {
-	i := 0
-	return func() (int, error) {
-		if i >= len(xs) {
-			return 0, io.EOF
-		}
-		x := xs[i]
-		i++
-		return x, nil
-	}
-}
-
-// rebufferedSource yields the same records but through an internal
-// refill buffer of varying sizes — a reader with different framing.
-func rebufferedSource(xs []int, frames []int) func() (int, error) {
-	var buf []int
-	next, fi := 0, 0
-	return func() (int, error) {
-		if len(buf) == 0 {
-			if next >= len(xs) {
-				return 0, io.EOF
-			}
-			size := frames[fi%len(frames)]
-			fi++
-			end := next + size
-			if end > len(xs) {
-				end = len(xs)
-			}
-			buf = xs[next:end]
-			next = end
-		}
-		x := buf[0]
-		buf = buf[1:]
-		return x, nil
-	}
-}
-
-// streamTrace captures everything observable about a Stream run: the
-// (chunk, shard, lo, hi, first-draw) tuples and the drained output.
-func streamTrace(t *testing.T, opts Options, next func() (int, error)) (calls []string, out []int) {
-	t.Helper()
-	var mu sync.Mutex
-	err := Stream(context.Background(), rng.New(9), opts, next,
-		func(chunk uint64, w int, r *rng.RNG, in, dst []int, lo, hi int) error {
-			mu.Lock()
-			calls = append(calls, fmt.Sprintf("c%d w%d [%d,%d) %d", chunk, w, lo, hi, r.Uint64()))
-			mu.Unlock()
-			for i := lo; i < hi; i++ {
-				dst[i] = in[i] * 10
-			}
-			return nil
-		},
-		func(_, dst []int) error {
-			out = append(out, dst...)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return calls, out
-}
-
-// TestStreamFramingInvariance pins the chunk-boundary contract: chunk
-// boundaries (and therefore every per-(chunk, shard) RNG stream) depend
-// only on ChunkSize and the record sequence, never on how the underlying
-// reader frames its input.
-func TestStreamFramingInvariance(t *testing.T) {
-	xs := make([]int, 1000)
-	for i := range xs {
-		xs[i] = i
-	}
-	opts := Options{Workers: 3, ChunkSize: 64}
-	callsA, outA := streamTrace(t, opts, sliceSource(xs))
-	for _, frames := range [][]int{{1}, {7, 64, 3}, {1000}, {63, 65}} {
-		callsB, outB := streamTrace(t, opts, rebufferedSource(xs, frames))
-		if len(outA) != len(outB) || len(callsA) != len(callsB) {
-			t.Fatalf("frames %v: shape differs", frames)
-		}
-		for i := range outA {
-			if outA[i] != outB[i] {
-				t.Fatalf("frames %v: output %d differs", frames, i)
-			}
-		}
-		// Shard calls race within a chunk, so compare as multisets.
-		seen := make(map[string]int)
-		for _, c := range callsA {
-			seen[c]++
-		}
-		for _, c := range callsB {
-			seen[c]--
-		}
-		for c, n := range seen {
-			if n != 0 {
-				t.Fatalf("frames %v: call trace differs at %q", frames, c)
-			}
-		}
-	}
-}
-
-// TestStreamSlowAdversarialSink drives the chunked runner with a sink that
-// stalls (so shards of the next chunk would race a lagging drain if the
-// runner ever let them) and checks full determinism across runs; the race
-// job runs this under -race.
-func TestStreamSlowAdversarialSink(t *testing.T) {
-	xs := make([]int, 400)
-	for i := range xs {
-		xs[i] = 3 * i
-	}
-	run := func() []int {
-		var out []int
-		err := Stream(context.Background(), rng.New(5), Options{Workers: 4, ChunkSize: 32}, sliceSource(xs),
-			func(chunk uint64, w int, r *rng.RNG, in, dst []int, lo, hi int) error {
-				for i := lo; i < hi; i++ {
-					dst[i] = in[i] + int(r.Uint64()%1000)
-				}
-				return nil
-			},
-			func(_, dst []int) error {
-				time.Sleep(time.Millisecond)
-				out = append(out, dst...)
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := run(), run()
-	if len(a) != len(xs) {
-		t.Fatalf("drained %d of %d", len(a), len(xs))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("output %d nondeterministic: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-// TestStreamErrors pins the abort semantics: a read error aborts before the
-// partial chunk is repaired, a shard error aborts before drain, and a drain
-// error stops the stream.
-func TestStreamErrors(t *testing.T) {
-	boom := errors.New("boom")
-	copyShard := func(chunk uint64, w int, r *rng.RNG, in, dst []int, lo, hi int) error {
-		copy(dst[lo:hi], in[lo:hi])
-		return nil
-	}
-
-	reads := 0
-	var drained int
-	err := Stream(context.Background(), rng.New(1), Options{Workers: 2, ChunkSize: 4},
-		func() (int, error) {
-			reads++
-			if reads > 6 {
-				return 0, boom
-			}
-			return reads, nil
-		},
-		copyShard,
-		func(_, dst []int) error { drained += len(dst); return nil })
-	if !errors.Is(err, boom) {
-		t.Fatalf("read error not propagated: %v", err)
-	}
-	if drained != 4 {
-		t.Errorf("drained %d records, want only the complete chunk (4)", drained)
-	}
-
-	drains := 0
-	err = Stream(context.Background(), rng.New(1), Options{Workers: 2, ChunkSize: 4}, sliceSource([]int{1, 2, 3, 4, 5}),
-		func(chunk uint64, w int, r *rng.RNG, in, dst []int, lo, hi int) error {
-			if chunk == 1 {
-				return boom
-			}
-			return copyShard(chunk, w, r, in, dst, lo, hi)
-		},
-		func(_, dst []int) error { drains++; return nil })
-	if !errors.Is(err, boom) || drains != 1 {
-		t.Fatalf("shard error: err=%v drains=%d, want boom after 1 drain", err, drains)
-	}
-
-	err = Stream(context.Background(), rng.New(1), Options{Workers: 2, ChunkSize: 4}, sliceSource([]int{1, 2, 3}),
-		copyShard,
-		func(_, dst []int) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("drain error not propagated: %v", err)
 	}
 }

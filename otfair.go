@@ -405,10 +405,10 @@ func Comonotonicity(before, after *Table) (float64, error) {
 // Serving: the repair-as-a-service layer behind cmd/fairserved. A designed
 // plan is persisted once in a content-addressed PlanStore and then applied
 // to archival torrents by a BatchRepairer — alias draw tables precomputed
-// per plan row, records sharded across workers on deterministic per-shard
-// RNG streams. With one worker the batch output is byte-identical to the
-// plain Repairer at the same seed, so embedded and served repair are
-// interchangeable.
+// per plan row. A stream is repaired serially on the caller's RNG, so its
+// output is byte-identical to the plain Repairer at the same seed and
+// embedded and served repair are interchangeable; a table may be sharded
+// across workers on deterministic per-shard RNG streams.
 type (
 	// PlanSampler is a plan's precomputed draw state (one alias table per
 	// (u, s, feature, support row)), shareable across repairers and
@@ -421,10 +421,11 @@ type (
 	PlanStoreOptions = planstore.Options
 	// PlanStoreStats are the store's cumulative traffic counters.
 	PlanStoreStats = planstore.Stats
-	// BatchRepairer is the sharded batch/streaming engine of Algorithm 2,
+	// BatchRepairer is the batch/streaming engine of Algorithm 2,
 	// labelled or — bound to a Calibration — s-unlabelled.
 	BatchRepairer = repairsvc.Engine
-	// BatchOptions configures a BatchRepairer.
+	// BatchOptions configures a BatchRepairer. Its Workers is the table
+	// fan-out; streams always repair serially.
 	BatchOptions = repairsvc.Options
 	// BatchTotals are an engine's cumulative serving counters.
 	BatchTotals = repairsvc.Totals
@@ -453,7 +454,8 @@ func OpenPlanStore(dir string, opts PlanStoreOptions) (*PlanStore, error) {
 	return planstore.Open(dir, opts)
 }
 
-// NewBatchRepairer binds a plan to a batched, sharded repair engine.
+// NewBatchRepairer binds a plan to a batched repair engine (tables sharded
+// across BatchOptions.Workers, streams serial).
 func NewBatchRepairer(plan *Plan, opts BatchOptions) (*BatchRepairer, error) {
 	return repairsvc.NewEngine(plan, opts)
 }
